@@ -4,7 +4,10 @@ normal forms, standard monomials, elimination and a memoizing cache.
 The kernel works on raw term dicts (monomial tuple -> coefficient) and keeps
 basis elements monic so reduction needs no divisions.  Pair selection is by
 minimal lcm (degree first); the coprime-lead and chain criteria can be
-switched off to serve as their own correctness oracle.
+switched off to serve as their own correctness oracle.  With the criteria
+on, all-monomial input never reaches Buchberger: its reduced basis is the
+minimal generating set, taken from the monomial layer (``monomial.py``),
+which also holds the staircase count.
 """
 from __future__ import annotations
 
@@ -17,6 +20,7 @@ import tempfile
 import threading
 from dataclasses import dataclass
 
+from .monomial import count_box_complement, minimal, pure_power_bounds
 from .orders import elimination_block
 from .poly import (Monomial, Polynomial, PolyContext, mono_coprime,
                    mono_divides, mono_lcm)
@@ -164,9 +168,6 @@ class GroebnerBasis:
         basis = [(g.lead_monomial(), g.terms[1:]) for g in self.polys]
         return Polynomial(self.ctx, _nf_dict(f.as_dict(), basis, self.ctx))
 
-    def contains_globally(self, f: Polynomial) -> bool:
-        return self.normal_form(f).is_zero
-
     def is_unit_ideal(self) -> bool:
         return len(self.polys) == 1 and self.polys[0].degree() == 0
 
@@ -308,8 +309,12 @@ def groebner_basis(gens, ctx: PolyContext | None = None, use_criteria: bool = Tr
             with _CACHE_LOCK:
                 _CACHE[fingerprint] = hit
             return hit
-    reduced = _buchberger_raw(inputs, ctx, use_criteria)
-    gb = GroebnerBasis(ctx, tuple(Polynomial(ctx, d) for d in reduced), fingerprint)
+    if use_criteria and all(len(d) == 1 for d in inputs):
+        leads = sorted(minimal([next(iter(d)) for d in inputs]), key=ctx.key)
+        polys = tuple(Polynomial.monomial(ctx, m) for m in leads)
+    else:
+        polys = tuple(Polynomial(ctx, d) for d in _buchberger_raw(inputs, ctx, use_criteria))
+    gb = GroebnerBasis(ctx, polys, fingerprint)
     if use_criteria and cache:
         with _CACHE_LOCK:
             _CACHE[fingerprint] = gb
@@ -317,19 +322,7 @@ def groebner_basis(gens, ctx: PolyContext | None = None, use_criteria: bool = Tr
     return gb
 
 
-def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
-    return gb.normal_form(f)
-
-
 # -- standard monomials and dimension -------------------------------------
-
-def _minimal_monomials(monos) -> tuple:
-    out = []
-    for m in sorted(monos, key=sum):
-        if not any(mono_divides(k, m) for k in out):
-            out.append(m)
-    return tuple(out)
-
 
 @dataclass(frozen=True)
 class StandardMonomials:
@@ -360,50 +353,19 @@ class StandardMonomials:
         return count_box_complement(self.bounds, list(self.leads))
 
 
-def count_box_complement(bounds, leads) -> int:
-    """Monomials below the bounds divisible by no lead, without enumeration.
-
-    Splits on the first exponent at the thresholds where the active lead set
-    changes, so runtime scales with the number of leads rather than the box.
-    """
-    if any(sum(l) == 0 for l in leads):
-        return 0
-    if not bounds:
-        return 1
-    b0 = bounds[0]
-    if b0 <= 0:
-        return 0
-    cuts = sorted({0, b0} | {l[0] for l in leads if 0 < l[0] < b0})
-    total = 0
-    for lo, hi in zip(cuts, cuts[1:]):
-        active = [l[1:] for l in leads if l[0] <= lo]
-        reduced = []
-        for m in sorted(active, key=sum):
-            if not any(mono_divides(k, m) for k in reduced):
-                reduced.append(m)
-        total += (hi - lo) * count_box_complement(bounds[1:], reduced)
-    return total
-
-
 def standard_monomials(gb: GroebnerBasis) -> StandardMonomials:
     nvars = gb.ctx.nvars
-    leads = _minimal_monomials(gb.leads)
-    bounds = []
-    finite = True
-    for i in range(nvars):
-        pure = [m[i] for m in leads if sum(m) == m[i]]
-        if pure:
-            bounds.append(min(pure))
-        else:
-            finite = False
-            bounds.append(0)
-    return StandardMonomials(nvars, leads, finite, tuple(bounds))
+    leads = gb.leads
+    bounds = pure_power_bounds(leads, nvars)
+    if bounds is None:
+        return StandardMonomials(nvars, leads, False, (0,) * nvars)
+    return StandardMonomials(nvars, leads, True, bounds)
 
 
 def lead_ideal_dimension(gb: GroebnerBasis) -> int:
     """Krull dimension of the quotient by the ideal; -1 for the unit ideal."""
     nvars = gb.ctx.nvars
-    leads = _minimal_monomials(gb.leads)
+    leads = gb.leads
     if any(sum(m) == 0 for m in leads):
         return -1
     supports = [frozenset(i for i, e in enumerate(m) if e) for m in leads]

@@ -9,14 +9,19 @@ localized ideal.  Membership, containment and equality are decided
 locally through colon ideals; colengths are certified finite by exhibiting
 a power of each variable inside the ideal, which pins the support to the
 origin and makes the global standard-monomial count equal the local length.
+
+When the relations and the generators are all monomials, membership of a
+monomial, products, intersections, colons by a monomial and colengths are
+computed on exponent vectors by the monomial layer (``monomial.py``) instead.
 """
 from __future__ import annotations
 
+from . import monomial
 from .fields import QQ
-from .groebner import (GroebnerBasis, count_box_complement, eliminate,
-                       groebner_basis, standard_monomials)
+from .groebner import (GroebnerBasis, eliminate, groebner_basis,
+                       lead_ideal_dimension, standard_monomials)
 from .orders import grevlex
-from .poly import (Polynomial, PolyContext, mono_divides, mono_lcm)
+from .poly import Polynomial, PolyContext
 from .parser import parse_polynomial
 
 
@@ -88,9 +93,11 @@ class LocalRing:
         self.gb_relations = groebner_basis(rels, ctx=self.ctx)
         if self.gb_relations.is_unit_ideal():
             raise ValueError("relations generate the unit ideal; the ring is zero")
-        from .groebner import lead_ideal_dimension
         self.dimension = lead_ideal_dimension(self.gb_relations)
-        self.monomial_relations = all(g.is_monomial() for g in self.gb_relations.polys)
+        # exponent vectors of the relations when all are monomials, else None
+        self.relation_monomials = (
+            self.gb_relations.leads
+            if all(g.is_monomial() for g in self.gb_relations.polys) else None)
         self._torsion = None
 
     @property
@@ -141,6 +148,13 @@ class LocalRing:
             seen[p.terms] = p
         gens = sorted(seen.values(), key=lambda p: (self.ctx.key(p.lead_monomial()), str(p)))
         return IdealHandle(self, tuple(gens))
+
+    def _from_monomials(self, gens) -> "IdealHandle":
+        """Handle of a monomial ideal given by its minimal generators: those
+        outside the relations, sorted like ``_make`` sorts."""
+        rel = self.relation_monomials
+        keep = sorted((m for m in gens if not monomial.contains(rel, m)), key=self.ctx.key)
+        return IdealHandle(self, tuple(Polynomial.monomial(self.ctx, m) for m in keep))
 
     # -- torsion part -------------------------------------------------
 
@@ -264,11 +278,17 @@ def _dict_rank(rows, ctx: PolyContext) -> int:
 class IdealHandle:
     """An ideal of a local ring, presented by reduced generators."""
 
-    __slots__ = ("ring", "gens", "_gb", "_colength", "_colength_known")
+    __slots__ = ("ring", "gens", "monomials", "_gb", "_colength", "_colength_known")
 
     def __init__(self, ring: LocalRing, gens: tuple):
         self.ring = ring
         self.gens = gens
+        # exponent vectors of the generators and the relations, or None
+        # unless all of them are monomials
+        rel = ring.relation_monomials
+        self.monomials = (
+            tuple(g.lead_monomial() for g in gens) + rel
+            if rel is not None and all(g.is_monomial() for g in gens) else None)
         self._gb = None
         self._colength = None
         self._colength_known = False
@@ -279,10 +299,6 @@ class IdealHandle:
     @property
     def is_unit(self) -> bool:
         return bool(self.gens) and self.gens[0].degree() == 0
-
-    @property
-    def is_zero_presented(self) -> bool:
-        return not self.gens
 
     def gb(self) -> GroebnerBasis:
         """Groebner basis of the ideal together with the ring relations."""
@@ -295,18 +311,16 @@ class IdealHandle:
     def normal_form(self, f) -> Polynomial:
         return self.gb().normal_form(_as_poly(self.ring, f))
 
-    def is_monomial_presented(self) -> bool:
-        return self.ring.monomial_relations and all(g.is_monomial() for g in self.gens)
-
     # -- membership and comparison (local semantics) ------------------
 
     def contains_element(self, f) -> bool:
         """Local membership at the origin, via a colon when reduction fails."""
         f = _as_poly(self.ring, f)
+        mine = self.monomials
+        if mine is not None and f.is_monomial():
+            return monomial.contains(mine, f.lead_monomial())
         if self.normal_form(f).is_zero:
             return True
-        if self.is_monomial_presented() and f.is_monomial():
-            return False
         c = self.colon(f)
         return c.is_unit
 
@@ -327,12 +341,13 @@ class IdealHandle:
         ring = self.ring
         if isinstance(other, Polynomial) or isinstance(other, (str, int)):
             other = ring.ideal([other])
+        mine, theirs = self.monomials, other.monomials
+        if mine is not None and theirs is not None:
+            return ring._from_monomials(monomial.product(mine, theirs))
         nf = ring.gb_relations.normal_form
-        prods = [nf(a * b) for a in self.gens for b in other.gens]
-        out = ring._make(prods)
-        if out.is_monomial_presented():
-            out = ring._make(_minimalize_monomial_gens(out.gens))
-        return out
+        out = ring._make([nf(a * b) for a in self.gens for b in other.gens])
+        monos = out.monomials
+        return out if monos is None else ring._from_monomials(monomial.minimal(monos))
 
     def power(self, n: int) -> "IdealHandle":
         if n < 0:
@@ -350,15 +365,9 @@ class IdealHandle:
             return self
         if not self.gens or not other.gens:
             return ring.zero_ideal()
-        if self.is_monomial_presented() and other.is_monomial_presented():
-            rel = [g.lead_monomial() for g in ring.gb_relations.polys]
-            left = [g.lead_monomial() for g in self.gens] + rel
-            right = [g.lead_monomial() for g in other.gens] + rel
-            nf = ring.gb_relations.normal_form
-            out = [nf(Polynomial.monomial(ring.ctx, mono_lcm(u, v)))
-                   for u in left for v in right]
-            return ring._make(_minimalize_monomial_poly_list(
-                [p for p in out if not p.is_zero], ring.ctx))
+        mine, theirs = self.monomials, other.monomials
+        if mine is not None and theirs is not None:
+            return ring._from_monomials(monomial.intersect(mine, theirs))
         big = _intersection_in_ambient(
             ring, list(self.gens), list(other.gens))
         return ring.ideal(big)
@@ -376,18 +385,9 @@ class IdealHandle:
             return ring.unit_ideal()
         if g.constant_term() != ring.field.zero:
             return self  # dividing by a local unit changes nothing
-        if self.is_monomial_presented() and g.is_monomial():
-            rel = ring.gb_relations.polys
-            mono_g = g.lead_monomial()
-            out = []
-            for p in list(self.gens) + list(rel):
-                u = p.lead_monomial()
-                gcd = tuple(min(a, b) for a, b in zip(u, mono_g))
-                out.append(tuple(a - b for a, b in zip(u, gcd)))
-            nf = ring.gb_relations.normal_form
-            polys = [nf(Polynomial.monomial(ring.ctx, m)) for m in out]
-            return ring._make(_minimalize_monomial_poly_list(
-                [p for p in polys if not p.is_zero], ring.ctx))
+        mine = self.monomials
+        if mine is not None and g.is_monomial():
+            return ring._from_monomials(monomial.colon(mine, g.lead_monomial()))
         inter = _intersection_in_ambient(
             ring, list(self.gens) + list(ring.gb_relations.polys), [g],
             include_relations=False)
@@ -419,6 +419,8 @@ class IdealHandle:
         return value
 
     def _colength_compute(self) -> int | None:
+        if self.monomials is not None:
+            return monomial.colength(self.monomials, self.ring.nvars)
         G = self.gb()
         if G.is_unit_ideal():
             return 0
@@ -436,29 +438,13 @@ class IdealHandle:
                 e += 1
             else:
                 return None
-        return count_box_complement(sm.bounds, list(sm.leads))
+        return monomial.count_box_complement(sm.bounds, sm.leads)
 
     def finite_colength(self) -> int:
         v = self.colength()
         if v is None:
             raise NotMPrimary(f"{self!r} is not m-primary within the certificate bounds")
         return v
-
-
-def _minimalize_monomial_gens(gens):
-    ctx = gens[0].ctx if gens else None
-    if ctx is None:
-        return []
-    return _minimalize_monomial_poly_list(list(gens), ctx)
-
-
-def _minimalize_monomial_poly_list(polys, ctx):
-    monos = sorted({p.lead_monomial() for p in polys}, key=sum)
-    keep = []
-    for m in monos:
-        if not any(mono_divides(k, m) for k in keep):
-            keep.append(m)
-    return [Polynomial.monomial(ctx, m) for m in keep]
 
 
 def _fresh_variable(variables) -> str:

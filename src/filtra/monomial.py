@@ -1,0 +1,107 @@
+"""Monomial ideals on exponent tuples.
+
+A monomial ideal is given by any finite collection of exponent vectors.
+Its minimal generators, the vectors divisible by no other one, are also its
+reduced Groebner basis in every monomial order, so no S-pair is ever
+formed.  Products add exponents, intersections take pairwise lcms, the
+colon by a monomial subtracts exponents clipped at zero, membership is
+divisibility, and the colength of an artinian ideal is a staircase count.
+Nothing here builds a polynomial; callers convert at their own boundary.
+
+References: A. M. Bigatti, "Computation of Hilbert-Poincare series",
+JPAA 119 (1997); E. Miller and B. Sturmfels, *Combinatorial Commutative
+Algebra*, chapters 1-2.
+"""
+from __future__ import annotations
+
+from operator import add, le
+
+
+def contains(gens, m: tuple) -> bool:
+    """Membership of the monomial m in the ideal generated by gens."""
+    return any(all(map(le, g, m)) for g in gens)
+
+
+def minimal(monos) -> tuple:
+    """Minimal generators: duplicates and multiples of others dropped.
+
+    The result is ordered by total degree, ties in input order.  Each vector
+    is packed into one integer with a guard bit above every exponent field,
+    so that k | m is a single subtraction: the guard bits of
+    (m | guards) - k all survive exactly when no field of k exceeds m's.
+    """
+    monos = list(dict.fromkeys(monos))
+    if len(monos) < 2:
+        return tuple(monos)
+    width = max(map(max, monos)).bit_length() + 1
+    guards = 0
+    for i in range(len(monos[0])):
+        guards |= 1 << (i * width + width - 1)
+    out, packed = [], []
+    for m in sorted(monos, key=sum):
+        p = 0
+        for e in m:
+            p = p << width | e
+        pg = p | guards
+        for k in packed:
+            if (pg - k) & guards == guards:
+                break
+        else:
+            out.append(m)
+            packed.append(p)
+    return tuple(out)
+
+
+def product(a, b) -> tuple:
+    return minimal([tuple(map(add, u, v)) for u in a for v in b])
+
+
+def intersect(a, b) -> tuple:
+    return minimal([tuple(map(max, u, v)) for u in a for v in b])
+
+
+def colon(a, m: tuple) -> tuple:
+    """(a : m) for a single monomial m."""
+    return minimal([tuple(x - y if x > y else 0 for x, y in zip(u, m)) for u in a])
+
+
+def count_box_complement(bounds, leads) -> int:
+    """Monomials below the bounds divisible by no lead, without enumeration.
+
+    Splits on the first exponent at the thresholds where the active lead set
+    changes, so runtime scales with the number of leads rather than the box.
+    """
+    if any(sum(l) == 0 for l in leads):
+        return 0
+    if not bounds:
+        return 1
+    b0 = bounds[0]
+    if b0 <= 0:
+        return 0
+    if len(bounds) == 1:
+        return min([b0] + [l[0] for l in leads])
+    cuts = sorted({0, b0} | {l[0] for l in leads if 0 < l[0] < b0})
+    total = 0
+    for lo, hi in zip(cuts, cuts[1:]):
+        active = minimal([l[1:] for l in leads if l[0] <= lo])
+        total += (hi - lo) * count_box_complement(bounds[1:], active)
+    return total
+
+
+def pure_power_bounds(gens, nvars: int) -> tuple | None:
+    """Per variable, the least exponent of a pure power among gens; None
+    when some variable has none, so that the ideal is not artinian."""
+    bounds = []
+    for i in range(nvars):
+        pure = [m[i] for m in gens if sum(m) == m[i]]
+        if not pure:
+            return None
+        bounds.append(min(pure))
+    return tuple(bounds)
+
+
+def colength(gens, nvars: int) -> int | None:
+    """Number of monomials outside the ideal; None when it is infinite."""
+    gens = minimal(gens)
+    bounds = pure_power_bounds(gens, nvars)
+    return None if bounds is None else count_box_complement(bounds, gens)

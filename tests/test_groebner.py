@@ -8,11 +8,12 @@ import random
 
 import pytest
 
+from filtra import groebner
+from filtra.config import parse_config
 from filtra.fields import PrimeField, QQ
 from filtra.groebner import (clear_cache, count_box_complement, eliminate,
                              groebner_basis, InfiniteSetEnumerationRequested,
-                             lead_ideal_dimension, normal_form,
-                             standard_monomials)
+                             lead_ideal_dimension, standard_monomials)
 from filtra.orders import grevlex, lex
 from filtra.parser import parse_polynomial
 from filtra.poly import PolyContext, Polynomial, mono_divides
@@ -61,11 +62,11 @@ def test_unit_ideal_detection():
 def test_membership_and_normal_form():
     polys = [parse_polynomial(s, CTX3) for s in ["y - x^2", "z - x^3"]]
     g = groebner_basis(polys, ctx=CTX3, cache=False)
-    assert g.contains_globally(parse_polynomial("y^2 - x*z", CTX3))
-    assert g.contains_globally(parse_polynomial("(y - x^2) * (z + x*y)", CTX3))
-    assert not g.contains_globally(parse_polynomial("x", CTX3))
-    r = normal_form(parse_polynomial("x^2 + z", CTX3), g)
-    assert g.contains_globally(parse_polynomial("x^2 + z", CTX3) - r)
+    assert g.normal_form(parse_polynomial("y^2 - x*z", CTX3)).is_zero
+    assert g.normal_form(parse_polynomial("(y - x^2) * (z + x*y)", CTX3)).is_zero
+    assert not g.normal_form(parse_polynomial("x", CTX3)).is_zero
+    r = g.normal_form(parse_polynomial("x^2 + z", CTX3))
+    assert g.normal_form(parse_polynomial("x^2 + z", CTX3) - r).is_zero
 
 
 def test_permutation_invariance():
@@ -188,6 +189,31 @@ def test_criteria_equivalence_monomial():
         a = groebner_basis(gens, ctx=ctx, use_criteria=True, cache=False)
         b = groebner_basis(gens, ctx=ctx, use_criteria=False, cache=False)
         assert a.polys == b.polys
+
+
+def test_monomial_input_bypasses_buchberger(monkeypatch):
+    """With the criteria on, all-monomial input never reaches Buchberger,
+    and with them off it still does, so the test above keeps comparing the
+    monomial layer with a full Buchberger run."""
+    from filtra.report import run_job
+
+    def forbidden(*args):
+        raise AssertionError("Buchberger ran on all-monomial input")
+
+    monkeypatch.setattr(groebner, "_buchberger_raw", forbidden)
+    clear_cache()
+    cfg = parse_config({
+        "name": "monomial_guard",
+        "horizon": 6,
+        "ring": {"variables": ["x", "y"]},
+        "filtration": {"kind": "adic", "stages": {"1": ["x^3", "x^2*y", "y^3"]}},
+        "reduction": {"generators": ["x^3", "y^3"]},
+    })
+    assert run_job(cfg)["verdict"] == "verified"
+    clear_cache()
+    gens = [parse_polynomial(s, CTX2) for s in ["x^2", "x*y"]]
+    with pytest.raises(AssertionError, match="Buchberger ran"):
+        groebner_basis(gens, ctx=CTX2, use_criteria=False, cache=False)
 
 
 # -- sympy as an external oracle ------------------------------------------
