@@ -138,9 +138,6 @@ class ReductionSystem:
     def count(self) -> int:
         return len(self.generators)
 
-    def prefix_handle(self, k: int) -> IdealHandle:
-        return self.ring.ideal(list(self.generators[:k]))
-
     def omit_handle(self, i: int) -> IdealHandle:
         gens = [g for j, g in enumerate(self.generators) if j != i]
         return self.ring.ideal(gens)

@@ -3,11 +3,15 @@ normal forms, standard monomials, elimination and a memoizing cache.
 
 The kernel works on raw term dicts (monomial tuple -> coefficient) and keeps
 basis elements monic so reduction needs no divisions.  Pair selection is by
-minimal lcm (degree first); the coprime-lead and chain criteria can be
-switched off to serve as their own correctness oracle.  With the criteria
-on, all-monomial input never reaches Buchberger: its reduced basis is the
-minimal generating set, taken from the monomial layer (``monomial.py``),
-which also holds the staircase count.
+minimal lcm (degree first).  Pairs are managed by the Gebauer-Moller update
+(Gebauer and Moller, JSC 6, 1988; the UPDATE procedure of Becker and
+Weispfenning, *Groebner Bases*, 1993, section 5.5): each new basis element
+adds pairs only with the active elements, thinned by criteria M and F and
+the product criterion, and drops old pairs by criterion B_k.  With the
+criteria off every pair is reduced, which serves as their correctness
+oracle.  With the criteria on, all-monomial input never reaches Buchberger:
+its reduced basis is the minimal generating set, taken from the monomial
+layer (``monomial.py``), which also holds the staircase count.
 """
 from __future__ import annotations
 
@@ -173,22 +177,52 @@ class GroebnerBasis:
 
 
 def _fingerprint(ctx: PolyContext, gens) -> str:
-    payload = ctx.descriptor + "\n" + "\n".join(sorted(str(g) for g in gens))
+    # terms are canonical (sorted, no zero coefficients), so equal payloads
+    # mean equal generator multisets, without printing any polynomial
+    payload = ctx.descriptor + "\n" + repr(sorted(g.terms for g in gens))
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def _buchberger_raw(inputs: list, ctx: PolyContext, use_criteria: bool) -> list:
     basis: list = []      # (lead, tail_items, full_dict), monic
     reduce_view: list = []  # (lead, tail_items) view for _nf_dict
-    pairs: list = []
+    pairs: list = []      # heap of (key(lcm), lcm, i, j)
+    active: list = []     # indices of entries whose lead no later lead divides
     key = ctx.key
 
     def add(d: dict):
+        """Gebauer-Moller update: admit the new entry and the pairs it needs."""
         entry = _monic_dict(d, ctx)
+        lh = entry[0]
         t = len(basis)
-        for i in range(t):
-            L = mono_lcm(basis[i][0], entry[0])
-            heapq.heappush(pairs, (key(L), L, i, t))
+        if not use_criteria:
+            for i in range(t):
+                L = mono_lcm(basis[i][0], lh)
+                heapq.heappush(pairs, (key(L), L, i, t))
+        else:
+            # criterion B_k: an old pair (i, j) whose lcm L the new lead
+            # divides is redundant unless L is also the lcm of (i, t) or (j, t)
+            kept = [p for p in pairs
+                    if not (mono_divides(lh, p[1])
+                            and mono_lcm(basis[p[2]][0], lh) != p[1]
+                            and mono_lcm(basis[p[3]][0], lh) != p[1])]
+            if len(kept) < len(pairs):
+                heapq.heapify(kept)
+                pairs[:] = kept
+            new = [(mono_lcm(basis[i][0], lh), i) for i in active]
+            # criterion M: only the minimal new lcms keep pairs; criterion F
+            # and the product criterion: one pair per lcm, and none at all
+            # for an lcm that a coprime pair attains
+            keep = set(minimal([L for L, _ in new]))
+            by_lcm: dict = {}
+            for L, i in new:
+                if L in keep:
+                    by_lcm.setdefault(L, []).append(i)
+            for L, idx in by_lcm.items():
+                if not any(mono_coprime(basis[i][0], lh) for i in idx):
+                    heapq.heappush(pairs, (key(L), L, idx[0], t))
+            active[:] = [i for i in active if not mono_divides(lh, basis[i][0])]
+            active.append(t)
         basis.append(entry)
         reduce_view.append((entry[0], entry[1]))
 
@@ -198,25 +232,7 @@ def _buchberger_raw(inputs: list, ctx: PolyContext, use_criteria: bool) -> list:
             add(r)
 
     while pairs:
-        _, L, i, j = heapq.heappop(pairs)
-        lmi, lmj = basis[i][0], basis[j][0]
-        if mono_lcm(lmi, lmj) != L:
-            continue  # defensive; leads never change
-        if use_criteria:
-            if mono_coprime(lmi, lmj):
-                continue
-            # chain criterion, proper-divisor form: the two replacing pairs
-            # have strictly smaller lcms, hence were already handled
-            skip = False
-            for l in range(len(basis)):
-                if l == i or l == j:
-                    continue
-                lml = basis[l][0]
-                if mono_divides(lml, L) and mono_lcm(lmi, lml) != L and mono_lcm(lmj, lml) != L:
-                    skip = True
-                    break
-            if skip:
-                continue
+        _, _, i, j = heapq.heappop(pairs)
         s = _spoly_dict(basis[i], basis[j], ctx)
         if not s:
             continue
@@ -232,7 +248,7 @@ def _buchberger_raw(inputs: list, ctx: PolyContext, use_criteria: bool) -> list:
 _CACHE: dict = {}
 _CACHE_LOCK = threading.Lock()
 CACHE_ENV_VAR = "FILTRA_CACHE_DIR"
-_CACHE_FORMAT_VERSION = 1
+_CACHE_FORMAT_VERSION = 2
 
 
 def clear_cache():

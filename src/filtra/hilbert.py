@@ -157,11 +157,3 @@ def fit_sally(values, dim: int) -> SallyFit:
             f"leading fitted coefficient {e[0]} of a graded module must be positive")
     return SallyFit(tuple(coeffs), e, max(s, 0), n0, vanishes)
 
-
-def graded_value(coeffs, degree: int, shift: int, n: int) -> int:
-    """Evaluate an alternating binomial-basis polynomial at n."""
-    total = 0
-    for i, e in enumerate(coeffs):
-        term = e * binom(n + shift + degree - i, degree - i)
-        total += -term if i % 2 else term
-    return total

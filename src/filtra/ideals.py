@@ -16,6 +16,8 @@ computed on exponent vectors by the monomial layer (``monomial.py``) instead.
 """
 from __future__ import annotations
 
+import itertools
+
 from . import monomial
 from .fields import QQ
 from .groebner import (GroebnerBasis, eliminate, groebner_basis,
@@ -35,6 +37,10 @@ class NotNested(ValueError):
 
 class NotFiniteLength(ValueError):
     """A subquotient is not killed by any tested power of the maximal ideal."""
+
+
+class SaturationNotStabilized(RuntimeError):
+    """The colon chain of a saturation did not repeat within its cap."""
 
 
 SUBQUOTIENT_POWER_BOUND = 40
@@ -146,7 +152,13 @@ class LocalRing:
         seen = {}
         for p in out:
             seen[p.terms] = p
-        gens = sorted(seen.values(), key=lambda p: (self.ctx.key(p.lead_monomial()), str(p)))
+        # by lead, then by printed form among equal leads
+        def lead_key(p):
+            return self.ctx.key(p.lead_monomial())
+        gens = []
+        for _, tied in itertools.groupby(sorted(seen.values(), key=lead_key), key=lead_key):
+            tied = list(tied)
+            gens.extend(sorted(tied, key=str) if len(tied) > 1 else tied)
         return IdealHandle(self, tuple(gens))
 
     def _from_monomials(self, gens) -> "IdealHandle":
@@ -401,7 +413,9 @@ class IdealHandle:
             if nxt.gb().fingerprint == cur.gb().fingerprint:
                 return cur
             cur = nxt
-        raise RuntimeError("saturation did not stabilize")
+        raise SaturationNotStabilized(
+            f"saturation did not stabilize within _SATURATION_CAP={_SATURATION_CAP} "
+            "colon steps")
 
     # -- length -------------------------------------------------------
 

@@ -16,7 +16,8 @@ from .filtration import (ADIC, EXPLICIT, RATLIFF_RUSH, Filtration,
                          RatliffRushNotStabilized, SearchExhausted,
                          find_reduction, reduction_system, verify_admissible)
 from .hilbert import HorizonTooSmall, NoPolynomialTail
-from .ideals import LocalRing, NotFiniteLength, NotMPrimary, NotNested
+from .ideals import (LocalRing, NotFiniteLength, NotMPrimary, NotNested,
+                     SaturationNotStabilized)
 from .parser import PolySyntaxError
 
 EXIT_OK = 0
@@ -29,9 +30,9 @@ VERDICT_VIOLATION = "violation"
 
 # anything here means the input (not the mathematics) is at fault
 _INPUT_ERRORS = (ConfigError, NotAdmissible, HorizonTooSmall, NoPolynomialTail,
-                 HorizonExceeded, RatliffRushNotStabilized, SearchExhausted,
-                 NoSuperficialWitness, NotMPrimary, NotNested, NotFiniteLength,
-                 PolySyntaxError, ValueError)
+                 HorizonExceeded, RatliffRushNotStabilized, SaturationNotStabilized,
+                 SearchExhausted, NoSuperficialWitness, NotMPrimary, NotNested,
+                 NotFiniteLength, PolySyntaxError, ValueError)
 
 
 def build_filtration(ring: LocalRing, cfg: JobConfig) -> Filtration:

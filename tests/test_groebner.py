@@ -7,6 +7,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from filtra import groebner
 from filtra.config import parse_config
@@ -14,7 +15,7 @@ from filtra.fields import PrimeField, QQ
 from filtra.groebner import (clear_cache, count_box_complement, eliminate,
                              groebner_basis, InfiniteSetEnumerationRequested,
                              lead_ideal_dimension, standard_monomials)
-from filtra.orders import grevlex, lex
+from filtra.orders import elimination_block, grevlex, lex
 from filtra.parser import parse_polynomial
 from filtra.poly import PolyContext, Polynomial, mono_divides
 
@@ -160,7 +161,7 @@ def random_poly(rng, ctx, deg, terms):
 
 
 def test_criteria_equivalence_general():
-    """Buchberger with product+chain criteria and the criterion-free run
+    """Buchberger with the Gebauer-Moller criteria and the criterion-free run
     must produce the identical canonical basis."""
     rng = random.Random(99)
     fast_ctx = PolyContext.get(("x", "y", "z"), PrimeField(101), grevlex(3))
@@ -216,6 +217,65 @@ def test_monomial_input_bypasses_buchberger(monkeypatch):
         groebner_basis(gens, ctx=CTX2, use_criteria=False, cache=False)
 
 
+# -- t-trick input, where the Gebauer-Moller criteria prune most ----------
+
+def t_trick_gens(rng, field, order):
+    """t*f_i, (1 - t)*g_j and a curve relation in k[t, x, y]: the shape of
+    the intersections that ideals.py hands to an elimination order."""
+    ctx = PolyContext.get(("t", "x", "y"), field, order)
+    plane = PolyContext.get(("x", "y"), field, grevlex(2))
+    t = Polynomial.variable(ctx, "t")
+    one = Polynomial.from_int(ctx, 1)
+
+    def lift():
+        p = random_poly(rng, plane, 3, rng.randint(1, 3))
+        return Polynomial(ctx, {(0,) + m: c for m, c in p.terms})
+
+    fs = [lift() for _ in range(rng.randint(1, 3))]
+    gs = [lift() for _ in range(rng.randint(1, 2))]
+    a, b = rng.choice(((2, 3), (3, 4), (3, 5)))
+    gens = [t * f for f in fs] + [(one - t) * g for g in gs]
+    gens.append(parse_polynomial(f"y^{a} - x^{b}", ctx))
+    return ctx, [g for g in gens if not g.is_zero]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([QQ, PrimeField(101)]))
+def test_criteria_equivalence_t_trick(seed, field):
+    """On elimination input the pruning criteria must not change the
+    reduced basis."""
+    ctx, gens = t_trick_gens(random.Random(seed), field, elimination_block(1, 3))
+    with_c = groebner_basis(gens, ctx=ctx, use_criteria=True, cache=False)
+    without = groebner_basis(gens, ctx=ctx, use_criteria=False, cache=False)
+    assert with_c.polys == without.polys
+
+
+def test_spoly_count_guard(monkeypatch):
+    """A noise-free work count: m^8 meet (x) in k[x,y]/(y^4 - x^7 + 3x^6y),
+    by the t-trick.  The criteria-on count is pinned, and it must stay below
+    the criteria-off count."""
+    ctx = PolyContext.get(("t", "x", "y"), QQ, elimination_block(1, 3))
+    strs = [f"t*x^{i}*y^{8 - i}" for i in range(9)]
+    strs += ["(1 - t)*x", "y^4 - x^7 + 3*x^6*y"]
+    gens = [parse_polynomial(s, ctx) for s in strs]
+    calls = []
+    spoly = groebner._spoly_dict
+
+    def counting(a, b, c):
+        calls.append(1)
+        return spoly(a, b, c)
+
+    monkeypatch.setattr(groebner, "_spoly_dict", counting)
+    with_c = groebner_basis(gens, ctx=ctx, use_criteria=True, cache=False)
+    on = len(calls)
+    calls.clear()
+    without = groebner_basis(gens, ctx=ctx, use_criteria=False, cache=False)
+    off = len(calls)
+    assert with_c.polys == without.polys
+    assert on == 42
+    assert on < off
+
+
 # -- sympy as an external oracle ------------------------------------------
 
 def to_sympy(f):
@@ -249,6 +309,22 @@ def test_sympy_cross_check(order_name):
         mine = groebner_basis(gens, ctx=ctx, cache=False)
         theirs = sympy.groebner([to_sympy(g) for g in gens], *xs,
                                 order=order_name)
+        ours = {str(p) for p in mine.polys}
+        ref = {str(from_sympy(e, ctx, xs).monic()) for e in theirs.exprs}
+        assert ours == ref
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["q", "fp101"])
+def test_t_trick_sympy_lex(field):
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols("t x y")
+    rng = random.Random(2718)
+    modulus = {} if field.p is None else {"modulus": field.p}
+    for _ in range(4):
+        ctx, gens = t_trick_gens(rng, field, lex(3))
+        mine = groebner_basis(gens, ctx=ctx, cache=False)
+        theirs = sympy.groebner([to_sympy(g) for g in gens], *xs,
+                                order="lex", **modulus)
         ours = {str(p) for p in mine.polys}
         ref = {str(from_sympy(e, ctx, xs).monic()) for e in theirs.exprs}
         assert ours == ref

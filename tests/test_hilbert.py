@@ -9,8 +9,8 @@ import random
 
 import pytest
 
-from filtra.hilbert import (HorizonTooSmall, NoPolynomialTail, PolynomialFit,
-                            binom, fit_hilbert_samuel, fit_sally, graded_value)
+from filtra.hilbert import (HorizonTooSmall, NoPolynomialTail, binom,
+                            fit_hilbert_samuel, fit_sally)
 
 
 def test_binom_conventions():
@@ -163,9 +163,3 @@ def test_sally_dimension_drop_sign_twist():
 def test_sally_rejects_nonpositive_leading_term():
     with pytest.raises(NoPolynomialTail):
         fit_sally([5 - n for n in range(9)], 2)
-
-
-def test_graded_value_matches_fit_value():
-    fit = PolynomialFit((2, 1), 1, -1, 1)
-    for n in range(8):
-        assert graded_value((2, 1), 1, -1, n) == fit.value(n)

@@ -128,6 +128,29 @@ def test_torsion_depth_zero():
     assert not DEPTH0.has_positive_depth()
 
 
+def test_saturation_cap_is_an_input_error(monkeypatch):
+    """A saturation that outruns its cap ends the job as invalid input, with
+    an error that names the cap, instead of escaping as a traceback."""
+    from filtra import ideals
+    from filtra.config import parse_config
+    from filtra.report import run_job
+
+    monkeypatch.setattr(ideals, "_SATURATION_CAP", 1)
+    with pytest.raises(ideals.SaturationNotStabilized, match="_SATURATION_CAP=1"):
+        LocalRing(("x", "y"), ["x^2", "x*y"]).torsion_ideal()
+    report = run_job(parse_config({
+        "name": "saturation_cap",
+        "horizon": 6,
+        "ring": {"variables": ["x", "y"], "relations": ["x^2", "x*y"]},
+        "filtration": {"kind": "adic", "stages": {"1": ["x", "y"]}},
+        "reduction": {"generators": ["y"]},
+    }))
+    assert report["verdict"] == "invalid-input"
+    assert report["exit_code"] == 1
+    assert report["error"]["type"] == "SaturationNotStabilized"
+    assert "_SATURATION_CAP=1" in report["error"]["message"]
+
+
 def test_torsion_vanishes_positive_depth():
     for ring in (PLANE, CUSP, PLANES2, SEMI345):
         assert ring.has_positive_depth()
