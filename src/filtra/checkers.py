@@ -4,10 +4,13 @@ boundary-equality characterization and all consequence identities.
 Every check reports its gate (applicability), its outcome and enough detail
 to audit the numbers.  Checks are never weakened: when a gate is off the
 check is skipped and says so, and when a gate is on a failure is a failure.
+The gates are data: ``CHECKS`` names each check's hypotheses, and
+``run_checks`` evaluates them and calls ``check_<name>`` only when they hold.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .filtration import (Filtration, ReductionSystem, EXPLICIT, ADIC,
                          NotAdmissible, check_colon_in_i1, check_d_sequence,
@@ -47,6 +50,7 @@ class BoundaryData:
     gap: int
     equality: bool
     second_nonnegative: bool
+    structural: dict | None = None   # evaluate_structural's result, set by run_checks
 
     @property
     def d(self) -> int:
@@ -94,9 +98,10 @@ def compute_boundary_data(ring: LocalRing, filt: Filtration, red: ReductionSyste
         second_nonnegative=(rhs >= 0))
 
 
-def _check(name: str, applicable: bool, passed, **details) -> dict:
-    status = "skipped" if not applicable else ("pass" if passed else "fail")
-    out = {"name": name, "applicable": applicable, "status": status}
+def _check(name: str, passed, **details) -> dict:
+    """One report entry; ``passed`` is None for a check whose gate is off."""
+    status = "skipped" if passed is None else ("pass" if passed else "fail")
+    out = {"name": name, "applicable": passed is not None, "status": status}
     if details:
         out["details"] = details
     return out
@@ -130,10 +135,8 @@ def evaluate_structural(data: BoundaryData, W: IdealHandle) -> dict:
 
     collapse = {"holds": True, "range": [1, H - 2], "witness": None}
     for n in range(1, H - 1):
-        target = data.q_powers[n] * I2 + W
-        stage = filt.get_ideal(n + 2)
-        if not target.contains_ideal(stage):
-            bad = next(g for g in stage.gens if not target.contains_element(g))
+        bad = (data.q_powers[n] * I2 + W).missing_generator(filt.get_ideal(n + 2))
+        if bad is not None:
             collapse = {"holds": False, "range": [1, H - 2],
                         "witness": {"n": n, "generator": str(bad)}}
             break
@@ -143,21 +146,16 @@ def evaluate_structural(data: BoundaryData, W: IdealHandle) -> dict:
         left = (data.q_powers[n] + W).intersect(filt.get_ideal(n + 1) + W)
         right = data.q_powers[n] * I1 + W
         if not left.equals_local(right):
-            wit = None
-            for g in left.gens:
-                if not right.contains_element(g):
-                    wit = str(g)
-                    break
+            bad = right.missing_generator(left)
             graded = {"holds": False, "range": [1, H - 1],
-                      "witness": {"n": n, "generator": wit}}
+                      "witness": {"n": n, "generator": None if bad is None else str(bad)}}
             break
 
     colon = {"holds": True, "witness": None}
     i2q = I2 + red.handle
     for i in range(red.count):
-        col = red.omit_handle(i).colon(red.generators[i])
-        if not i2q.contains_ideal(col):
-            bad = next(g for g in col.gens if not i2q.contains_element(g))
+        bad = i2q.missing_generator(red.omit_handle(i).colon(red.generators[i]))
+        if bad is not None:
             colon = {"holds": False,
                      "witness": {"i": i + 1, "generator": str(bad)}}
             break
@@ -173,39 +171,25 @@ def check_master_inequality(data: BoundaryData) -> dict:
     e0_match = data.e_filt(0) == data.e_red(0)
     passed = data.gap >= 0 and e0_match
     return _check(
-        "master_inequality", True, passed,
+        "master_inequality", passed,
         lhs=data.lhs, rhs=data.rhs, gap=data.gap,
         multiplicities_agree=e0_match,
         second_part_nonnegative=data.second_nonnegative)
 
 
-def check_boundary_equality(data: BoundaryData, conditions: dict,
-                            structural: dict) -> dict:
-    gate = conditions["c1_usd_bounded"]["holds"] and conditions["c2_colon_in_i1"]["holds"]
-    agree = data.equality == structural["holds"]
-    return _check(
-        "boundary_equality", gate, agree if gate else None,
-        equality=data.equality, structural_holds=structural["holds"])
+def check_boundary_equality(data: BoundaryData) -> dict:
+    structural = data.structural["holds"]
+    return _check("boundary_equality", data.equality == structural,
+                  equality=data.equality, structural_holds=structural)
 
 
-def check_torsion_in_stage_two(data: BoundaryData, conditions: dict,
-                               W: IdealHandle) -> dict:
-    gate = (data.equality and conditions["c1_usd_bounded"]["holds"]
-            and conditions["c2_colon_in_i1"]["holds"])
-    passed = None
-    if gate:
-        passed = data.filt.get_ideal(2).contains_ideal(W)
-    return _check("torsion_in_stage_two", gate, passed,
+def check_torsion_in_stage_two(data: BoundaryData) -> dict:
+    W = data.ring.torsion_ideal()
+    return _check("torsion_in_stage_two", data.filt.get_ideal(2).contains_ideal(W),
                   torsion_generators=[str(g) for g in W.gens])
 
 
-def check_adic_collapse(data: BoundaryData, conditions: dict) -> dict:
-    gate = (data.equality
-            and conditions["c1_usd_bounded"]["holds"]
-            and conditions["c2_colon_in_i1"]["holds"]
-            and conditions["c3_positive_depth"]["holds"])
-    if not gate:
-        return _check("adic_collapse", False, None)
+def check_adic_collapse(data: BoundaryData) -> dict:
     filt, H = data.filt, data.horizon
     I1 = filt.i1
     detail = {}
@@ -224,16 +208,10 @@ def check_adic_collapse(data: BoundaryData, conditions: dict) -> dict:
                 ok = False
                 detail["intersection_failed_at"] = n
                 break
-    return _check("adic_collapse", True, ok, **detail)
+    return _check("adic_collapse", ok, **detail)
 
 
-def check_coefficient_identities(data: BoundaryData, conditions: dict) -> dict:
-    gate = (data.equality and data.d >= 2
-            and conditions["c1_usd_bounded"]["holds"]
-            and conditions["c2_colon_in_i1"]["holds"]
-            and conditions["c3_positive_depth"]["holds"])
-    if not gate:
-        return _check("coefficient_identities", False, None)
+def check_coefficient_identities(data: BoundaryData) -> dict:
     d = data.d
     expected_e2 = (data.e_red(1) + data.e_red(2) + data.e_filt(1)
                    - data.e_filt(0) + data.stage_one_colength)
@@ -243,18 +221,14 @@ def check_coefficient_identities(data: BoundaryData, conditions: dict) -> dict:
         want = data.e_red(i - 2) + 2 * data.e_red(i - 1) + data.e_red(i)
         higher[f"e{i}"] = {"actual": data.e_filt(i), "expected": want}
         ok = ok and data.e_filt(i) == want
-    return _check("coefficient_identities", True, ok,
+    return _check("coefficient_identities", ok,
                   e2_actual=data.e_filt(2), e2_expected=expected_e2,
                   higher=higher)
 
 
-def check_fiber_cone_identity(data: BoundaryData, conditions: dict) -> dict:
+def check_fiber_cone_identity(data: BoundaryData) -> dict:
     """l(A/Q^n I_1) - l(A/Q^n) must equal l(A/I_1) * C(n+d-1, d-1); the
     length shadow of the reduction fiber being a polynomial ring over A/I_1."""
-    gate = (conditions["c0_d_sequence"]["holds"]
-            and conditions["c2_colon_in_i1"]["holds"])
-    if not gate:
-        return _check("fiber_cone_identity", False, None)
     d, H = data.d, data.horizon
     ell = data.stage_one_colength
     bad = None
@@ -264,15 +238,11 @@ def check_fiber_cone_identity(data: BoundaryData, conditions: dict) -> dict:
         if lhs != rhs:
             bad = {"n": n, "actual": lhs, "expected": rhs}
             break
-    return _check("fiber_cone_identity", True, bad is None,
+    return _check("fiber_cone_identity", bad is None,
                   checked_range=[0, H - 1], failed=bad)
 
 
-def check_sally_length_identity(data: BoundaryData, conditions: dict) -> dict:
-    gate = (conditions["c0_d_sequence"]["holds"]
-            and conditions["c2_colon_in_i1"]["holds"])
-    if not gate:
-        return _check("sally_length_identity", False, None)
+def check_sally_length_identity(data: BoundaryData) -> dict:
     d, H = data.d, data.horizon
     e0 = data.e_filt(0)
     second = e0 + data.e_red(1) - data.stage_one_colength
@@ -293,15 +263,11 @@ def check_sally_length_identity(data: BoundaryData, conditions: dict) -> dict:
                    "actual": data.h_filt[n + 1]}
             break
     at_zero = formula(0) - data.sally_values[0] == data.h_filt[1]
-    return _check("sally_length_identity", True, ok,
+    return _check("sally_length_identity", ok,
                   failed=bad, holds_at_zero_informational=at_zero)
 
 
-def check_sally_coefficient_relations(data: BoundaryData, conditions: dict) -> dict:
-    gate = (conditions["c0_d_sequence"]["holds"]
-            and conditions["c2_colon_in_i1"]["holds"])
-    if not gate:
-        return _check("sally_coefficient_relations", False, None)
+def check_sally_coefficient_relations(data: BoundaryData) -> dict:
     d, s = data.d, data.sally.dim
     eS = data.sally.e_coeff
     mism = {}
@@ -324,18 +290,12 @@ def check_sally_coefficient_relations(data: BoundaryData, conditions: dict) -> d
                 want += sign * eS(i - d + s - 1)
             if data.e_filt(i) != want:
                 mism[f"e{i}"] = {"actual": data.e_filt(i), "expected": want}
-    return _check("sally_coefficient_relations", True, not mism,
+    return _check("sally_coefficient_relations", not mism,
                   branch=("full_dimension" if s == d else "small_dimension"),
                   module_dimension=s, mismatches=mism)
 
 
-def check_sally_relations_at_equality(data: BoundaryData, conditions: dict) -> dict:
-    gate = (data.equality and not data.sally.vanishes
-            and conditions["c1_usd_bounded"]["holds"]
-            and conditions["c2_colon_in_i1"]["holds"]
-            and conditions["c3_positive_depth"]["holds"])
-    if not gate:
-        return _check("sally_relations_at_equality", False, None)
+def check_sally_relations_at_equality(data: BoundaryData) -> dict:
     d = data.d
     etop = data.sally.e_top
     mism = {}
@@ -349,26 +309,19 @@ def check_sally_relations_at_equality(data: BoundaryData, conditions: dict) -> d
         want = data.e_red(i - 1) + data.e_red(i)
         if etop[i] != want:
             mism[f"eS{i}"] = {"actual": etop[i], "expected": want}
-    return _check("sally_relations_at_equality", True, not mism,
+    return _check("sally_relations_at_equality", not mism,
                   coefficients=list(etop), mismatches=mism)
 
 
-def check_sally_lower_bound(data: BoundaryData, conditions: dict) -> dict:
-    gate = (conditions["c0_d_sequence"]["holds"]
-            and conditions["c2_colon_in_i1"]["holds"])
-    if not gate:
-        return _check("sally_lower_bound", False, None)
+def check_sally_lower_bound(data: BoundaryData) -> dict:
     excess = (data.e_filt(1) - data.e_red(1) - data.e_filt(0)
               + data.stage_one_colength)
     floor = data.sally.e_coeff(0) if data.sally.dim == data.d else 0
-    return _check("sally_lower_bound", True, excess >= floor,
+    return _check("sally_lower_bound", excess >= floor,
                   excess=excess, floor=floor)
 
 
-def check_multiplicity_colon_formula(data: BoundaryData, conditions: dict) -> dict:
-    gate = conditions["c1_usd_bounded"]["holds"]
-    if not gate:
-        return _check("multiplicity_colon_formula", False, None)
+def check_multiplicity_colon_formula(data: BoundaryData) -> dict:
     ring = data.ring
     C = ring.torsion_free_quotient()
     gens = list(data.red.generators)
@@ -379,23 +332,18 @@ def check_multiplicity_colon_formula(data: BoundaryData, conditions: dict) -> di
     inter = col.intersect(qc)
     second = C.subquotient_length(col, inter) if col.gens else 0
     expected = first - second
-    return _check("multiplicity_colon_formula", True,
-                  data.e_filt(0) == expected,
+    return _check("multiplicity_colon_formula", data.e_filt(0) == expected,
                   colength_modulo_reduction=first,
                   colon_correction=second, expected=expected,
                   actual=data.e_filt(0))
 
 
-def check_torsion_quotient_reduction(data: BoundaryData, conditions: dict,
-                                     W: IdealHandle) -> dict:
-    gate = (conditions["c1_usd_bounded"]["holds"]
-            and conditions["c2_colon_in_i1"]["holds"])
-    if not gate:
-        return _check("torsion_quotient_reduction", False, None)
+def check_torsion_quotient_reduction(data: BoundaryData) -> dict:
     ring, filt, H = data.ring, data.filt, data.horizon
+    W = ring.torsion_ideal()
     w_inside = (filt.get_ideal(2) + data.red.handle).contains_ideal(W)
     if not W.gens:
-        return _check("torsion_quotient_reduction", True, True,
+        return _check("torsion_quotient_reduction", True,
                       torsion_free_already=True, equality=data.equality)
     C = ring.torsion_free_quotient()
     stages = {n: C.transport(filt.get_ideal(n)) for n in range(2, H + 1)}
@@ -406,24 +354,21 @@ def check_torsion_quotient_reduction(data: BoundaryData, conditions: dict,
         verify_admissible(cfilt, cred, H)
         cdata = compute_boundary_data(C, cfilt, cred, H)
     except (NotAdmissible, HorizonTooSmall, NoPolynomialTail) as exc:
-        return _check("torsion_quotient_reduction", True, False,
+        return _check("torsion_quotient_reduction", False,
                       error=f"{type(exc).__name__}: {exc}")
     reduced_equality = cdata.equality and w_inside
-    return _check("torsion_quotient_reduction", True,
-                  data.equality == reduced_equality,
+    return _check("torsion_quotient_reduction", data.equality == reduced_equality,
                   equality=data.equality, quotient_equality=cdata.equality,
                   torsion_inside_stage2_plus_reduction=w_inside,
                   quotient_gap=cdata.gap)
 
 
-def check_torsion_graded_pieces(data: BoundaryData, W: IdealHandle) -> dict:
-    gate = data.equality
-    if not gate:
-        return _check("torsion_graded_pieces", False, None)
+def check_torsion_graded_pieces(data: BoundaryData) -> dict:
     ring, filt, H = data.ring, data.filt, data.horizon
+    W = ring.torsion_ideal()
     w_len = ring.torsion_length()
     if not W.gens:
-        return _check("torsion_graded_pieces", True, True,
+        return _check("torsion_graded_pieces", True,
                       pieces=[0, 0], total=0, torsion_length=0)
     pieces = [0, 0]
     cuts = {n: filt.get_ideal(n).intersect(W) for n in range(3, H + 1)}
@@ -433,19 +378,12 @@ def check_torsion_graded_pieces(data: BoundaryData, W: IdealHandle) -> dict:
     tail_empty = len(cuts[H].gens) == 0
     total = sum(pieces)
     ok = tail_empty and total == w_len
-    return _check("torsion_graded_pieces", True, ok,
+    return _check("torsion_graded_pieces", ok,
                   pieces=pieces, total=total, torsion_length=w_len,
                   tail_vanishes=tail_empty)
 
 
-def check_small_stage_two_collapse(data: BoundaryData, conditions: dict) -> dict:
-    in_q = data.red.handle.contains_ideal(data.filt.get_ideal(2))
-    gate = (data.equality and in_q
-            and conditions["c1_usd_bounded"]["holds"]
-            and conditions["c2_colon_in_i1"]["holds"])
-    if not gate:
-        return _check("small_stage_two_collapse", False, None,
-                      stage_two_inside_reduction=in_q)
+def check_small_stage_two_collapse(data: BoundaryData) -> dict:
     ring, filt, H = data.ring, data.filt, data.horizon
     cm = ring.is_cm_via_parameters(list(data.red.generators))
     svan = data.sally.vanishes
@@ -454,25 +392,18 @@ def check_small_stage_two_collapse(data: BoundaryData, conditions: dict) -> dict
         if not filt.get_ideal(n + 1).equals_local(data.q_powers[n] * filt.i1):
             stages_ok = False
             break
-    return _check("small_stage_two_collapse", True, cm and svan and stages_ok,
+    return _check("small_stage_two_collapse", cm and svan and stages_ok,
                   cohen_macaulay=cm, sally_vanishes=svan,
                   stages_collapse=stages_ok)
 
 
-def check_base_reduction_equal(data: BoundaryData, conditions: dict) -> dict:
-    same = data.filt.i1.equals_local(data.red.handle)
-    gate = (same and data.equality
-            and conditions["c1_usd_bounded"]["holds"]
-            and conditions["c2_colon_in_i1"]["holds"])
-    if not gate:
-        return _check("base_reduction_equal", False, None,
-                      stage_one_is_reduction=same)
+def check_base_reduction_equal(data: BoundaryData) -> dict:
     ring, filt, H = data.ring, data.filt, data.horizon
     coeffs_equal = data.fit_filt.coefficients == data.fit_red.coefficients
     cm = ring.is_cm_via_parameters(list(data.red.generators))
     adic = all(filt.get_ideal(n).equals_local(data.q_powers[n])
                for n in range(1, H + 1))
-    return _check("base_reduction_equal", True, coeffs_equal and cm and adic,
+    return _check("base_reduction_equal", coeffs_equal and cm and adic,
                   coefficients_equal=coeffs_equal, cohen_macaulay=cm,
                   collapses_to_powers=adic)
 
@@ -492,61 +423,94 @@ def check_fit_stability(data: BoundaryData) -> dict:
         long_filt = fit_hilbert_samuel(h_filt, data.d)
         long_red = fit_hilbert_samuel(h_red, data.d)
     except (HorizonTooSmall, NoPolynomialTail) as exc:
-        return _check("fit_stability", True, False,
+        return _check("fit_stability", False,
                       error=f"{type(exc).__name__}: {exc}")
     ok = (long_filt.coefficients == data.fit_filt.coefficients
           and long_red.coefficients == data.fit_red.coefficients
           and long_filt.postulation == data.fit_filt.postulation
           and long_red.postulation == data.fit_red.postulation)
-    return _check("fit_stability", True, ok,
+    return _check("fit_stability", ok,
                   margin=STABILITY_MARGIN,
                   extended_filtration=list(long_filt.coefficients),
                   extended_reduction=list(long_red.coefficients))
 
 
-ALL_CHECKS = (
-    "master_inequality",
-    "boundary_equality",
-    "torsion_in_stage_two",
-    "adic_collapse",
-    "coefficient_identities",
-    "fiber_cone_identity",
-    "sally_length_identity",
-    "sally_coefficient_relations",
-    "sally_relations_at_equality",
-    "sally_lower_bound",
-    "multiplicity_colon_formula",
-    "torsion_quotient_reduction",
-    "torsion_graded_pieces",
-    "small_stage_two_collapse",
-    "base_reduction_equal",
-    "fit_stability",
+# -- the gates -------------------------------------------------------------
+
+C0, C1, C2, C3 = ("c0_d_sequence", "c1_usd_bounded", "c2_colon_in_i1",
+                  "c3_positive_depth")
+EQ = "equality"
+
+# Facts a gate can need or a skipped check can report, besides the four
+# conditions.  Each is computed at most once per run, and only when asked for.
+_FACTS = {
+    EQ: lambda data: data.equality,
+    "structural_holds": lambda data: data.structural["holds"],
+    "d_at_least_two": lambda data: data.d >= 2,
+    "sally_nonvanishing": lambda data: not data.sally.vanishes,
+    "torsion_generators": lambda data: [str(g) for g in data.ring.torsion_ideal().gens],
+    "stage_two_inside_reduction":
+        lambda data: data.red.handle.contains_ideal(data.filt.get_ideal(2)),
+    "stage_one_is_reduction": lambda data: data.filt.i1.equals_local(data.red.handle),
+}
+
+
+class Gate(NamedTuple):
+    """A check: ``check_<name>`` runs when every fact in ``needs`` holds;
+    otherwise it is skipped and reports the facts in ``reports``."""
+
+    name: str
+    needs: tuple = ()
+    reports: tuple = ()
+
+
+# In report order.
+CHECKS = (
+    Gate("master_inequality"),
+    Gate("boundary_equality", (C1, C2), (EQ, "structural_holds")),
+    Gate("torsion_in_stage_two", (EQ, C1, C2), ("torsion_generators",)),
+    Gate("adic_collapse", (EQ, C1, C2, C3)),
+    Gate("coefficient_identities", (EQ, "d_at_least_two", C1, C2, C3)),
+    Gate("fiber_cone_identity", (C0, C2)),
+    Gate("sally_length_identity", (C0, C2)),
+    Gate("sally_coefficient_relations", (C0, C2)),
+    Gate("sally_relations_at_equality", (EQ, "sally_nonvanishing", C1, C2, C3)),
+    Gate("sally_lower_bound", (C0, C2)),
+    Gate("multiplicity_colon_formula", (C1,)),
+    Gate("torsion_quotient_reduction", (C1, C2)),
+    Gate("torsion_graded_pieces", (EQ,)),
+    Gate("small_stage_two_collapse", (EQ, C1, C2, "stage_two_inside_reduction"),
+         ("stage_two_inside_reduction",)),
+    Gate("base_reduction_equal", (EQ, C1, C2, "stage_one_is_reduction"),
+         ("stage_one_is_reduction",)),
+    Gate("fit_stability"),
 )
+
+ALL_CHECKS = tuple(gate.name for gate in CHECKS)
 
 
 def run_checks(data: BoundaryData, conditions: dict, structural: dict,
                selected=None) -> list:
-    W = data.ring.torsion_ideal()
-    producers = {
-        "master_inequality": lambda: check_master_inequality(data),
-        "boundary_equality": lambda: check_boundary_equality(data, conditions, structural),
-        "torsion_in_stage_two": lambda: check_torsion_in_stage_two(data, conditions, W),
-        "adic_collapse": lambda: check_adic_collapse(data, conditions),
-        "coefficient_identities": lambda: check_coefficient_identities(data, conditions),
-        "fiber_cone_identity": lambda: check_fiber_cone_identity(data, conditions),
-        "sally_length_identity": lambda: check_sally_length_identity(data, conditions),
-        "sally_coefficient_relations": lambda: check_sally_coefficient_relations(data, conditions),
-        "sally_relations_at_equality": lambda: check_sally_relations_at_equality(data, conditions),
-        "sally_lower_bound": lambda: check_sally_lower_bound(data, conditions),
-        "multiplicity_colon_formula": lambda: check_multiplicity_colon_formula(data, conditions),
-        "torsion_quotient_reduction": lambda: check_torsion_quotient_reduction(data, conditions, W),
-        "torsion_graded_pieces": lambda: check_torsion_graded_pieces(data, W),
-        "small_stage_two_collapse": lambda: check_small_stage_two_collapse(data, conditions),
-        "base_reduction_equal": lambda: check_base_reduction_equal(data, conditions),
-        "fit_stability": lambda: check_fit_stability(data),
-    }
-    names = ALL_CHECKS if selected is None else [n for n in ALL_CHECKS if n in selected]
-    return [producers[n]() for n in names]
+    """Evaluate each selected check's gate and run ``check_<name>`` when it
+    holds.  The function is looked up at call time, so a rebound module
+    attribute is what runs."""
+    data = replace(data, structural=structural)
+    facts = {name: c["holds"] for name, c in conditions.items()}
+
+    def fact(name):
+        if name not in facts:
+            facts[name] = _FACTS[name](data)
+        return facts[name]
+
+    out = []
+    for gate in CHECKS:
+        if selected is not None and gate.name not in selected:
+            continue
+        if all(fact(f) for f in gate.needs):
+            out.append(globals()[f"check_{gate.name}"](data))
+        else:
+            out.append(_check(gate.name, None, **{f: fact(f) for f in gate.reports}))
+    return out
 
 
 def ensure_consistent(checks: list):

@@ -5,21 +5,21 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, config_schema, load_config, report_schema
+from .config import (ConfigError, config_schema, load_config, parse_config,
+                     report_schema)
 from .report import EXIT_INVALID, run_job, to_json, to_markdown
 
 
 def _cmd_verify(args) -> int:
     try:
         cfg = load_config(args.config)
+        if args.horizon is not None:
+            cfg = parse_config({**cfg.canonical(), "horizon": args.horizon}, cfg.name)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    if args.horizon is not None:
-        cfg = replace(cfg, horizon=args.horizon)
     report = run_job(cfg)
     text = to_json(report)
     if args.report:

@@ -28,10 +28,6 @@ class SearchExhausted(RuntimeError):
     """Random search for a reduction gave up."""
 
 
-class NoSuperficialWitness(RuntimeError):
-    """No admissible single-element superficial bound was found."""
-
-
 class NotAdmissible(ValueError):
     """Filtration axioms failed; carries a witness describing where."""
 
@@ -178,9 +174,8 @@ def verify_admissible(filt: Filtration, red: ReductionSystem,
         raise NotAdmissible("reduction is not inside stage one",
                             {"check": "reduction_inside"})
     for n in range(1, horizon):
-        upper, lower = filt.get_ideal(n), filt.get_ideal(n + 1)
-        if not upper.contains_ideal(lower):
-            bad = next(g for g in lower.gens if not upper.contains_element(g))
+        bad = filt.get_ideal(n).missing_generator(filt.get_ideal(n + 1))
+        if bad is not None:
             raise NotAdmissible(f"stage {n + 1} not inside stage {n}",
                                {"check": "chain", "n": n, "generator": str(bad)})
     if filt.kind != ADIC:
@@ -192,22 +187,24 @@ def verify_admissible(filt: Filtration, red: ReductionSystem,
                     raise NotAdmissible(
                         f"product of stages {a} and {b} escapes stage {a + b}",
                         {"check": "products", "a": a, "b": b})
-    flags = []
-    for n in range(0, horizon - 1):
-        lhs = filt.get_ideal(n + 1)
-        rhs = red.handle * filt.get_ideal(n)
-        flags.append(lhs.equals_local(rhs))
-    r = horizon - 1
-    for n in range(horizon - 2, -1, -1):
-        if flags[n]:
-            r = n
-        else:
-            break
+    r, flags = reduction_tail(filt.get_ideal, red, horizon)
     if r >= horizon - 1:
         raise NotAdmissible(
             "reduction never becomes exact within the horizon",
             {"check": "reduction_tail", "last_n": horizon - 2})
-    return AdmissibilityCertificate(r, tuple(flags))
+    return AdmissibilityCertificate(r, flags)
+
+
+def reduction_tail(stage, red: ReductionSystem, horizon: int) -> tuple:
+    """(r, flags): flags[n] says whether stage(n + 1) == Q stage(n) for
+    n < horizon - 1, and r is the least n from which every flag holds
+    (horizon - 1 when the last one fails)."""
+    flags = tuple(stage(n + 1).equals_local(red.handle * stage(n))
+                  for n in range(horizon - 1))
+    r = horizon - 1
+    while r > 0 and flags[r - 1]:
+        r -= 1
+    return r, flags
 
 
 def find_reduction(filt: Filtration, horizon: int, seed: int = 0,
@@ -276,33 +273,8 @@ def check_usd_bounded(ring: LocalRing, elements, power_bound: int = 2) -> tuple:
 def check_colon_in_i1(ring: LocalRing, red: ReductionSystem, I1: IdealHandle) -> tuple:
     """Each omitted-generator colon lands inside stage one."""
     for i in range(red.count):
-        base = red.omit_handle(i)
-        col = base.colon(red.generators[i])
-        if not I1.contains_ideal(col):
-            bad = next(g for g in col.gens if not I1.contains_element(g))
+        bad = I1.missing_generator(red.omit_handle(i).colon(red.generators[i]))
+        if bad is not None:
             return False, {"i": i + 1, "witness": str(bad)}
     return True, None
 
-
-def check_superficial(filt: Filtration, red: ReductionSystem, element,
-                      horizon: int) -> int:
-    """Smallest c with (I_{n+1} : a) meet I_c = I_n for all checkable n >= c."""
-    ring = filt.ring
-    a = ring.gb_relations.normal_form(_as_poly(ring, element))
-    if not red.handle.contains_element(a):
-        raise ValueError("superficial candidate must lie in the reduction")
-    mQ = ring.maximal_ideal() * red.handle
-    if mQ.contains_element(a):
-        raise ValueError("superficial candidate must avoid m times the reduction")
-    for c in range(1, horizon - 1):
-        ok = True
-        Ic = filt.get_ideal(c)
-        for n in range(c, horizon - 1):
-            lhs = filt.get_ideal(n + 1).colon(a).intersect(Ic)
-            if not lhs.equals_local(filt.get_ideal(n)):
-                ok = False
-                break
-        if ok:
-            return c
-    raise NoSuperficialWitness(
-        f"no superficial bound up to {horizon - 2} for {a}")

@@ -133,9 +133,6 @@ class LocalRing:
     def maximal_ideal(self) -> "IdealHandle":
         return self.ideal(list(self.ctx.variables))
 
-    def principal(self, g) -> "IdealHandle":
-        return self.ideal([g])
-
     def _make(self, polys) -> "IdealHandle":
         """Normalize reduced generators: monic, deduplicated, sorted."""
         out = []
@@ -337,7 +334,11 @@ class IdealHandle:
         return c.is_unit
 
     def contains_ideal(self, other: "IdealHandle") -> bool:
-        return all(self.contains_element(g) for g in other.gens)
+        return self.missing_generator(other) is None
+
+    def missing_generator(self, other: "IdealHandle"):
+        """The first generator of ``other`` outside this ideal, or None."""
+        return next((g for g in other.gens if not self.contains_element(g)), None)
 
     def equals_local(self, other: "IdealHandle") -> bool:
         if self.gb().fingerprint == other.gb().fingerprint:

@@ -65,13 +65,3 @@ def elimination_block(k: int, nvars: int) -> MonomialOrder:
         raise ValueError(f"elimination block size {k} out of range for {nvars} variables")
     return MonomialOrder(f"elim:{k}", nvars, block=k)
 
-
-def order_from_descriptor(desc: str, nvars: int) -> MonomialOrder:
-    kind = desc.split("/")[0]
-    if kind == "grevlex":
-        return grevlex(nvars)
-    if kind == "lex":
-        return lex(nvars)
-    if kind.startswith("elim:"):
-        return elimination_block(int(kind.split(":")[1]), nvars)
-    raise ValueError(f"unknown order descriptor {desc!r}")

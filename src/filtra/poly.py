@@ -24,11 +24,6 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    """Exact quotient a / b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     """True when a | b componentwise."""
     return all(x <= y for x, y in zip(a, b))
@@ -40,10 +35,6 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
 
 def mono_coprime(a: Monomial, b: Monomial) -> bool:
     return all(x == 0 or y == 0 for x, y in zip(a, b))
-
-
-def mono_deg(a: Monomial) -> int:
-    return sum(a)
 
 
 _CONTEXTS: dict = {}

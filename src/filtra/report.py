@@ -12,9 +12,10 @@ from .checkers import (compute_boundary_data, evaluate_conditions,
 from .config import ConfigError, JobConfig, validate_report
 from .fields import field_from_descriptor
 from .filtration import (ADIC, EXPLICIT, RATLIFF_RUSH, Filtration,
-                         HorizonExceeded, NoSuperficialWitness, NotAdmissible,
+                         HorizonExceeded, NotAdmissible,
                          RatliffRushNotStabilized, SearchExhausted,
-                         find_reduction, reduction_system, verify_admissible)
+                         find_reduction, reduction_system, reduction_tail,
+                         verify_admissible)
 from .hilbert import HorizonTooSmall, NoPolynomialTail
 from .ideals import (LocalRing, NotFiniteLength, NotMPrimary, NotNested,
                      SaturationNotStabilized)
@@ -31,7 +32,7 @@ VERDICT_VIOLATION = "violation"
 # anything here means the input (not the mathematics) is at fault
 _INPUT_ERRORS = (ConfigError, NotAdmissible, HorizonTooSmall, NoPolynomialTail,
                  HorizonExceeded, RatliffRushNotStabilized, SaturationNotStabilized,
-                 SearchExhausted, NoSuperficialWitness, NotMPrimary, NotNested,
+                 SearchExhausted, NotMPrimary, NotNested,
                  NotFiniteLength, PolySyntaxError, ValueError)
 
 
@@ -52,22 +53,10 @@ def _strict_warnings(filt: Filtration, red, horizon: int) -> list:
     hide a Q that never reduces the seed ideal itself."""
     if filt.kind == ADIC:
         return []
-    out = []
-    flags = []
-    for n in range(horizon - 1):
-        nxt = filt._base_power(n + 1)
-        prod = red.handle * filt._base_power(n)
-        flags.append(nxt.equals_local(prod))
-    r = horizon - 1
-    for n in range(horizon - 2, -1, -1):
-        if flags[n]:
-            r = n
-        else:
-            break
-    if r >= horizon - 1:
-        out.append("reduction never becomes exact for the plain power "
-                   "filtration of stage one within the horizon")
-    return out
+    if reduction_tail(filt._base_power, red, horizon)[0] < horizon - 1:
+        return []
+    return ["reduction never becomes exact for the plain power "
+            "filtration of stage one within the horizon"]
 
 
 def run_job(cfg: JobConfig) -> dict:

@@ -5,6 +5,8 @@ Every number asserted here was derived by hand from the staircase structure
 of the instance before the pipeline existed; the pipeline has to reproduce
 them, not the other way round.
 """
+from dataclasses import replace
+
 import pytest
 
 from filtra.checkers import (ALL_CHECKS, EquivalenceViolation,
@@ -49,6 +51,12 @@ def two_planes():
     ring = LocalRing(("x", "y", "z", "w"), ["x*z", "x*w", "y*z", "y*w"])
     return pipeline(ring, adic_filtration(ring, ["x", "y", "z", "w"]),
                     ["x - z", "y - w"], 8)
+
+
+@pytest.fixture(scope="module")
+def plane():
+    ring = LocalRing(("x", "y"))
+    return pipeline(ring, adic_filtration(ring, ["x", "y"]), ["x", "y"], 8)
 
 
 SALLY_GENS = ["x^4", "x^3*y", "x*y^3", "y^4"]
@@ -289,3 +297,94 @@ def test_out_of_range_coefficients(cusp):
     data = cusp[0]
     assert data.e_filt(0) == 2 and data.e_filt(1) == 1
     assert data.sally.e_coeff(7) == 0
+
+
+# -- gates -----------------------------------------------------------------
+
+def skipped_names(data, conditions, structural):
+    return {c["name"] for c in run_checks(data, conditions, structural)
+            if c["status"] == "skipped"}
+
+
+def flip_condition(conditions, key):
+    out = dict(conditions)
+    out[key] = dict(out[key], holds=not out[key]["holds"])
+    return out
+
+
+# Written out by hand from the hypotheses of each consequence, not read from
+# the checker: the checks skipped in k[x,y] with I_1 = Q = m (everything
+# holds, d = 2, the Sally module vanishes) once one fact is switched off.
+PLANE_SKIPPED_WHEN_OFF = {
+    "c0_d_sequence": {"fiber_cone_identity", "sally_length_identity",
+                      "sally_coefficient_relations", "sally_lower_bound"},
+    "c1_usd_bounded": {"boundary_equality", "torsion_in_stage_two",
+                       "adic_collapse", "coefficient_identities",
+                       "multiplicity_colon_formula", "torsion_quotient_reduction",
+                       "small_stage_two_collapse", "base_reduction_equal"},
+    "c2_colon_in_i1": {"boundary_equality", "torsion_in_stage_two",
+                       "adic_collapse", "coefficient_identities",
+                       "fiber_cone_identity", "sally_length_identity",
+                       "sally_coefficient_relations", "sally_lower_bound",
+                       "torsion_quotient_reduction", "small_stage_two_collapse",
+                       "base_reduction_equal"},
+    "c3_positive_depth": {"adic_collapse", "coefficient_identities"},
+    "equality": {"torsion_in_stage_two", "adic_collapse",
+                 "coefficient_identities", "torsion_graded_pieces",
+                 "small_stage_two_collapse", "base_reduction_equal"},
+}
+
+
+def test_gate_map(plane):
+    data, conditions, structural, _ = plane
+    assert data.d == 2 and data.equality and data.sally.vanishes
+    assert all(v["holds"] for v in conditions.values())
+    base = {"sally_relations_at_equality"}   # the Sally module vanishes
+    assert skipped_names(data, conditions, structural) == base
+    for fact, off in PLANE_SKIPPED_WHEN_OFF.items():
+        if fact == "equality":
+            got = skipped_names(replace(data, equality=False), conditions,
+                                structural)
+        else:
+            got = skipped_names(data, flip_condition(conditions, fact),
+                                structural)
+        assert got == base | off, fact
+
+
+def test_gate_map_sally_nonvanishing(depth_zero_eq):
+    """At equality with a nonvanishing Sally module only positive depth keeps
+    sally_relations_at_equality off; I_2 is not inside Q, I_1 is not Q, d = 1."""
+    data, conditions, structural, _ = depth_zero_eq
+    facts_off = {"small_stage_two_collapse", "base_reduction_equal",
+                 "coefficient_identities"}
+    assert skipped_names(data, conditions, structural) == facts_off | {
+        "adic_collapse", "sally_relations_at_equality"}
+    deep = flip_condition(conditions, "c3_positive_depth")
+    assert skipped_names(data, deep, structural) == facts_off
+    assert skipped_names(replace(data, equality=False), deep, structural) == {
+        "torsion_in_stage_two", "adic_collapse", "coefficient_identities",
+        "sally_relations_at_equality", "torsion_graded_pieces",
+        "small_stage_two_collapse", "base_reduction_equal"}
+
+
+def test_skipped_checks_keep_their_details(plane, depth_zero, sally_closed):
+    data, conditions, structural, _ = plane
+    off = {c["name"]: c for c in run_checks(
+        replace(data, equality=False), flip_condition(conditions, "c1_usd_bounded"),
+        structural)}
+    assert off["boundary_equality"] == {
+        "name": "boundary_equality", "applicable": False, "status": "skipped",
+        "details": {"equality": False, "structural_holds": True}}
+    assert off["small_stage_two_collapse"]["details"] == {
+        "stage_two_inside_reduction": True}
+    assert off["base_reduction_equal"]["details"] == {
+        "stage_one_is_reduction": True}
+    assert off["torsion_in_stage_two"]["details"] == {"torsion_generators": []}
+    assert off["adic_collapse"] == {
+        "name": "adic_collapse", "applicable": False, "status": "skipped"}
+    by = depth_zero[3]
+    assert by["torsion_in_stage_two"] == {
+        "name": "torsion_in_stage_two", "applicable": False, "status": "skipped",
+        "details": {"torsion_generators": ["x"]}}
+    assert sally_closed[3]["base_reduction_equal"]["details"] == {
+        "stage_one_is_reduction": False}

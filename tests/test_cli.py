@@ -73,6 +73,17 @@ def test_verify_horizon_override(tmp_path):
     assert read_report(out)["config"]["horizon"] == 8
 
 
+@pytest.mark.parametrize("horizon", ["5", "41"])
+def test_verify_horizon_override_out_of_range(tmp_path, capsys, horizon):
+    out = tmp_path / "report.json"
+    code = main(["verify", str(CUSP), "--horizon", horizon,
+                 "--report", str(out), "--quiet"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "horizon" in err
+    assert not out.exists()
+
+
 def test_verify_missing_file(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "absent.json"), "--quiet"]) == 1
     assert "error" in capsys.readouterr().err

@@ -1,10 +1,10 @@
 """Filtration towers, admissibility certificates, sequence conditions."""
 import pytest
 
-from filtra.filtration import (Filtration, HorizonExceeded, NoSuperficialWitness,
-                               NotAdmissible, SearchExhausted, adic_filtration,
+from filtra.filtration import (Filtration, HorizonExceeded, NotAdmissible,
+                               SearchExhausted, adic_filtration,
                                check_colon_in_i1, check_d_sequence,
-                               check_superficial, check_usd_bounded,
+                               check_usd_bounded,
                                explicit_filtration, find_reduction,
                                ratliff_rush_filtration, reduction_system,
                                verify_admissible)
@@ -187,20 +187,6 @@ def test_colon_in_stage_one_cases():
     # the annihilator of y is (x), which a filtration starting at (y) misses
     ok, wit = check_colon_in_i1(DEPTH0, red0, DEPTH0.ideal(["y"]))
     assert not ok and wit["witness"] == "x"
-
-
-def test_superficial_bounds():
-    filt = adic_filtration(CUSP, ["x", "y"])
-    red = reduction_system(CUSP, ["x"])
-    assert check_superficial(filt, red, "x", 10) == 1
-    filt0 = adic_filtration(DEPTH0, ["x", "y"])
-    red0 = reduction_system(DEPTH0, ["y"])
-    # torsion x blocks c = 1 but dies against deeper stages
-    assert check_superficial(filt0, red0, "y", 10) == 2
-    with pytest.raises(ValueError):
-        check_superficial(filt, red, "y", 10)
-    with pytest.raises(ValueError):
-        check_superficial(filt, red, "x^2", 10)
 
 
 def test_reduction_system_rejects_zero():

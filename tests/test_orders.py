@@ -1,8 +1,7 @@
 """Monomial order properties: totality, multiplicativity, elimination."""
 from hypothesis import given, strategies as st
 
-from filtra.orders import (elimination_block, grevlex, lex,
-                           order_from_descriptor)
+from filtra.orders import elimination_block, grevlex, lex
 
 import pytest
 
@@ -28,11 +27,6 @@ def test_known_lex_comparisons():
 
 
 def test_descriptor_round_trip():
-    for o in ORDERS:
-        back = order_from_descriptor(o.descriptor, NV)
-        assert back == o
-    with pytest.raises(ValueError):
-        order_from_descriptor("weird/3", 3)
     with pytest.raises(ValueError):
         elimination_block(3, 3)
 
