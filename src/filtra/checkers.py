@@ -385,7 +385,7 @@ def check_torsion_graded_pieces(data: BoundaryData) -> dict:
 
 def check_small_stage_two_collapse(data: BoundaryData) -> dict:
     ring, filt, H = data.ring, data.filt, data.horizon
-    cm = ring.is_cm_via_parameters(list(data.red.generators))
+    cm = ring.is_cm_via_parameters(data.red.generators)
     svan = data.sally.vanishes
     stages_ok = True
     for n in range(1, H):
@@ -400,7 +400,7 @@ def check_small_stage_two_collapse(data: BoundaryData) -> dict:
 def check_base_reduction_equal(data: BoundaryData) -> dict:
     ring, filt, H = data.ring, data.filt, data.horizon
     coeffs_equal = data.fit_filt.coefficients == data.fit_red.coefficients
-    cm = ring.is_cm_via_parameters(list(data.red.generators))
+    cm = ring.is_cm_via_parameters(data.red.generators)
     adic = all(filt.get_ideal(n).equals_local(data.q_powers[n])
                for n in range(1, H + 1))
     return _check("base_reduction_equal", coeffs_equal and cm and adic,

@@ -69,14 +69,19 @@ def _corpus_worker(path: str):
 
 
 def _cmd_corpus(args) -> int:
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_INVALID
     root = Path(args.directory)
     paths = sorted(str(p) for p in root.glob("*.json"))
     if not paths:
         print(f"error: no *.json configs under {root}", file=sys.stderr)
         return EXIT_INVALID
-    results = []
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the fork start method starts every worker up front, so never ask for
+    # more workers than there are configs
+    workers = min(args.jobs, len(paths))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_corpus_worker, paths))
     else:
         results = [_corpus_worker(p) for p in paths]
@@ -129,7 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("corpus", help="run every *.json config in a directory")
     c.add_argument("directory")
-    c.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    c.add_argument("--jobs", type=int, default=1,
+                   help="parallel worker processes, at least 1; capped at the "
+                        "number of configs")
     c.add_argument("--summary", metavar="FILE", help="write the summary JSON here")
     c.add_argument("--reports", metavar="DIR", help="write full per-job reports here")
     c.add_argument("--quiet", action="store_true", help="print one line per job")

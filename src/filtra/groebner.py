@@ -1,5 +1,5 @@
 """Buchberger's algorithm with the normal selection strategy, reduced bases,
-normal forms, standard monomials, elimination and a memoizing cache.
+normal forms, standard monomials, elimination and an in-memory memo of bases.
 
 The kernel works on raw term dicts (monomial tuple -> coefficient) and keeps
 basis elements monic so reduction needs no divisions.  Pair selection is by
@@ -18,9 +18,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 import itertools
-import json
-import os
-import tempfile
 import threading
 from dataclasses import dataclass
 
@@ -243,12 +240,11 @@ def _buchberger_raw(inputs: list, ctx: PolyContext, use_criteria: bool) -> list:
     return _autoreduce([e[2] for e in basis], ctx)
 
 
-# -- cache ----------------------------------------------------------------
+# -- memo -----------------------------------------------------------------
 
+# reduced bases by input fingerprint, kept for the life of the process
 _CACHE: dict = {}
 _CACHE_LOCK = threading.Lock()
-CACHE_ENV_VAR = "FILTRA_CACHE_DIR"
-_CACHE_FORMAT_VERSION = 2
 
 
 def clear_cache():
@@ -256,56 +252,14 @@ def clear_cache():
         _CACHE.clear()
 
 
-def _cache_path(fingerprint: str):
-    root = os.environ.get(CACHE_ENV_VAR)
-    if not root:
-        return None
-    d = os.path.join(root, f"v{_CACHE_FORMAT_VERSION}")
-    return os.path.join(d, fingerprint + ".json")
-
-
-def _cache_load(fingerprint: str, ctx: PolyContext):
-    path = _cache_path(fingerprint)
-    if path is None or not os.path.exists(path):
-        return None
-    from .parser import parse_polynomial
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        if data.get("version") != _CACHE_FORMAT_VERSION or data.get("context") != ctx.descriptor:
-            return None
-        polys = tuple(parse_polynomial(s, ctx) for s in data["basis"])
-        return GroebnerBasis(ctx, polys, fingerprint)
-    except (ValueError, KeyError, OSError):
-        return None
-
-
-def _cache_store(gb: GroebnerBasis):
-    path = _cache_path(gb.fingerprint)
-    if path is None:
-        return
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    data = {
-        "version": _CACHE_FORMAT_VERSION,
-        "context": gb.ctx.descriptor,
-        "basis": [str(g) for g in gb.polys],
-    }
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(data, fh)
-        os.replace(tmp, path)  # atomic on POSIX
-    except OSError:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-def groebner_basis(gens, ctx: PolyContext | None = None, use_criteria: bool = True,
-                   cache: bool = True) -> GroebnerBasis:
+def groebner_basis(gens, ctx: PolyContext | None = None,
+                   use_criteria: bool = True) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
     Zero generators are allowed and yield the empty basis.  The result only
-    depends on the generated ideal, never on generator order.
+    depends on the generated ideal, never on generator order.  With the
+    criteria on, bases are memoized by fingerprint; ``use_criteria=False``
+    bypasses the memo and always runs the full Buchberger.
     """
     gens = list(gens)
     if ctx is None:
@@ -315,15 +269,10 @@ def groebner_basis(gens, ctx: PolyContext | None = None, use_criteria: bool = Tr
     gens = [g if g.ctx is ctx else g.convert(ctx) for g in gens]
     inputs = [g.as_dict() for g in gens if not g.is_zero]
     fingerprint = _fingerprint(ctx, [g for g in gens if not g.is_zero])
-    if use_criteria and cache:
+    if use_criteria:
         with _CACHE_LOCK:
             hit = _CACHE.get(fingerprint)
         if hit is not None:
-            return hit
-        hit = _cache_load(fingerprint, ctx)
-        if hit is not None:
-            with _CACHE_LOCK:
-                _CACHE[fingerprint] = hit
             return hit
     if use_criteria and all(len(d) == 1 for d in inputs):
         leads = sorted(minimal([next(iter(d)) for d in inputs]), key=ctx.key)
@@ -331,10 +280,9 @@ def groebner_basis(gens, ctx: PolyContext | None = None, use_criteria: bool = Tr
     else:
         polys = tuple(Polynomial(ctx, d) for d in _buchberger_raw(inputs, ctx, use_criteria))
     gb = GroebnerBasis(ctx, polys, fingerprint)
-    if use_criteria and cache:
+    if use_criteria:
         with _CACHE_LOCK:
             _CACHE[fingerprint] = gb
-        _cache_store(gb)
     return gb
 
 

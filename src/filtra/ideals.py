@@ -105,6 +105,7 @@ class LocalRing:
             self.gb_relations.leads
             if all(g.is_monomial() for g in self.gb_relations.polys) else None)
         self._torsion = None
+        self._cm: dict = {}  # is_cm_via_parameters by parameter tuple
 
     @property
     def nvars(self) -> int:
@@ -213,10 +214,12 @@ class LocalRing:
         For an m-primary parameter ideal, regularity of the sequence is
         equivalent to the ring being Cohen-Macaulay.
         """
-        parameters = list(parameters)
+        parameters = tuple(_as_poly(self, g) for g in parameters)
         if len(parameters) != self.dimension:
             raise ValueError("need exactly dim-many parameters")
-        return self.is_regular_sequence(parameters)
+        if parameters not in self._cm:
+            self._cm[parameters] = self.is_regular_sequence(parameters)
+        return self._cm[parameters]
 
     # -- subquotient length -------------------------------------------
 
@@ -341,7 +344,9 @@ class IdealHandle:
         return next((g for g in other.gens if not self.contains_element(g)), None)
 
     def equals_local(self, other: "IdealHandle") -> bool:
-        if self.gb().fingerprint == other.gb().fingerprint:
+        # the reduced basis of ideal + relations is unique, so equal bases
+        # mean equal ideals whatever generators present them
+        if self.gb().polys == other.gb().polys:
             return True
         return self.contains_ideal(other) and other.contains_ideal(self)
 
@@ -411,7 +416,7 @@ class IdealHandle:
         cur = self
         for _ in range(_SATURATION_CAP):
             nxt = cur.colon(other)
-            if nxt.gb().fingerprint == cur.gb().fingerprint:
+            if nxt.gb().polys == cur.gb().polys:
                 return cur
             cur = nxt
         raise SaturationNotStabilized(

@@ -115,8 +115,7 @@ def run_job(cfg: JobConfig) -> dict:
             "stage_equalities": list(cert.stage_equalities),
         }
         # the reduction is a system of parameters, so it certifies CM-ness
-        report["ring"]["cm_certificate"] = ring.is_cm_via_parameters(
-            list(red.generators))
+        report["ring"]["cm_certificate"] = ring.is_cm_via_parameters(red.generators)
         data = compute_boundary_data(ring, filt, red, cfg.horizon)
         conditions = evaluate_conditions(ring, filt, red, cfg.power_bound)
         structural = evaluate_structural(data, W)

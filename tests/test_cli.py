@@ -4,6 +4,7 @@ import json
 import pytest
 
 import filtra.checkers as checkers
+import filtra.cli as cli
 from filtra.cli import main
 from filtra.config import ConfigError, parse_config, validate_report
 from filtra.filtration import (adic_filtration, explicit_filtration,
@@ -208,6 +209,42 @@ def test_corpus_parallel_byte_identity(tmp_path):
     assert seq_sum.read_bytes() == par_sum.read_bytes()
     for name in ("cusp.json", "depth_zero.json", "regular_d1.json"):
         assert (seq_dir / name).read_bytes() == (par_dir / name).read_bytes()
+
+
+def test_corpus_jobs_capped_at_config_count(tmp_path, monkeypatch):
+    """The pool never asks for more workers than there are configs, since
+    the fork start method starts all of them up front."""
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    cdir = tmp_path / "corpus"
+    cdir.mkdir()
+    for name in ("cusp.json", "regular_d1.json"):
+        (cdir / name).write_text((CORPUS_DIR / name).read_text())
+    assert main(["corpus", str(cdir), "--jobs", "64", "--quiet"]) == 0
+    assert asked == [2]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_corpus_jobs_below_one(tmp_path, capsys, jobs):
+    (tmp_path / "cusp.json").write_text(CUSP.read_text())
+    assert main(["corpus", str(tmp_path), "--jobs", jobs, "--quiet"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --jobs")
+    assert captured.out == ""
 
 
 # -- schema subcommand and config validation -------------------------------

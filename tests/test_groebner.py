@@ -26,7 +26,7 @@ CTX3L = PolyContext.get(("x", "y", "z"), QQ, lex(3))
 
 def gb_strings(strs, ctx):
     polys = [parse_polynomial(s, ctx) for s in strs]
-    return [str(p) for p in groebner_basis(polys, ctx=ctx, cache=False).polys]
+    return [str(p) for p in groebner_basis(polys, ctx=ctx).polys]
 
 
 # -- frozen reduced bases (canonical: monic, autoreduced, ascending) -------
@@ -55,14 +55,14 @@ def test_frozen_katsura2():
 
 def test_unit_ideal_detection():
     g = groebner_basis([parse_polynomial("x + 1", CTX2),
-                        parse_polynomial("x", CTX2)], ctx=CTX2, cache=False)
+                        parse_polynomial("x", CTX2)], ctx=CTX2)
     assert g.is_unit_ideal()
     assert [str(p) for p in g.polys] == ["1"]
 
 
 def test_membership_and_normal_form():
     polys = [parse_polynomial(s, CTX3) for s in ["y - x^2", "z - x^3"]]
-    g = groebner_basis(polys, ctx=CTX3, cache=False)
+    g = groebner_basis(polys, ctx=CTX3)
     assert g.normal_form(parse_polynomial("y^2 - x*z", CTX3)).is_zero
     assert g.normal_form(parse_polynomial("(y - x^2) * (z + x*y)", CTX3)).is_zero
     assert not g.normal_form(parse_polynomial("x", CTX3)).is_zero
@@ -118,7 +118,7 @@ def test_staircase_length_oracle_100():
         ctx = PolyContext.get(tuple("xyz"[:nvars]), QQ, grevlex(nvars))
         gens = random_artinian_monomial_ideal(rng, nvars)
         polys = [Polynomial.monomial(ctx, m) for m in gens]
-        g = groebner_basis(polys, ctx=ctx, cache=False)
+        g = groebner_basis(polys, ctx=ctx)
         # monomial input: the reduced basis is exactly the minimal gens
         assert sorted(p.lead_monomial() for p in g.polys) == sorted(gens)
         assert all(p.is_monomial() for p in g.polys)
@@ -173,8 +173,8 @@ def test_criteria_equivalence_general():
         gens = [g for g in gens if not g.is_zero]
         if not gens:
             continue
-        with_c = groebner_basis(gens, ctx=ctx, use_criteria=True, cache=False)
-        without = groebner_basis(gens, ctx=ctx, use_criteria=False, cache=False)
+        with_c = groebner_basis(gens, ctx=ctx, use_criteria=True)
+        without = groebner_basis(gens, ctx=ctx, use_criteria=False)
         assert with_c.polys == without.polys
         done += 1
     assert done >= 50
@@ -187,8 +187,8 @@ def test_criteria_equivalence_monomial():
         ctx = PolyContext.get(tuple("xyz"[:nvars]), QQ, grevlex(nvars))
         gens = [Polynomial.monomial(ctx, m)
                 for m in random_artinian_monomial_ideal(rng, nvars)]
-        a = groebner_basis(gens, ctx=ctx, use_criteria=True, cache=False)
-        b = groebner_basis(gens, ctx=ctx, use_criteria=False, cache=False)
+        a = groebner_basis(gens, ctx=ctx, use_criteria=True)
+        b = groebner_basis(gens, ctx=ctx, use_criteria=False)
         assert a.polys == b.polys
 
 
@@ -214,7 +214,7 @@ def test_monomial_input_bypasses_buchberger(monkeypatch):
     clear_cache()
     gens = [parse_polynomial(s, CTX2) for s in ["x^2", "x*y"]]
     with pytest.raises(AssertionError, match="Buchberger ran"):
-        groebner_basis(gens, ctx=CTX2, use_criteria=False, cache=False)
+        groebner_basis(gens, ctx=CTX2, use_criteria=False)
 
 
 # -- t-trick input, where the Gebauer-Moller criteria prune most ----------
@@ -245,8 +245,8 @@ def test_criteria_equivalence_t_trick(seed, field):
     """On elimination input the pruning criteria must not change the
     reduced basis."""
     ctx, gens = t_trick_gens(random.Random(seed), field, elimination_block(1, 3))
-    with_c = groebner_basis(gens, ctx=ctx, use_criteria=True, cache=False)
-    without = groebner_basis(gens, ctx=ctx, use_criteria=False, cache=False)
+    with_c = groebner_basis(gens, ctx=ctx, use_criteria=True)
+    without = groebner_basis(gens, ctx=ctx, use_criteria=False)
     assert with_c.polys == without.polys
 
 
@@ -266,10 +266,11 @@ def test_spoly_count_guard(monkeypatch):
         return spoly(a, b, c)
 
     monkeypatch.setattr(groebner, "_spoly_dict", counting)
-    with_c = groebner_basis(gens, ctx=ctx, use_criteria=True, cache=False)
+    clear_cache()  # a memo hit would form no S-polynomial at all
+    with_c = groebner_basis(gens, ctx=ctx, use_criteria=True)
     on = len(calls)
     calls.clear()
-    without = groebner_basis(gens, ctx=ctx, use_criteria=False, cache=False)
+    without = groebner_basis(gens, ctx=ctx, use_criteria=False)
     off = len(calls)
     assert with_c.polys == without.polys
     assert on == 42
@@ -306,7 +307,7 @@ def test_sympy_cross_check(order_name):
         gens = [g for g in gens if not g.is_zero]
         if not gens:
             continue
-        mine = groebner_basis(gens, ctx=ctx, cache=False)
+        mine = groebner_basis(gens, ctx=ctx)
         theirs = sympy.groebner([to_sympy(g) for g in gens], *xs,
                                 order=order_name)
         ours = {str(p) for p in mine.polys}
@@ -322,7 +323,7 @@ def test_t_trick_sympy_lex(field):
     modulus = {} if field.p is None else {"modulus": field.p}
     for _ in range(4):
         ctx, gens = t_trick_gens(rng, field, lex(3))
-        mine = groebner_basis(gens, ctx=ctx, cache=False)
+        mine = groebner_basis(gens, ctx=ctx)
         theirs = sympy.groebner([to_sympy(g) for g in gens], *xs,
                                 order="lex", **modulus)
         ours = {str(p) for p in mine.polys}
@@ -358,7 +359,7 @@ def test_eliminate_semigroup_parametrization():
 
 def test_standard_monomials_finite():
     polys = [parse_polynomial(s, CTX2) for s in ["x^3", "x*y", "y^2"]]
-    g = groebner_basis(polys, ctx=CTX2, cache=False)
+    g = groebner_basis(polys, ctx=CTX2)
     sm = standard_monomials(g)
     assert sm.finite and sm.count() == 4
     listed = [str(Polynomial.monomial(CTX2, m)) for m in sm.enumerate()]
@@ -366,7 +367,7 @@ def test_standard_monomials_finite():
 
 
 def test_standard_monomials_infinite():
-    g = groebner_basis([parse_polynomial("x", CTX2)], ctx=CTX2, cache=False)
+    g = groebner_basis([parse_polynomial("x", CTX2)], ctx=CTX2)
     sm = standard_monomials(g)
     assert not sm.finite
     with pytest.raises(InfiniteSetEnumerationRequested):
@@ -375,31 +376,25 @@ def test_standard_monomials_infinite():
 
 
 def test_lead_ideal_dimension_cases():
-    gx = groebner_basis([parse_polynomial("x", CTX3)], ctx=CTX3, cache=False)
+    gx = groebner_basis([parse_polynomial("x", CTX3)], ctx=CTX3)
     assert lead_ideal_dimension(gx) == 2
     gm = groebner_basis([parse_polynomial(s, CTX3) for s in ["x", "y", "z"]],
-                        ctx=CTX3, cache=False)
+                        ctx=CTX3)
     assert lead_ideal_dimension(gm) == 0
     gu = groebner_basis([parse_polynomial("x - 1", CTX3),
-                         parse_polynomial("x", CTX3)], ctx=CTX3, cache=False)
+                         parse_polynomial("x", CTX3)], ctx=CTX3)
     assert lead_ideal_dimension(gu) == -1
 
 
-# -- persistent cache ------------------------------------------------------
+# -- memo ----------------------------------------------------------------
 
-def test_cache_round_trip(tmp_path, monkeypatch):
+def test_bases_are_never_written_to_disk(tmp_path, monkeypatch):
+    """The memo lives in memory only: with a cache directory named in the
+    environment, no basis is written there, so none can be read back."""
     monkeypatch.setenv("FILTRA_CACHE_DIR", str(tmp_path))
     clear_cache()
     polys = [parse_polynomial(s, CTX3) for s in ["y - x^2", "z - x^3"]]
     first = groebner_basis(polys, ctx=CTX3)
-    files = list(tmp_path.rglob("*.json"))
-    assert len(files) == 1
-    clear_cache()  # drop the in-memory layer; force the disk path
-    second = groebner_basis(polys, ctx=CTX3)
-    assert [str(p) for p in second.polys] == [str(p) for p in first.polys]
-    assert second.fingerprint == first.fingerprint
-    clear_cache()
-    monkeypatch.delenv("FILTRA_CACHE_DIR")
-    third = groebner_basis(polys, ctx=CTX3)
-    assert [str(p) for p in third.polys] == [str(p) for p in first.polys]
+    assert groebner_basis(polys, ctx=CTX3) is first
+    assert list(tmp_path.iterdir()) == []
     clear_cache()

@@ -10,10 +10,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from filtra.config import load_config
 from filtra.fields import QQ
-from filtra.ideals import (LocalRing, NotFiniteLength, NotMPrimary, NotNested)
+from filtra.ideals import (IdealHandle, LocalRing, NotFiniteLength, NotMPrimary,
+                           NotNested)
 from filtra.parser import parse_polynomial
 from filtra.poly import Polynomial, mono_divides
+from filtra.report import run_job
+
+from conftest import CORPUS_DIR
 
 PLANE = LocalRing(("x", "y"))
 SPACE = LocalRing(("x", "y", "z"))
@@ -103,6 +108,18 @@ def test_local_membership_through_units():
         I.finite_colength()
 
 
+
+def test_equal_ideals_compare_by_reduced_basis(monkeypatch):
+    """Two presentations of one ideal are equal on their reduced bases
+    alone, without testing containment generator by generator."""
+    def forbidden(self, other):
+        raise AssertionError("containment was tested")
+
+    a = PLANE.ideal(["x", "y"])
+    b = PLANE.ideal(["x + y", "y"])
+    monkeypatch.setattr(IdealHandle, "contains_ideal", forbidden)
+    assert a.equals_local(b)
+
 def test_membership_plain():
     m = PLANE.maximal_ideal()
     assert m.contains_element("x + x^2*y")
@@ -186,6 +203,23 @@ def test_cm_certificates():
     with pytest.raises(ValueError):
         CUSP.is_cm_via_parameters(["x", "y"])
 
+
+
+def test_cm_certificate_runs_once_per_job(monkeypatch):
+    """run_job and the two checks that read the Cohen-Macaulay certificate
+    share one regular-sequence test per ring and parameter tuple."""
+    calls = []
+    regular = LocalRing.is_regular_sequence
+
+    def counting(self, elements):
+        calls.append(1)
+        return regular(self, elements)
+
+    monkeypatch.setattr(LocalRing, "is_regular_sequence", counting)
+    report = run_job(load_config(CORPUS_DIR / "regular_d2.json"))
+    assert report["ring"]["cm_certificate"] is True
+    assert report["verdict"] == "verified"
+    assert len(calls) == 1
 
 # -- dual computation routes ----------------------------------------------
 
