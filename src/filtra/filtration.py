@@ -4,8 +4,16 @@ A filtration assigns to every n >= 0 an ideal I_n with I_0 the unit ideal,
 I_{n+1} inside I_n, products I_a I_b inside I_{a+b}, an m-primary I_1, and a
 parameter ideal Q inside I_1 with I_{n+1} = Q I_n for all large n within the
 working horizon.  Three constructions are supported: powers of I_1, the
-stabilized colon closure (I^{n+k} : I^k), and explicitly listed ideals
-continued by the tail rule I_{n+1} = I_1 I_n.
+Ratliff-Rush closure, and explicitly listed ideals continued by the tail
+rule I_{n+1} = I_1 I_n.
+
+The Ratliff-Rush stage n is the first C(n+k, k) = I^{n+k} : I^k equal to
+its predecessor C(n+k-1, k-1) as k grows (Ratliff-Rush, Indiana Univ. Math.
+J. 27, 1978; Heinzer-Lantz-Shah, Comm. Algebra 20, 1992).  Each C(m, j) is
+built as C(m, j-1) : I with C(m, 0) = I^m, since (A : BC) = ((A : B) : C)
+(Atiyah-Macdonald, Ex. 1.12), and memoized by (m, j).  So every colon
+divides by the few generators of I instead of the many of I^k, and stage
+n+1 reuses the colons that stage n built.
 """
 from __future__ import annotations
 
@@ -55,7 +63,7 @@ class Filtration:
         if kind != RATLIFF_RUSH:
             self._stages[1] = i1  # the closure may enlarge stage one
         self._base_powers: dict = {0: ring.unit_ideal(), 1: i1}
-        self._explicit_top = 1
+        self._colons: dict = {}  # (m, j) -> I^m : I^j
         if kind == EXPLICIT:
             explicit = explicit or {}
             keys = sorted(explicit)
@@ -63,7 +71,6 @@ class Filtration:
                 raise ValueError("explicit stages must be consecutive from 2")
             for n in keys:
                 self._stages[n] = explicit[n]
-            self._explicit_top = max(1, *keys) if keys else 1
 
     @property
     def i1(self) -> IdealHandle:
@@ -75,6 +82,16 @@ class Filtration:
             top += 1
             self._base_powers[top] = self._base_powers[top - 1] * self._seed
         return self._base_powers[n]
+
+    def _colon_power(self, m: int, j: int) -> IdealHandle:
+        """I^m : I^j, built as (I^m : I^{j-1}) : I, so that each colon
+        divides by the generators of I rather than by those of I^j."""
+        got = self._colons.get((m, j))
+        if got is None:
+            got = (self._base_power(m) if j == 0
+                   else self._colon_power(m, j - 1).colon(self._seed))
+            self._colons[(m, j)] = got
+        return got
 
     def get_ideal(self, n: int) -> IdealHandle:
         if n < 0:
@@ -96,12 +113,13 @@ class Filtration:
     def _colon_closure(self, n: int) -> IdealHandle:
         prev = None
         for k in range(1, RR_ITERATION_BOUND + 1):
-            cur = self._base_power(n + k).colon(self._base_power(k))
+            cur = self._colon_power(n + k, k)
             if prev is not None and cur.equals_local(prev):
                 return prev
             prev = cur
         raise RatliffRushNotStabilized(
-            f"colon closure at stage {n} kept growing for {RR_ITERATION_BOUND} steps")
+            f"colon closure at stage {n} kept growing for "
+            f"RR_ITERATION_BOUND={RR_ITERATION_BOUND} steps")
 
 
 def adic_filtration(ring: LocalRing, gens, hard_cap: int = 64) -> Filtration:

@@ -13,6 +13,14 @@ origin and makes the global standard-monomial count equal the local length.
 When the relations and the generators are all monomials, membership of a
 monomial, products, intersections, colons by a monomial and colengths are
 computed on exponent vectors by the monomial layer (``monomial.py``) instead.
+
+A ring lives for one job and memoizes its colons by an element and its
+intersections, keyed by the presentation of the inputs: the generators of
+each handle and the terms of the reduced divisor.  The key is not the
+reduced basis, because the route taken (monomial layer or elimination) and
+so the printed generators of the result depend on the presentation.
+Ratliff-Rush closures ask for the same colons stage after stage, and the
+memo answers the repeats.
 """
 from __future__ import annotations
 
@@ -106,6 +114,7 @@ class LocalRing:
             if all(g.is_monomial() for g in self.gb_relations.polys) else None)
         self._torsion = None
         self._cm: dict = {}  # is_cm_via_parameters by parameter tuple
+        self._ops: dict = {}  # colon and intersect results by presentation
 
     @property
     def nvars(self) -> int:
@@ -165,6 +174,13 @@ class LocalRing:
         rel = self.relation_monomials
         keep = sorted((m for m in gens if not monomial.contains(rel, m)), key=self.ctx.key)
         return IdealHandle(self, tuple(Polynomial.monomial(self.ctx, m) for m in keep))
+
+    def _memo(self, key, compute, *args) -> "IdealHandle":
+        """compute(*args), once per key for the life of this ring."""
+        got = self._ops.get(key)
+        if got is None:
+            got = self._ops[key] = compute(*args)
+        return got
 
     # -- torsion part -------------------------------------------------
 
@@ -383,6 +399,10 @@ class IdealHandle:
             return self
         if not self.gens or not other.gens:
             return ring.zero_ideal()
+        return ring._memo(("intersect", self.gens, other.gens), self._intersect, other)
+
+    def _intersect(self, other: "IdealHandle") -> "IdealHandle":
+        ring = self.ring
         mine, theirs = self.monomials, other.monomials
         if mine is not None and theirs is not None:
             return ring._from_monomials(monomial.intersect(mine, theirs))
@@ -403,6 +423,11 @@ class IdealHandle:
             return ring.unit_ideal()
         if g.constant_term() != ring.field.zero:
             return self  # dividing by a local unit changes nothing
+        return ring._memo(("colon", self.gens, g.terms), self._colon_element, g)
+
+    def _colon_element(self, g: Polynomial) -> "IdealHandle":
+        """(self : g) for g reduced modulo the relations, nonzero, in m."""
+        ring = self.ring
         mine = self.monomials
         if mine is not None and g.is_monomial():
             return ring._from_monomials(monomial.colon(mine, g.lead_monomial()))

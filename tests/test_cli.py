@@ -5,6 +5,7 @@ import pytest
 
 import filtra.checkers as checkers
 import filtra.cli as cli
+import filtra.filtration as filtration
 from filtra.cli import main
 from filtra.config import ConfigError, parse_config, validate_report
 from filtra.filtration import (adic_filtration, explicit_filtration,
@@ -145,6 +146,22 @@ def test_unstable_fit_is_invalid_input(tmp_path, monkeypatch):
     report = read_report(out)
     assert report["verdict"] == "invalid-input"
     assert report["error"]["type"] == "UnstableFit"
+
+
+def test_ratliff_rush_cap_is_an_input_error(tmp_path, monkeypatch, capsys):
+    """A closure that outruns its iteration bound ends the job as invalid
+    input, with a message that names the cap, instead of a traceback."""
+    monkeypatch.setattr(filtration, "RR_ITERATION_BOUND", 1)
+    out = tmp_path / "report.json"
+    code = main(["verify", str(CORPUS_DIR / "sally_rr_equality.json"),
+                 "--report", str(out), "--quiet"])
+    assert code == 1
+    report = read_report(out)
+    assert report["verdict"] == "invalid-input"
+    assert report["exit_code"] == 1
+    assert report["error"]["type"] == "RatliffRushNotStabilized"
+    assert "RR_ITERATION_BOUND=1" in report["error"]["message"]
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_markdown_rendering(tmp_path):

@@ -1,5 +1,6 @@
 """Filtration towers, admissibility certificates, sequence conditions."""
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from filtra.filtration import (Filtration, HorizonExceeded, NotAdmissible,
                                SearchExhausted, adic_filtration,
@@ -53,6 +54,67 @@ def test_ratliff_rush_of_stable_ideal_is_identity():
     m = CUSP.maximal_ideal()
     for n in range(1, 4):
         assert rr.get_ideal(n).equals_local(m.power(n))
+
+
+def _mono(e) -> str:
+    return "*".join(f"{v}^{k}" for v, k in zip("xy", e) if k)
+
+
+@st.composite
+def binomial_gens(draw):
+    """Generators of a small ideal of k[x,y]: one to three monomials and, in
+    half the cases, a binomial; exponents stay small so that the direct
+    colon by a power, which eliminates an extra variable per generator of
+    that power, keeps each example fast."""
+    expo = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any)
+    gens = [_mono(e) for e in draw(st.lists(expo, min_size=1, max_size=3))]
+    if draw(st.booleans()):
+        small = st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(any)
+        u, v = draw(st.lists(small, min_size=2, max_size=2, unique=True))
+        c = draw(st.sampled_from((1, -1, 2)))
+        gens.append(f"{_mono(u)} - {c}*{_mono(v)}")
+    return gens
+
+
+class Unmemoized(LocalRing):
+    """A ring whose colons and intersections are always computed afresh."""
+
+    def _memo(self, key, compute, *args):
+        return compute(*args)
+
+
+XY = ("x", "y")
+
+
+@settings(max_examples=30, deadline=None)
+@given(binomial_gens(), st.integers(1, 2), st.integers(1, 2))
+@example(SALLY_GENS, 1, 1)
+@example(["x^2 - y", "x*y"], 1, 2)
+def test_iterated_colon_matches_direct_colon(gens, n, k):
+    """C(n+k, k) = (C(n+k, k-1) : I) has the reduced basis of I^{n+k} : I^k
+    computed directly, on a ring without the operation memo."""
+    filt = ratliff_rush_filtration(LocalRing(XY), gens)
+    iterated = filt._colon_power(n + k, k)
+    I = Unmemoized(XY).ideal(gens)
+    direct = I.power(n + k).colon(I.power(k))
+    assert iterated.gb().polys == direct.gb().polys
+
+
+@settings(max_examples=30, deadline=None)
+@given(binomial_gens(), binomial_gens(), binomial_gens())
+def test_memoized_operations_match_an_unmemoized_ring(gens, other, divisors):
+    """Once the memo holds every colon and intersection below, each repeated
+    call presents the same generators as on a ring without the memo."""
+    calls = [lambda R, a=a, f=f: R.ideal(a).colon(f)
+             for a in (gens, other) for f in divisors]
+    calls += [lambda R: R.ideal(gens).intersect(R.ideal(other)),
+              lambda R: R.ideal(other).intersect(R.ideal(gens)),
+              lambda R: R.ideal(gens).colon(R.ideal(other))]
+    ring, plain = LocalRing(XY), Unmemoized(XY)
+    for call in calls:
+        call(ring)
+    for call in calls:
+        assert call(ring).gens == call(plain).gens
 
 
 def test_explicit_tail_rule():

@@ -6,10 +6,12 @@ brute staircase walk done inline here.
 """
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from filtra import ideals, monomial
 from filtra.config import load_config
 from filtra.fields import QQ
 from filtra.ideals import (IdealHandle, LocalRing, NotFiniteLength, NotMPrimary,
@@ -220,6 +222,41 @@ def test_cm_certificate_runs_once_per_job(monkeypatch):
     assert report["ring"]["cm_certificate"] is True
     assert report["verdict"] == "verified"
     assert len(calls) == 1
+
+@pytest.mark.parametrize("name, colons, intersections", [
+    ("sally_rr_equality.json", 88, 28),
+    ("regular_d3.json", 117, 8),
+    ("two_planes.json", 29, 12),
+])
+def test_computed_colons_and_intersections(monkeypatch, name, colons, intersections):
+    """Noise-free work count: colons by an element and intersections that
+    are computed rather than answered from the ring's memo.  Each computed
+    one reaches the monomial layer or the t-trick elimination, once.
+    Without the memo, and with closures dividing by the generators of I^k
+    instead of I, these jobs compute 258/188, 601/15 and 68/12."""
+    count = Counter()
+    ambient, mono_colon, mono_meet = (
+        ideals._intersection_in_ambient, monomial.colon, monomial.intersect)
+
+    def counted(ring, left, right, include_relations=True):
+        count["intersect" if include_relations else "colon"] += 1
+        return ambient(ring, left, right, include_relations)
+
+    def counted_colon(a, m):
+        count["colon"] += 1
+        return mono_colon(a, m)
+
+    def counted_meet(a, b):
+        count["intersect"] += 1
+        return mono_meet(a, b)
+
+    monkeypatch.setattr(ideals, "_intersection_in_ambient", counted)
+    monkeypatch.setattr(monomial, "colon", counted_colon)
+    monkeypatch.setattr(monomial, "intersect", counted_meet)
+    report = run_job(load_config(CORPUS_DIR / name))
+    assert report["verdict"] == "verified"
+    assert (count["colon"], count["intersect"]) == (colons, intersections)
+
 
 # -- dual computation routes ----------------------------------------------
 
