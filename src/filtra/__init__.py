@@ -6,8 +6,7 @@ from .ideals import IdealHandle, LocalRing
 from .filtration import (adic_filtration, explicit_filtration, find_reduction,
                          ratliff_rush_filtration, reduction_system,
                          verify_admissible)
-from .checkers import (BoundaryData, EquivalenceViolation, compute_boundary_data,
-                       ensure_consistent, evaluate_conditions,
+from .checkers import (BoundaryData, compute_boundary_data, evaluate_conditions,
                        evaluate_structural, run_checks)
 from .config import JobConfig, load_config, parse_config
 from .report import run_job, to_json, to_markdown
@@ -19,9 +18,8 @@ __all__ = [
     "IdealHandle", "LocalRing",
     "adic_filtration", "explicit_filtration", "ratliff_rush_filtration",
     "reduction_system", "find_reduction", "verify_admissible",
-    "BoundaryData", "EquivalenceViolation", "compute_boundary_data",
-    "ensure_consistent", "evaluate_conditions", "evaluate_structural",
-    "run_checks",
+    "BoundaryData", "compute_boundary_data", "evaluate_conditions",
+    "evaluate_structural", "run_checks",
     "JobConfig", "load_config", "parse_config",
     "run_job", "to_json", "to_markdown",
     "__version__",

@@ -20,11 +20,6 @@ from .hilbert import (HorizonTooSmall, NoPolynomialTail, PolynomialFit,
 from .ideals import IdealHandle, LocalRing
 
 
-class EquivalenceViolation(AssertionError):
-    """Boundary equality and the structural criterion disagreed under the
-    hypotheses that force them to coincide."""
-
-
 STABILITY_MARGIN = 3
 
 
@@ -512,11 +507,3 @@ def run_checks(data: BoundaryData, conditions: dict, structural: dict,
             out.append(_check(gate.name, None, **{f: fact(f) for f in gate.reports}))
     return out
 
-
-def ensure_consistent(checks: list):
-    """Raise when the dual-path characterization or an applicable consequence
-    failed; library-level counterpart of the exit-code contract."""
-    for c in checks:
-        if c["status"] == "fail":
-            raise EquivalenceViolation(
-                f"check {c['name']} failed: {c.get('details', {})}")

@@ -1,8 +1,15 @@
 """Exact coefficient fields: rationals and odd-word-size prime fields.
 
-Coefficients are stored raw (Fraction for the rationals, int in [0, p) for a
-prime field); the field object supplies the arithmetic.  Hot loops may branch
-on ``field.p is None`` to inline the modular case.
+Coefficients are stored raw and the field object supplies the arithmetic.  A
+prime field stores an int in [0, p).  The rationals store every value in one
+canonical form: a Python int when the value is integral, a Fraction only when
+it is not (see ``canonical``).  Ints are much cheaper than Fractions, and
+almost every coefficient met in practice is integral.  The form must be
+canonical, not merely equal: ``groebner`` keys its memo of bases by the repr
+of the terms, and ``repr(3) != repr(Fraction(3))``, so two spellings of one
+value would miss the memo.  Hot loops may branch on ``field.p is None`` to
+inline the arithmetic; over the rationals they must apply ``canonical`` to
+each result themselves.
 """
 from __future__ import annotations
 
@@ -37,38 +44,46 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def canonical(a):
+    """The canonical form of a rational: an int when integral, else the Fraction."""
+    if type(a) is Fraction and a.denominator == 1:
+        return a.numerator
+    return a
+
+
 class Rationals:
-    """The field of arbitrary-precision rationals."""
+    """The field of arbitrary-precision rationals, in canonical form."""
 
     p = None
     descriptor = "q"
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
+    def from_int(self, n: int) -> int:
+        return n
 
     def add(self, a, b):
-        return a + b
+        return canonical(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return canonical(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return canonical(a * b)
 
     def neg(self, a):
         return -a
 
     def inv(self, a):
-        return 1 / a
+        return self.div(1, a)
 
     def div(self, a, b):
-        return a / b
+        # through Fraction: int / int would be a float
+        return canonical(Fraction(a) / b)
 
-    def rational(self, num: int, den: int) -> Fraction:
-        return Fraction(num, den)
+    def rational(self, num: int, den: int):
+        return canonical(Fraction(num, den))
 
     def to_str(self, a) -> str:
         return str(a)

@@ -21,6 +21,7 @@ import itertools
 import threading
 from dataclasses import dataclass
 
+from .fields import canonical
 from .monomial import count_box_complement, minimal, pure_power_bounds
 from .orders import elimination_block
 from .poly import (Monomial, Polynomial, PolyContext, mono_coprime,
@@ -35,7 +36,9 @@ def _nf_dict(f: dict, basis: list, ctx: PolyContext) -> dict:
     """Full normal form of a term dict against monic (lead, tail) basis entries.
 
     Monomials are finalized in strictly descending order, so the result has no
-    term divisible by any basis lead.
+    term divisible by any basis lead.  Over the rationals the inlined arithmetic
+    keeps coefficients in the field's canonical form (``fields.canonical``: an
+    int when integral), which the memo key relies on.
     """
     if not f or not basis:
         return dict(f)
@@ -69,12 +72,12 @@ def _nf_dict(f: dict, basis: list, ctx: PolyContext) -> dict:
                 mm = tuple(x + y for x, y in zip(m2, shift))
                 prev = work.get(mm)
                 if prev is None:
-                    work[mm] = -c * c2
+                    work[mm] = canonical(-c * c2)
                     heapq.heappush(heap, (negkey(mm), mm))
                 else:
                     nv = prev - c * c2
                     if nv:
-                        work[mm] = nv
+                        work[mm] = canonical(nv)
                     else:
                         del work[mm]
         else:
@@ -131,23 +134,22 @@ def _spoly_dict(a, b, ctx: PolyContext) -> dict:
 
 
 def _autoreduce(dicts: list, ctx: PolyContext) -> list:
-    """Minimalize by lead divisibility, then tail-reduce to the reduced basis."""
+    """Minimalize by lead divisibility, then tail-reduce to the reduced basis.
+
+    One pass suffices: no kept lead divides another, so reduction never moves
+    a lead, and each result has no term divisible by any other lead.
+    """
     entries = [_monic_dict(d, ctx) for d in dicts]
     entries.sort(key=lambda e: ctx.key(e[0]))
     kept = []
     for e in entries:
         if not any(mono_divides(k[0], e[0]) for k in kept):
             kept.append(e)
-    changed = True
-    while changed:
-        changed = False
-        for i, (lm, tail, full) in enumerate(kept):
-            others = [(k[0], k[1]) for j, k in enumerate(kept) if j != i]
-            r = _nf_dict(full, others, ctx)
-            if r != full:
-                kept[i] = _monic_dict(r, ctx)
-                changed = True
-    kept.sort(key=lambda e: ctx.key(e[0]))
+    for i, (lm, tail, full) in enumerate(kept):
+        others = [(k[0], k[1]) for j, k in enumerate(kept) if j != i]
+        r = _nf_dict(full, others, ctx)
+        if r != full:
+            kept[i] = _monic_dict(r, ctx)
     return [e[2] for e in kept]
 
 

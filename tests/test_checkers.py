@@ -9,8 +9,7 @@ from dataclasses import replace
 
 import pytest
 
-from filtra.checkers import (ALL_CHECKS, EquivalenceViolation,
-                             compute_boundary_data, ensure_consistent,
+from filtra.checkers import (ALL_CHECKS, compute_boundary_data,
                              evaluate_conditions, evaluate_structural,
                              run_checks)
 from filtra.filtration import (adic_filtration, explicit_filtration,
@@ -280,17 +279,6 @@ def test_check_order_and_selection(cusp):
     picked = run_checks(data, conditions, structural,
                         selected=("fit_stability", "master_inequality"))
     assert [c["name"] for c in picked] == ["master_inequality", "fit_stability"]
-
-
-def test_ensure_consistent():
-    good = [{"name": "a", "applicable": True, "status": "pass"},
-            {"name": "b", "applicable": False, "status": "skipped"}]
-    ensure_consistent(good)
-    bad = good + [{"name": "c", "applicable": True, "status": "fail",
-                   "details": {"gap": -1}}]
-    with pytest.raises(EquivalenceViolation):
-        ensure_consistent(bad)
-    assert issubclass(EquivalenceViolation, AssertionError)
 
 
 def test_out_of_range_coefficients(cusp):
