@@ -185,6 +185,9 @@ def check_torsion_in_stage_two(data: BoundaryData) -> dict:
 
 
 def check_adic_collapse(data: BoundaryData) -> dict:
+    """I_{n+2} inside Q^n I_1, and Q^n meet I_{n+1} equal to Q^n I_1.  Under
+    the gate's C3 the torsion W is zero, so the second half is the graded
+    clause of the structural condition, whose witness is read here."""
     filt, H = data.filt, data.horizon
     I1 = filt.i1
     detail = {}
@@ -195,14 +198,10 @@ def check_adic_collapse(data: BoundaryData) -> dict:
             ok = False
             detail["containment_failed_at"] = n
             break
-    if ok:
-        for n in range(1, H):
-            left = data.q_powers[n].intersect(filt.get_ideal(n + 1))
-            right = data.q_powers[n] * I1
-            if not left.equals_local(right):
-                ok = False
-                detail["intersection_failed_at"] = n
-                break
+    graded = data.structural["clause_graded"]
+    if ok and not graded["holds"]:
+        ok = False
+        detail["intersection_failed_at"] = graded["witness"]["n"]
     return _check("adic_collapse", ok, **detail)
 
 

@@ -152,8 +152,6 @@ class PrimeField:
 
 QQ = Rationals()
 
-DEFAULT_PRIME = 32003
-
 
 def field_from_descriptor(desc: str):
     if desc == "q":

@@ -1,5 +1,5 @@
 """Buchberger's algorithm with the normal selection strategy, reduced bases,
-normal forms, standard monomials, elimination and an in-memory memo of bases.
+normal forms, elimination and an in-memory memo of bases.
 
 The kernel works on raw term dicts (monomial tuple -> coefficient) and keeps
 basis elements monic so reduction needs no divisions.  Pair selection is by
@@ -17,19 +17,15 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import itertools
 import threading
 from dataclasses import dataclass
 
 from .fields import canonical
-from .monomial import count_box_complement, minimal, pure_power_bounds
+# count_box_complement is unused here: perfbench/layers.py traces it by this name
+from .monomial import count_box_complement, minimal
 from .orders import elimination_block
-from .poly import (Monomial, Polynomial, PolyContext, mono_coprime,
-                   mono_divides, mono_lcm)
-
-
-class InfiniteSetEnumerationRequested(ValueError):
-    """Enumeration of standard monomials asked for a positive-dimensional ideal."""
+from .poly import (Polynomial, PolyContext, mono_coprime, mono_divides,
+                   mono_lcm)
 
 
 def _nf_dict(f: dict, basis: list, ctx: PolyContext) -> dict:
@@ -288,45 +284,7 @@ def groebner_basis(gens, ctx: PolyContext | None = None,
     return gb
 
 
-# -- standard monomials and dimension -------------------------------------
-
-@dataclass(frozen=True)
-class StandardMonomials:
-    """Monomials outside the lead-term ideal of a basis."""
-
-    nvars: int
-    leads: tuple          # minimal generators of the lead ideal
-    finite: bool
-    bounds: tuple         # per-variable pure-power exponents when finite
-
-    def is_standard(self, m: Monomial) -> bool:
-        return not any(mono_divides(l, m) for l in self.leads)
-
-    def enumerate(self) -> list:
-        """All standard monomials, degree-lexicographically."""
-        if not self.finite:
-            raise InfiniteSetEnumerationRequested(
-                "standard monomial set is infinite (lead ideal is not zero-dimensional)")
-        out = [m for m in itertools.product(*(range(b) for b in self.bounds))
-               if self.is_standard(m)]
-        out.sort(key=lambda m: (sum(m), tuple(-e for e in m)))
-        return out
-
-    def count(self) -> int:
-        if not self.finite:
-            raise InfiniteSetEnumerationRequested(
-                "standard monomial set is infinite (lead ideal is not zero-dimensional)")
-        return count_box_complement(self.bounds, list(self.leads))
-
-
-def standard_monomials(gb: GroebnerBasis) -> StandardMonomials:
-    nvars = gb.ctx.nvars
-    leads = gb.leads
-    bounds = pure_power_bounds(leads, nvars)
-    if bounds is None:
-        return StandardMonomials(nvars, leads, False, (0,) * nvars)
-    return StandardMonomials(nvars, leads, True, bounds)
-
+# -- dimension and elimination -------------------------------------------
 
 def lead_ideal_dimension(gb: GroebnerBasis) -> int:
     """Krull dimension of the quotient by the ideal; -1 for the unit ideal."""

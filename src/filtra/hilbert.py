@@ -2,16 +2,15 @@
 
 Colength sequences n -> l(A/I_n) eventually agree with a polynomial written
 as an alternating sum of binomial coefficients; the signed coefficients are
-the normalized invariants this package is about.  Fitting is exact over the
-rationals: solve on the trailing window, then scan backward for the
-postulation index and insist on one extra point of agreement so the window
-never masquerades as a tail.
+the normalized invariants this package is about.  Fitting is exact in
+integers: peel the coefficients off the trailing window by finite
+differences, then scan backward for the postulation index and insist on one
+extra point of agreement so the window never masquerades as a tail.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 class HorizonTooSmall(ValueError):
@@ -33,25 +32,6 @@ def binom(a: int, b: int) -> int:
     if b < 0 or a < b:
         return 0
     return math.comb(a, b)
-
-
-def _solve_exact(matrix, rhs):
-    """Solve a small square system over the rationals; matrix must be invertible."""
-    n = len(matrix)
-    M = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(rhs[i])]
-         for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            raise NoPolynomialTail("degenerate fit window")
-        M[col], M[piv] = M[piv], M[col]
-        inv = 1 / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col]:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return [M[i][n] for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -76,29 +56,32 @@ def fit_binomial(values, degree: int, shift: int):
     """Fit the tail of ``values`` (indexed from 0) in the binomial basis
     C(n + shift + degree - i, degree - i), i = 0..degree.
 
-    Returns (coefficients, postulation).  The solved window must extend by at
-    least one extra matching value, otherwise any d+1 points would "fit".
+    Returns (coefficients, postulation).  Since the difference of
+    C(n + c, k) is C(n + c, k - 1), the (degree - i)-th difference of the
+    window, once the terms before i are taken off, is constant and equal to
+    (-1)^i e_i.  So the coefficients are integer differences of the values:
+    these binomials are a Z-basis of the integer-valued polynomials
+    (Bruns-Herzog, *Cohen-Macaulay Rings*, 4.1), and no window of integer
+    values is degenerate or fits non-integral coefficients.  The window must
+    extend by at least one extra matching value, otherwise any d+1 points
+    would "fit".
     """
     ncoef = degree + 1
     N = len(values) - 1
     if len(values) < ncoef + 2:
         raise HorizonTooSmall(
             f"need at least {ncoef + 2} values for a degree-{degree} fit, got {len(values)}")
-    rows = []
-    rhs = []
-    for n in range(N - degree, N + 1):
-        row = []
-        for i in range(ncoef):
-            b = binom(n + shift + degree - i, degree - i)
-            row.append(-b if i % 2 else b)
-        rows.append(row)
-        rhs.append(values[n])
-    sol = _solve_exact(rows, rhs)
+    window = range(N - degree, N + 1)
+    rest = [values[n] for n in window]
     coeffs = []
-    for c in sol:
-        if c.denominator != 1:
-            raise NoPolynomialTail(f"non-integral fitted coefficient {c}")
-        coeffs.append(int(c))
+    for i in range(ncoef):
+        k = degree - i
+        diffs = rest
+        for _ in range(k):
+            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        signed = diffs[0]
+        coeffs.append(-signed if i % 2 else signed)
+        rest = [r - signed * binom(n + shift + k, k) for r, n in zip(rest, window)]
     fit = PolynomialFit(tuple(coeffs), degree, shift, 0)
     n0 = N + 1
     for n in range(N, -1, -1):

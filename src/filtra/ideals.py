@@ -29,7 +29,7 @@ import itertools
 from . import monomial
 from .fields import QQ
 from .groebner import (GroebnerBasis, eliminate, groebner_basis,
-                       lead_ideal_dimension, standard_monomials)
+                       lead_ideal_dimension)
 from .orders import grevlex
 from .poly import Polynomial, PolyContext
 from .parser import parse_polynomial
@@ -240,10 +240,15 @@ class LocalRing:
     # -- subquotient length -------------------------------------------
 
     def subquotient_length(self, x: "IdealHandle", y: "IdealHandle") -> int:
-        """Length of x/y for nested ideals, via a spanning-set rank.
+        """Length of x/y for nested ideals, as a difference of staircase counts.
 
-        Requires a power of m multiplying x into y; the quotient is then
-        torsion, so the global rank equals the local length.
+        Requires a power m^D multiplying x into y; the quotient is then
+        torsion, so its global dimension equals the local length.  Standard
+        monomials form a basis of a quotient by an ideal, so for y inside
+        x + y the dimension of (x + y)/y is the number of monomials in
+        lead(x + y) outside lead(y).  Each of them lies below degree D plus
+        the largest lead degree of x + y, because m^D (x + y) lies in y, so
+        both complements are counted in that box.
         """
         if not x.contains_ideal(y):
             raise NotNested("subquotient requires the second ideal inside the first")
@@ -263,44 +268,10 @@ class LocalRing:
             raise NotFiniteLength(
                 f"no power of m up to {SUBQUOTIENT_POWER_BOUND} multiplies the "
                 "first ideal into the second")
-        rows = []
-        for g in gens:
-            rows.append(g.as_dict())
-            for deg in range(1, D):
-                for u in self.ctx.monomials_of_degree(deg):
-                    r = nf(g.shift(u))
-                    if not r.is_zero:
-                        rows.append(r.as_dict())
-        return _dict_rank(rows, self.ctx)
-
-
-def _dict_rank(rows, ctx: PolyContext) -> int:
-    """Rank of term-dict rows by Gaussian elimination on the monomial key."""
-    field = ctx.field
-    key = ctx.key
-    pivots: dict = {}
-    rank = 0
-    for row in rows:
-        row = dict(row)
-        while row:
-            piv = max(row, key=key)
-            hit = pivots.get(piv)
-            if hit is None:
-                inv = field.inv(row[piv])
-                row = {m: field.mul(inv, c) for m, c in row.items()}
-                pivots[piv] = row
-                rank += 1
-                break
-            c = row.pop(piv)
-            for m, pc in hit.items():
-                if m == piv:
-                    continue
-                nv = field.sub(row.get(m, field.zero), field.mul(c, pc))
-                if nv:
-                    row[m] = nv
-                else:
-                    row.pop(m, None)
-    return rank
+        leads = (x + y).gb().leads
+        box = (D + max(map(sum, leads)),) * self.nvars
+        return (monomial.count_box_complement(box, gb_y.leads)
+                - monomial.count_box_complement(box, leads))
 
 
 class IdealHandle:
@@ -469,12 +440,13 @@ class IdealHandle:
         G = self.gb()
         if G.is_unit_ideal():
             return 0
-        sm = standard_monomials(G)
-        if not sm.finite:
+        leads = G.leads
+        bounds = monomial.pure_power_bounds(leads, self.ring.nvars)
+        if bounds is None:
             return None
         ctx = self.ring.ctx
         nf = G.normal_form
-        for i, bound in enumerate(sm.bounds):
+        for i, bound in enumerate(bounds):
             cap = max(_PURE_POWER_CAP, 6 * bound + 8)
             e = bound
             while e <= cap:
@@ -483,7 +455,7 @@ class IdealHandle:
                 e += 1
             else:
                 return None
-        return monomial.count_box_complement(sm.bounds, sm.leads)
+        return monomial.count_box_complement(bounds, leads)
 
     def finite_colength(self) -> int:
         v = self.colength()

@@ -6,7 +6,7 @@ the keys heap-friendly and negatable componentwise.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -37,19 +37,6 @@ class MonomialOrder:
         out.append(sum(tail))
         out.extend(-c for c in reversed(tail))
         return tuple(out)
-
-    def compare(self, u: tuple, v: tuple) -> int:
-        ku, kv = self.key(u), self.key(v)
-        if ku < kv:
-            return -1
-        if ku > kv:
-            return 1
-        return 0
-
-    def eliminates(self, k: int) -> bool:
-        """True when monomials free of the first k variables sort below any
-        monomial involving them."""
-        return self.kind == "lex" or (self.kind.startswith("elim") and self.block >= k)
 
 
 def grevlex(nvars: int) -> MonomialOrder:

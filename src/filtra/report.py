@@ -11,11 +11,10 @@ from .checkers import (compute_boundary_data, evaluate_conditions,
                        evaluate_structural, run_checks)
 from .config import ConfigError, JobConfig, validate_report
 from .fields import field_from_descriptor
-from .filtration import (ADIC, EXPLICIT, RATLIFF_RUSH, Filtration,
-                         HorizonExceeded, NotAdmissible,
-                         RatliffRushNotStabilized, SearchExhausted,
-                         find_reduction, reduction_system, reduction_tail,
-                         verify_admissible)
+from .filtration import (ADIC, EXPLICIT, Filtration, HorizonExceeded,
+                         NotAdmissible, RatliffRushNotStabilized,
+                         SearchExhausted, explicit_filtration, find_reduction,
+                         reduction_system, reduction_tail, verify_admissible)
 from .hilbert import HorizonTooSmall, NoPolynomialTail
 from .ideals import (LocalRing, NotFiniteLength, NotMPrimary, NotNested,
                      SaturationNotStabilized)
@@ -38,13 +37,9 @@ _INPUT_ERRORS = (ConfigError, NotAdmissible, HorizonTooSmall, NoPolynomialTail,
 
 def build_filtration(ring: LocalRing, cfg: JobConfig) -> Filtration:
     cap = cfg.horizon + 8
-    stage_one = ring.ideal(cfg.stages[1])
-    if cfg.kind == ADIC:
-        return Filtration(ring, ADIC, stage_one, hard_cap=cap)
-    if cfg.kind == RATLIFF_RUSH:
-        return Filtration(ring, RATLIFF_RUSH, stage_one, hard_cap=cap)
-    handles = {n: ring.ideal(g) for n, g in cfg.stages.items() if n >= 2}
-    return Filtration(ring, EXPLICIT, stage_one, explicit=handles, hard_cap=cap)
+    if cfg.kind == EXPLICIT:
+        return explicit_filtration(ring, cfg.stages, hard_cap=cap)
+    return Filtration(ring, cfg.kind, ring.ideal(cfg.stages[1]), hard_cap=cap)
 
 
 def _strict_warnings(filt: Filtration, red, horizon: int) -> list:

@@ -287,6 +287,19 @@ def test_out_of_range_coefficients(cusp):
     assert data.sally.e_coeff(7) == 0
 
 
+def test_adic_collapse_reads_the_graded_clause(cusp):
+    """Under its gate the torsion is zero, so the intersection half of
+    adic_collapse is the structural graded clause, and the check reports
+    that clause's witness."""
+    data, conditions, structural, by = cusp
+    assert by["adic_collapse"]["status"] == "pass"
+    graded = {"holds": False, "range": [1, 9], "witness": {"n": 4, "generator": "x"}}
+    failing = dict(structural, clause_graded=graded)
+    (check,) = run_checks(data, conditions, failing, selected=("adic_collapse",))
+    assert check["status"] == "fail"
+    assert check["details"] == {"intersection_failed_at": 4}
+
+
 # -- gates -----------------------------------------------------------------
 
 def skipped_names(data, conditions, structural):

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from filtra import groebner
 from filtra.config import load_config
-from filtra.fields import (DEFAULT_PRIME, PrimeField, QQ, Rationals,
-                           field_from_descriptor, is_prime)
+from filtra.fields import (PrimeField, QQ, Rationals, field_from_descriptor,
+                           is_prime)
 from filtra.ideals import LocalRing
 from filtra.parser import parse_polynomial
 from filtra.poly import Polynomial
@@ -88,10 +88,6 @@ def test_from_int_is_a_homomorphism(n):
     F = F101
     assert F.from_int(n) == n % 101
     assert F.from_int(n + 1) == F.add(F.from_int(n), F.one)
-
-
-def test_default_prime_is_prime():
-    assert is_prime(DEFAULT_PRIME)
 
 
 # -- canonical form of the rationals ---------------------------------------

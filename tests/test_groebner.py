@@ -12,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 from filtra import groebner
 from filtra.config import parse_config
 from filtra.fields import PrimeField, QQ
-from filtra.groebner import (clear_cache, count_box_complement, eliminate,
-                             groebner_basis, InfiniteSetEnumerationRequested,
-                             lead_ideal_dimension, standard_monomials)
+from filtra.groebner import (clear_cache, eliminate, groebner_basis,
+                             lead_ideal_dimension)
+from filtra.monomial import count_box_complement, pure_power_bounds
 from filtra.orders import elimination_block, grevlex, lex
 from filtra.parser import parse_polynomial
 from filtra.poly import PolyContext, Polynomial, mono_divides
@@ -122,11 +122,10 @@ def test_staircase_length_oracle_100():
         # monomial input: the reduced basis is exactly the minimal gens
         assert sorted(p.lead_monomial() for p in g.polys) == sorted(gens)
         assert all(p.is_monomial() for p in g.polys)
-        sm = standard_monomials(g)
-        assert sm.finite
-        bounds = [b + 1 for b in sm.bounds]
-        assert sm.count() == brute_standard_count(gens, bounds)
-        assert sm.count() == len(list(sm.enumerate()))
+        bounds = pure_power_bounds(g.leads, nvars)
+        assert bounds is not None
+        count = count_box_complement(bounds, g.leads)
+        assert count == brute_standard_count(gens, [b + 1 for b in bounds])
         checked += 1
     assert checked >= 100
 
@@ -355,23 +354,19 @@ def test_eliminate_semigroup_parametrization():
     assert got == ["x^2*y - z^2", "x^3 - y*z", "y^2 - x*z"]
 
 
-# -- standard monomial sets ------------------------------------------------
+# -- staircases of lead ideals ---------------------------------------------
 
-def test_standard_monomials_finite():
+def test_staircase_count_finite():
     polys = [parse_polynomial(s, CTX2) for s in ["x^3", "x*y", "y^2"]]
     g = groebner_basis(polys, ctx=CTX2)
-    sm = standard_monomials(g)
-    assert sm.finite and sm.count() == 4
-    listed = [str(Polynomial.monomial(CTX2, m)) for m in sm.enumerate()]
-    assert listed == ["1", "x", "y", "x^2"]
+    bounds = pure_power_bounds(g.leads, 2)
+    assert bounds == (3, 2)
+    assert count_box_complement(bounds, g.leads) == 4
 
 
-def test_standard_monomials_infinite():
+def test_staircase_bounds_infinite():
     g = groebner_basis([parse_polynomial("x", CTX2)], ctx=CTX2)
-    sm = standard_monomials(g)
-    assert not sm.finite
-    with pytest.raises(InfiniteSetEnumerationRequested):
-        list(sm.enumerate())
+    assert pure_power_bounds(g.leads, 2) is None
     assert lead_ideal_dimension(g) == 1
 
 

@@ -10,7 +10,7 @@ import random
 import pytest
 
 from filtra.hilbert import (HorizonTooSmall, NoPolynomialTail, binom,
-                            fit_hilbert_samuel, fit_sally)
+                            fit_binomial, fit_hilbert_samuel, fit_sally)
 
 
 def test_binom_conventions():
@@ -50,6 +50,27 @@ def test_round_trip_random_coefficients():
             assert fit.value(n) == values[n]
         if fit.postulation > 0:
             assert fit.value(fit.postulation - 1) != values[fit.postulation - 1]
+
+
+def test_round_trip_shift_zero():
+    """The graded-module basis C(n + k - i, k - i) of ``fit_sally``: the
+    fitter returns the drawn coefficients and the postulation index."""
+    rng = random.Random(31415)
+    for _ in range(40):
+        k = rng.randint(0, 2)
+        e = tuple(rng.randint(-6, 9) for _ in range(k + 1))
+        values = [sum((-c if i % 2 else c) * binom(n + k - i, k - i)
+                      for i, c in enumerate(e)) for n in range(11)]
+        cut = rng.randint(0, 3)
+        for j in range(cut):
+            values[j] += rng.randint(1, 5)
+        coeffs, n0 = fit_binomial(values, k, 0)
+        assert coeffs == e
+        assert n0 <= cut
+        if e[0] > 0:
+            fit = fit_sally(values, k + 1)
+            assert fit.e_top == e and fit.e == e
+            assert fit.dim == k + 1 and fit.postulation == n0
 
 
 def test_fit_against_sympy_solver():

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from filtra import ideals, monomial
 from filtra.config import load_config
-from filtra.fields import QQ
+from filtra.fields import QQ, PrimeField
 from filtra.ideals import (IdealHandle, LocalRing, NotFiniteLength, NotMPrimary,
                            NotNested)
 from filtra.parser import parse_polynomial
@@ -88,6 +88,58 @@ def test_subquotient_refusals():
         PLANE.subquotient_length(m.power(2), m)
     with pytest.raises(NotFiniteLength):
         PLANE.subquotient_length(PLANE.ideal(["x"]), PLANE.zero_ideal())
+
+
+def test_subquotient_length_counts_the_sum_when_nesting_is_only_local():
+    """(x - x^2, y) contains (x^2, y) only locally: in k[x, y] it also
+    vanishes at (1, 0) and misses x^2.  The length of the local quotient
+    m/(x^2, y) is one."""
+    upper = PLANE.ideal(["x - x^2", "y"])
+    lower = PLANE.ideal(["x^2", "y"])
+    assert not upper.normal_form("x^2").is_zero
+    assert PLANE.subquotient_length(upper, lower) == 1
+
+
+SUBQUOTIENT_RINGS = tuple(LocalRing(names, field=field)
+                          for names in (("x", "y"), ("x", "y", "z"))
+                          for field in (QQ, PrimeField(101)))
+
+
+@st.composite
+def m_primary_ideal(draw, ring, top):
+    """Pure powers of every variable plus one or two monomials or binomials."""
+    n = ring.nvars
+    expo = st.tuples(*[st.integers(0, top)] * n).filter(any)
+
+    def mono(e):
+        return Polynomial.monomial(ring.ctx, e)
+
+    gens = [mono(tuple(e if j == i else 0 for j in range(n)))
+            for i, e in enumerate(draw(st.tuples(*[st.integers(1, top)] * n)))]
+    for _ in range(draw(st.integers(1, 2))):
+        g = mono(draw(expo))
+        if draw(st.booleans()):
+            c = ring.field.from_int(draw(st.sampled_from((1, 2, -3))))
+            g = g - mono(draw(expo)).scale(c)
+        gens.append(g)
+    return ring.ideal(gens)
+
+
+@st.composite
+def nested_m_primary_pair(draw):
+    """(x, y) with y inside x, both m-primary: (I, I J) or (I + J, I)."""
+    ring = draw(st.sampled_from(SUBQUOTIENT_RINGS))
+    top = 3 if ring.nvars == 2 else 2
+    I = draw(m_primary_ideal(ring, top))
+    J = draw(m_primary_ideal(ring, 2))
+    return (ring, I, I * J) if draw(st.booleans()) else (ring, I + J, I)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nested_m_primary_pair())
+def test_subquotient_length_is_a_colength_difference(case):
+    ring, x, y = case
+    assert ring.subquotient_length(x, y) == y.finite_colength() - x.finite_colength()
 
 
 def test_non_primary_refusal():
