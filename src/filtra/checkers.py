@@ -123,7 +123,18 @@ def evaluate_conditions(ring: LocalRing, filt: Filtration, red: ReductionSystem,
 # -- structural criterion --------------------------------------------------
 
 def evaluate_structural(data: BoundaryData, W: IdealHandle) -> dict:
-    """The three-clause structural condition with per-clause witnesses."""
+    """The three-clause structural condition with per-clause witnesses.
+
+    The graded clause (Q^n + W) meet (I_{n+1} + W) = Q^n I_1 + W is decided
+    by lengths.  It assumes the filtration passed ``verify_admissible``: that
+    proves Q inside I_1, the chain and I_a I_b inside I_{a+b} for a + b <= H,
+    so the right side lies in both terms of the meet.  With a = Q^n + W and
+    b = I_{n+1} + W, all m-primary, the exact sequence
+    0 -> A/(a meet b) -> A/a + A/b -> A/(a + b) -> 0 gives
+    l(A/(a meet b)) = l(A/a) + l(A/b) - l(A/(a + b)), and the clause holds
+    iff that equals l(A/(Q^n I_1 + W)).  Only a failing n builds the meet,
+    for its witness: the first of its generators outside the right side.
+    """
     filt, red, H = data.filt, data.red, data.horizon
     ring = data.ring
     I1, I2 = filt.i1, filt.get_ideal(2)
@@ -138,10 +149,11 @@ def evaluate_structural(data: BoundaryData, W: IdealHandle) -> dict:
 
     graded = {"holds": True, "range": [1, H - 1], "witness": None}
     for n in range(1, H):
-        left = (data.q_powers[n] + W).intersect(filt.get_ideal(n + 1) + W)
+        a, b = data.q_powers[n] + W, filt.get_ideal(n + 1) + W
         right = data.q_powers[n] * I1 + W
-        if not left.equals_local(right):
-            bad = right.missing_generator(left)
+        meet = a.finite_colength() + b.finite_colength() - (a + b).finite_colength()
+        if meet != right.finite_colength():
+            bad = right.missing_generator(a.intersect(b))
             graded = {"holds": False, "range": [1, H - 1],
                       "witness": {"n": n, "generator": None if bad is None else str(bad)}}
             break

@@ -79,6 +79,8 @@ class Rationals:
         return self.div(1, a)
 
     def div(self, a, b):
+        if type(a) is int and type(b) is int and a % b == 0:
+            return a // b
         # through Fraction: int / int would be a float
         return canonical(Fraction(a) / b)
 

@@ -5,22 +5,27 @@ A ring is k[x1..xn]/J with the maximal ideal m = (x1..xn).  Ideal handles
 carry generators reduced modulo a fixed Groebner basis of J.  The
 constructive operations (sum, product, intersection, colon, saturation)
 commute with localization, so a handle is a faithful presentation of its
-localized ideal.  Membership, containment and equality are decided
-locally through colon ideals; colengths are certified finite by exhibiting
-a power of each variable inside the ideal, which pins the support to the
-origin and makes the global standard-monomial count equal the local length.
+localized ideal.  Colengths are certified finite by exhibiting a power of
+each variable inside the ideal, which pins the support to the origin and
+makes the global standard-monomial count equal the local length.  Such a
+certified m-primary ideal is contracted from the localization (Atiyah-
+Macdonald, Prop. 4.8), so membership in it is a zero normal form and
+equality of two of them is equality of reduced bases.  For any other ideal
+membership, containment and equality are decided locally through colon
+ideals.
 
 When the relations and the generators are all monomials, membership of a
 monomial, products, intersections, colons by a monomial and colengths are
 computed on exponent vectors by the monomial layer (``monomial.py``) instead.
 
-A ring lives for one job and memoizes its colons by an element and its
-intersections, keyed by the presentation of the inputs: the generators of
-each handle and the terms of the reduced divisor.  The key is not the
-reduced basis, because the route taken (monomial layer or elimination) and
-so the printed generators of the result depend on the presentation.
-Ratliff-Rush closures ask for the same colons stage after stage, and the
-memo answers the repeats.
+A ring lives for one job and memoizes its products, its colons by an
+element and its intersections, keyed by the presentation of the inputs: the
+generators of each handle and the terms of the reduced divisor.  The key is
+not the reduced basis, because the route taken (monomial layer or
+elimination) and so the printed generators of the result depend on the
+presentation.  Ratliff-Rush closures ask for the same colons stage after
+stage, a job asks for the same products check after check, and the memo
+answers the repeats.
 """
 from __future__ import annotations
 
@@ -114,7 +119,7 @@ class LocalRing:
             if all(g.is_monomial() for g in self.gb_relations.polys) else None)
         self._torsion = None
         self._cm: dict = {}  # is_cm_via_parameters by parameter tuple
-        self._ops: dict = {}  # colon and intersect results by presentation
+        self._ops: dict = {}  # product, colon and intersect results by presentation
 
     @property
     def nvars(self) -> int:
@@ -313,13 +318,17 @@ class IdealHandle:
     # -- membership and comparison (local semantics) ------------------
 
     def contains_element(self, f) -> bool:
-        """Local membership at the origin, via a colon when reduction fails."""
+        """Local membership at the origin.  A certified m-primary ideal is
+        contracted from the localization, so its global normal form decides;
+        any other ideal takes a colon when reduction fails."""
         f = _as_poly(self.ring, f)
         mine = self.monomials
         if mine is not None and f.is_monomial():
             return monomial.contains(mine, f.lead_monomial())
         if self.normal_form(f).is_zero:
             return True
+        if self.colength() is not None:
+            return False
         c = self.colon(f)
         return c.is_unit
 
@@ -335,17 +344,31 @@ class IdealHandle:
         # mean equal ideals whatever generators present them
         if self.gb().polys == other.gb().polys:
             return True
+        # two certified m-primary ideals are contracted from the
+        # localization, so different global bases mean different ideals
+        if self.colength() is not None and other.colength() is not None:
+            return False
         return self.contains_ideal(other) and other.contains_ideal(self)
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "IdealHandle") -> "IdealHandle":
+        # a handle's generators are already normalized, so adding zero
+        # returns the handle itself, with its basis and colength
+        if not other.gens:
+            return self
+        if not self.gens:
+            return other
         return self.ring._make(list(self.gens) + list(other.gens))
 
     def __mul__(self, other) -> "IdealHandle":
         ring = self.ring
         if isinstance(other, Polynomial) or isinstance(other, (str, int)):
             other = ring.ideal([other])
+        return ring._memo(("mul", self.gens, other.gens), self._mul, other)
+
+    def _mul(self, other: "IdealHandle") -> "IdealHandle":
+        ring = self.ring
         mine, theirs = self.monomials, other.monomials
         if mine is not None and theirs is not None:
             return ring._from_monomials(monomial.product(mine, theirs))
@@ -448,12 +471,16 @@ class IdealHandle:
         nf = G.normal_form
         for i, bound in enumerate(bounds):
             cap = max(_PURE_POWER_CAP, 6 * bound + 8)
-            e = bound
-            while e <= cap:
-                if nf(Polynomial.monomial(ctx, ctx.var_mono(i, e))).is_zero:
+            # r = nf(x_i^e) for e = bound..cap, stepped as nf(r * x_i): r
+            # differs from x_i^e by a member of the ideal, so r * x_i
+            # differs from x_i^(e+1) by one too
+            step = ctx.var_mono(i, 1)
+            r = nf(Polynomial.monomial(ctx, ctx.var_mono(i, bound)))
+            for _ in range(cap - bound):
+                if r.is_zero:
                     break
-                e += 1
-            else:
+                r = nf(r.shift(step))
+            if not r.is_zero:
                 return None
         return monomial.count_box_complement(bounds, leads)
 

@@ -9,12 +9,16 @@ from dataclasses import replace
 
 import pytest
 
+from filtra import report
 from filtra.checkers import (ALL_CHECKS, compute_boundary_data,
                              evaluate_conditions, evaluate_structural,
                              run_checks)
+from filtra.config import load_config, parse_config
 from filtra.filtration import (adic_filtration, explicit_filtration,
                                ratliff_rush_filtration, reduction_system)
 from filtra.ideals import LocalRing
+
+from conftest import CORPUS_DIR
 
 
 def pipeline(ring, filt, red_gens, horizon, power_bound=2):
@@ -389,3 +393,61 @@ def test_skipped_checks_keep_their_details(plane, depth_zero, sally_closed):
         "details": {"torsion_generators": ["x"]}}
     assert sally_closed[3]["base_reduction_equal"]["details"] == {
         "stage_one_is_reduction": False}
+
+
+# -- the graded clause by lengths, against the intersection ----------------
+
+GRADED_JOBS = [
+    {"name": "curve_3_4", "field": "q",
+     "ring": {"variables": ["x", "y"], "relations": ["y^3 - x^4"]},
+     "filtration": {"kind": "adic", "stages": {"1": ["x", "y"]}},
+     "reduction": {"generators": ["x"]}},
+    {"name": "curve_2_5", "field": "fp:32003",
+     "ring": {"variables": ["x", "y"], "relations": ["y^2 - x^5 + 3*x^4*y"]},
+     "filtration": {"kind": "adic", "stages": {"1": ["x", "y"]}},
+     "reduction": {"generators": ["x"]}},
+    {"name": "monomial_2", "field": "q", "horizon": 6,
+     "ring": {"variables": ["x", "y"]},
+     "filtration": {"kind": "adic", "stages": {"1": ["x^3", "y^3", "x*y^2"]}},
+     "reduction": {"generators": ["x^3", "y^3"]}},
+    {"name": "monomial_3", "field": "fp:101", "horizon": 6,
+     "ring": {"variables": ["x", "y", "z"]},
+     "filtration": {"kind": "adic", "stages": {"1": ["x^2", "y^2", "z^2", "x*z"]}},
+     "reduction": {"generators": ["x^2", "y^2", "z^2"]}},
+]
+
+
+def graded_clause_by_intersection(data, W):
+    """The graded clause as it is defined: build the meet and compare."""
+    filt, H = data.filt, data.horizon
+    for n in range(1, H):
+        left = (data.q_powers[n] + W).intersect(filt.get_ideal(n + 1) + W)
+        right = data.q_powers[n] * filt.i1 + W
+        if not left.equals_local(right):
+            return {"n": n, "generator": str(right.missing_generator(left))}
+    return None
+
+
+def test_graded_clause_by_lengths_matches_the_intersection(monkeypatch):
+    """Over every corpus job that reaches the structural condition and four
+    generated ones, the length route decides the graded clause, and names
+    the witness, exactly as building (Q^n + W) meet (I_{n+1} + W) does."""
+    seen = {}
+    structural = report.evaluate_structural
+
+    def compared(data, W):
+        out = structural(data, W)
+        graded = out["clause_graded"]
+        assert graded["witness"] == graded_clause_by_intersection(data, W)
+        assert graded["holds"] == (graded["witness"] is None)
+        seen[data.filt.ring.name] = graded
+        return out
+
+    monkeypatch.setattr(report, "evaluate_structural", compared)
+    configs = [load_config(p) for p in sorted(CORPUS_DIR.glob("*.json"))]
+    configs += [parse_config(job) for job in GRADED_JOBS]
+    for cfg in configs:
+        report.run_job(cfg)
+    assert {"curve_3_4", "curve_2_5", "monomial_2", "monomial_3",
+            "sally_nonzero", "cusp", "two_planes"} <= set(seen)
+    assert seen["sally_nonzero"]["witness"] == {"n": 1, "generator": "x^2*y^6"}

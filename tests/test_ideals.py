@@ -11,8 +11,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from filtra import ideals, monomial
-from filtra.config import load_config
+from filtra import groebner, ideals, monomial
+from filtra.config import load_config, parse_config
 from filtra.fields import QQ, PrimeField
 from filtra.ideals import (IdealHandle, LocalRing, NotFiniteLength, NotMPrimary,
                            NotNested)
@@ -276,16 +276,18 @@ def test_cm_certificate_runs_once_per_job(monkeypatch):
     assert len(calls) == 1
 
 @pytest.mark.parametrize("name, colons, intersections", [
-    ("sally_rr_equality.json", 88, 28),
-    ("regular_d3.json", 117, 8),
-    ("two_planes.json", 29, 12),
+    pytest.param("sally_rr_equality.json", 88, 17, id="sally_rr_equality"),
+    pytest.param("regular_d3.json", 117, 1, id="regular_d3"),
+    pytest.param("two_planes.json", 27, 3, id="two_planes"),
 ])
 def test_computed_colons_and_intersections(monkeypatch, name, colons, intersections):
     """Noise-free work count: colons by an element and intersections that
     are computed rather than answered from the ring's memo.  Each computed
     one reaches the monomial layer or the t-trick elimination, once.
     Without the memo, and with closures dividing by the generators of I^k
-    instead of I, these jobs compute 258/188, 601/15 and 68/12."""
+    instead of I, these jobs compute 258/188, 601/15 and 68/12.  Deciding
+    the graded clause by lengths, and membership in a certified m-primary
+    ideal by its normal form, took them from 88/28, 117/8 and 29/12."""
     count = Counter()
     ambient, mono_colon, mono_meet = (
         ideals._intersection_in_ambient, monomial.colon, monomial.intersect)
@@ -308,6 +310,97 @@ def test_computed_colons_and_intersections(monkeypatch, name, colons, intersecti
     report = run_job(load_config(CORPUS_DIR / name))
     assert report["verdict"] == "verified"
     assert (count["colon"], count["intersect"]) == (colons, intersections)
+
+
+def test_curve_job_eliminations_and_buchberger_runs(monkeypatch):
+    """Noise-free work count on the plane curve y^3 = x^4 with I_1 = m and
+    Q = (x), starting from an empty memo of bases: t-trick eliminations and
+    general Buchberger runs.  Before the graded clause was decided by
+    lengths, the job took 18 and 88."""
+    count = Counter()
+    ambient, raw = ideals._intersection_in_ambient, groebner._buchberger_raw
+
+    def counted_ambient(*args, **kwargs):
+        count["eliminations"] += 1
+        return ambient(*args, **kwargs)
+
+    def counted_raw(*args, **kwargs):
+        count["buchberger"] += 1
+        return raw(*args, **kwargs)
+
+    monkeypatch.setattr(ideals, "_intersection_in_ambient", counted_ambient)
+    monkeypatch.setattr(groebner, "_buchberger_raw", counted_raw)
+    groebner.clear_cache()
+    report = run_job(parse_config({
+        "name": "curve_3_4", "field": "q",
+        "ring": {"variables": ["x", "y"], "relations": ["y^3 - x^4"]},
+        "filtration": {"kind": "adic", "stages": {"1": ["x", "y"]}},
+        "reduction": {"generators": ["x"]}}))
+    assert report["verdict"] == "verified"
+    assert (count["eliminations"], count["buchberger"]) == (4, 78)
+
+
+# -- certified m-primary ideals are answered globally -----------------------
+
+def test_certified_m_primary_membership_takes_no_colon(monkeypatch):
+    """A certified m-primary ideal is contracted from the localization, so a
+    nonzero normal form already means "not a member": no colon is taken.
+    An ideal without the certificate still takes the colon."""
+    def refuse(self, divisor):
+        raise AssertionError(f"colon of {self!r} by {divisor}")
+
+    I = CUSP.ideal(["x^2", "y"])
+    J = CUSP.ideal(["x^2", "x*y", "y^2"])
+    line = PLANE.ideal(["x - x^2"])   # locally (x): 1 - x is a unit at the origin
+    assert I.colength() is not None and J.colength() is not None
+    assert line.colength() is None
+    monkeypatch.setattr(IdealHandle, "colon", refuse)
+    assert not I.contains_element("x")
+    assert not I.contains_element("x + y")
+    assert I.contains_element("x^3 + y")
+    assert not J.contains_element("y")
+    assert not I.equals_local(J)
+    assert not J.equals_local(I)
+    with pytest.raises(AssertionError, match="colon of"):
+        line.contains_element("x")
+
+
+def colon_member(I, f):
+    """Local membership through the colon, the route for any ideal."""
+    return I.normal_form(f).is_zero or I.colon(f).is_unit
+
+
+@st.composite
+def membership_case(draw):
+    """An m-primary ideal of a ring in 2 or 3 variables over QQ or F_101, a
+    second ideal and an element.  The second is another m-primary ideal
+    (J or I J), the first written another way (I + I J), or the first
+    times a unit, which has no certificate and so takes the colon route."""
+    ring = draw(st.sampled_from(SUBQUOTIENT_RINGS))
+    top = 3 if ring.nvars == 2 else 2
+    I = draw(m_primary_ideal(ring, top))
+    J = draw(m_primary_ideal(ring, 2))
+    other = draw(st.sampled_from(("other", "sum", "product", "rescaled")))
+    other = {"other": J, "sum": I + I * J, "product": I * J,
+             "rescaled": unit_rescaled(I)}[other]
+    expo = st.tuples(*[st.integers(0, top)] * ring.nvars)
+    f = Polynomial.monomial(ring.ctx, draw(expo))
+    if draw(st.booleans()):
+        f = f + Polynomial.monomial(ring.ctx, draw(expo)).scale(
+            ring.field.from_int(draw(st.sampled_from((1, -1, 2)))))
+    return I, other, f
+
+
+@settings(max_examples=40, deadline=None)
+@given(membership_case())
+def test_certified_membership_and_equality_match_the_colon_route(case):
+    I, other, f = case
+    assert I.contains_element(f) == colon_member(I, f)
+    assert other.contains_element(f) == colon_member(other, f)
+    both_ways = (all(colon_member(I, g) for g in other.gens)
+                 and all(colon_member(other, g) for g in I.gens))
+    assert I.equals_local(other) == both_ways
+    assert other.equals_local(I) == both_ways
 
 
 # -- dual computation routes ----------------------------------------------
