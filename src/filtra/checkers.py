@@ -37,7 +37,6 @@ class BoundaryData:
     fit_red: PolynomialFit
     sally_values: list
     sally: SallyFit
-    q_powers: dict
     stage_one_colength: int
     graded_colength: int      # l(I_1 / (I_2 + Q))
     lhs: int
@@ -61,17 +60,15 @@ class BoundaryData:
 def compute_boundary_data(ring: LocalRing, filt: Filtration, red: ReductionSystem,
                           horizon: int) -> BoundaryData:
     d = ring.dimension
-    q_powers = {0: ring.unit_ideal()}
-    for n in range(1, horizon + 1):
-        q_powers[n] = q_powers[n - 1] * red.handle
+    Q = red.handle
     h_filt = [filt.get_ideal(n).finite_colength() for n in range(horizon + 1)]
-    h_red = [q_powers[n].finite_colength() for n in range(horizon + 1)]
+    h_red = [Q.power(n).finite_colength() for n in range(horizon + 1)]
     fit_filt = fit_hilbert_samuel(h_filt, d)
     fit_red = fit_hilbert_samuel(h_red, d)
     sally_values = []
     I1 = filt.i1
     for n in range(horizon):
-        val = (q_powers[n] * I1).finite_colength() - h_filt[n + 1]
+        val = (Q.power(n) * I1).finite_colength() - h_filt[n + 1]
         if val < 0:
             raise NotAdmissible(
                 f"stage {n + 1} is smaller than reduction-power times stage one",
@@ -79,7 +76,7 @@ def compute_boundary_data(ring: LocalRing, filt: Filtration, red: ReductionSyste
         sally_values.append(val)
     sally = fit_sally(sally_values, d)
     I2 = filt.get_ideal(2)
-    graded_colength = ring.subquotient_length(I1, I2 + red.handle)
+    graded_colength = ring.subquotient_length(I1, I2 + Q)
     ell_i1 = h_filt[1]
     lhs = fit_filt.coefficients[1] - fit_red.coefficients[1]
     rhs = 2 * fit_filt.coefficients[0] - 2 * ell_i1 - graded_colength
@@ -87,7 +84,7 @@ def compute_boundary_data(ring: LocalRing, filt: Filtration, red: ReductionSyste
     return BoundaryData(
         ring=ring, filt=filt, red=red, horizon=horizon,
         h_filt=h_filt, h_red=h_red, fit_filt=fit_filt, fit_red=fit_red,
-        sally_values=sally_values, sally=sally, q_powers=q_powers,
+        sally_values=sally_values, sally=sally,
         stage_one_colength=ell_i1, graded_colength=graded_colength,
         lhs=lhs, rhs=rhs, gap=gap, equality=(gap == 0),
         second_nonnegative=(rhs >= 0))
@@ -136,12 +133,12 @@ def evaluate_structural(data: BoundaryData, W: IdealHandle) -> dict:
     for its witness: the first of its generators outside the right side.
     """
     filt, red, H = data.filt, data.red, data.horizon
-    ring = data.ring
+    Q = red.handle
     I1, I2 = filt.i1, filt.get_ideal(2)
 
     collapse = {"holds": True, "range": [1, H - 2], "witness": None}
     for n in range(1, H - 1):
-        bad = (data.q_powers[n] * I2 + W).missing_generator(filt.get_ideal(n + 2))
+        bad = (Q.power(n) * I2 + W).missing_generator(filt.get_ideal(n + 2))
         if bad is not None:
             collapse = {"holds": False, "range": [1, H - 2],
                         "witness": {"n": n, "generator": str(bad)}}
@@ -149,8 +146,8 @@ def evaluate_structural(data: BoundaryData, W: IdealHandle) -> dict:
 
     graded = {"holds": True, "range": [1, H - 1], "witness": None}
     for n in range(1, H):
-        a, b = data.q_powers[n] + W, filt.get_ideal(n + 1) + W
-        right = data.q_powers[n] * I1 + W
+        a, b = Q.power(n) + W, filt.get_ideal(n + 1) + W
+        right = Q.power(n) * I1 + W
         meet = a.finite_colength() + b.finite_colength() - (a + b).finite_colength()
         if meet != right.finite_colength():
             bad = right.missing_generator(a.intersect(b))
@@ -159,7 +156,7 @@ def evaluate_structural(data: BoundaryData, W: IdealHandle) -> dict:
             break
 
     colon = {"holds": True, "witness": None}
-    i2q = I2 + red.handle
+    i2q = I2 + Q
     for i in range(red.count):
         bad = i2q.missing_generator(red.omit_handle(i).colon(red.generators[i]))
         if bad is not None:
@@ -205,7 +202,7 @@ def check_adic_collapse(data: BoundaryData) -> dict:
     detail = {}
     ok = True
     for n in range(1, H - 1):
-        target = data.q_powers[n] * I1
+        target = data.red.handle.power(n) * I1
         if not target.contains_ideal(filt.get_ideal(n + 2)):
             ok = False
             detail["containment_failed_at"] = n
@@ -395,7 +392,7 @@ def check_small_stage_two_collapse(data: BoundaryData) -> dict:
     svan = data.sally.vanishes
     stages_ok = True
     for n in range(1, H):
-        if not filt.get_ideal(n + 1).equals_local(data.q_powers[n] * filt.i1):
+        if not filt.get_ideal(n + 1).equals_local(data.red.handle.power(n) * filt.i1):
             stages_ok = False
             break
     return _check("small_stage_two_collapse", cm and svan and stages_ok,
@@ -407,7 +404,7 @@ def check_base_reduction_equal(data: BoundaryData) -> dict:
     ring, filt, H = data.ring, data.filt, data.horizon
     coeffs_equal = data.fit_filt.coefficients == data.fit_red.coefficients
     cm = ring.is_cm_via_parameters(data.red.generators)
-    adic = all(filt.get_ideal(n).equals_local(data.q_powers[n])
+    adic = all(filt.get_ideal(n).equals_local(data.red.handle.power(n))
                for n in range(1, H + 1))
     return _check("base_reduction_equal", coeffs_equal and cm and adic,
                   coefficients_equal=coeffs_equal, cohen_macaulay=cm,
@@ -417,14 +414,12 @@ def check_base_reduction_equal(data: BoundaryData) -> dict:
 def check_fit_stability(data: BoundaryData) -> dict:
     """Recompute both fits with a longer horizon; coefficients must agree."""
     H = data.horizon + STABILITY_MARGIN
-    filt, red = data.filt, data.red
+    filt, Q = data.filt, data.red.handle
     h_filt = list(data.h_filt)
     h_red = list(data.h_red)
-    q = data.q_powers[data.horizon]
     for n in range(data.horizon + 1, H + 1):
         h_filt.append(filt.get_ideal(n).finite_colength())
-        q = q * red.handle
-        h_red.append(q.finite_colength())
+        h_red.append(Q.power(n).finite_colength())
     try:
         long_filt = fit_hilbert_samuel(h_filt, data.d)
         long_red = fit_hilbert_samuel(h_red, data.d)

@@ -58,11 +58,10 @@ class Filtration:
         self.ring = ring
         self.kind = kind
         self.hard_cap = hard_cap
-        self._seed = i1
+        self.seed = i1
         self._stages: dict = {0: ring.unit_ideal()}
         if kind != RATLIFF_RUSH:
             self._stages[1] = i1  # the closure may enlarge stage one
-        self._base_powers: dict = {0: ring.unit_ideal(), 1: i1}
         self._colons: dict = {}  # (m, j) -> I^m : I^j
         if kind == EXPLICIT:
             explicit = explicit or {}
@@ -76,20 +75,13 @@ class Filtration:
     def i1(self) -> IdealHandle:
         return self.get_ideal(1)
 
-    def _base_power(self, n: int) -> IdealHandle:
-        top = max(self._base_powers)
-        while top < n:
-            top += 1
-            self._base_powers[top] = self._base_powers[top - 1] * self._seed
-        return self._base_powers[n]
-
     def _colon_power(self, m: int, j: int) -> IdealHandle:
         """I^m : I^j, built as (I^m : I^{j-1}) : I, so that each colon
         divides by the generators of I rather than by those of I^j."""
         got = self._colons.get((m, j))
         if got is None:
-            got = (self._base_power(m) if j == 0
-                   else self._colon_power(m, j - 1).colon(self._seed))
+            got = (self.seed.power(m) if j == 0
+                   else self._colon_power(m, j - 1).colon(self.seed))
             self._colons[(m, j)] = got
         return got
 
@@ -102,7 +94,7 @@ class Filtration:
         if got is not None:
             return got
         if self.kind == ADIC:
-            out = self._base_power(n)
+            out = self.seed.power(n)
         elif self.kind == RATLIFF_RUSH:
             out = self._colon_closure(n)
         else:

@@ -311,10 +311,6 @@ def eliminate(polys, k: int, ctx: PolyContext | None = None) -> list:
     polys = list(polys)
     if ctx is None:
         ctx = polys[0].ctx
-    elim_ctx = ctx.with_order(elimination_block(k, ctx.nvars))
-    gb = groebner_basis(polys, ctx=elim_ctx)
-    out = []
-    for g in gb.polys:
-        if all(all(m[i] == 0 for i in range(k)) for m, _ in g.terms):
-            out.append(g.convert(ctx))
-    return out
+    gb = groebner_basis(polys, ctx=ctx.with_order(elimination_block(k, ctx.nvars)))
+    return [g if g.ctx is ctx else g.convert(ctx) for g in gb.polys
+            if not any(any(m[:k]) for m, _ in g.terms)]

@@ -17,6 +17,8 @@ ideals.
 When the relations and the generators are all monomials, membership of a
 monomial, products, intersections, colons by a monomial and colengths are
 computed on exponent vectors by the monomial layer (``monomial.py``) instead.
+Every other intersection and colon by an element is one t-trick elimination,
+``_intersection_in_ambient``, which meets its two sides as given.
 
 A ring lives for one job and memoizes its products, its colons by an
 element and its intersections, keyed by the presentation of the inputs: the
@@ -25,7 +27,7 @@ not the reduced basis, because the route taken (monomial layer or
 elimination) and so the printed generators of the result depend on the
 presentation.  Ratliff-Rush closures ask for the same colons stage after
 stage, a job asks for the same products check after check, and the memo
-answers the repeats.
+answers the repeats.  A handle keeps its powers, so each tower is built once.
 """
 from __future__ import annotations
 
@@ -35,7 +37,7 @@ from . import monomial
 from .fields import QQ
 from .groebner import (GroebnerBasis, eliminate, groebner_basis,
                        lead_ideal_dimension)
-from .orders import grevlex
+from .orders import elimination_block, grevlex
 from .poly import Polynomial, PolyContext
 from .parser import parse_polynomial
 
@@ -57,7 +59,6 @@ class SaturationNotStabilized(RuntimeError):
 
 
 SUBQUOTIENT_POWER_BOUND = 40
-_PURE_POWER_CAP = 64
 _SATURATION_CAP = 100
 
 
@@ -221,12 +222,10 @@ class LocalRing:
 
     def is_regular_sequence(self, elements) -> bool:
         elements = [_as_poly(self, g) for g in elements]
-        prior: list = []
-        for g in elements:
-            base = self._make([self.gb_relations.normal_form(p) for p in prior])
+        for i, g in enumerate(elements):
+            base = self.ideal(elements[:i])
             if not base.colon(g).equals_local(base):
                 return False
-            prior.append(g)
         return True
 
     def is_cm_via_parameters(self, parameters) -> bool:
@@ -282,7 +281,8 @@ class LocalRing:
 class IdealHandle:
     """An ideal of a local ring, presented by reduced generators."""
 
-    __slots__ = ("ring", "gens", "monomials", "_gb", "_colength", "_colength_known")
+    __slots__ = ("ring", "gens", "monomials", "_gb", "_colength", "_colength_known",
+                 "_powers")
 
     def __init__(self, ring: LocalRing, gens: tuple):
         self.ring = ring
@@ -296,6 +296,7 @@ class IdealHandle:
         self._gb = None
         self._colength = None
         self._colength_known = False
+        self._powers = None  # [unit, self, self^2, ...] as far as asked
 
     def __repr__(self):
         return f"IdealHandle({', '.join(str(g) for g in self.gens) or '0'})"
@@ -378,12 +379,16 @@ class IdealHandle:
         return out if monos is None else ring._from_monomials(monomial.minimal(monos))
 
     def power(self, n: int) -> "IdealHandle":
+        """self^n, kept on the handle: each new power is the last one times
+        self, so a tower asked for again and again is built once."""
         if n < 0:
             raise ValueError("negative ideal power")
-        acc = self.ring.unit_ideal()
-        for _ in range(n):
-            acc = acc * self
-        return acc
+        powers = self._powers
+        if powers is None:
+            powers = self._powers = [self.ring.unit_ideal(), self]
+        while len(powers) <= n:
+            powers.append(powers[-1] * self)
+        return powers[n]
 
     def intersect(self, other: "IdealHandle") -> "IdealHandle":
         ring = self.ring
@@ -400,9 +405,9 @@ class IdealHandle:
         mine, theirs = self.monomials, other.monomials
         if mine is not None and theirs is not None:
             return ring._from_monomials(monomial.intersect(mine, theirs))
-        big = _intersection_in_ambient(
-            ring, list(self.gens), list(other.gens))
-        return ring.ideal(big)
+        rels = list(ring.gb_relations.polys)
+        return ring.ideal(_intersection_in_ambient(
+            ring, list(self.gens) + rels, list(other.gens) + rels))
 
     def colon(self, divisor) -> "IdealHandle":
         """(self : divisor) for a single element or a finitely generated ideal."""
@@ -425,9 +430,10 @@ class IdealHandle:
         mine = self.monomials
         if mine is not None and g.is_monomial():
             return ring._from_monomials(monomial.colon(mine, g.lead_monomial()))
+        # the right side is (g) alone, not (g) + J, so that every element
+        # of the meet is a true multiple of g
         inter = _intersection_in_ambient(
-            ring, list(self.gens) + list(ring.gb_relations.polys), [g],
-            include_relations=False)
+            ring, list(self.gens) + list(ring.gb_relations.polys), [g])
         quots = [_exact_divide(h, g) for h in inter]
         return ring.ideal(quots)
 
@@ -467,22 +473,24 @@ class IdealHandle:
         bounds = monomial.pure_power_bounds(leads, self.ring.nvars)
         if bounds is None:
             return None
+        # the global quotient has dimension N, and an element of an
+        # N-dimensional algebra is nilpotent iff its N-th power is zero
+        N = monomial.count_box_complement(bounds, leads)
         ctx = self.ring.ctx
         nf = G.normal_form
         for i, bound in enumerate(bounds):
-            cap = max(_PURE_POWER_CAP, 6 * bound + 8)
-            # r = nf(x_i^e) for e = bound..cap, stepped as nf(r * x_i): r
+            # r = nf(x_i^e) for e = bound..N, stepped as nf(r * x_i): r
             # differs from x_i^e by a member of the ideal, so r * x_i
             # differs from x_i^(e+1) by one too
             step = ctx.var_mono(i, 1)
             r = nf(Polynomial.monomial(ctx, ctx.var_mono(i, bound)))
-            for _ in range(cap - bound):
+            for _ in range(N - bound):
                 if r.is_zero:
                     break
                 r = nf(r.shift(step))
             if not r.is_zero:
                 return None
-        return monomial.count_box_complement(bounds, leads)
+        return N
 
     def finite_colength(self) -> int:
         v = self.colength()
@@ -498,43 +506,18 @@ def _fresh_variable(variables) -> str:
     return name
 
 
-def _intersection_in_ambient(ring: LocalRing, left, right, include_relations=True):
-    """Generators of (left + J) meet (right + J) in the polynomial ring.
-
-    Uses one auxiliary variable t with an elimination order on
-    t*left + (1-t)*right + J.  With include_relations=False the relations
-    are not appended, so the right side is intersected as given; the colon
-    path needs this to keep every output a true multiple of the divisor.
-    """
+def _intersection_in_ambient(ring: LocalRing, left, right) -> list:
+    """Generators of (left) meet (right) in the polynomial ring, each side
+    taken as given: the t-trick eliminates t from t*left + (1-t)*right
+    (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, Ch. 4 sec. 3)."""
     ctx = ring.ctx
-    n = ctx.nvars
-    from .orders import elimination_block
-    tname = _fresh_variable(ctx.variables)
-    big = PolyContext.get((tname,) + ctx.variables, ctx.field,
-                          elimination_block(1, n + 1))
-
-    def lift(p: Polynomial, mult_t: int) -> Polynomial:
-        # mult_t: 0 -> p, 1 -> t*p, 2 -> (1-t)*p
-        d = {}
-        for m, c in p.terms:
-            d[(0,) + m] = c
-        q = Polynomial(big, d)
-        if mult_t == 0:
-            return q
-        t = Polynomial.variable(big, tname)
-        if mult_t == 1:
-            return t * q
-        return q - t * q
-
-    gens = [lift(p, 1) for p in left]
-    gens += [lift(p, 2) for p in right]
-    if include_relations:
-        gens += [lift(p, 0) for p in ring.gb_relations.polys]
-    elim = eliminate(gens, 1, ctx=big)
-    out = []
-    for p in elim:
-        d = {m[1:]: c for m, c in p.terms}
-        out.append(Polynomial(ctx, d))
-    return out
-
-
+    big = PolyContext.get((_fresh_variable(ctx.variables),) + ctx.variables,
+                          ctx.field, elimination_block(1, ctx.nvars + 1))
+    neg = ctx.field.neg
+    # t*p for p on the left, p - t*p for p on the right
+    gens = [Polynomial(big, {(1,) + m: c for m, c in p.terms}) for p in left]
+    gens += [Polynomial(big, {**{(0,) + m: c for m, c in p.terms},
+                              **{(1,) + m: neg(c) for m, c in p.terms}})
+             for p in right]
+    return [Polynomial(ctx, {m[1:]: c for m, c in p.terms})
+            for p in eliminate(gens, 1, ctx=big)]

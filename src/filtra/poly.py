@@ -312,10 +312,6 @@ class Polynomial:
         return f"<{poly_to_str(self)}>"
 
 
-def _coeff_str(field, c) -> str:
-    return field.to_str(c)
-
-
 def poly_to_str(p: Polynomial) -> str:
     """Canonical print: descending order, ^ powers, explicit *."""
     if p.is_zero:
@@ -327,7 +323,7 @@ def poly_to_str(p: Polynomial) -> str:
         body = "*".join(
             v if e == 1 else f"{v}^{e}"
             for v, e in zip(ctx.variables, m) if e)
-        cs = _coeff_str(field, c)
+        cs = field.to_str(c)
         negative = cs.startswith("-")
         if negative:
             cs = cs[1:]

@@ -48,7 +48,7 @@ def _strict_warnings(filt: Filtration, red, horizon: int) -> list:
     hide a Q that never reduces the seed ideal itself."""
     if filt.kind == ADIC:
         return []
-    if reduction_tail(filt._base_power, red, horizon)[0] < horizon - 1:
+    if reduction_tail(filt.seed.power, red, horizon)[0] < horizon - 1:
         return []
     return ["reduction never becomes exact for the plain power "
             "filtration of stage one within the horizon"]

@@ -419,10 +419,10 @@ GRADED_JOBS = [
 
 def graded_clause_by_intersection(data, W):
     """The graded clause as it is defined: build the meet and compare."""
-    filt, H = data.filt, data.horizon
+    filt, H, Q = data.filt, data.horizon, data.red.handle
     for n in range(1, H):
-        left = (data.q_powers[n] + W).intersect(filt.get_ideal(n + 1) + W)
-        right = data.q_powers[n] * filt.i1 + W
+        left = (Q.power(n) + W).intersect(filt.get_ideal(n + 1) + W)
+        right = Q.power(n) * filt.i1 + W
         if not left.equals_local(right):
             return {"n": n, "generator": str(right.missing_generator(left))}
     return None

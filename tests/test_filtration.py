@@ -28,6 +28,23 @@ def test_adic_stages_are_powers():
     assert filt.get_ideal(2) is filt.get_ideal(2)  # memoized
 
 
+def test_towers_share_the_powers_kept_on_the_handle():
+    """A handle keeps its powers: Q^1 is Q itself, a power asked twice is
+    the same handle, and the stages of an adic tower and the closure's
+    C(m, 0) = I^m are the seed's own powers."""
+    Q = CUSP.ideal(["x"])
+    assert Q.power(1) is Q
+    for n in range(4):
+        assert Q.power(n) is Q.power(n)
+    adic = adic_filtration(CUSP, ["x", "y"])
+    for n in range(1, 4):
+        assert adic.get_ideal(n) is adic.seed.power(n)
+    rr = ratliff_rush_filtration(PLANE, SALLY_GENS)
+    rr.get_ideal(2)
+    for m in range(4):
+        assert rr._colon_power(m, 0) is rr.seed.power(m)
+
+
 def test_stage_index_guards():
     filt = adic_filtration(PLANE, ["x", "y"], hard_cap=3)
     with pytest.raises(ValueError):

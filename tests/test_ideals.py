@@ -11,7 +11,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from filtra import groebner, ideals, monomial
+from filtra import groebner, ideals
 from filtra.config import load_config, parse_config
 from filtra.fields import QQ, PrimeField
 from filtra.ideals import (IdealHandle, LocalRing, NotFiniteLength, NotMPrimary,
@@ -140,6 +140,18 @@ def nested_m_primary_pair(draw):
 def test_subquotient_length_is_a_colength_difference(case):
     ring, x, y = case
     assert ring.subquotient_length(x, y) == y.finite_colength() - x.finite_colength()
+
+
+def test_colength_certificate_runs_to_the_quotient_dimension():
+    """(a^2 - b, b^2 - c, ..., g^2) in n variables is m-primary of colength
+    2^n, but a is nilpotent only at its 2^n-th power, so the certificate must
+    step as far as the dimension of the quotient.  (x^2 - x, y^2) has a
+    second point, so x is never nilpotent and nothing is certified."""
+    for n in (7, 8):
+        names = "abcdefgh"[:n]
+        gens = [f"{u}^2 - {v}" for u, v in zip(names, names[1:])] + [f"{names[-1]}^2"]
+        assert LocalRing(tuple(names)).ideal(gens).colength() == 2 ** n
+    assert PLANE.ideal(["x^2 - x", "y^2"]).colength() is None
 
 
 def test_non_primary_refusal():
@@ -282,31 +294,26 @@ def test_cm_certificate_runs_once_per_job(monkeypatch):
 ])
 def test_computed_colons_and_intersections(monkeypatch, name, colons, intersections):
     """Noise-free work count: colons by an element and intersections that
-    are computed rather than answered from the ring's memo.  Each computed
-    one reaches the monomial layer or the t-trick elimination, once.
+    are computed rather than answered from the ring's memo, counted at the
+    memo misses ``_colon_element`` and ``_intersect``.  Each computed one
+    reaches the monomial layer or the t-trick elimination, once.
     Without the memo, and with closures dividing by the generators of I^k
     instead of I, these jobs compute 258/188, 601/15 and 68/12.  Deciding
     the graded clause by lengths, and membership in a certified m-primary
     ideal by its normal form, took them from 88/28, 117/8 and 29/12."""
     count = Counter()
-    ambient, mono_colon, mono_meet = (
-        ideals._intersection_in_ambient, monomial.colon, monomial.intersect)
+    colon, meet = IdealHandle._colon_element, IdealHandle._intersect
 
-    def counted(ring, left, right, include_relations=True):
-        count["intersect" if include_relations else "colon"] += 1
-        return ambient(ring, left, right, include_relations)
-
-    def counted_colon(a, m):
+    def counted_colon(self, g):
         count["colon"] += 1
-        return mono_colon(a, m)
+        return colon(self, g)
 
-    def counted_meet(a, b):
+    def counted_meet(self, other):
         count["intersect"] += 1
-        return mono_meet(a, b)
+        return meet(self, other)
 
-    monkeypatch.setattr(ideals, "_intersection_in_ambient", counted)
-    monkeypatch.setattr(monomial, "colon", counted_colon)
-    monkeypatch.setattr(monomial, "intersect", counted_meet)
+    monkeypatch.setattr(IdealHandle, "_colon_element", counted_colon)
+    monkeypatch.setattr(IdealHandle, "_intersect", counted_meet)
     report = run_job(load_config(CORPUS_DIR / name))
     assert report["verdict"] == "verified"
     assert (count["colon"], count["intersect"]) == (colons, intersections)
@@ -338,6 +345,61 @@ def test_curve_job_eliminations_and_buchberger_runs(monkeypatch):
         "reduction": {"generators": ["x"]}}))
     assert report["verdict"] == "verified"
     assert (count["eliminations"], count["buchberger"]) == (4, 78)
+
+
+# -- the t-trick against sympy ----------------------------------------------
+
+def random_generators(rng, ring, count):
+    """``count`` polynomials of degree at most 3 without constant term, the
+    first with at least two terms, so that no side is monomial."""
+    monos = [(i, j) for i in range(4) for j in range(4 - i) if i + j]
+    out = []
+    for k in range(count):
+        terms = rng.sample(monos, rng.randint(2 if k == 0 else 1, 3))
+        coeffs = [ring.field.from_int(rng.choice((1, -1, 2, 3))) for _ in terms]
+        out.append(Polynomial(ring.ctx, dict(zip(terms, coeffs))))
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["q", "fp101"])
+@pytest.mark.parametrize("relations", [[], ["y^2 - x^3"]], ids=["plane", "cusp"])
+def test_intersect_and_colon_match_sympy(field, relations):
+    """Reduced bases of intersections and colons by an element against
+    sympy.  The reference meet is the lex basis of t (L + J) + (1 - t) (R + J)
+    without t; a colon (I : g) divides the meet of I + J and (g) by g."""
+    sympy = pytest.importorskip("sympy")
+    from test_groebner import from_sympy, to_sympy
+    t, x, y = sympy.symbols("_t x y")
+    modulus = {} if field.p is None else {"modulus": field.p}
+    ring = LocalRing(("x", "y"), relations, field=field)
+    J = [to_sympy(r) for r in ring.gb_relations.polys]
+
+    def meet(left, right):
+        gens = [t * f for f in left] + [(1 - t) * f for f in right]
+        lex = sympy.groebner(gens, t, x, y, order="lex", **modulus)
+        return [e for e in lex.exprs if not e.has(t)]
+
+    def reduced(exprs):
+        """The reduced grevlex basis; an ideal outside m is the unit ideal
+        of the local ring, and a handle presents it so."""
+        basis = sympy.groebner(exprs + J, x, y, order="grevlex", **modulus)
+        if sympy.groebner(basis.exprs + [x, y], x, y, **modulus).exprs == [1]:
+            return {"1"}
+        return {str(from_sympy(e, ring.ctx, (x, y)).monic()) for e in basis.exprs}
+
+    rng = random.Random(1618 + len(relations) + (field.p or 0))
+    for _ in range(8):
+        I = ring.ideal(random_generators(rng, ring, rng.randint(1, 2)))
+        K = ring.ideal(random_generators(rng, ring, rng.randint(1, 2)))
+        L, R = [[to_sympy(g) for g in h.gens] + J for h in (I, K)]
+        assert {str(p) for p in I.intersect(K).gb().polys} == reduced(meet(L, R))
+        g = ring.gb_relations.normal_form(random_generators(rng, ring, 1)[0])
+        quots = []
+        for h in meet(L, [to_sympy(g)]):
+            q, r = sympy.div(h, to_sympy(g), x, y, **modulus)
+            assert r == 0
+            quots.append(q)
+        assert {str(p) for p in I.colon(g).gb().polys} == reduced(quots)
 
 
 # -- certified m-primary ideals are answered globally -----------------------
