@@ -75,9 +75,9 @@ def compute_boundary_data(ring: LocalRing, filt: Filtration, red: ReductionSyste
                 {"check": "sally_nonnegative", "n": n})
         sally_values.append(val)
     sally = fit_sally(sally_values, d)
-    I2 = filt.get_ideal(2)
-    graded_colength = ring.subquotient_length(I1, I2 + Q)
+    # l(I_1/(I_2 + Q)); verify_admissible proved Q and I_2 inside I_1
     ell_i1 = h_filt[1]
+    graded_colength = (filt.get_ideal(2) + Q).finite_colength() - ell_i1
     lhs = fit_filt.coefficients[1] - fit_red.coefficients[1]
     rhs = 2 * fit_filt.coefficients[0] - 2 * ell_i1 - graded_colength
     gap = lhs - rhs
@@ -325,19 +325,17 @@ def check_sally_lower_bound(data: BoundaryData) -> dict:
 
 
 def check_multiplicity_colon_formula(data: BoundaryData) -> dict:
-    ring = data.ring
-    C = ring.torsion_free_quotient()
+    """e_0 = l(C/Q) - l(col/(col meet Q)) = l(C/(col + Q)) in the
+    torsion-free quotient C, with col = (q_1..q_{d-1}) : q_d."""
+    C = data.ring.torsion_free_quotient()
     gens = list(data.red.generators)
     qc = C.ideal(gens)
     first = qc.finite_colength()
-    prefix = C.ideal(gens[:-1])
-    col = prefix.colon(gens[-1])
-    inter = col.intersect(qc)
-    second = C.subquotient_length(col, inter) if col.gens else 0
-    expected = first - second
+    col = C.ideal(gens[:-1]).colon(gens[-1])
+    expected = (col + qc).finite_colength()
     return _check("multiplicity_colon_formula", data.e_filt(0) == expected,
                   colength_modulo_reduction=first,
-                  colon_correction=second, expected=expected,
+                  colon_correction=first - expected, expected=expected,
                   actual=data.e_filt(0))
 
 
@@ -367,22 +365,21 @@ def check_torsion_quotient_reduction(data: BoundaryData) -> dict:
 
 
 def check_torsion_graded_pieces(data: BoundaryData) -> dict:
+    """The pieces l((I_n meet W)/(I_{n+1} meet W)), n = 2..H-1 and I_2 meet W
+    read as W, are differences of l(W/(I_n meet W)) = l(A/I_n) - l(A/(I_n + W)).
+    They sum to its value at H, which is l(W) iff I_H meet W vanishes."""
     ring, filt, H = data.ring, data.filt, data.horizon
     W = ring.torsion_ideal()
     w_len = ring.torsion_length()
     if not W.gens:
         return _check("torsion_graded_pieces", True,
                       pieces=[0, 0], total=0, torsion_length=0)
-    pieces = [0, 0]
-    cuts = {n: filt.get_ideal(n).intersect(W) for n in range(3, H + 1)}
-    pieces.append(ring.subquotient_length(W, cuts[3]))
-    for n in range(3, H):
-        pieces.append(ring.subquotient_length(cuts[n], cuts[n + 1]))
-    tail_empty = len(cuts[H].gens) == 0
-    total = sum(pieces)
-    ok = tail_empty and total == w_len
-    return _check("torsion_graded_pieces", ok,
-                  pieces=pieces, total=total, torsion_length=w_len,
+    outside = [0, 0, 0] + [data.h_filt[n] - (filt.get_ideal(n) + W).finite_colength()
+                           for n in range(3, H + 1)]
+    pieces = [0, 0] + [outside[n + 1] - outside[n] for n in range(2, H)]
+    tail_empty = outside[H] == w_len
+    return _check("torsion_graded_pieces", tail_empty,
+                  pieces=pieces, total=outside[H], torsion_length=w_len,
                   tail_vanishes=tail_empty)
 
 

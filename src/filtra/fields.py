@@ -5,10 +5,10 @@ prime field stores an int in [0, p).  The rationals store every value in one
 canonical form: a Python int when the value is integral, a Fraction only when
 it is not (see ``canonical``).  Ints are much cheaper than Fractions, and
 almost every coefficient met in practice is integral.  The form must be
-canonical, not merely equal: ``groebner`` keys its memo of bases by the repr
-of the terms, and ``repr(3) != repr(Fraction(3))``, so two spellings of one
-value would miss the memo.  Hot loops may branch on ``field.p is None`` to
-inline the arithmetic; over the rationals they must apply ``canonical`` to
+canonical, not merely equal: no hot loop should pay for a Fraction holding an
+integer, and ``groebner._fingerprint`` hashes the repr of the terms, where
+``repr(3) != repr(Fraction(3))``.  Hot loops may branch on ``field.p is None``
+to inline the arithmetic; over the rationals they must apply ``canonical`` to
 each result themselves.
 """
 from __future__ import annotations

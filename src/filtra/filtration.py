@@ -89,7 +89,7 @@ class Filtration:
         if n < 0:
             raise ValueError("filtration index must be nonnegative")
         if n > self.hard_cap:
-            raise HorizonExceeded(f"stage {n} beyond cap {self.hard_cap}")
+            raise HorizonExceeded(f"stage {n} beyond hard_cap={self.hard_cap}")
         got = self._stages.get(n)
         if got is not None:
             return got

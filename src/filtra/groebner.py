@@ -1,5 +1,5 @@
 """Buchberger's algorithm with the normal selection strategy, reduced bases,
-normal forms, elimination and an in-memory memo of bases.
+normal forms and elimination.
 
 The kernel works on raw term dicts (monomial tuple -> coefficient) and keeps
 basis elements monic so reduction needs no divisions.  Pair selection is by
@@ -12,12 +12,14 @@ criteria off every pair is reduced, which serves as their correctness
 oracle.  With the criteria on, all-monomial input never reaches Buchberger:
 its reduced basis is the minimal generating set, taken from the monomial
 layer (``monomial.py``), which also holds the staircase count.
+
+Nothing is kept from one call to the next: a basis lives on the ideal handle
+that asked for it (``ideals.py``), and so dies with the ring of its job.
 """
 from __future__ import annotations
 
 import hashlib
 import heapq
-import threading
 from dataclasses import dataclass
 
 from .fields import canonical
@@ -34,7 +36,8 @@ def _nf_dict(f: dict, basis: list, ctx: PolyContext) -> dict:
     Monomials are finalized in strictly descending order, so the result has no
     term divisible by any basis lead.  Over the rationals the inlined arithmetic
     keeps coefficients in the field's canonical form (``fields.canonical``: an
-    int when integral), which the memo key relies on.
+    int when integral), which is cheaper than a Fraction and which
+    ``_fingerprint`` relies on.
     """
     if not f or not basis:
         return dict(f)
@@ -172,8 +175,9 @@ class GroebnerBasis:
 
 
 def _fingerprint(ctx: PolyContext, gens) -> str:
-    # terms are canonical (sorted, no zero coefficients), so equal payloads
-    # mean equal generator multisets, without printing any polynomial
+    # terms are canonical (sorted, no zero coefficients, canonical rationals),
+    # so equal payloads mean equal generator multisets, without printing any
+    # polynomial
     payload = ctx.descriptor + "\n" + repr(sorted(g.terms for g in gens))
     return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -238,16 +242,9 @@ def _buchberger_raw(inputs: list, ctx: PolyContext, use_criteria: bool) -> list:
     return _autoreduce([e[2] for e in basis], ctx)
 
 
-# -- memo -----------------------------------------------------------------
-
-# reduced bases by input fingerprint, kept for the life of the process
-_CACHE: dict = {}
-_CACHE_LOCK = threading.Lock()
-
-
 def clear_cache():
-    with _CACHE_LOCK:
-        _CACHE.clear()
+    """Does nothing: no basis outlives the call that built it.  Kept because
+    ``perfbench/run.py`` calls it before each pass."""
 
 
 def groebner_basis(gens, ctx: PolyContext | None = None,
@@ -255,33 +252,23 @@ def groebner_basis(gens, ctx: PolyContext | None = None,
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
     Zero generators are allowed and yield the empty basis.  The result only
-    depends on the generated ideal, never on generator order.  With the
-    criteria on, bases are memoized by fingerprint; ``use_criteria=False``
-    bypasses the memo and always runs the full Buchberger.
+    depends on the generated ideal, never on generator order.
+    ``use_criteria=False`` switches off the pair criteria and the
+    all-monomial shortcut and runs the full Buchberger, as their oracle.
     """
     gens = list(gens)
     if ctx is None:
         if not gens:
             raise ValueError("context required for an empty generator list")
         ctx = gens[0].ctx
-    gens = [g if g.ctx is ctx else g.convert(ctx) for g in gens]
-    inputs = [g.as_dict() for g in gens if not g.is_zero]
-    fingerprint = _fingerprint(ctx, [g for g in gens if not g.is_zero])
-    if use_criteria:
-        with _CACHE_LOCK:
-            hit = _CACHE.get(fingerprint)
-        if hit is not None:
-            return hit
+    gens = [g if g.ctx is ctx else g.convert(ctx) for g in gens if not g.is_zero]
+    inputs = [g.as_dict() for g in gens]
     if use_criteria and all(len(d) == 1 for d in inputs):
         leads = sorted(minimal([next(iter(d)) for d in inputs]), key=ctx.key)
         polys = tuple(Polynomial.monomial(ctx, m) for m in leads)
     else:
         polys = tuple(Polynomial(ctx, d) for d in _buchberger_raw(inputs, ctx, use_criteria))
-    gb = GroebnerBasis(ctx, polys, fingerprint)
-    if use_criteria:
-        with _CACHE_LOCK:
-            _CACHE[fingerprint] = gb
-    return gb
+    return GroebnerBasis(ctx, polys, _fingerprint(ctx, gens))
 
 
 # -- dimension and elimination -------------------------------------------

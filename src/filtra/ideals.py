@@ -20,14 +20,16 @@ computed on exponent vectors by the monomial layer (``monomial.py``) instead.
 Every other intersection and colon by an element is one t-trick elimination,
 ``_intersection_in_ambient``, which meets its two sides as given.
 
-A ring lives for one job and memoizes its products, its colons by an
-element and its intersections, keyed by the presentation of the inputs: the
-generators of each handle and the terms of the reduced divisor.  The key is
-not the reduced basis, because the route taken (monomial layer or
-elimination) and so the printed generators of the result depend on the
-presentation.  Ratliff-Rush closures ask for the same colons stage after
-stage, a job asks for the same products check after check, and the memo
-answers the repeats.  A handle keeps its powers, so each tower is built once.
+A ring lives for one job, and no memo of its algebra outlives it.  It hands
+out one handle per normalized generator tuple, and a handle keeps its basis,
+its colength and its powers, so each is built once.  The ring memoizes its
+products, its colons by an element and its intersections, keyed by the
+presentation of the inputs: the generators of each handle and the terms of
+the reduced divisor.  The key is not the reduced basis, because the route
+taken (monomial layer or elimination) and so the printed generators of the
+result depend on the presentation.  Ratliff-Rush closures ask for the same
+colons stage after stage, a job asks for the same products check after
+check, and the memo answers the repeats.
 """
 from __future__ import annotations
 
@@ -119,7 +121,9 @@ class LocalRing:
             self.gb_relations.leads
             if all(g.is_monomial() for g in self.gb_relations.polys) else None)
         self._torsion = None
+        self._quotient = None  # torsion_free_quotient, once built
         self._cm: dict = {}  # is_cm_via_parameters by parameter tuple
+        self._handles: dict = {}  # the one handle of each normalized generator tuple
         self._ops: dict = {}  # product, colon and intersect results by presentation
 
     @property
@@ -161,7 +165,7 @@ class LocalRing:
                 break
             out.append(p.monic())
         if unit:
-            return IdealHandle(self, (Polynomial.from_int(self.ctx, 1),))
+            return self._handle((Polynomial.from_int(self.ctx, 1),))
         seen = {}
         for p in out:
             seen[p.terms] = p
@@ -172,14 +176,22 @@ class LocalRing:
         for _, tied in itertools.groupby(sorted(seen.values(), key=lead_key), key=lead_key):
             tied = list(tied)
             gens.extend(sorted(tied, key=str) if len(tied) > 1 else tied)
-        return IdealHandle(self, tuple(gens))
+        return self._handle(tuple(gens))
 
     def _from_monomials(self, gens) -> "IdealHandle":
         """Handle of a monomial ideal given by its minimal generators: those
         outside the relations, sorted like ``_make`` sorts."""
         rel = self.relation_monomials
         keep = sorted((m for m in gens if not monomial.contains(rel, m)), key=self.ctx.key)
-        return IdealHandle(self, tuple(Polynomial.monomial(self.ctx, m) for m in keep))
+        return self._handle(tuple(Polynomial.monomial(self.ctx, m) for m in keep))
+
+    def _handle(self, gens: tuple) -> "IdealHandle":
+        """The one handle of a normalized generator tuple, so that its basis,
+        colength and powers are built once for the life of this ring."""
+        got = self._handles.get(gens)
+        if got is None:
+            got = self._handles[gens] = IdealHandle(self, gens)
+        return got
 
     def _memo(self, key, compute, *args) -> "IdealHandle":
         """compute(*args), once per key for the life of this ring."""
@@ -197,10 +209,7 @@ class LocalRing:
         return self._torsion
 
     def torsion_length(self) -> int:
-        W = self.torsion_ideal()
-        if not W.gens:
-            return 0
-        return self.subquotient_length(W, self.zero_ideal())
+        return self.subquotient_length(self.torsion_ideal(), self.zero_ideal())
 
     def has_positive_depth(self) -> bool:
         return not self.torsion_ideal().gens
@@ -210,9 +219,11 @@ class LocalRing:
         W = self.torsion_ideal()
         if not W.gens:
             return self
-        rels = list(self.gb_relations.polys) + list(W.gens)
-        return LocalRing(self.ctx.variables, rels, field=self.field,
-                         name=(self.name + "/torsion") if self.name else None)
+        if self._quotient is None:
+            self._quotient = LocalRing(
+                self.ctx.variables, self.gb_relations.polys + W.gens, field=self.field,
+                name=(self.name + "/torsion") if self.name else None)
+        return self._quotient
 
     def transport(self, handle: "IdealHandle") -> "IdealHandle":
         """Image of a handle of another ring on the same variables."""
@@ -270,8 +281,8 @@ class LocalRing:
                 break
         if D is None:
             raise NotFiniteLength(
-                f"no power of m up to {SUBQUOTIENT_POWER_BOUND} multiplies the "
-                "first ideal into the second")
+                f"no power of m up to SUBQUOTIENT_POWER_BOUND={SUBQUOTIENT_POWER_BOUND} "
+                "multiplies the first ideal into the second")
         leads = (x + y).gb().leads
         box = (D + max(map(sum, leads)),) * self.nvars
         return (monomial.count_box_complement(box, gb_y.leads)
@@ -309,8 +320,8 @@ class IdealHandle:
         """Groebner basis of the ideal together with the ring relations."""
         if self._gb is None:
             ring = self.ring
-            self._gb = groebner_basis(
-                list(ring.gb_relations.polys) + list(self.gens), ctx=ring.ctx)
+            self._gb = (groebner_basis(ring.gb_relations.polys + self.gens, ctx=ring.ctx)
+                        if self.gens else ring.gb_relations)
         return self._gb
 
     def normal_form(self, f) -> Polynomial:
@@ -354,12 +365,6 @@ class IdealHandle:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "IdealHandle") -> "IdealHandle":
-        # a handle's generators are already normalized, so adding zero
-        # returns the handle itself, with its basis and colength
-        if not other.gens:
-            return self
-        if not self.gens:
-            return other
         return self.ring._make(list(self.gens) + list(other.gens))
 
     def __mul__(self, other) -> "IdealHandle":

@@ -2,8 +2,11 @@
 functions by module and attribute name from outside the package.  A rename
 or deletion in filtra would break ``perfbench/run.py --trace 1`` without
 any other test noticing, so every binding it names is resolved here."""
+import dataclasses
 import importlib
 import importlib.util
+
+from filtra import groebner
 
 from conftest import PKG_ROOT
 
@@ -30,3 +33,13 @@ def test_every_traced_boundary_resolves():
         if not found:
             missing.append(name)
     assert missing == []
+
+
+def test_names_the_benchmark_runner_reads_resolve():
+    """``perfbench/run.py`` calls ``groebner.clear_cache()`` before each pass,
+    and the trace reads ``GroebnerBasis.fingerprint`` from every basis it
+    sees.  Neither is traced, and nothing in filtra uses them, so a cleanup
+    that deleted them would break every benchmark pass unnoticed."""
+    assert callable(groebner.clear_cache)
+    names = {f.name for f in dataclasses.fields(groebner.GroebnerBasis)}
+    assert "fingerprint" in names

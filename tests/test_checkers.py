@@ -5,17 +5,20 @@ Every number asserted here was derived by hand from the staircase structure
 of the instance before the pipeline existed; the pipeline has to reproduce
 them, not the other way round.
 """
+import random
 from dataclasses import replace
 
 import pytest
 
 from filtra import report
-from filtra.checkers import (ALL_CHECKS, compute_boundary_data,
+from filtra.checkers import (ALL_CHECKS, check_multiplicity_colon_formula,
+                             check_torsion_graded_pieces, compute_boundary_data,
                              evaluate_conditions, evaluate_structural,
                              run_checks)
 from filtra.config import load_config, parse_config
 from filtra.filtration import (adic_filtration, explicit_filtration,
-                               ratliff_rush_filtration, reduction_system)
+                               ratliff_rush_filtration, reduction_system,
+                               verify_admissible)
 from filtra.ideals import LocalRing
 
 from conftest import CORPUS_DIR
@@ -451,3 +454,67 @@ def test_graded_clause_by_lengths_matches_the_intersection(monkeypatch):
     assert {"curve_3_4", "curve_2_5", "monomial_2", "monomial_3",
             "sally_nonzero", "cusp", "two_planes"} <= set(seen)
     assert seen["sally_nonzero"]["witness"] == {"n": 1, "generator": "x^2*y^6"}
+
+
+# -- lengths of m-primary pairs as colength differences ----------------------
+
+def subquotient_route(data):
+    """l(I_1/(I_2 + Q)), the colon correction l(col/(col meet Q)) in the
+    torsion-free quotient, and the torsion pieces with the vanishing of
+    I_H meet W, each by subquotient lengths and built intersections."""
+    ring, filt, H, Q = data.ring, data.filt, data.horizon, data.red.handle
+    graded = ring.subquotient_length(filt.i1, filt.get_ideal(2) + Q)
+    C = ring.torsion_free_quotient()
+    gens = list(data.red.generators)
+    col = C.ideal(gens[:-1]).colon(gens[-1])
+    correction = C.subquotient_length(col, col.intersect(C.ideal(gens))) if col.gens else 0
+    W = ring.torsion_ideal()
+    cuts = {n: filt.get_ideal(n).intersect(W) for n in range(3, H + 1)}
+    pieces = [0, 0, ring.subquotient_length(W, cuts[3])]
+    pieces += [ring.subquotient_length(cuts[n], cuts[n + 1]) for n in range(3, H)]
+    return graded, correction, pieces, not cuts[H].gens
+
+
+def random_depth_zero_tower(rng):
+    """An admissible explicit tower over k[x, y]/(x^2, x y) and its
+    horizon: Q = (y^a + c x), and stage n is (y^(n a) + d x, x) while n < t,
+    then (y^(n a)), listed up to a random stage k >= t - 1.  Q lies in
+    stage one only if c = 0 or x does."""
+    a, t = rng.randint(1, 3), rng.randint(1, 4)
+    c = rng.choice((0, 1, -2)) if t > 1 else 0
+    stages = {}
+    for n in range(1, max(t - 1, 1) + rng.randint(0, 2) + 1):
+        d = rng.choice((0, 1, 3))
+        stages[n] = [f"y^{n * a} + {d}*x", "x"] if n < t else [f"y^{n * a}"]
+    return stages, [f"y^{a} + {c}*x"], t + rng.randint(3, 4)
+
+
+def test_lengths_by_colength_differences_match_the_subquotient_route():
+    """The graded colength, the multiplicity-colon correction and the torsion
+    pieces are colength differences; they equal the subquotient lengths of
+    built intersections on the corpus jobs with torsion and on random
+    admissible explicit towers over k[x, y]/(x^2, x y)."""
+    cases = []
+    for name in ("depth_zero.json", "depth_zero_equality.json"):
+        cfg = load_config(CORPUS_DIR / name)
+        ring = LocalRing(cfg.variables, cfg.relations)
+        cases.append((ring, report.build_filtration(ring, cfg), list(cfg.generators),
+                      cfg.horizon))
+    rng = random.Random(2718)
+    for _ in range(20):
+        ring = LocalRing(("x", "y"), ["x^2", "x*y"])
+        stages, gens, H = random_depth_zero_tower(rng)
+        cases.append((ring, explicit_filtration(ring, stages), gens, H))
+    for ring, filt, gens, H in cases:
+        red = reduction_system(ring, gens)
+        verify_admissible(filt, red, H)
+        data = compute_boundary_data(ring, filt, red, H)
+        graded, correction, pieces, tail_empty = subquotient_route(data)
+        colon = check_multiplicity_colon_formula(data)["details"]
+        torsion = check_torsion_graded_pieces(data)["details"]
+        assert data.graded_colength == graded
+        assert colon["colon_correction"] == correction
+        assert colon["expected"] == colon["colength_modulo_reduction"] - correction
+        assert torsion["pieces"] == pieces
+        assert torsion["total"] == sum(pieces)
+        assert torsion["tail_vanishes"] == tail_empty

@@ -124,7 +124,6 @@ def test_canonical_coefficients_on_corpus_jobs(monkeypatch):
 
     monkeypatch.setattr(Polynomial, "__init__", recording)
     for name in ("cusp", "two_planes", "sally_rr_equality"):
-        groebner.clear_cache()
         seen.clear()
         run_job(load_config(CORPUS_DIR / f"{name}.json"))
         assert not [c for c in seen if c.denominator == 1], name

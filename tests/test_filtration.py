@@ -49,7 +49,16 @@ def test_stage_index_guards():
     filt = adic_filtration(PLANE, ["x", "y"], hard_cap=3)
     with pytest.raises(ValueError):
         filt.get_ideal(-1)
-    with pytest.raises(HorizonExceeded):
+    with pytest.raises(HorizonExceeded, match=r"hard_cap=3"):
+        filt.get_ideal(4)
+
+
+def test_listed_stage_past_hard_cap_is_refused():
+    """The cap is checked before the listed stages are read."""
+    filt = explicit_filtration(PLANE, {1: ["x", "y"], 2: ["x^2", "y"],
+                                       3: ["x^3", "y"], 4: ["x^4", "y"]}, hard_cap=3)
+    assert filt.get_ideal(3).gens
+    with pytest.raises(HorizonExceeded, match=r"stage 4 beyond hard_cap=3"):
         filt.get_ideal(4)
 
 

@@ -12,8 +12,7 @@ from hypothesis import given, settings, strategies as st
 from filtra import groebner
 from filtra.config import parse_config
 from filtra.fields import PrimeField, QQ
-from filtra.groebner import (clear_cache, eliminate, groebner_basis,
-                             lead_ideal_dimension)
+from filtra.groebner import eliminate, groebner_basis, lead_ideal_dimension
 from filtra.monomial import count_box_complement, pure_power_bounds
 from filtra.orders import elimination_block, grevlex, lex
 from filtra.parser import parse_polynomial
@@ -201,7 +200,6 @@ def test_monomial_input_bypasses_buchberger(monkeypatch):
         raise AssertionError("Buchberger ran on all-monomial input")
 
     monkeypatch.setattr(groebner, "_buchberger_raw", forbidden)
-    clear_cache()
     cfg = parse_config({
         "name": "monomial_guard",
         "horizon": 6,
@@ -210,7 +208,6 @@ def test_monomial_input_bypasses_buchberger(monkeypatch):
         "reduction": {"generators": ["x^3", "y^3"]},
     })
     assert run_job(cfg)["verdict"] == "verified"
-    clear_cache()
     gens = [parse_polynomial(s, CTX2) for s in ["x^2", "x*y"]]
     with pytest.raises(AssertionError, match="Buchberger ran"):
         groebner_basis(gens, ctx=CTX2, use_criteria=False)
@@ -265,7 +262,6 @@ def test_spoly_count_guard(monkeypatch):
         return spoly(a, b, c)
 
     monkeypatch.setattr(groebner, "_spoly_dict", counting)
-    clear_cache()  # a memo hit would form no S-polynomial at all
     with_c = groebner_basis(gens, ctx=ctx, use_criteria=True)
     on = len(calls)
     calls.clear()
@@ -381,15 +377,13 @@ def test_lead_ideal_dimension_cases():
     assert lead_ideal_dimension(gu) == -1
 
 
-# -- memo ----------------------------------------------------------------
+# -- no basis is stored ---------------------------------------------------
 
 def test_bases_are_never_written_to_disk(tmp_path, monkeypatch):
-    """The memo lives in memory only: with a cache directory named in the
-    environment, no basis is written there, so none can be read back."""
+    """With a cache directory named in the environment, no basis is written
+    there, so none can be read back."""
     monkeypatch.setenv("FILTRA_CACHE_DIR", str(tmp_path))
-    clear_cache()
     polys = [parse_polynomial(s, CTX3) for s in ["y - x^2", "z - x^3"]]
-    first = groebner_basis(polys, ctx=CTX3)
-    assert groebner_basis(polys, ctx=CTX3) is first
+    groebner_basis(polys, ctx=CTX3)
+    groebner_basis(polys, ctx=CTX3)
     assert list(tmp_path.iterdir()) == []
-    clear_cache()
