@@ -9,7 +9,8 @@ from pathlib import Path
 
 from .config import (ConfigError, config_schema, load_config, parse_config,
                      report_schema)
-from .report import EXIT_INVALID, run_job, to_json, to_markdown
+from .report import (EXIT_INVALID, config_error_report, run_job, to_json,
+                     to_markdown)
 
 
 def _cmd_verify(args) -> int:
@@ -62,9 +63,7 @@ def _corpus_worker(path: str):
         cfg = load_config(p)
         report = run_job(cfg)
     except ConfigError as exc:
-        report = {"format": 1, "name": p.stem, "verdict": "invalid-input",
-                  "exit_code": EXIT_INVALID, "checks": [],
-                  "error": {"type": "ConfigError", "message": str(exc)}}
+        report = config_error_report(p.stem, exc)
     return p.name, _summarize(report, p.name), to_json(report)
 
 

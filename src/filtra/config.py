@@ -78,7 +78,11 @@ class JobConfig:
 
 def parse_config(obj, fallback_name: str = "job") -> JobConfig:
     validator = jsonschema.Draft202012Validator(_CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(obj), key=lambda e: list(e.absolute_path))
+    try:
+        errors = sorted(validator.iter_errors(obj), key=lambda e: list(e.absolute_path))
+    except RecursionError as exc:
+        # comparing or printing deeply nested values recurses
+        raise ConfigError("config nests its values too deeply to validate") from exc
     if errors:
         first = errors[0]
         where = "/".join(str(p) for p in first.absolute_path) or "<root>"
@@ -130,11 +134,15 @@ def load_config(path) -> JobConfig:
     from pathlib import Path
     p = Path(path)
     try:
-        obj = json.loads(p.read_text())
+        obj = json.loads(p.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read {p}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{p} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{p} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{p} nests its JSON too deeply to read") from exc
     return parse_config(obj, fallback_name=p.stem)
 
 

@@ -9,11 +9,11 @@ rule I_{n+1} = I_1 I_n.
 
 The Ratliff-Rush stage n is the first C(n+k, k) = I^{n+k} : I^k equal to
 its predecessor C(n+k-1, k-1) as k grows (Ratliff-Rush, Indiana Univ. Math.
-J. 27, 1978; Heinzer-Lantz-Shah, Comm. Algebra 20, 1992).  Each C(m, j) is
-built as C(m, j-1) : I with C(m, 0) = I^m, since (A : BC) = ((A : B) : C)
-(Atiyah-Macdonald, Ex. 1.12), and memoized by (m, j).  So every colon
-divides by the few generators of I instead of the many of I^k, and stage
-n+1 reuses the colons that stage n built.
+J. 27, 1978; Heinzer-Lantz-Shah, Comm. Algebra 20, 1992).  C(m, k) is built
+as I^m followed by k colons by I, since (A : BC) = ((A : B) : C)
+(Atiyah-Macdonald, Ex. 1.12).  So every colon divides by the few generators
+of I instead of the many of I^k, and the ring's memo of colons answers the
+ones that an earlier k or stage already asked for.
 """
 from __future__ import annotations
 
@@ -62,7 +62,6 @@ class Filtration:
         self._stages: dict = {0: ring.unit_ideal()}
         if kind != RATLIFF_RUSH:
             self._stages[1] = i1  # the closure may enlarge stage one
-        self._colons: dict = {}  # (m, j) -> I^m : I^j
         if kind == EXPLICIT:
             explicit = explicit or {}
             keys = sorted(explicit)
@@ -74,16 +73,6 @@ class Filtration:
     @property
     def i1(self) -> IdealHandle:
         return self.get_ideal(1)
-
-    def _colon_power(self, m: int, j: int) -> IdealHandle:
-        """I^m : I^j, built as (I^m : I^{j-1}) : I, so that each colon
-        divides by the generators of I rather than by those of I^j."""
-        got = self._colons.get((m, j))
-        if got is None:
-            got = (self.seed.power(m) if j == 0
-                   else self._colon_power(m, j - 1).colon(self.seed))
-            self._colons[(m, j)] = got
-        return got
 
     def get_ideal(self, n: int) -> IdealHandle:
         if n < 0:
@@ -105,7 +94,9 @@ class Filtration:
     def _colon_closure(self, n: int) -> IdealHandle:
         prev = None
         for k in range(1, RR_ITERATION_BOUND + 1):
-            cur = self._colon_power(n + k, k)
+            cur = self.seed.power(n + k)
+            for _ in range(k):
+                cur = cur.colon(self.seed)
             if prev is not None and cur.equals_local(prev):
                 return prev
             prev = cur

@@ -119,9 +119,6 @@ class SallyFit:
     postulation: int
     vanishes: bool
 
-    def e_coeff(self, i: int):
-        return self.e[i] if 0 <= i < len(self.e) else 0
-
 
 def fit_sally(values, dim: int) -> SallyFit:
     """Fit piece lengths of a graded module of dimension at most ``dim``."""

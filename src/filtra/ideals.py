@@ -29,7 +29,8 @@ the reduced divisor.  The key is not the reduced basis, because the route
 taken (monomial layer or elimination) and so the printed generators of the
 result depend on the presentation.  Ratliff-Rush closures ask for the same
 colons stage after stage, a job asks for the same products check after
-check, and the memo answers the repeats.
+check, and the memo answers the repeats.  No other layer memoizes them, so
+a repeated Cohen-Macaulay certificate costs only memo hits.
 """
 from __future__ import annotations
 
@@ -122,7 +123,6 @@ class LocalRing:
             if all(g.is_monomial() for g in self.gb_relations.polys) else None)
         self._torsion = None
         self._quotient = None  # torsion_free_quotient, once built
-        self._cm: dict = {}  # is_cm_via_parameters by parameter tuple
         self._handles: dict = {}  # the one handle of each normalized generator tuple
         self._ops: dict = {}  # product, colon and intersect results by presentation
 
@@ -245,12 +245,9 @@ class LocalRing:
         For an m-primary parameter ideal, regularity of the sequence is
         equivalent to the ring being Cohen-Macaulay.
         """
-        parameters = tuple(_as_poly(self, g) for g in parameters)
         if len(parameters) != self.dimension:
             raise ValueError("need exactly dim-many parameters")
-        if parameters not in self._cm:
-            self._cm[parameters] = self.is_regular_sequence(parameters)
-        return self._cm[parameters]
+        return self.is_regular_sequence(parameters)
 
     # -- subquotient length -------------------------------------------
 

@@ -1,8 +1,9 @@
 """Recursive-descent parser for polynomial expressions.
 
 Grammar: integer literals (optionally num/den), declared variable names,
-``+ - * ^`` and parentheses.  Whitespace is free.  Errors carry the byte
-offset of the offending token.
+``+ - * ^`` and parentheses nested at most ``NESTING_LIMIT`` deep, so that
+the descent stays well inside the interpreter's recursion limit.  Whitespace
+is free.  Errors carry the byte offset of the offending token.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import re
 from .poly import Polynomial, PolyContext
 
 EXPONENT_LIMIT = 100_000
+NESTING_LIMIT = 64
 
 
 class PolySyntaxError(ValueError):
@@ -60,6 +62,7 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.ctx = ctx
+        self.depth = 0  # parentheses open around the current token
 
     def peek(self):
         return self.tokens[self.i]
@@ -138,15 +141,24 @@ class _Parser:
                 dkind, dval, doff = self.advance()
                 if dkind != "int" or dval == 0:
                     raise PolySyntaxError("denominator must be a positive integer literal", doff)
-                return Polynomial.constant(self.ctx, self.ctx.field.rational(val, dval))
+                field = self.ctx.field
+                if field.from_int(dval) == field.zero:
+                    raise PolySyntaxError(
+                        f"denominator {dval} is zero in the field {field.descriptor}", doff)
+                return Polynomial.constant(self.ctx, field.rational(val, dval))
             return Polynomial.from_int(self.ctx, val)
         if kind == "name":
             if val not in self.ctx.variables:
                 raise UnknownVariable(val, off)
             return Polynomial.variable(self.ctx, val)
         if kind == "op" and val == "(":
+            if self.depth == NESTING_LIMIT:
+                raise PolySyntaxError(
+                    f"parentheses nested deeper than NESTING_LIMIT={NESTING_LIMIT}", off)
+            self.depth += 1
             p = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return p
         raise PolySyntaxError("expected a literal, variable or parenthesis", off)
 

@@ -54,14 +54,16 @@ def _strict_warnings(filt: Filtration, red, horizon: int) -> list:
             "filtration of stage one within the horizon"]
 
 
-def run_job(cfg: JobConfig) -> dict:
-    report = {
+def _new_report(name: str, config: dict) -> dict:
+    """Every key the schema requires, with the verdict invalid input until
+    the job gets further."""
+    return {
         "format": 1,
-        "name": cfg.name,
+        "name": name,
         "verdict": VERDICT_INVALID,
         "exit_code": EXIT_INVALID,
         "error": None,
-        "config": cfg.canonical(),
+        "config": config,
         "ring": None,
         "filtration": None,
         "reduction": None,
@@ -72,6 +74,28 @@ def run_job(cfg: JobConfig) -> dict:
         "checks": [],
         "strict_warnings": [],
     }
+
+
+def _mark_invalid(report: dict, exc: Exception) -> dict:
+    """Record ``exc`` on ``report`` as the input fault that ended the job."""
+    err = {"type": type(exc).__name__, "message": str(exc)}
+    witness = getattr(exc, "witness", None)
+    if witness:
+        err["witness"] = witness
+    report.update(error=err, verdict=VERDICT_INVALID, exit_code=EXIT_INVALID)
+    return report
+
+
+def config_error_report(name: str, exc: ConfigError) -> dict:
+    """The validated report of a job whose config could not be loaded; its
+    ``config`` is empty."""
+    report = _mark_invalid(_new_report(name, {}), exc)
+    validate_report(report)
+    return report
+
+
+def run_job(cfg: JobConfig) -> dict:
+    report = _new_report(cfg.name, cfg.canonical())
     try:
         field = field_from_descriptor(cfg.field_descriptor)
         ring = LocalRing(cfg.variables, cfg.relations, field=field, name=cfg.name)
@@ -161,13 +185,7 @@ def run_job(cfg: JobConfig) -> dict:
             report["verdict"] = VERDICT_OK
             report["exit_code"] = EXIT_OK
     except _INPUT_ERRORS as exc:
-        err = {"type": type(exc).__name__, "message": str(exc)}
-        witness = getattr(exc, "witness", None)
-        if witness:
-            err["witness"] = witness
-        report["error"] = err
-        report["verdict"] = VERDICT_INVALID
-        report["exit_code"] = EXIT_INVALID
+        _mark_invalid(report, exc)
     validate_report(report)
     return report
 

@@ -5,23 +5,32 @@ Every number asserted here was derived by hand from the staircase structure
 of the instance before the pipeline existed; the pipeline has to reproduce
 them, not the other way round.
 """
+import json
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from filtra import report
-from filtra.checkers import (ALL_CHECKS, check_multiplicity_colon_formula,
+from filtra.checkers import (_FACTS, ALL_CHECKS, check_base_reduction_equal,
+                             check_multiplicity_colon_formula,
+                             check_sally_coefficient_relations,
+                             check_sally_lower_bound,
+                             check_small_stage_two_collapse,
                              check_torsion_graded_pieces, compute_boundary_data,
                              evaluate_conditions, evaluate_structural,
                              run_checks)
 from filtra.config import load_config, parse_config
+from filtra.fields import field_from_descriptor
 from filtra.filtration import (adic_filtration, explicit_filtration,
-                               ratliff_rush_filtration, reduction_system,
-                               verify_admissible)
+                               find_reduction, ratliff_rush_filtration,
+                               reduction_system, verify_admissible)
+from filtra.hilbert import SallyFit
 from filtra.ideals import LocalRing
 
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, GOLDEN_DIR
 
 
 def pipeline(ring, filt, red_gens, horizon, power_bound=2):
@@ -291,7 +300,6 @@ def test_check_order_and_selection(cusp):
 def test_out_of_range_coefficients(cusp):
     data = cusp[0]
     assert data.e_filt(0) == 2 and data.e_filt(1) == 1
-    assert data.sally.e_coeff(7) == 0
 
 
 def test_adic_collapse_reads_the_graded_clause(cusp):
@@ -518,3 +526,133 @@ def test_lengths_by_colength_differences_match_the_subquotient_route():
         assert torsion["pieces"] == pieces
         assert torsion["total"] == sum(pieces)
         assert torsion["tail_vanishes"] == tail_empty
+
+
+# -- nested equalities decided by lengths ------------------------------------
+
+def length_decisions(data):
+    """The three nested equalities as the checks decide them, from lengths:
+    I_{n+1} = Q^n I_1 for n < H, I_n = Q^n for n <= H, and I_1 = Q."""
+    return (check_small_stage_two_collapse(data)["details"]["stages_collapse"],
+            check_base_reduction_equal(data)["details"]["collapses_to_powers"],
+            _FACTS["stage_one_is_reduction"](data))
+
+
+def ideal_scans(data):
+    """The same three equalities by comparing ideals stage by stage."""
+    filt, H, Q = data.filt, data.horizon, data.red.handle
+    return (all(filt.get_ideal(n + 1).equals_local(Q.power(n) * filt.i1)
+                for n in range(1, H)),
+            all(filt.get_ideal(n).equals_local(Q.power(n)) for n in range(1, H + 1)),
+            filt.i1.equals_local(Q))
+
+
+def admissible_data(cfg):
+    """Boundary data of a job, built as ``run_job`` builds it."""
+    ring = LocalRing(cfg.variables, cfg.relations,
+                     field=field_from_descriptor(cfg.field_descriptor))
+    filt = report.build_filtration(ring, cfg)
+    if cfg.generators is not None:
+        red = reduction_system(ring, list(cfg.generators))
+    else:
+        red = find_reduction(filt, cfg.horizon, seed=cfg.search_seed,
+                             attempts=cfg.search_attempts)
+    verify_admissible(filt, red, cfg.horizon)
+    return compute_boundary_data(ring, filt, red, cfg.horizon)
+
+
+def test_nested_equalities_by_lengths_match_the_ideal_scans():
+    """On every corpus job, every digest job and random admissible explicit
+    towers over k[x, y]/(x^2, x y), whether or not a gate would hold, the
+    length decisions agree with comparing the ideals."""
+    configs = [load_config(p) for p in sorted(CORPUS_DIR.glob("*.json"))]
+    digests = json.loads((GOLDEN_DIR / "report_digests.json").read_text())
+    configs += [parse_config(e["config"]) for e in digests]
+    cases = [admissible_data(cfg) for cfg in configs]
+    rng = random.Random(3141)
+    towers = [random_depth_zero_tower(rng) for _ in range(30)]
+    # stage one is the reduction Q = (x + y), yet I_4 = I_3 = (y^3) is not Q I_3
+    towers.append(({1: ["x + y"], 2: ["y^2"], 3: ["y^3"], 4: ["y^3"]}, ["x + y"], 6))
+    for stages, gens, H in towers:
+        ring = LocalRing(("x", "y"), ["x^2", "x*y"])
+        filt, red = explicit_filtration(ring, stages), reduction_system(ring, gens)
+        verify_admissible(filt, red, H)
+        cases.append(compute_boundary_data(ring, filt, red, H))
+    seen = set()
+    for data in cases:
+        decided = length_decisions(data)
+        assert decided == ideal_scans(data), data.ring.name
+        seen.add(decided)
+    # every outcome that admissibility allows: I_1 = Q with and without
+    # I_n = Q^n, and a collapse with and without I_1 = Q
+    assert {(True, True, True), (True, False, False), (False, False, False),
+            (False, False, True)} <= seen
+    sally = admissible_data(load_config(CORPUS_DIR / "sally_nonzero.json"))
+    assert any(sally.sally_values[1:])
+    assert length_decisions(sally)[0] is False
+
+
+# -- the Sally relations read e_top ------------------------------------------
+
+def two_branch_relations(d, sally, e_filt, e_red, ell):
+    """sally_coefficient_relations' mismatches and sally_lower_bound's floor
+    as they were computed from the re-based vector ``e`` of a module of
+    dimension s, with a branch for s == d."""
+    s = sally.dim
+
+    def eS(i):
+        return sally.e[i] if 0 <= i < len(sally.e) else 0
+
+    mism = {}
+    if s == d:
+        want = e_filt[0] + e_red[1] - ell + eS(0)
+        if e_filt[1] != want:
+            mism["e1"] = {"actual": e_filt[1], "expected": want}
+        for i in range(2, d + 1):
+            want = e_red[i - 1] + e_red[i] + eS(i - 1)
+            if e_filt[i] != want:
+                mism[f"e{i}"] = {"actual": e_filt[i], "expected": want}
+    else:
+        want = e_filt[0] + e_red[1] - ell
+        if e_filt[1] != want:
+            mism["e1"] = {"actual": e_filt[1], "expected": want}
+        sign = -1 if (d - s) % 2 else 1
+        for i in range(2, d + 1):
+            want = e_red[i - 1] + e_red[i]
+            if i >= d - s + 1:
+                want += sign * eS(i - d + s - 1)
+            if e_filt[i] != want:
+                mism[f"e{i}"] = {"actual": e_filt[i], "expected": want}
+    return mism, (eS(0) if s == d else 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_sally_relations_from_e_top_match_the_two_branch_formulas(data):
+    """For d = 1..5 and every number j of leading zeros of e_top, a SallyFit
+    shaped as ``fit_sally`` shapes it gives the same mismatches and floor
+    through e_top as through the sign-twisted e."""
+    small = st.integers(-5, 5)
+    for d in range(1, 6):
+        for j in range(d + 1):
+            tail = data.draw(st.lists(small, min_size=d - j, max_size=d - j))
+            if tail:  # fit_sally insists on a positive leading coefficient of e
+                tail[0] = (-1) ** j * data.draw(st.integers(1, 5))
+            sign = -1 if j % 2 else 1
+            sally = SallyFit((0,) * j + tuple(tail), tuple(sign * c for c in tail),
+                             d - j, 0, not tail)
+            e_red = data.draw(st.lists(small, min_size=d + 1, max_size=d + 1))
+            ell = data.draw(st.integers(1, 5))
+            # e_1..e_d: each the value its relation expects, or off it
+            e_filt = [data.draw(st.integers(1, 9))] + [0] * d
+            expected = two_branch_relations(d, sally, e_filt, e_red, ell)[0]
+            for i in range(1, d + 1):
+                base = expected[f"e{i}"]["expected"] if f"e{i}" in expected else 0
+                e_filt[i] = base + data.draw(st.sampled_from((0, 0, 1, -2)))
+            fake = SimpleNamespace(d=d, sally=sally, stage_one_colength=ell,
+                                   e_filt=e_filt.__getitem__, e_red=e_red.__getitem__)
+            mism, floor = two_branch_relations(d, sally, e_filt, e_red, ell)
+            relations = check_sally_coefficient_relations(fake)
+            assert relations["details"]["mismatches"] == mism
+            assert relations["status"] == ("fail" if mism else "pass")
+            assert check_sally_lower_bound(fake)["details"]["floor"] == floor

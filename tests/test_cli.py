@@ -121,6 +121,49 @@ def test_verify_not_admissible(tmp_path):
     assert report["error"]["witness"]["check"] == "m_primary"
 
 
+# -- inputs that must end in exit 1, not a traceback -----------------------
+
+DEEP = "(" * 300 + "y^2 - x^3" + ")" * 300
+
+
+def hostile_configs():
+    """name -> file bytes of configs that once raised out of the CLI."""
+    plain = json.dumps(base_config(name="hostile"))
+    nested = "[" * 600 + "]" * 600
+    return {
+        "not_utf8": plain.encode().replace(b"hostile", b"host\xffile"),
+        "deep_json": b"[" * 100_000,
+        "deep_schema": plain[:-1].encode() + f', "checks": [{nested}, {nested}]}}'.encode(),
+        "deep_parens": json.dumps(base_config(
+            ring={"variables": ["x", "y"], "relations": [DEEP]})).encode(),
+        "zero_denominator": json.dumps(base_config(
+            field="fp:101",
+            ring={"variables": ["x", "y"], "relations": ["y^2 - 1/101*x^3"]})).encode(),
+    }
+
+
+@pytest.mark.parametrize("name", ["not_utf8", "deep_json", "deep_schema"])
+def test_verify_unreadable_config_is_invalid_input(tmp_path, capsys, name):
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(hostile_configs()[name])
+    assert main(["verify", str(path), "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("name, message", [
+    ("deep_parens", "NESTING_LIMIT=64 (at byte 64)"),
+    ("zero_denominator", "zero in the field fp:101 (at byte 8)"),
+])
+def test_verify_unparsable_relation_is_invalid_input(tmp_path, name, message):
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(hostile_configs()[name])
+    out = tmp_path / "report.json"
+    assert main(["verify", str(path), "--report", str(out), "--quiet"]) == 1
+    report = read_report(out)
+    assert report["error"]["type"] == "PolySyntaxError"
+    assert report["error"]["message"].endswith(message)
+
+
 def forced_fail(name):
     return {"name": name, "applicable": True, "status": "fail",
             "details": {"forced": True}}
@@ -195,6 +238,35 @@ def test_corpus_mixed_verdicts(tmp_path, capsys):
     assert (reports_dir / "good.json").exists()
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 2
+
+
+def test_corpus_sweep_survives_hostile_configs(tmp_path):
+    cdir = tmp_path / "corpus"
+    cdir.mkdir()
+    for name, data in hostile_configs().items():
+        (cdir / f"{name}.json").write_bytes(data)
+    (cdir / "cusp.json").write_text(CUSP.read_text())
+    summary_path = tmp_path / "summary.json"
+    assert main(["corpus", str(cdir), "--summary", str(summary_path), "--quiet"]) == 1
+    summary = json.loads(summary_path.read_text())
+    assert summary["counts"] == {"verified": 1, "violation": 0, "invalid-input": 5}
+
+
+def test_corpus_config_error_reports_are_schema_valid(tmp_path):
+    """A config that cannot be loaded still gets a full report, with an
+    empty ``config``, and every file written passes the report schema."""
+    cdir = tmp_path / "corpus"
+    cdir.mkdir()
+    (cdir / "cusp.json").write_text(CUSP.read_text())
+    (cdir / "malformed.json").write_text(json.dumps({"name": 5}))
+    reports_dir = tmp_path / "reports"
+    assert main(["corpus", str(cdir), "--reports", str(reports_dir), "--quiet"]) == 1
+    written = sorted(reports_dir.glob("*.json"))
+    assert [p.name for p in written] == ["cusp.json", "malformed.json"]
+    reports = [read_report(p) for p in written]
+    bad = reports[1]
+    assert (bad["name"], bad["verdict"], bad["config"]) == ("malformed", "invalid-input", {})
+    assert bad["error"]["type"] == "ConfigError"
 
 
 def test_corpus_violation_wins(tmp_path, monkeypatch):

@@ -168,7 +168,6 @@ def test_sally_full_dimension():
     assert fit.e == (1, 0)
     assert fit.dim == 2
     assert fit.postulation == 1
-    assert fit.e_coeff(0) == 1 and fit.e_coeff(1) == 0 and fit.e_coeff(5) == 0
 
 
 def test_sally_dimension_drop_sign_twist():

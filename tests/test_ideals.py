@@ -340,21 +340,35 @@ def test_cm_certificates():
 
 
 
-def test_cm_certificate_runs_once_per_job(monkeypatch):
-    """run_job and the two checks that read the Cohen-Macaulay certificate
-    share one regular-sequence test per ring and parameter tuple."""
-    calls = []
-    regular = LocalRing.is_regular_sequence
+def test_repeated_cm_certificate_is_all_memo_hits(monkeypatch):
+    """The report and two checks ask for the same certificate.  The ring
+    keeps no memo of it: after the first, each repeat reads interned
+    handles, memoized colons and kept bases, and computes no colon and no
+    Buchberger run.  On cusp, depth_zero, regular_d3 and two_planes."""
+    cases = [(LocalRing(("x", "y"), ["y^2 - x^3"]), ["x"]),
+             (LocalRing(("x", "y"), ["x^2", "x*y"]), ["y"]),
+             (LocalRing(("x", "y", "z")), ["x", "y", "z"]),
+             (LocalRing(("x", "y", "z", "w"), ["x*z", "x*w", "y*z", "y*w"]),
+              ["x - z", "y - w"])]
+    firsts = [ring.is_cm_via_parameters(params) for ring, params in cases]
+    assert firsts == [True, False, True, False]
+    count = Counter()
+    colon, raw = IdealHandle._colon_element, groebner._buchberger_raw
 
-    def counting(self, elements):
-        calls.append(1)
-        return regular(self, elements)
+    def counted_colon(self, g):
+        count["colon"] += 1
+        return colon(self, g)
 
-    monkeypatch.setattr(LocalRing, "is_regular_sequence", counting)
-    report = run_job(load_config(CORPUS_DIR / "regular_d2.json"))
-    assert report["ring"]["cm_certificate"] is True
-    assert report["verdict"] == "verified"
-    assert len(calls) == 1
+    def counted_raw(*args, **kwargs):
+        count["buchberger"] += 1
+        return raw(*args, **kwargs)
+
+    monkeypatch.setattr(IdealHandle, "_colon_element", counted_colon)
+    monkeypatch.setattr(groebner, "_buchberger_raw", counted_raw)
+    for (ring, params), first in zip(cases, firsts):
+        for _ in range(2):
+            assert ring.is_cm_via_parameters(params) is first
+    assert not count
 
 @pytest.mark.parametrize("name, colons, intersections", [
     pytest.param("sally_rr_equality.json", 88, 16, id="sally_rr_equality"),

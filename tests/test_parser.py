@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from filtra.fields import QQ, PrimeField
 from filtra.orders import grevlex
-from filtra.parser import (ExponentOverflow, parse_polynomial, PolySyntaxError,
-                           UnknownVariable)
+from filtra.parser import (NESTING_LIMIT, ExponentOverflow, parse_polynomial,
+                           PolySyntaxError, UnknownVariable)
 from filtra.poly import PolyContext, Polynomial
 
 CTX = PolyContext.get(("x", "y", "z"), QQ, grevlex(3))
@@ -53,6 +53,27 @@ def test_error_offsets():
         p("")
     with pytest.raises(ExponentOverflow):
         p("x^1000001")
+
+
+def test_nesting_limit():
+    """Parentheses as deep as the limit parse; one more is refused at the
+    offset of the paren that goes too deep, well before the recursion
+    limit of the interpreter."""
+    deep = NESTING_LIMIT * "(" + "x - y" + NESTING_LIMIT * ")"
+    assert p(deep) == p("x - y")
+    with pytest.raises(PolySyntaxError, match=f"NESTING_LIMIT={NESTING_LIMIT}") as e:
+        p("x*" + "(" + deep + ")")
+    assert e.value.offset == 2 + NESTING_LIMIT
+    with pytest.raises(PolySyntaxError, match="NESTING_LIMIT"):
+        p(1000 * "(" + "x" + 1000 * ")")
+
+
+def test_denominator_zero_in_the_field():
+    ctxp = PolyContext.get(("x", "y", "z"), PrimeField(7), grevlex(3))
+    with pytest.raises(PolySyntaxError, match="zero in the field fp:7") as e:
+        parse_polynomial("x + 1/14*y", ctxp)
+    assert e.value.offset == 6
+    assert parse_polynomial("1/15*y", ctxp) == parse_polynomial("y", ctxp)
 
 
 def test_exponent_edge():
