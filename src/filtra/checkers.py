@@ -326,8 +326,7 @@ def check_torsion_quotient_reduction(data: BoundaryData) -> dict:
                       torsion_free_already=True, equality=data.equality)
     C = ring.torsion_free_quotient()
     stages = {n: C.transport(filt.get_ideal(n)) for n in range(2, H + 1)}
-    cfilt = Filtration(C, EXPLICIT, C.transport(filt.i1), explicit=stages,
-                       hard_cap=filt.hard_cap)
+    cfilt = Filtration(C, EXPLICIT, C.transport(filt.i1), explicit=stages)
     cred = reduction_system(C, list(data.red.generators))
     try:
         verify_admissible(cfilt, cred, H)

@@ -7,9 +7,10 @@ it is not (see ``canonical``).  Ints are much cheaper than Fractions, and
 almost every coefficient met in practice is integral.  The form must be
 canonical, not merely equal: no hot loop should pay for a Fraction holding an
 integer, and ``groebner._fingerprint`` hashes the repr of the terms, where
-``repr(3) != repr(Fraction(3))``.  Hot loops may branch on ``field.p is None``
-to inline the arithmetic; over the rationals they must apply ``canonical`` to
-each result themselves.
+``repr(3) != repr(Fraction(3))``.  Coefficient loops go through the field's
+methods, in ``poly.add_multiple``.  The one exception, the normal form
+``groebner._nf_dict``, branches on ``field.p is None`` to inline the
+arithmetic, and over the rationals applies ``canonical`` to each result itself.
 """
 from __future__ import annotations
 

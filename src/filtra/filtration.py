@@ -45,6 +45,7 @@ class NotAdmissible(ValueError):
 
 
 RR_ITERATION_BOUND = 10
+HARD_CAP = 64  # no stage above this is built
 ADIC, RATLIFF_RUSH, EXPLICIT = "adic", "ratliff_rush", "explicit"
 
 
@@ -52,12 +53,11 @@ class Filtration:
     """Lazy tower of ideals; stages are memoized handles."""
 
     def __init__(self, ring: LocalRing, kind: str, i1: IdealHandle,
-                 explicit: dict | None = None, hard_cap: int = 64):
+                 explicit: dict | None = None):
         if kind not in (ADIC, RATLIFF_RUSH, EXPLICIT):
             raise ValueError(f"unknown filtration kind {kind!r}")
         self.ring = ring
         self.kind = kind
-        self.hard_cap = hard_cap
         self.seed = i1
         self._stages: dict = {0: ring.unit_ideal()}
         if kind != RATLIFF_RUSH:
@@ -77,8 +77,8 @@ class Filtration:
     def get_ideal(self, n: int) -> IdealHandle:
         if n < 0:
             raise ValueError("filtration index must be nonnegative")
-        if n > self.hard_cap:
-            raise HorizonExceeded(f"stage {n} beyond hard_cap={self.hard_cap}")
+        if n > HARD_CAP:
+            raise HorizonExceeded(f"stage {n} beyond HARD_CAP={HARD_CAP}")
         got = self._stages.get(n)
         if got is not None:
             return got
@@ -105,22 +105,21 @@ class Filtration:
             f"RR_ITERATION_BOUND={RR_ITERATION_BOUND} steps")
 
 
-def adic_filtration(ring: LocalRing, gens, hard_cap: int = 64) -> Filtration:
-    return Filtration(ring, ADIC, ring.ideal(gens), hard_cap=hard_cap)
+def adic_filtration(ring: LocalRing, gens) -> Filtration:
+    return Filtration(ring, ADIC, ring.ideal(gens))
 
 
-def ratliff_rush_filtration(ring: LocalRing, gens, hard_cap: int = 64) -> Filtration:
-    return Filtration(ring, RATLIFF_RUSH, ring.ideal(gens), hard_cap=hard_cap)
+def ratliff_rush_filtration(ring: LocalRing, gens) -> Filtration:
+    return Filtration(ring, RATLIFF_RUSH, ring.ideal(gens))
 
 
-def explicit_filtration(ring: LocalRing, stages: dict, hard_cap: int = 64) -> Filtration:
+def explicit_filtration(ring: LocalRing, stages: dict) -> Filtration:
     """stages maps 1,2,... to generator lists; later stages follow the tail rule."""
     by_index = {int(n): g for n, g in stages.items()}
     if 1 not in by_index:
         raise ValueError("explicit filtration needs stage 1")
     handles = {n: ring.ideal(g) for n, g in by_index.items() if n >= 2}
-    return Filtration(ring, EXPLICIT, ring.ideal(by_index[1]),
-                      explicit=handles, hard_cap=hard_cap)
+    return Filtration(ring, EXPLICIT, ring.ideal(by_index[1]), explicit=handles)
 
 
 @dataclass(frozen=True)
@@ -225,13 +224,14 @@ def find_reduction(filt: Filtration, horizon: int, seed: int = 0,
                 term = g.scale(ring.field.from_int(c))
                 p = term if p is None else p + term
             cand.append(p)
-        if any(p is None or p.is_zero for p in cand):
+        # reduction_system refuses a generator that is zero in the ring
+        if any(p is None or ring.gb_relations.normal_form(p).is_zero for p in cand):
             continue
         try:
             red = reduction_system(ring, cand)
             verify_admissible(filt, red, horizon)
             return red
-        except (NotAdmissible, ValueError):
+        except NotAdmissible:
             continue
     raise SearchExhausted(f"no reduction found in {attempts} attempts (seed {seed})")
 

@@ -7,7 +7,8 @@ minimal lcm (degree first).  Pairs are managed by the Gebauer-Moller update
 (Gebauer and Moller, JSC 6, 1988; the UPDATE procedure of Becker and
 Weispfenning, *Groebner Bases*, 1993, section 5.5): each new basis element
 adds pairs only with the active elements, thinned by criteria M and F and
-the product criterion, and drops old pairs by criterion B_k.  With the
+the product criterion, and drops old pairs by criterion B_k.  A pair of two
+monomial entries is not formed: its S-polynomial is zero.  With the
 criteria off every pair is reduced, which serves as their correctness
 oracle.  With the criteria on, all-monomial input never reaches Buchberger:
 its reduced basis is the minimal generating set, taken from the monomial
@@ -24,17 +25,18 @@ from dataclasses import dataclass
 
 from .fields import canonical
 # count_box_complement is unused here: perfbench/layers.py traces it by this name
-from .monomial import count_box_complement, minimal
+from .monomial import count_box_complement, coprime, div, divides, lcm, minimal, mul
 from .orders import elimination_block
-from .poly import (Polynomial, PolyContext, mono_coprime, mono_divides,
-                   mono_lcm)
+from .poly import Polynomial, PolyContext, add_multiple
 
 
 def _nf_dict(f: dict, basis: list, ctx: PolyContext) -> dict:
     """Full normal form of a term dict against monic (lead, tail) basis entries.
 
     Monomials are finalized in strictly descending order, so the result has no
-    term divisible by any basis lead.  Over the rationals the inlined arithmetic
+    term divisible by any basis lead.  This is the only coefficient loop not
+    written as ``poly.add_multiple``: it is the hot path, and it pushes each
+    new monomial onto the heap.  Over the rationals the inlined arithmetic
     keeps coefficients in the field's canonical form (``fields.canonical``: an
     int when integral), which is cheaper than a Fraction and which
     ``_fingerprint`` relies on.
@@ -52,23 +54,16 @@ def _nf_dict(f: dict, basis: list, ctx: PolyContext) -> dict:
         c = work.pop(m, None)
         if c is None:
             continue
-        hit_tail = None
-        for lm, tail in basis:
-            ok = True
-            for a, b in zip(lm, m):
-                if a > b:
-                    ok = False
-                    break
-            if ok:
-                hit_tail = tail
-                shift = tuple(x - y for x, y in zip(m, lm))
+        for lm, hit_tail in basis:
+            if divides(lm, m):
+                shift = div(m, lm)
                 break
-        if hit_tail is None:
+        else:
             rem[m] = c
             continue
         if p is None:
             for m2, c2 in hit_tail:
-                mm = tuple(x + y for x, y in zip(m2, shift))
+                mm = mul(m2, shift)
                 prev = work.get(mm)
                 if prev is None:
                     work[mm] = canonical(-c * c2)
@@ -81,7 +76,7 @@ def _nf_dict(f: dict, basis: list, ctx: PolyContext) -> dict:
                         del work[mm]
         else:
             for m2, c2 in hit_tail:
-                mm = tuple(x + y for x, y in zip(m2, shift))
+                mm = mul(m2, shift)
                 prev = work.get(mm)
                 if prev is None:
                     work[mm] = -c * c2 % p
@@ -111,25 +106,10 @@ def _spoly_dict(a, b, ctx: PolyContext) -> dict:
     """S-polynomial of two monic basis entries; the leads cancel by design."""
     lma, taila, _ = a
     lmb, tailb, _ = b
-    L = mono_lcm(lma, lmb)
-    ua = tuple(x - y for x, y in zip(L, lma))
-    ub = tuple(x - y for x, y in zip(L, lmb))
+    L = lcm(lma, lmb)
     field = ctx.field
-    out: dict = {}
-    for m, c in taila:
-        out[tuple(x + y for x, y in zip(m, ua))] = c
-    for m, c in tailb:
-        mm = tuple(x + y for x, y in zip(m, ub))
-        prev = out.get(mm)
-        if prev is None:
-            out[mm] = field.neg(c)
-        else:
-            nv = field.sub(prev, c)
-            if nv:
-                out[mm] = nv
-            else:
-                del out[mm]
-    return out
+    out = add_multiple({}, taila, field.one, div(L, lma), field)
+    return add_multiple(out, tailb, field.neg(field.one), div(L, lmb), field)
 
 
 def _autoreduce(dicts: list, ctx: PolyContext) -> list:
@@ -142,7 +122,7 @@ def _autoreduce(dicts: list, ctx: PolyContext) -> list:
     entries.sort(key=lambda e: ctx.key(e[0]))
     kept = []
     for e in entries:
-        if not any(mono_divides(k[0], e[0]) for k in kept):
+        if not any(divides(k[0], e[0]) for k in kept):
             kept.append(e)
     for i, (lm, tail, full) in enumerate(kept):
         others = [(k[0], k[1]) for j, k in enumerate(kept) if j != i]
@@ -196,31 +176,33 @@ def _buchberger_raw(inputs: list, ctx: PolyContext, use_criteria: bool) -> list:
         t = len(basis)
         if not use_criteria:
             for i in range(t):
-                L = mono_lcm(basis[i][0], lh)
+                L = lcm(basis[i][0], lh)
                 heapq.heappush(pairs, (key(L), L, i, t))
         else:
             # criterion B_k: an old pair (i, j) whose lcm L the new lead
             # divides is redundant unless L is also the lcm of (i, t) or (j, t)
             kept = [p for p in pairs
-                    if not (mono_divides(lh, p[1])
-                            and mono_lcm(basis[p[2]][0], lh) != p[1]
-                            and mono_lcm(basis[p[3]][0], lh) != p[1])]
+                    if not (divides(lh, p[1])
+                            and lcm(basis[p[2]][0], lh) != p[1]
+                            and lcm(basis[p[3]][0], lh) != p[1])]
             if len(kept) < len(pairs):
                 heapq.heapify(kept)
                 pairs[:] = kept
-            new = [(mono_lcm(basis[i][0], lh), i) for i in active]
+            new = [(lcm(basis[i][0], lh), i) for i in active]
             # criterion M: only the minimal new lcms keep pairs; criterion F
             # and the product criterion: one pair per lcm, and none at all
-            # for an lcm that a coprime pair attains
+            # for an lcm that a coprime pair attains.  The S-polynomial of
+            # two monomials is zero, so such a pair is not pushed either.
             keep = set(minimal([L for L, _ in new]))
             by_lcm: dict = {}
             for L, i in new:
                 if L in keep:
                     by_lcm.setdefault(L, []).append(i)
             for L, idx in by_lcm.items():
-                if not any(mono_coprime(basis[i][0], lh) for i in idx):
+                if (entry[1] or basis[idx[0]][1]) and not any(
+                        coprime(basis[i][0], lh) for i in idx):
                     heapq.heappush(pairs, (key(L), L, idx[0], t))
-            active[:] = [i for i in active if not mono_divides(lh, basis[i][0])]
+            active[:] = [i for i in active if not divides(lh, basis[i][0])]
             active.append(t)
         basis.append(entry)
         reduce_view.append((entry[0], entry[1]))

@@ -41,7 +41,7 @@ from .fields import QQ
 from .groebner import (GroebnerBasis, eliminate, groebner_basis,
                        lead_ideal_dimension)
 from .orders import elimination_block, grevlex
-from .poly import Polynomial, PolyContext
+from .poly import Polynomial, PolyContext, add_multiple
 from .parser import parse_polynomial
 
 
@@ -85,18 +85,12 @@ def _exact_divide(h: Polynomial, g: Polynomial) -> Polynomial:
     q: dict = {}
     while work:
         m = max(work, key=ctx.key)
-        shift = tuple(a - b for a, b in zip(m, lmg))
-        if any(e < 0 for e in shift):
+        if not monomial.divides(lmg, m):
             raise ArithmeticError("exact division failed; dividend is not a multiple")
+        shift = monomial.div(m, lmg)
         c = field.div(work[m], lcg)
         q[shift] = c
-        for m2, c2 in g.terms:
-            mm = tuple(a + b for a, b in zip(m2, shift))
-            nv = field.sub(work.get(mm, field.zero), field.mul(c, c2))
-            if nv:
-                work[mm] = nv
-            else:
-                work.pop(mm, None)
+        add_multiple(work, g.terms, field.neg(c), shift, field)
     return Polynomial(ctx, q)
 
 

@@ -1,5 +1,7 @@
-"""Monomial ideals on exponent tuples.
+"""Exponent vectors and monomial ideals on them.
 
+No other module does arithmetic on exponent vectors: the polynomial and
+Groebner layers call ``mul``, ``div``, ``divides``, ``lcm`` and ``coprime``.
 A monomial ideal is given by any finite collection of exponent vectors.
 Its minimal generators, the vectors divisible by no other one, are also its
 reduced Groebner basis in every monomial order, so no S-pair is ever
@@ -14,7 +16,30 @@ Algebra*, chapters 1-2.
 """
 from __future__ import annotations
 
-from operator import add, le
+from operator import add, le, sub
+
+
+def mul(a: tuple, b: tuple) -> tuple:
+    return tuple(map(add, a, b))
+
+
+def div(a: tuple, b: tuple) -> tuple:
+    """The quotient x^a / x^b, for b dividing a."""
+    return tuple(map(sub, a, b))
+
+
+def divides(a: tuple, b: tuple) -> bool:
+    """True when x^a divides x^b."""
+    return all(map(le, a, b))
+
+
+def lcm(a: tuple, b: tuple) -> tuple:
+    return tuple(map(max, a, b))
+
+
+def coprime(a: tuple, b: tuple) -> bool:
+    """True when x^a and x^b share no variable."""
+    return not any(map(min, a, b))
 
 
 def contains(gens, m: tuple) -> bool:

@@ -1,9 +1,11 @@
 """Dense-exponent multivariate polynomials over an exact field.
 
 Monomials are plain int tuples (one slot per variable, total degree is just
-``sum``).  A ``PolyContext`` bundles variable names, the coefficient field and
-the active monomial order; contexts are interned so identity comparison works
-and sort keys can be memoized per context.
+``sum``); ``monomial`` holds their arithmetic.  A ``PolyContext`` bundles
+variable names, the coefficient field and the active monomial order; contexts
+are interned so identity comparison works and sort keys can be memoized per
+context.  ``add_multiple`` is the one coefficient-accumulation loop; only the
+hot normal form (``groebner._nf_dict``) inlines its own.
 """
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ import itertools
 from typing import Iterable
 
 from .fields import QQ
+from .monomial import mul
 from .orders import MonomialOrder, grevlex
 
 Monomial = tuple  # exponent vector; degree = sum(m)
@@ -20,21 +23,19 @@ class ContextMismatch(ValueError):
     """Operands live in different ring contexts."""
 
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    """True when a | b componentwise."""
-    return all(x <= y for x, y in zip(a, b))
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def mono_coprime(a: Monomial, b: Monomial) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+def add_multiple(out: dict, terms, c, shift: Monomial, field) -> dict:
+    """out += c * x^shift * terms in place, dropping zero coefficients; every
+    value goes through ``field.mul`` and ``field.add``, so it is canonical."""
+    fmul, fadd = field.mul, field.add
+    for m, t in terms:
+        mm = mul(m, shift)
+        prev = out.get(mm)
+        v = fmul(c, t) if prev is None else fadd(prev, fmul(c, t))
+        if v:
+            out[mm] = v
+        elif prev is not None:
+            del out[mm]
+    return out
 
 
 _CONTEXTS: dict = {}
@@ -196,35 +197,12 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        field = self.ctx.field
-        out = dict(self.terms)
-        for m, c in other.terms:
-            prev = out.get(m)
-            if prev is None:
-                out[m] = c
-            else:
-                s = field.add(prev, c)
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return Polynomial(self.ctx, out)
+        ctx, one = self.ctx, self.ctx.field.one
+        return Polynomial(ctx, add_multiple(dict(self.terms), other.terms, one,
+                                            ctx.zero_mono(), ctx.field))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        field = self.ctx.field
-        out = dict(self.terms)
-        for m, c in other.terms:
-            prev = out.get(m)
-            if prev is None:
-                out[m] = field.neg(c)
-            else:
-                s = field.sub(prev, c)
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return Polynomial(self.ctx, out)
+        return self + -other
 
     def __neg__(self) -> "Polynomial":
         field = self.ctx.field
@@ -238,18 +216,8 @@ class Polynomial:
             a, b = other.terms, self.terms
         else:
             a, b = self.terms, other.terms
-        for m1, c1 in a:
-            for m2, c2 in b:
-                m = tuple(x + y for x, y in zip(m1, m2))
-                prev = out.get(m)
-                if prev is None:
-                    out[m] = field.mul(c1, c2)
-                else:
-                    s = field.add(prev, field.mul(c1, c2))
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
+        for m, c in a:
+            add_multiple(out, b, c, m, field)
         return Polynomial(self.ctx, out)
 
     def scale(self, c) -> "Polynomial":
@@ -260,7 +228,7 @@ class Polynomial:
 
     def shift(self, m: Monomial) -> "Polynomial":
         """Multiply by a monomial."""
-        return Polynomial(self.ctx, {mono_mul(m, mm): c for mm, c in self.terms})
+        return Polynomial(self.ctx, {mul(m, mm): c for mm, c in self.terms})
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:

@@ -36,10 +36,9 @@ _INPUT_ERRORS = (ConfigError, NotAdmissible, HorizonTooSmall, NoPolynomialTail,
 
 
 def build_filtration(ring: LocalRing, cfg: JobConfig) -> Filtration:
-    cap = cfg.horizon + 8
     if cfg.kind == EXPLICIT:
-        return explicit_filtration(ring, cfg.stages, hard_cap=cap)
-    return Filtration(ring, cfg.kind, ring.ideal(cfg.stages[1]), hard_cap=cap)
+        return explicit_filtration(ring, cfg.stages)
+    return Filtration(ring, cfg.kind, ring.ideal(cfg.stages[1]))
 
 
 def _strict_warnings(filt: Filtration, red, horizon: int) -> list:

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, determinism, schemas, corpus sweeps."""
 import json
+import re
 
 import pytest
 
@@ -7,13 +8,13 @@ import filtra.checkers as checkers
 import filtra.cli as cli
 import filtra.filtration as filtration
 from filtra.cli import main
-from filtra.config import ConfigError, parse_config, validate_report
+from filtra.config import ConfigError, config_schema, parse_config, validate_report
 from filtra.filtration import (adic_filtration, explicit_filtration,
                                reduction_system)
 from filtra.ideals import LocalRing
 from filtra.report import _strict_warnings
 
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, PKG_ROOT
 
 CUSP = CORPUS_DIR / "cusp.json"
 
@@ -377,6 +378,35 @@ def test_config_search_echo():
     echo = cfg.canonical()
     assert echo["reduction"]["search"]["seed"] == 3
     assert echo["reduction"]["search"]["attempts"] == 60
+
+
+def _readme_config_rows() -> dict:
+    """The README configuration table, as {key: meaning}."""
+    text = (PKG_ROOT / "README.md").read_text()
+    table = text.split("## Configuration", 1)[1].split("\n\n")[1]
+    rows = {}
+    for line in table.splitlines()[2:]:
+        key, meaning = line.strip("|").split("|", 1)
+        rows[key.strip().strip("`")] = meaning
+    return rows
+
+
+def test_readme_config_table_matches_schema():
+    """The README names exactly the schema's keys, nested objects by their
+    dotted keys, and every literal value its field row shows is accepted."""
+    want = set()
+    for key, sub in config_schema()["properties"].items():
+        if "properties" in sub:
+            want |= {f"{key}.{k}" for k in sub["properties"]}
+        else:
+            want.add(key)
+    rows = _readme_config_rows()
+    assert set(rows) == want
+    literals = [json.loads(t) for t in re.findall(r"`([^`]*)`", rows["field"])
+                if t[:1] in ('"', "{", "[")]
+    assert literals
+    for value in literals:
+        assert parse_config(base_config(field=value)).field_descriptor == value
 
 
 # -- strict mode -----------------------------------------------------------

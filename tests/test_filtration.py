@@ -2,6 +2,7 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from filtra import filtration
 from filtra.filtration import (Filtration, HorizonExceeded, NotAdmissible,
                                SearchExhausted, adic_filtration,
                                check_colon_in_i1, check_d_sequence,
@@ -41,20 +42,22 @@ def test_towers_share_the_powers_kept_on_the_handle():
         assert adic.get_ideal(n) is adic.seed.power(n)
 
 
-def test_stage_index_guards():
-    filt = adic_filtration(PLANE, ["x", "y"], hard_cap=3)
+def test_stage_index_guards(monkeypatch):
+    monkeypatch.setattr(filtration, "HARD_CAP", 3)
+    filt = adic_filtration(PLANE, ["x", "y"])
     with pytest.raises(ValueError):
         filt.get_ideal(-1)
-    with pytest.raises(HorizonExceeded, match=r"hard_cap=3"):
+    with pytest.raises(HorizonExceeded, match=r"HARD_CAP=3"):
         filt.get_ideal(4)
 
 
-def test_listed_stage_past_hard_cap_is_refused():
+def test_listed_stage_past_hard_cap_is_refused(monkeypatch):
     """The cap is checked before the listed stages are read."""
+    monkeypatch.setattr(filtration, "HARD_CAP", 3)
     filt = explicit_filtration(PLANE, {1: ["x", "y"], 2: ["x^2", "y"],
-                                       3: ["x^3", "y"], 4: ["x^4", "y"]}, hard_cap=3)
+                                       3: ["x^3", "y"], 4: ["x^4", "y"]})
     assert filt.get_ideal(3).gens
-    with pytest.raises(HorizonExceeded, match=r"stage 4 beyond hard_cap=3"):
+    with pytest.raises(HorizonExceeded, match=r"stage 4 beyond HARD_CAP=3"):
         filt.get_ideal(4)
 
 
@@ -244,6 +247,18 @@ def test_find_reduction_exhaustion():
     filt = adic_filtration(CUSP, ["x", "y"])
     with pytest.raises(SearchExhausted):
         find_reduction(filt, 8, seed=0, attempts=0)
+
+
+def test_find_reduction_lets_internal_faults_through(monkeypatch):
+    """Only a candidate that is not admissible is skipped: any other error
+    in an attempt is a fault, and must not read as an exhausted search."""
+    def boom(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(filtration, "verify_admissible", boom)
+    filt = adic_filtration(CUSP, ["x", "y"])
+    with pytest.raises(ValueError, match="boom"):
+        find_reduction(filt, 8, seed=0, attempts=5)
 
 
 # -- sequence conditions ---------------------------------------------------

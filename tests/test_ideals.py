@@ -16,8 +16,9 @@ from filtra.config import load_config, parse_config
 from filtra.fields import QQ, PrimeField
 from filtra.ideals import (IdealHandle, LocalRing, NotFiniteLength, NotMPrimary,
                            NotNested)
+from filtra.monomial import divides
 from filtra.parser import parse_polynomial
-from filtra.poly import Polynomial, mono_divides
+from filtra.poly import Polynomial
 from filtra.report import run_job, to_json
 
 from conftest import CORPUS_DIR
@@ -561,7 +562,7 @@ def brute_colength(ring, gens):
         assert pure, "brute oracle needs an artinian monomial ideal"
         bounds.append(min(pure))
     return sum(1 for mono in itertools.product(*[range(b) for b in bounds])
-               if not any(mono_divides(l, mono) for l in leads))
+               if not any(divides(l, mono) for l in leads))
 
 
 def random_monomial_handle(rng, ring, artinian):

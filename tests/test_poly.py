@@ -1,11 +1,13 @@
 """Sparse polynomial arithmetic over exact fields."""
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from filtra.fields import PrimeField, QQ
 from filtra.orders import grevlex, lex
-from filtra.poly import (PolyContext, Polynomial, mono_coprime, mono_divides,
-                         mono_lcm, mono_mul, poly_to_str)
+from filtra.monomial import coprime, div, divides, lcm, mul
+from filtra.poly import PolyContext, Polynomial, add_multiple, poly_to_str
 
 CTX = PolyContext.get(("x", "y", "z"), QQ, grevlex(3))
 CTXP = PolyContext.get(("x", "y", "z"), PrimeField(101), grevlex(3))
@@ -24,12 +26,32 @@ def test_context_interning():
 
 def test_mono_helpers():
     u, w = (2, 1, 0), (1, 1, 1)
-    assert mono_mul(u, w) == (3, 2, 1)
-    assert mono_lcm(u, w) == (2, 1, 1)
-    assert mono_divides(w, mono_mul(u, w))
-    assert not mono_divides((0, 0, 2), u)
-    assert mono_coprime((1, 0, 0), (0, 3, 1))
-    assert not mono_coprime(u, w)
+    assert mul(u, w) == (3, 2, 1)
+    assert lcm(u, w) == (2, 1, 1)
+    assert divides(w, mul(u, w))
+    assert not divides((0, 0, 2), u)
+    assert coprime((1, 0, 0), (0, 3, 1))
+    assert not coprime(u, w)
+    assert div((3, 2, 1), u) == w
+
+
+def _vector_pairs():
+    vec = lambda n: st.tuples(*[st.integers(min_value=0, max_value=4)] * n)
+    return st.integers(min_value=1, max_value=4).flatmap(lambda n: st.tuples(vec(n), vec(n)))
+
+
+@given(_vector_pairs())
+@settings(max_examples=100)
+def test_exponent_arithmetic_is_componentwise(pair):
+    a, b = pair
+    idx = range(len(a))
+    assert mul(a, b) == tuple(a[i] + b[i] for i in idx)
+    assert lcm(a, b) == tuple(max(a[i], b[i]) for i in idx)
+    assert divides(a, b) == all(a[i] <= b[i] for i in idx)
+    assert coprime(a, b) == all(a[i] == 0 or b[i] == 0 for i in idx)
+    assert div(mul(a, b), b) == a
+    if divides(b, a):
+        assert div(a, b) == tuple(a[i] - b[i] for i in idx)
 
 
 def test_lead_and_degree():
@@ -96,6 +118,42 @@ def polys(draw, ctx=CTX):
     for m, c in terms.items():
         out = out + Polynomial.monomial(ctx, m, ctx.field.from_int(c))
     return out
+
+
+@st.composite
+def accumulations(draw, field):
+    """(out, terms, c, shift) with canonical coefficients of the field."""
+    if field.p is None:
+        coeff = st.builds(field.rational, st.integers(-6, 6), st.integers(1, 4))
+    else:
+        coeff = st.integers(min_value=0, max_value=field.p - 1)
+    nonzero = coeff.filter(bool)
+    out = draw(st.dictionaries(small_mono, nonzero, max_size=6))
+    terms = tuple(draw(st.dictionaries(small_mono, nonzero, max_size=6)).items())
+    return out, terms, draw(coeff), draw(small_mono)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["QQ", "F101"])
+@given(data=st.data())
+@settings(max_examples=80)
+def test_add_multiple_matches_naive_sum(field, data):
+    """out + c * x^shift * terms, summed naively in Fractions: the kernel
+    agrees, keeps no zero, and stores an int exactly when a value is
+    integral (never a float, never an integral Fraction)."""
+    out, terms, c, shift = data.draw(accumulations(field))
+    want = {m: Fraction(v) for m, v in out.items()}
+    for m, t in terms:
+        mm = tuple(m[i] + shift[i] for i in range(3))
+        want[mm] = want.get(mm, 0) + Fraction(c) * t
+    if field.p is not None:
+        want = {m: v % field.p for m, v in want.items()}
+    want = {m: v for m, v in want.items() if v}
+    work = dict(out)
+    got = add_multiple(work, terms, c, shift, field)
+    assert got is work
+    assert got == want
+    for v in got.values():
+        assert type(v) is (int if Fraction(v).denominator == 1 else Fraction)
 
 
 @given(polys(), polys(), polys())
