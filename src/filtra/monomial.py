@@ -7,7 +7,8 @@ Its minimal generators, the vectors divisible by no other one, are also its
 reduced Groebner basis in every monomial order, so no S-pair is ever
 formed.  Products add exponents, intersections take pairwise lcms, the
 colon by a monomial subtracts exponents clipped at zero, membership is
-divisibility, and the colength of an artinian ideal is a staircase count.
+divisibility, and the colength of an artinian ideal is a staircase count,
+which reads any generating set: it needs no minimal generators.
 Nothing here builds a polynomial; callers convert at their own boundary.
 
 References: A. M. Bigatti, "Computation of Hilbert-Poincare series",
@@ -48,16 +49,25 @@ def contains(gens, m: tuple) -> bool:
 
 
 def minimal(monos) -> tuple:
-    """Minimal generators: duplicates and multiples of others dropped.
+    """Minimal generators: duplicates and multiples of others dropped, in no
+    promised order.
 
-    The result is ordered by total degree, ties in input order.  Each vector
-    is packed into one integer with a guard bit above every exponent field,
-    so that k | m is a single subtraction: the guard bits of
+    In two variables, a vector sorted by first exponent is minimal exactly
+    when its second exponent is below all earlier ones.  Otherwise each
+    vector is packed into one integer with a guard bit above every exponent
+    field, so that k | m is a single subtraction: the guard bits of
     (m | guards) - k all survive exactly when no field of k exceeds m's.
     """
     monos = list(dict.fromkeys(monos))
     if len(monos) < 2:
         return tuple(monos)
+    if len(monos[0]) == 2:
+        out, low = [], None
+        for m in sorted(monos):
+            if low is None or m[1] < low:
+                out.append(m)
+                low = m[1]
+        return tuple(out)
     width = max(map(max, monos)).bit_length() + 1
     guards = 0
     for i in range(len(monos[0])):
@@ -93,24 +103,40 @@ def colon(a, m: tuple) -> tuple:
 def count_box_complement(bounds, leads) -> int:
     """Monomials below the bounds divisible by no lead, without enumeration.
 
-    Splits on the first exponent at the thresholds where the active lead set
-    changes, so runtime scales with the number of leads rather than the box.
+    The leads may be any vectors: unsorted, repeated, non-minimal or outside
+    the box.  Sorted by first exponent, they split the box into slabs on
+    which the set of active leads is fixed; each slab is counted from the
+    raw projections of the active leads, so runtime scales with the number
+    of leads rather than the box.  In two variables a slab's count is the
+    least second exponent seen so far, kept in one sweep.
     """
-    if any(sum(l) == 0 for l in leads):
-        return 0
     if not bounds:
-        return 1
+        return 0 if leads else 1
     b0 = bounds[0]
     if b0 <= 0:
         return 0
     if len(bounds) == 1:
         return min([b0] + [l[0] for l in leads])
-    cuts = sorted({0, b0} | {l[0] for l in leads if 0 < l[0] < b0})
-    total = 0
-    for lo, hi in zip(cuts, cuts[1:]):
-        active = minimal([l[1:] for l in leads if l[0] <= lo])
-        total += (hi - lo) * count_box_complement(bounds[1:], active)
-    return total
+    total, lo = 0, 0
+    if len(bounds) == 2:
+        width = max(bounds[1], 0)
+        for a, b in sorted(leads):
+            if a >= b0:
+                break
+            if b < width:
+                total += (a - lo) * width
+                lo, width = a, b
+        return total + (b0 - lo) * width
+    rest, active = bounds[1:], []
+    for l in sorted(leads):
+        a = l[0]
+        if a >= b0:
+            break
+        if a > lo:
+            total += (a - lo) * count_box_complement(rest, active)
+            lo = a
+        active.append(l[1:])
+    return total + (b0 - lo) * count_box_complement(rest, active)
 
 
 def pure_power_bounds(gens, nvars: int) -> tuple | None:
@@ -126,7 +152,7 @@ def pure_power_bounds(gens, nvars: int) -> tuple | None:
 
 
 def colength(gens, nvars: int) -> int | None:
-    """Number of monomials outside the ideal; None when it is infinite."""
-    gens = minimal(gens)
+    """Number of monomials outside the ideal; None when it is infinite.
+    The generators need not be minimal."""
     bounds = pure_power_bounds(gens, nvars)
     return None if bounds is None else count_box_complement(bounds, gens)

@@ -151,7 +151,9 @@ class Polynomial:
             c = ctx.field.one
         if not c:
             return Polynomial(ctx, {})
-        return Polynomial(ctx, {tuple(m): c})
+        p = Polynomial.__new__(Polynomial)
+        p.ctx, p.terms, p._hash = ctx, ((tuple(m), c),), None
+        return p
 
     def as_dict(self) -> dict:
         return dict(self.terms)
