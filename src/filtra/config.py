@@ -1,11 +1,19 @@
-"""Job configuration: schema-validated JSON in, a frozen dataclass out."""
+"""Job configuration: schema-checked JSON in, a frozen dataclass out.
+
+Each published schema is turned once, at import, into a predicate built
+from closures, in the manner of fastjsonschema.  The contract is
+one-sided: a predicate answers True only for a document that jsonschema's
+``Draft202012Validator`` accepts.  False means only "not shown valid";
+jsonschema then decides and words the refusal, and it is imported only
+then.
+"""
 from __future__ import annotations
 
 import json
+import numbers
+import re
 from dataclasses import dataclass
 from importlib import resources
-
-import jsonschema
 
 from .checkers import ALL_CHECKS
 
@@ -34,6 +42,229 @@ def config_schema() -> dict:
 
 def report_schema() -> dict:
     return _REPORT_SCHEMA
+
+
+# -- schema predicates -----------------------------------------------------
+#
+# Every leaf check below mirrors the jsonschema keyword it stands for, down
+# to the type checker (8.0 is an integer, True is not) and the equality of
+# ``enum`` (True is not 1), so its False is a refusal jsonschema also makes.
+# ``oneOf`` relies on that: it counts a branch out only when a leaf check
+# of that branch fails.
+
+_ANNOTATIONS = frozenset({"$schema", "$id", "$defs", "$comment", "title",
+                          "description"})
+_TRUE, _FALSE = object(), object()
+
+
+def _always(x) -> bool:
+    return True
+
+
+def _never(x) -> bool:
+    return False
+
+
+def _unbool(x):
+    return _TRUE if x is True else _FALSE if x is False else x
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, numbers.Number) and not isinstance(x, bool)
+
+
+def _is_integer(x) -> bool:
+    if isinstance(x, bool):
+        return False
+    return isinstance(x, int) or isinstance(x, float) and x.is_integer()
+
+
+_TYPES = {
+    "array": lambda x: isinstance(x, list),
+    "boolean": lambda x: isinstance(x, bool),
+    "integer": _is_integer,
+    "null": lambda x: x is None,
+    "number": _is_number,
+    "object": lambda x: isinstance(x, dict),
+    "string": lambda x: isinstance(x, str),
+}
+
+
+def _type(names):
+    tests = [_TYPES[n] for n in ([names] if isinstance(names, str) else names)]
+    return tests[0] if len(tests) == 1 else lambda x: any(t(x) for t in tests)
+
+
+def _member_of(values, keyword):
+    if not all(v is None or isinstance(v, (str, int, float)) for v in values):
+        raise ValueError(f"no predicate for schema keyword {keyword!r} "
+                         f"with a non-scalar value")
+    members = tuple(_unbool(v) for v in values)
+    return lambda x: _unbool(x) in members
+
+
+def _pattern(regex):
+    search = re.compile(regex).search
+    return lambda x: not isinstance(x, str) or search(x) is not None
+
+
+def _sized(kind, bound, at_least):
+    if at_least:
+        return lambda x: not isinstance(x, kind) or len(x) >= bound
+    return lambda x: not isinstance(x, kind) or len(x) <= bound
+
+
+_LEAVES = {
+    "type": _type,
+    "enum": lambda values: _member_of(values, "enum"),
+    "const": lambda value: _member_of([value], "const"),
+    "required": lambda names: (
+        lambda x: not isinstance(x, dict) or all(n in x for n in names)),
+    "minimum": lambda m: lambda x: not _is_number(x) or not x < m,
+    "maximum": lambda m: lambda x: not _is_number(x) or not x > m,
+    "pattern": _pattern,
+    "minLength": lambda n: _sized(str, n, True),
+    "maxLength": lambda n: _sized(str, n, False),
+    "minItems": lambda n: _sized(list, n, True),
+    "maxItems": lambda n: _sized(list, n, False),
+    "minProperties": lambda n: _sized(dict, n, True),
+}
+
+
+def _all(checks):
+    if not checks:
+        return _always
+    if len(checks) == 1:
+        return checks[0]
+    checks = tuple(checks)
+
+    def check(x) -> bool:
+        for c in checks:
+            if not c(x):
+                return False
+        return True
+    return check
+
+
+def _unique(flag, schema, root):
+    # judges lists of strings only and leaves any other list to jsonschema
+    if not flag:
+        return _always
+    return lambda x: not isinstance(x, list) or (
+        all(isinstance(v, str) for v in x) and len(set(x)) == len(x))
+
+
+def _object(value, schema, root):
+    props = {name: schema_predicate(sub, root)
+             for name, sub in schema.get("properties", {}).items()}
+    extra = schema.get("additionalProperties", True)
+    extra = None if extra is True else schema_predicate(extra, root)
+
+    def check(x) -> bool:
+        if not isinstance(x, dict):
+            return True
+        for name, value in x.items():
+            test = props.get(name, extra)
+            if test is not None and not test(value):
+                return False
+        return True
+    return check
+
+
+def _items(sub, schema, root):
+    test = schema_predicate(sub, root)
+    return lambda x: not isinstance(x, list) or all(map(test, x))
+
+
+def _property_names(sub, schema, root):
+    test = schema_predicate(sub, root)
+    return lambda x: not isinstance(x, dict) or all(map(test, x))
+
+
+def _one_of(branches, schema, root):
+    pairs = [(schema_predicate(b, root), _all(_leaf_checks(b, root)))
+             for b in branches]
+
+    def check(x) -> bool:
+        hits = 0
+        for accepts, may_accept in pairs:
+            if accepts(x):
+                hits += 1
+            elif may_accept(x):
+                return False      # neither shown valid nor shown invalid
+        return hits == 1
+    return check
+
+
+def _resolve(ref: str, root: dict) -> dict:
+    prefix = "#/$defs/"
+    if not ref.startswith(prefix):
+        raise ValueError(f"no predicate for schema keyword '$ref' to {ref!r}")
+    return root["$defs"][ref[len(prefix):]]
+
+
+def _ref(ref, schema, root):
+    return schema_predicate(_resolve(ref, root), root)
+
+
+# checks that descend into sub-schemas, and ``uniqueItems``, which refuses
+# lists it cannot judge: a False from these does not count a branch out
+_NODES = {
+    "uniqueItems": _unique,
+    "properties": _object,
+    "additionalProperties": _object,
+    "items": _items,
+    "propertyNames": _property_names,
+    "oneOf": _one_of,
+    "$ref": _ref,
+}
+
+
+def _leaf_checks(schema, root) -> list:
+    """The checks of ``schema`` whose failure alone makes jsonschema refuse."""
+    if isinstance(schema, bool):
+        return [] if schema else [_never]
+    checks = [_LEAVES[k](v) for k, v in schema.items() if k in _LEAVES]
+    if "$ref" in schema:
+        checks += _leaf_checks(_resolve(schema["$ref"], root), root)
+    return checks
+
+
+def schema_predicate(schema, root=None):
+    """A predicate that returns True only for documents that ``schema``
+    (Draft 2020-12) accepts; ``root`` holds the ``$defs`` a ``$ref`` names.
+    A keyword without a predicate raises ValueError, so an edit to a
+    schema cannot quietly weaken its check."""
+    if isinstance(schema, bool):
+        return _always if schema else _never
+    root = schema if root is None else root
+    checks = []
+    for key, value in schema.items():
+        if key in _LEAVES:
+            checks.append(_LEAVES[key](value))
+        elif key in _NODES:
+            if key == "additionalProperties" and "properties" in schema:
+                continue          # checked with ``properties``
+            checks.append(_NODES[key](value, schema, root))
+        elif key not in _ANNOTATIONS:
+            raise ValueError(f"no predicate for schema keyword {key!r}")
+    return _all(checks)
+
+
+def _schema_error(schema: dict, doc) -> str | None:
+    """Where and why jsonschema refuses ``doc``, or None if it accepts it."""
+    import jsonschema
+    validator = jsonschema.Draft202012Validator(schema)
+    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
+    if not errors:
+        return None
+    first = errors[0]
+    where = "/".join(str(p) for p in first.absolute_path) or "<root>"
+    return f"{where}: {first.message}"
+
+
+_CONFIG_VALID = schema_predicate(_CONFIG_SCHEMA)
+_REPORT_VALID = schema_predicate(_REPORT_SCHEMA)
 
 
 @dataclass(frozen=True)
@@ -77,16 +308,14 @@ class JobConfig:
 
 
 def parse_config(obj, fallback_name: str = "job") -> JobConfig:
-    validator = jsonschema.Draft202012Validator(_CONFIG_SCHEMA)
-    try:
-        errors = sorted(validator.iter_errors(obj), key=lambda e: list(e.absolute_path))
-    except RecursionError as exc:
-        # comparing or printing deeply nested values recurses
-        raise ConfigError("config nests its values too deeply to validate") from exc
-    if errors:
-        first = errors[0]
-        where = "/".join(str(p) for p in first.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {where}: {first.message}")
+    if not _CONFIG_VALID(obj):
+        try:
+            error = _schema_error(_CONFIG_SCHEMA, obj)
+        except RecursionError as exc:
+            # comparing or printing deeply nested values recurses
+            raise ConfigError("config nests its values too deeply to validate") from exc
+        if error:
+            raise ConfigError(f"config invalid at {error}")
 
     checks = obj.get("checks", "all")
     if checks == "all":
@@ -116,8 +345,9 @@ def parse_config(obj, fallback_name: str = "job") -> JobConfig:
     return JobConfig(
         name=obj.get("name", fallback_name),
         field_descriptor=obj.get("field", "q"),
-        horizon=obj.get("horizon", DEFAULT_HORIZON),
-        power_bound=obj.get("power_bound", DEFAULT_POWER_BOUND),
+        # the schema counts 8.0 as an integer; the algebra needs an int
+        horizon=int(obj.get("horizon", DEFAULT_HORIZON)),
+        power_bound=int(obj.get("power_bound", DEFAULT_POWER_BOUND)),
         strict=obj.get("strict", False),
         checks=selected,
         variables=tuple(obj["ring"]["variables"]),
@@ -125,8 +355,8 @@ def parse_config(obj, fallback_name: str = "job") -> JobConfig:
         kind=kind,
         stages=stages,
         generators=generators,
-        search_seed=search.get("seed", 0),
-        search_attempts=search.get("attempts", DEFAULT_SEARCH_ATTEMPTS),
+        search_seed=int(search.get("seed", 0)),
+        search_attempts=int(search.get("attempts", DEFAULT_SEARCH_ATTEMPTS)),
     )
 
 
@@ -148,9 +378,7 @@ def load_config(path) -> JobConfig:
 
 def validate_report(report: dict):
     """Self-check emitted reports against the published schema."""
-    validator = jsonschema.Draft202012Validator(_REPORT_SCHEMA)
-    errors = sorted(validator.iter_errors(report), key=lambda e: list(e.absolute_path))
-    if errors:
-        first = errors[0]
-        where = "/".join(str(p) for p in first.absolute_path) or "<root>"
-        raise ValueError(f"report fails its schema at {where}: {first.message}")
+    if not _REPORT_VALID(report):
+        error = _schema_error(_REPORT_SCHEMA, report)
+        if error:
+            raise ValueError(f"report fails its schema at {error}")

@@ -380,6 +380,27 @@ def test_config_search_echo():
     assert echo["reduction"]["search"]["attempts"] == 60
 
 
+def test_integral_floats_run_as_ints(tmp_path):
+    """JSON Schema counts 8.0 as an integer, so a config may write one
+    where an int is meant; the job runs, and reports, as with the int."""
+    search = {"seed": 5, "attempts": 40}
+    with_ints = base_config(power_bound=2, reduction={"search": search})
+    with_floats = base_config(horizon=8.0, power_bound=2.0, reduction={
+        "search": {k: float(v) for k, v in search.items()}})
+    texts = []
+    for name, cfg in (("ints", with_ints), ("floats", with_floats)):
+        out = tmp_path / f"{name}.report.json"
+        assert main(["verify", write_config(tmp_path, cfg, f"{name}.json"),
+                     "--report", str(out), "--quiet"]) == 0
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
+    cdir, reports = tmp_path / "corpus", tmp_path / "reports"
+    cdir.mkdir()
+    write_config(cdir, with_floats)
+    assert main(["corpus", str(cdir), "--reports", str(reports), "--quiet"]) == 0
+    assert (reports / "job.json").read_bytes() == texts[0]
+
+
 def _readme_config_rows() -> dict:
     """The README configuration table, as {key: meaning}."""
     text = (PKG_ROOT / "README.md").read_text()
