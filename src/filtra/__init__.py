@@ -3,9 +3,7 @@ filtrations on concrete Noetherian local rings."""
 
 from .fields import QQ, PrimeField, Rationals, field_from_descriptor
 from .ideals import IdealHandle, LocalRing
-from .filtration import (adic_filtration, explicit_filtration, find_reduction,
-                         ratliff_rush_filtration, reduction_system,
-                         verify_admissible)
+from .filtration import find_reduction, reduction_system, verify_admissible
 from .checkers import (BoundaryData, compute_boundary_data, evaluate_conditions,
                        evaluate_structural, run_checks)
 from .config import JobConfig, load_config, parse_config
@@ -16,7 +14,6 @@ __version__ = "0.1.0"
 __all__ = [
     "QQ", "PrimeField", "Rationals", "field_from_descriptor",
     "IdealHandle", "LocalRing",
-    "adic_filtration", "explicit_filtration", "ratliff_rush_filtration",
     "reduction_system", "find_reduction", "verify_admissible",
     "BoundaryData", "compute_boundary_data", "evaluate_conditions",
     "evaluate_structural", "run_checks",

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .filtration import (Filtration, ReductionSystem, EXPLICIT, ADIC,
-                         NotAdmissible, check_colon_in_i1, check_d_sequence,
-                         check_usd_bounded, reduction_system, verify_admissible)
+from .filtration import (Filtration, ReductionSystem, EXPLICIT, NotAdmissible,
+                         check_colon_in_i1, check_d_sequence, check_usd_bounded,
+                         reduction_system, verify_admissible)
 from .hilbert import (HorizonTooSmall, NoPolynomialTail, PolynomialFit,
                       SallyFit, binom, fit_hilbert_samuel, fit_sally)
 from .ideals import IdealHandle, LocalRing
@@ -325,8 +325,8 @@ def check_torsion_quotient_reduction(data: BoundaryData) -> dict:
         return _check("torsion_quotient_reduction", True,
                       torsion_free_already=True, equality=data.equality)
     C = ring.torsion_free_quotient()
-    stages = {n: C.transport(filt.get_ideal(n)) for n in range(2, H + 1)}
-    cfilt = Filtration(C, EXPLICIT, C.transport(filt.i1), explicit=stages)
+    cfilt = Filtration(C, EXPLICIT,
+                       {n: filt.get_ideal(n).gens for n in range(1, H + 1)})
     cred = reduction_system(C, list(data.red.generators))
     try:
         verify_admissible(cfilt, cred, H)

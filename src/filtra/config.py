@@ -26,6 +26,8 @@ DEFAULT_HORIZON = 12
 DEFAULT_POWER_BOUND = 2
 DEFAULT_SEARCH_ATTEMPTS = 60
 
+_STAGE_NAME = re.compile(r"[1-9][0-9]*")
+
 
 def _load_schema(name: str) -> dict:
     text = resources.files("filtra").joinpath(f"schemas/{name}").read_text()
@@ -326,17 +328,22 @@ def parse_config(obj, fallback_name: str = "job") -> JobConfig:
             raise ConfigError(f"unknown check names: {', '.join(unknown)}")
         selected = tuple(c for c in ALL_CHECKS if c in checks)
 
+    # the one check of a stage table: Filtration trusts what passes here
     stages_raw = obj["filtration"]["stages"]
-    stages = {int(n): tuple(g) for n, g in stages_raw.items()}
-    if 1 not in stages:
+    for key in stages_raw:
+        # the schema's pattern lets "1\n" through, which int() reads as 1
+        if not _STAGE_NAME.fullmatch(key):
+            raise ConfigError(f"filtration stage name {key!r} is not a plain "
+                              f"positive integer")
+    if "1" not in stages_raw:
         raise ConfigError("filtration stages must include stage 1")
     kind = obj["filtration"]["kind"]
-    if kind != "explicit" and max(stages) > 1:
+    count = len(stages_raw)
+    if kind != "explicit" and count > 1:
         raise ConfigError(f"{kind} filtration takes only stage 1")
-    if kind == "explicit" and max(stages) > 1:
-        want = list(range(1, max(stages) + 1))
-        if sorted(stages) != want:
-            raise ConfigError("explicit stages must be consecutive from 1")
+    if set(stages_raw) != {str(n) for n in range(1, count + 1)}:
+        raise ConfigError("explicit stages must be consecutive from 1")
+    stages = {n: tuple(stages_raw[str(n)]) for n in range(1, count + 1)}
 
     red = obj["reduction"]
     generators = tuple(red["generators"]) if "generators" in red else None

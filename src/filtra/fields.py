@@ -9,8 +9,9 @@ canonical, not merely equal: no hot loop should pay for a Fraction holding an
 integer, and ``groebner._fingerprint`` hashes the repr of the terms, where
 ``repr(3) != repr(Fraction(3))``.  Coefficient loops go through the field's
 methods, in ``poly.add_multiple``.  The one exception, the normal form
-``groebner._nf_dict``, branches on ``field.p is None`` to inline the
-arithmetic, and over the rationals applies ``canonical`` to each result itself.
+``groebner._nf_dict``, inlines the arithmetic in one loop for both kinds of
+field and normalizes each result itself: by ``canonical`` over the rationals,
+by reduction mod p over a prime field.
 """
 from __future__ import annotations
 

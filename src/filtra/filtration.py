@@ -50,25 +50,22 @@ ADIC, RATLIFF_RUSH, EXPLICIT = "adic", "ratliff_rush", "explicit"
 
 
 class Filtration:
-    """Lazy tower of ideals; stages are memoized handles."""
+    """Lazy tower of ideals; stages are memoized handles.
 
-    def __init__(self, ring: LocalRing, kind: str, i1: IdealHandle,
-                 explicit: dict | None = None):
+    ``stages`` maps 1, 2, ... to generator lists, as ``parse_config``
+    checked them: stage 1 always, later stages only for an explicit tower.
+    """
+
+    def __init__(self, ring: LocalRing, kind: str, stages: dict):
         if kind not in (ADIC, RATLIFF_RUSH, EXPLICIT):
             raise ValueError(f"unknown filtration kind {kind!r}")
         self.ring = ring
         self.kind = kind
-        self.seed = i1
-        self._stages: dict = {0: ring.unit_ideal()}
-        if kind != RATLIFF_RUSH:
-            self._stages[1] = i1  # the closure may enlarge stage one
-        if kind == EXPLICIT:
-            explicit = explicit or {}
-            keys = sorted(explicit)
-            if keys and keys != list(range(2, keys[-1] + 1)):
-                raise ValueError("explicit stages must be consecutive from 2")
-            for n in keys:
-                self._stages[n] = explicit[n]
+        self._stages = {0: ring.unit_ideal()}
+        self._stages.update((n, ring.ideal(g)) for n, g in stages.items())
+        self.seed = self._stages[1]
+        if kind == RATLIFF_RUSH:
+            del self._stages[1]  # the closure may enlarge stage one
 
     @property
     def i1(self) -> IdealHandle:
@@ -103,23 +100,6 @@ class Filtration:
         raise RatliffRushNotStabilized(
             f"colon closure at stage {n} kept growing for "
             f"RR_ITERATION_BOUND={RR_ITERATION_BOUND} steps")
-
-
-def adic_filtration(ring: LocalRing, gens) -> Filtration:
-    return Filtration(ring, ADIC, ring.ideal(gens))
-
-
-def ratliff_rush_filtration(ring: LocalRing, gens) -> Filtration:
-    return Filtration(ring, RATLIFF_RUSH, ring.ideal(gens))
-
-
-def explicit_filtration(ring: LocalRing, stages: dict) -> Filtration:
-    """stages maps 1,2,... to generator lists; later stages follow the tail rule."""
-    by_index = {int(n): g for n, g in stages.items()}
-    if 1 not in by_index:
-        raise ValueError("explicit filtration needs stage 1")
-    handles = {n: ring.ideal(g) for n, g in by_index.items() if n >= 2}
-    return Filtration(ring, EXPLICIT, ring.ideal(by_index[1]), explicit=handles)
 
 
 @dataclass(frozen=True)
@@ -207,8 +187,8 @@ def reduction_tail(stage, red: ReductionSystem, horizon: int) -> tuple:
     return r, flags
 
 
-def find_reduction(filt: Filtration, horizon: int, seed: int = 0,
-                   attempts: int = 60) -> ReductionSystem:
+def find_reduction(filt: Filtration, horizon: int, seed: int,
+                   attempts: int) -> ReductionSystem:
     """Random small-coefficient combinations of stage-one generators."""
     ring = filt.ring
     d = ring.dimension
@@ -254,7 +234,7 @@ def check_d_sequence(ring: LocalRing, elements) -> tuple:
     return True, None
 
 
-def check_usd_bounded(ring: LocalRing, elements, power_bound: int = 2) -> tuple:
+def check_usd_bounded(ring: LocalRing, elements, power_bound: int) -> tuple:
     """Every permutation with every exponent vector up to the bound is a
     d-sequence; this is the finitely tested surrogate for the unconditioned
     statement, and the bound is part of the reported claim."""

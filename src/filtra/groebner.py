@@ -36,15 +36,18 @@ def _nf_dict(f: dict, basis: list, ctx: PolyContext) -> dict:
     Monomials are finalized in strictly descending order, so the result has no
     term divisible by any basis lead.  This is the only coefficient loop not
     written as ``poly.add_multiple``: it is the hot path, and it pushes each
-    new monomial onto the heap.  Over the rationals the inlined arithmetic
-    keeps coefficients in the field's canonical form (``fields.canonical``: an
-    int when integral), which is cheaper than a Fraction and which
+    new monomial onto the heap.  One loop serves both kinds of field; ``norm``
+    reduces mod p over a prime field, and over the rationals keeps
+    coefficients in the field's canonical form (``fields.canonical``: an int
+    when integral), which is cheaper than a Fraction and which
     ``_fingerprint`` relies on.
     """
     if not f or not basis:
         return dict(f)
     negkey = ctx.negkey
     p = ctx.field.p
+    # read at each call, so that a test may patch the module's ``canonical``
+    norm = canonical if p is None else (lambda v: v % p)
     work = dict(f)
     heap = [(negkey(m), m) for m in work]
     heapq.heapify(heap)
@@ -61,32 +64,18 @@ def _nf_dict(f: dict, basis: list, ctx: PolyContext) -> dict:
         else:
             rem[m] = c
             continue
-        if p is None:
-            for m2, c2 in hit_tail:
-                mm = mul(m2, shift)
-                prev = work.get(mm)
-                if prev is None:
-                    work[mm] = canonical(-c * c2)
-                    heapq.heappush(heap, (negkey(mm), mm))
+        for m2, c2 in hit_tail:
+            mm = mul(m2, shift)
+            prev = work.get(mm)
+            if prev is None:
+                work[mm] = norm(-c * c2)
+                heapq.heappush(heap, (negkey(mm), mm))
+            else:
+                nv = norm(prev - c * c2)
+                if nv:
+                    work[mm] = nv
                 else:
-                    nv = prev - c * c2
-                    if nv:
-                        work[mm] = canonical(nv)
-                    else:
-                        del work[mm]
-        else:
-            for m2, c2 in hit_tail:
-                mm = mul(m2, shift)
-                prev = work.get(mm)
-                if prev is None:
-                    work[mm] = -c * c2 % p
-                    heapq.heappush(heap, (negkey(mm), mm))
-                else:
-                    nv = (prev - c * c2) % p
-                    if nv:
-                        work[mm] = nv
-                    else:
-                        del work[mm]
+                    del work[mm]
     return rem
 
 

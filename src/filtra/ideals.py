@@ -219,10 +219,6 @@ class LocalRing:
                 name=(self.name + "/torsion") if self.name else None)
         return self._quotient
 
-    def transport(self, handle: "IdealHandle") -> "IdealHandle":
-        """Image of a handle of another ring on the same variables."""
-        return self.ideal(handle.gens)
-
     # -- regular sequences and the Cohen-Macaulay certificate ---------
 
     def is_regular_sequence(self, elements) -> bool:

@@ -5,7 +5,8 @@ Monomials are plain int tuples (one slot per variable, total degree is just
 variable names, the coefficient field and the active monomial order; contexts
 are interned so identity comparison works and sort keys can be memoized per
 context.  ``add_multiple`` is the one coefficient-accumulation loop; only the
-hot normal form (``groebner._nf_dict``) inlines its own.
+hot normal form (``groebner._nf_dict``) inlines its own, one loop for both
+kinds of field.
 """
 from __future__ import annotations
 

@@ -11,10 +11,10 @@ from .checkers import (compute_boundary_data, evaluate_conditions,
                        evaluate_structural, run_checks)
 from .config import ConfigError, JobConfig, validate_report
 from .fields import field_from_descriptor
-from .filtration import (ADIC, EXPLICIT, Filtration, HorizonExceeded,
-                         NotAdmissible, RatliffRushNotStabilized,
-                         SearchExhausted, explicit_filtration, find_reduction,
-                         reduction_system, reduction_tail, verify_admissible)
+from .filtration import (ADIC, Filtration, HorizonExceeded, NotAdmissible,
+                         RatliffRushNotStabilized, SearchExhausted,
+                         find_reduction, reduction_system, reduction_tail,
+                         verify_admissible)
 from .hilbert import HorizonTooSmall, NoPolynomialTail
 from .ideals import (LocalRing, NotFiniteLength, NotMPrimary, NotNested,
                      SaturationNotStabilized)
@@ -33,12 +33,6 @@ _INPUT_ERRORS = (ConfigError, NotAdmissible, HorizonTooSmall, NoPolynomialTail,
                  HorizonExceeded, RatliffRushNotStabilized, SaturationNotStabilized,
                  SearchExhausted, NotMPrimary, NotNested,
                  NotFiniteLength, PolySyntaxError, ValueError)
-
-
-def build_filtration(ring: LocalRing, cfg: JobConfig) -> Filtration:
-    if cfg.kind == EXPLICIT:
-        return explicit_filtration(ring, cfg.stages)
-    return Filtration(ring, cfg.kind, ring.ideal(cfg.stages[1]))
 
 
 def _strict_warnings(filt: Filtration, red, horizon: int) -> list:
@@ -98,7 +92,7 @@ def run_job(cfg: JobConfig) -> dict:
     try:
         field = field_from_descriptor(cfg.field_descriptor)
         ring = LocalRing(cfg.variables, cfg.relations, field=field, name=cfg.name)
-        filt = build_filtration(ring, cfg)
+        filt = Filtration(ring, cfg.kind, cfg.stages)
         if cfg.generators is not None:
             red = reduction_system(ring, list(cfg.generators))
             searched = False

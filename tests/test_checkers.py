@@ -24,9 +24,9 @@ from filtra.checkers import (_FACTS, ALL_CHECKS, check_base_reduction_equal,
                              run_checks)
 from filtra.config import load_config, parse_config
 from filtra.fields import field_from_descriptor
-from filtra.filtration import (adic_filtration, explicit_filtration,
-                               find_reduction, ratliff_rush_filtration,
-                               reduction_system, verify_admissible)
+from filtra.filtration import (ADIC, EXPLICIT, RATLIFF_RUSH, Filtration,
+                               find_reduction, reduction_system,
+                               verify_admissible)
 from filtra.hilbert import SallyFit
 from filtra.ideals import LocalRing
 
@@ -45,33 +45,33 @@ def pipeline(ring, filt, red_gens, horizon, power_bound=2):
 @pytest.fixture(scope="module")
 def cusp():
     ring = LocalRing(("x", "y"), ["y^2 - x^3"])
-    return pipeline(ring, adic_filtration(ring, ["x", "y"]), ["x"], 10)
+    return pipeline(ring, Filtration(ring, ADIC, {1: ["x", "y"]}), ["x"], 10)
 
 
 @pytest.fixture(scope="module")
 def depth_zero():
     ring = LocalRing(("x", "y"), ["x^2", "x*y"])
-    return pipeline(ring, adic_filtration(ring, ["x", "y"]), ["y"], 10)
+    return pipeline(ring, Filtration(ring, ADIC, {1: ["x", "y"]}), ["y"], 10)
 
 
 @pytest.fixture(scope="module")
 def depth_zero_eq():
     ring = LocalRing(("x", "y"), ["x^2", "x*y"])
-    filt = explicit_filtration(ring, {1: ["x", "y"], 2: ["x", "y^2"]})
+    filt = Filtration(ring, EXPLICIT, {1: ["x", "y"], 2: ["x", "y^2"]})
     return pipeline(ring, filt, ["y"], 10)
 
 
 @pytest.fixture(scope="module")
 def two_planes():
     ring = LocalRing(("x", "y", "z", "w"), ["x*z", "x*w", "y*z", "y*w"])
-    return pipeline(ring, adic_filtration(ring, ["x", "y", "z", "w"]),
+    return pipeline(ring, Filtration(ring, ADIC, {1: ["x", "y", "z", "w"]}),
                     ["x - z", "y - w"], 8)
 
 
 @pytest.fixture(scope="module")
 def plane():
     ring = LocalRing(("x", "y"))
-    return pipeline(ring, adic_filtration(ring, ["x", "y"]), ["x", "y"], 8)
+    return pipeline(ring, Filtration(ring, ADIC, {1: ["x", "y"]}), ["x", "y"], 8)
 
 
 SALLY_GENS = ["x^4", "x^3*y", "x*y^3", "y^4"]
@@ -80,13 +80,13 @@ SALLY_GENS = ["x^4", "x^3*y", "x*y^3", "y^4"]
 @pytest.fixture(scope="module")
 def sally_adic():
     ring = LocalRing(("x", "y"))
-    return pipeline(ring, adic_filtration(ring, SALLY_GENS), ["x^4", "y^4"], 8)
+    return pipeline(ring, Filtration(ring, ADIC, {1: SALLY_GENS}), ["x^4", "y^4"], 8)
 
 
 @pytest.fixture(scope="module")
 def sally_closed():
     ring = LocalRing(("x", "y"))
-    return pipeline(ring, ratliff_rush_filtration(ring, SALLY_GENS),
+    return pipeline(ring, Filtration(ring, RATLIFF_RUSH, {1: SALLY_GENS}),
                     ["x^4", "y^4"], 8)
 
 
@@ -506,13 +506,13 @@ def test_lengths_by_colength_differences_match_the_subquotient_route():
     for name in ("depth_zero.json", "depth_zero_equality.json"):
         cfg = load_config(CORPUS_DIR / name)
         ring = LocalRing(cfg.variables, cfg.relations)
-        cases.append((ring, report.build_filtration(ring, cfg), list(cfg.generators),
-                      cfg.horizon))
+        cases.append((ring, Filtration(ring, cfg.kind, cfg.stages),
+                      list(cfg.generators), cfg.horizon))
     rng = random.Random(2718)
     for _ in range(20):
         ring = LocalRing(("x", "y"), ["x^2", "x*y"])
         stages, gens, H = random_depth_zero_tower(rng)
-        cases.append((ring, explicit_filtration(ring, stages), gens, H))
+        cases.append((ring, Filtration(ring, EXPLICIT, stages), gens, H))
     for ring, filt, gens, H in cases:
         red = reduction_system(ring, gens)
         verify_admissible(filt, red, H)
@@ -551,7 +551,7 @@ def admissible_data(cfg):
     """Boundary data of a job, built as ``run_job`` builds it."""
     ring = LocalRing(cfg.variables, cfg.relations,
                      field=field_from_descriptor(cfg.field_descriptor))
-    filt = report.build_filtration(ring, cfg)
+    filt = Filtration(ring, cfg.kind, cfg.stages)
     if cfg.generators is not None:
         red = reduction_system(ring, list(cfg.generators))
     else:
@@ -575,7 +575,7 @@ def test_nested_equalities_by_lengths_match_the_ideal_scans():
     towers.append(({1: ["x + y"], 2: ["y^2"], 3: ["y^3"], 4: ["y^3"]}, ["x + y"], 6))
     for stages, gens, H in towers:
         ring = LocalRing(("x", "y"), ["x^2", "x*y"])
-        filt, red = explicit_filtration(ring, stages), reduction_system(ring, gens)
+        filt, red = Filtration(ring, EXPLICIT, stages), reduction_system(ring, gens)
         verify_admissible(filt, red, H)
         cases.append(compute_boundary_data(ring, filt, red, H))
     seen = set()

@@ -3,14 +3,14 @@ import json
 import re
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import filtra.checkers as checkers
 import filtra.cli as cli
 import filtra.filtration as filtration
 from filtra.cli import main
 from filtra.config import ConfigError, config_schema, parse_config, validate_report
-from filtra.filtration import (adic_filtration, explicit_filtration,
-                               reduction_system)
+from filtra.filtration import ADIC, EXPLICIT, Filtration, reduction_system
 from filtra.ideals import LocalRing
 from filtra.report import _strict_warnings
 
@@ -363,6 +363,50 @@ def test_config_semantic_errors():
         parse_config(base_config(horizon=3))
 
 
+def test_explicit_stage_validation():
+    """``parse_config`` is the one check of a stage table."""
+    with pytest.raises(ConfigError, match="must include stage 1"):
+        parse_config(base_config(filtration={
+            "kind": "explicit", "stages": {"2": ["x^2"]}}))
+    with pytest.raises(ConfigError, match="consecutive from 1"):
+        parse_config(base_config(filtration={
+            "kind": "explicit", "stages": {"1": ["x", "y"], "3": ["x^3"]}}))
+    # a name too long for int() is refused, not a traceback
+    with pytest.raises(ConfigError, match="consecutive from 1"):
+        parse_config(base_config(filtration={
+            "kind": "explicit", "stages": {"1": ["x", "y"], "1" + "0" * 5000: ["x"]}}))
+
+
+@pytest.mark.parametrize("stages", [{"1": ["x", "y"], "1\n": ["x"]},
+                                    {"1\n": ["x", "y"]}])
+def test_stage_name_with_a_newline_is_refused(tmp_path, capsys, stages):
+    """The schema's ``$`` matches before a final newline, so "1\\n" passes
+    it; read as stage 1 it silently replaced or renamed a declared stage."""
+    cfg = base_config(filtration={"kind": "explicit", "stages": stages})
+    with pytest.raises(ConfigError, match=re.escape(repr("1\n"))):
+        parse_config(cfg)
+    assert main(["verify", write_config(tmp_path, cfg), "--quiet"]) == 1
+    assert repr("1\n") in capsys.readouterr().err
+
+
+STAGE_NAMES = st.builds(lambda digits, newline: digits + newline,
+                        st.text("0123456789", min_size=1, max_size=2),
+                        st.sampled_from(["", "", "\n"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(STAGE_NAMES, st.just(["x", "y"]), min_size=1, max_size=4),
+       st.sampled_from(["adic", "ratliff_rush", "explicit"]))
+@example({"1": ["x", "y"], "2": ["x", "y"]}, "explicit")
+@example({"1\n": ["x", "y"]}, "adic")
+def test_accepted_stage_tables_echo_their_names(stages, kind):
+    try:
+        cfg = parse_config(base_config(filtration={"kind": kind, "stages": stages}))
+    except ConfigError:
+        return
+    assert set(cfg.canonical()["filtration"]["stages"]) == set(stages)
+
+
 def test_config_defaults_echo():
     cfg = parse_config(base_config())
     echo = cfg.canonical()
@@ -434,13 +478,13 @@ def test_readme_config_table_matches_schema():
 
 def test_strict_warning_unit():
     ring = LocalRing(("x", "y"))
-    filt = explicit_filtration(ring, {1: ["x", "y"]})
+    filt = Filtration(ring, EXPLICIT, {1: ["x", "y"]})
     narrow = reduction_system(ring, ["x^2", "y^2"])
     warnings = _strict_warnings(filt, narrow, 8)
     assert len(warnings) == 1 and "never becomes exact" in warnings[0]
     wide = reduction_system(ring, ["x", "y"])
     assert _strict_warnings(filt, wide, 8) == []
-    assert _strict_warnings(adic_filtration(ring, ["x", "y"]), narrow, 8) == []
+    assert _strict_warnings(Filtration(ring, ADIC, {1: ["x", "y"]}), narrow, 8) == []
 
 
 def test_strict_run_clean(tmp_path):

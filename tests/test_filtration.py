@@ -3,13 +3,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from filtra import filtration
-from filtra.filtration import (Filtration, HorizonExceeded, NotAdmissible,
-                               SearchExhausted, adic_filtration,
+from filtra.filtration import (ADIC, EXPLICIT, RATLIFF_RUSH, Filtration,
+                               HorizonExceeded, NotAdmissible, SearchExhausted,
                                check_colon_in_i1, check_d_sequence,
-                               check_usd_bounded,
-                               explicit_filtration, find_reduction,
-                               ratliff_rush_filtration, reduction_system,
-                               verify_admissible)
+                               check_usd_bounded, find_reduction,
+                               reduction_system, verify_admissible)
 from filtra.ideals import LocalRing
 
 PLANE = LocalRing(("x", "y"))
@@ -21,7 +19,7 @@ SALLY_GENS = ["x^4", "x^3*y", "x*y^3", "y^4"]
 
 
 def test_adic_stages_are_powers():
-    filt = adic_filtration(CUSP, ["x", "y"])
+    filt = Filtration(CUSP, ADIC, {1: ["x", "y"]})
     assert filt.get_ideal(0).is_unit
     m = CUSP.maximal_ideal()
     for n in range(1, 5):
@@ -37,14 +35,14 @@ def test_towers_share_the_powers_kept_on_the_handle():
     assert Q.power(1) is Q
     for n in range(4):
         assert Q.power(n) is Q.power(n)
-    adic = adic_filtration(CUSP, ["x", "y"])
+    adic = Filtration(CUSP, ADIC, {1: ["x", "y"]})
     for n in range(1, 4):
         assert adic.get_ideal(n) is adic.seed.power(n)
 
 
 def test_stage_index_guards(monkeypatch):
     monkeypatch.setattr(filtration, "HARD_CAP", 3)
-    filt = adic_filtration(PLANE, ["x", "y"])
+    filt = Filtration(PLANE, ADIC, {1: ["x", "y"]})
     with pytest.raises(ValueError):
         filt.get_ideal(-1)
     with pytest.raises(HorizonExceeded, match=r"HARD_CAP=3"):
@@ -54,7 +52,7 @@ def test_stage_index_guards(monkeypatch):
 def test_listed_stage_past_hard_cap_is_refused(monkeypatch):
     """The cap is checked before the listed stages are read."""
     monkeypatch.setattr(filtration, "HARD_CAP", 3)
-    filt = explicit_filtration(PLANE, {1: ["x", "y"], 2: ["x^2", "y"],
+    filt = Filtration(PLANE, EXPLICIT, {1: ["x", "y"], 2: ["x^2", "y"],
                                        3: ["x^3", "y"], 4: ["x^4", "y"]})
     assert filt.get_ideal(3).gens
     with pytest.raises(HorizonExceeded, match=r"stage 4 beyond HARD_CAP=3"):
@@ -63,8 +61,8 @@ def test_listed_stage_past_hard_cap_is_refused(monkeypatch):
 
 def test_ratliff_rush_enlarges_stage_one():
     """The closure of (x^4, x^3 y, x y^3, y^4) adjoins x^2 y^2."""
-    adic = adic_filtration(PLANE, SALLY_GENS)
-    rr = ratliff_rush_filtration(PLANE, SALLY_GENS)
+    adic = Filtration(PLANE, ADIC, {1: SALLY_GENS})
+    rr = Filtration(PLANE, RATLIFF_RUSH, {1: SALLY_GENS})
     assert sorted(str(g) for g in rr.i1.gens) == [
         "x*y^3", "x^2*y^2", "x^3*y", "x^4", "y^4"]
     assert rr.i1.contains_ideal(adic.i1)
@@ -75,7 +73,7 @@ def test_ratliff_rush_enlarges_stage_one():
 
 
 def test_ratliff_rush_of_stable_ideal_is_identity():
-    rr = ratliff_rush_filtration(CUSP, ["x", "y"])
+    rr = Filtration(CUSP, RATLIFF_RUSH, {1: ["x", "y"]})
     m = CUSP.maximal_ideal()
     for n in range(1, 4):
         assert rr.get_ideal(n).equals_local(m.power(n))
@@ -146,22 +144,15 @@ def test_memoized_operations_match_an_unmemoized_ring(gens, other, divisors):
 
 
 def test_explicit_tail_rule():
-    filt = explicit_filtration(DEPTH0, {1: ["x", "y"], 2: ["x", "y^2"]})
+    filt = Filtration(DEPTH0, EXPLICIT, {1: ["x", "y"], 2: ["x", "y^2"]})
     assert filt.get_ideal(3).equals_local(filt.i1 * filt.get_ideal(2))
     assert filt.get_ideal(4).equals_local(filt.i1 * filt.get_ideal(3))
-
-
-def test_explicit_stage_validation():
-    with pytest.raises(ValueError):
-        explicit_filtration(PLANE, {2: ["x^2"]})
-    with pytest.raises(ValueError):
-        explicit_filtration(PLANE, {1: ["x", "y"], 3: ["x^3"]})
 
 
 # -- admissibility ---------------------------------------------------------
 
 def test_certificate_cusp():
-    filt = adic_filtration(CUSP, ["x", "y"])
+    filt = Filtration(CUSP, ADIC, {1: ["x", "y"]})
     red = reduction_system(CUSP, ["x"])
     cert = verify_admissible(filt, red, 8)
     assert cert.reduction_postulation == 1
@@ -172,19 +163,19 @@ def test_certificate_cusp():
 def test_certificate_sally_reduction():
     # Q I_1 is strictly inside I_2 (nonzero Sally piece), so the tail
     # equalities only start at n = 2
-    filt = adic_filtration(PLANE, SALLY_GENS)
+    filt = Filtration(PLANE, ADIC, {1: SALLY_GENS})
     red = reduction_system(PLANE, ["x^4", "y^4"])
     cert = verify_admissible(filt, red, 8)
     assert cert.reduction_postulation == 2
     assert cert.stage_equalities[:2] == (False, False)
     assert all(cert.stage_equalities[2:])
-    rr = ratliff_rush_filtration(PLANE, SALLY_GENS)
+    rr = Filtration(PLANE, RATLIFF_RUSH, {1: SALLY_GENS})
     cert_rr = verify_admissible(rr, red, 8)
     assert cert_rr.reduction_postulation == 1
 
 
 def test_not_admissible_stage_one_not_primary():
-    filt = adic_filtration(PLANE, ["x"])
+    filt = Filtration(PLANE, ADIC, {1: ["x"]})
     red = reduction_system(PLANE, ["x", "y"])
     with pytest.raises(NotAdmissible) as err:
         verify_admissible(filt, red, 8)
@@ -192,7 +183,7 @@ def test_not_admissible_stage_one_not_primary():
 
 
 def test_not_admissible_parameter_count():
-    filt = adic_filtration(CUSP, ["x", "y"])
+    filt = Filtration(CUSP, ADIC, {1: ["x", "y"]})
     red = reduction_system(CUSP, ["x", "y"])
     with pytest.raises(NotAdmissible) as err:
         verify_admissible(filt, red, 8)
@@ -200,7 +191,7 @@ def test_not_admissible_parameter_count():
 
 
 def test_not_admissible_reduction_outside():
-    filt = adic_filtration(CUSP, ["x^2", "x*y", "y^2"])
+    filt = Filtration(CUSP, ADIC, {1: ["x^2", "x*y", "y^2"]})
     red = reduction_system(CUSP, ["x"])
     with pytest.raises(NotAdmissible) as err:
         verify_admissible(filt, red, 8)
@@ -208,7 +199,7 @@ def test_not_admissible_reduction_outside():
 
 
 def test_not_admissible_chain_violation():
-    filt = explicit_filtration(PLANE, {1: ["x", "y"], 2: ["x^2"], 3: ["y^3"]})
+    filt = Filtration(PLANE, EXPLICIT, {1: ["x", "y"], 2: ["x^2"], 3: ["y^3"]})
     red = reduction_system(PLANE, ["x", "y"])
     with pytest.raises(NotAdmissible) as err:
         verify_admissible(filt, red, 8)
@@ -217,7 +208,7 @@ def test_not_admissible_chain_violation():
 
 
 def test_not_admissible_products_violation():
-    filt = explicit_filtration(PLANE, {1: ["x", "y"], 2: ["y^2"]})
+    filt = Filtration(PLANE, EXPLICIT, {1: ["x", "y"], 2: ["y^2"]})
     red = reduction_system(PLANE, ["x", "y"])
     with pytest.raises(NotAdmissible) as err:
         verify_admissible(filt, red, 8)
@@ -226,7 +217,7 @@ def test_not_admissible_products_violation():
 
 
 def test_not_admissible_reduction_never_exact():
-    filt = adic_filtration(PLANE, ["x^2", "y^2"])
+    filt = Filtration(PLANE, ADIC, {1: ["x^2", "y^2"]})
     red = reduction_system(PLANE, ["x^2", "y^4"])
     with pytest.raises(NotAdmissible) as err:
         verify_admissible(filt, red, 8)
@@ -236,7 +227,7 @@ def test_not_admissible_reduction_never_exact():
 # -- reduction search ------------------------------------------------------
 
 def test_find_reduction_deterministic_per_seed():
-    filt = adic_filtration(CUSP, ["x", "y"])
+    filt = Filtration(CUSP, ADIC, {1: ["x", "y"]})
     first = find_reduction(filt, 8, seed=5, attempts=40)
     second = find_reduction(filt, 8, seed=5, attempts=40)
     assert [str(g) for g in first.generators] == [str(g) for g in second.generators]
@@ -244,7 +235,7 @@ def test_find_reduction_deterministic_per_seed():
 
 
 def test_find_reduction_exhaustion():
-    filt = adic_filtration(CUSP, ["x", "y"])
+    filt = Filtration(CUSP, ADIC, {1: ["x", "y"]})
     with pytest.raises(SearchExhausted):
         find_reduction(filt, 8, seed=0, attempts=0)
 
@@ -256,7 +247,7 @@ def test_find_reduction_lets_internal_faults_through(monkeypatch):
         raise ValueError("boom")
 
     monkeypatch.setattr(filtration, "verify_admissible", boom)
-    filt = adic_filtration(CUSP, ["x", "y"])
+    filt = Filtration(CUSP, ADIC, {1: ["x", "y"]})
     with pytest.raises(ValueError, match="boom"):
         find_reduction(filt, 8, seed=0, attempts=5)
 

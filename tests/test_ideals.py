@@ -245,7 +245,7 @@ def test_torsion_free_quotient_and_transport():
     C = DEPTH0.torsion_free_quotient()
     assert C.dimension == 1
     assert C.has_positive_depth()
-    moved = C.transport(DEPTH0.maximal_ideal())
+    moved = C.ideal(DEPTH0.maximal_ideal().gens)
     assert moved.finite_colength() == 1
     assert not C.ideal(["x"]).gens
 
