@@ -129,7 +129,7 @@ def run_job(cfg: JobConfig) -> dict:
         # the reduction is a system of parameters, so it certifies CM-ness
         report["ring"]["cm_certificate"] = ring.is_cm_via_parameters(red.generators)
         data = compute_boundary_data(ring, filt, red, cfg.horizon)
-        conditions = evaluate_conditions(ring, filt, red, cfg.power_bound)
+        conditions = evaluate_conditions(data, cfg.power_bound)
         structural = evaluate_structural(data, W)
         checks = run_checks(data, conditions, structural, cfg.checks)
         if cfg.strict:

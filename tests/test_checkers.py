@@ -36,7 +36,7 @@ from conftest import CORPUS_DIR, GOLDEN_DIR
 def pipeline(ring, filt, red_gens, horizon, power_bound=2):
     red = reduction_system(ring, red_gens)
     data = compute_boundary_data(ring, filt, red, horizon)
-    conditions = evaluate_conditions(ring, filt, red, power_bound)
+    conditions = evaluate_conditions(data, power_bound)
     structural = evaluate_structural(data, ring.torsion_ideal())
     checks = run_checks(data, conditions, structural)
     return data, conditions, structural, {c["name"]: c for c in checks}
