@@ -68,9 +68,6 @@ class Rationals:
     def add(self, a, b):
         return canonical(a + b)
 
-    def sub(self, a, b):
-        return canonical(a - b)
-
     def mul(self, a, b):
         return canonical(a * b)
 
@@ -120,9 +117,6 @@ class PrimeField:
 
     def add(self, a, b):
         return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
 
     def mul(self, a, b):
         return a * b % self.p

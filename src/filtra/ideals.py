@@ -97,10 +97,9 @@ def _exact_divide(h: Polynomial, g: Polynomial) -> Polynomial:
 class LocalRing:
     """k[variables]/(relations) localized at the origin."""
 
-    def __init__(self, variables, relations=(), field=QQ, name: str | None = None):
+    def __init__(self, variables, relations=(), field=QQ):
         variables = tuple(variables)
         self.ctx = PolyContext.get(variables, field, grevlex(len(variables)))
-        self.name = name
         rels = [_as_poly(self, r) for r in relations]
         rels = [r for r in rels if not r.is_zero]
         for r in rels:
@@ -116,7 +115,6 @@ class LocalRing:
             self.gb_relations.leads
             if all(g.is_monomial() for g in self.gb_relations.polys) else None)
         self._torsion = None
-        self._quotient = None  # torsion_free_quotient, once built
         self._handles: dict = {}  # the one handle of each normalized generator tuple
         self._ops: dict = {}  # product, colon and intersect results by presentation
 
@@ -207,17 +205,6 @@ class LocalRing:
 
     def has_positive_depth(self) -> bool:
         return not self.torsion_ideal().gens
-
-    def torsion_free_quotient(self) -> "LocalRing":
-        """The quotient by the torsion ideal, on the same variables."""
-        W = self.torsion_ideal()
-        if not W.gens:
-            return self
-        if self._quotient is None:
-            self._quotient = LocalRing(
-                self.ctx.variables, self.gb_relations.polys + W.gens, field=self.field,
-                name=(self.name + "/torsion") if self.name else None)
-        return self._quotient
 
     # -- regular sequences and the Cohen-Macaulay certificate ---------
 
@@ -354,11 +341,8 @@ class IdealHandle:
     def __add__(self, other: "IdealHandle") -> "IdealHandle":
         return self.ring._make(list(self.gens) + list(other.gens))
 
-    def __mul__(self, other) -> "IdealHandle":
-        ring = self.ring
-        if isinstance(other, Polynomial) or isinstance(other, (str, int)):
-            other = ring.ideal([other])
-        return ring._memo(("mul", self.gens, other.gens), self._mul, other)
+    def __mul__(self, other: "IdealHandle") -> "IdealHandle":
+        return self.ring._memo(("mul", self.gens, other.gens), self._mul, other)
 
     def _mul(self, other: "IdealHandle") -> "IdealHandle":
         ring = self.ring

@@ -91,7 +91,7 @@ def run_job(cfg: JobConfig) -> dict:
     report = _new_report(cfg.name, cfg.canonical())
     try:
         field = field_from_descriptor(cfg.field_descriptor)
-        ring = LocalRing(cfg.variables, cfg.relations, field=field, name=cfg.name)
+        ring = LocalRing(cfg.variables, cfg.relations, field=field)
         filt = Filtration(ring, cfg.kind, cfg.stages)
         if cfg.generators is not None:
             red = reduction_system(ring, list(cfg.generators))

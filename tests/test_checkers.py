@@ -30,7 +30,8 @@ from filtra.filtration import (ADIC, EXPLICIT, RATLIFF_RUSH, Filtration,
 from filtra.hilbert import SallyFit
 from filtra.ideals import LocalRing
 
-from conftest import CORPUS_DIR, GOLDEN_DIR
+from conftest import (CORPUS_DIR, GOLDEN_DIR, NON_MONOMIAL_DEPTH_ZERO,
+                      torsion_free_quotient)
 
 
 def pipeline(ring, filt, red_gens, horizon, power_bound=2):
@@ -451,7 +452,7 @@ def test_graded_clause_by_lengths_matches_the_intersection(monkeypatch):
         graded = out["clause_graded"]
         assert graded["witness"] == graded_clause_by_intersection(data, W)
         assert graded["holds"] == (graded["witness"] is None)
-        seen[data.filt.ring.name] = graded
+        seen[cfg.name] = graded
         return out
 
     monkeypatch.setattr(report, "evaluate_structural", compared)
@@ -472,7 +473,7 @@ def subquotient_route(data):
     I_H meet W, each by subquotient lengths and built intersections."""
     ring, filt, H, Q = data.ring, data.filt, data.horizon, data.red.handle
     graded = ring.subquotient_length(filt.i1, filt.get_ideal(2) + Q)
-    C = ring.torsion_free_quotient()
+    C = torsion_free_quotient(ring)
     gens = list(data.red.generators)
     col = C.ideal(gens[:-1]).colon(gens[-1])
     correction = C.subquotient_length(col, col.intersect(C.ideal(gens))) if col.gens else 0
@@ -497,14 +498,14 @@ def random_depth_zero_tower(rng):
     return stages, [f"y^{a} + {c}*x"], t + rng.randint(3, 4)
 
 
-def test_lengths_by_colength_differences_match_the_subquotient_route():
-    """The graded colength, the multiplicity-colon correction and the torsion
-    pieces are colength differences; they equal the subquotient lengths of
-    built intersections on the corpus jobs with torsion and on random
-    admissible explicit towers over k[x, y]/(x^2, x y)."""
+def depth_zero_cases(configs=()):
+    """(ring, filtration, reduction generators, horizon) of the corpus jobs
+    with torsion, of ``configs``, and of 20 random admissible explicit towers
+    over k[x, y]/(x^2, x y)."""
+    configs = [load_config(CORPUS_DIR / name)
+               for name in ("depth_zero.json", "depth_zero_equality.json")] + list(configs)
     cases = []
-    for name in ("depth_zero.json", "depth_zero_equality.json"):
-        cfg = load_config(CORPUS_DIR / name)
+    for cfg in configs:
         ring = LocalRing(cfg.variables, cfg.relations)
         cases.append((ring, Filtration(ring, cfg.kind, cfg.stages),
                       list(cfg.generators), cfg.horizon))
@@ -513,7 +514,15 @@ def test_lengths_by_colength_differences_match_the_subquotient_route():
         ring = LocalRing(("x", "y"), ["x^2", "x*y"])
         stages, gens, H = random_depth_zero_tower(rng)
         cases.append((ring, Filtration(ring, EXPLICIT, stages), gens, H))
-    for ring, filt, gens, H in cases:
+    return cases
+
+
+def test_lengths_by_colength_differences_match_the_subquotient_route():
+    """The graded colength, the multiplicity-colon correction and the torsion
+    pieces are colength differences; they equal the subquotient lengths of
+    built intersections on the corpus jobs with torsion and on random
+    admissible explicit towers over k[x, y]/(x^2, x y)."""
+    for ring, filt, gens, H in depth_zero_cases():
         red = reduction_system(ring, gens)
         verify_admissible(filt, red, H)
         data = compute_boundary_data(ring, filt, red, H)
@@ -526,6 +535,73 @@ def test_lengths_by_colength_differences_match_the_subquotient_route():
         assert torsion["pieces"] == pieces
         assert torsion["total"] == sum(pieces)
         assert torsion["tail_vanishes"] == tail_empty
+
+
+# -- the torsion-free quotient read in A -------------------------------------
+
+def test_quotient_numbers_read_in_a_match_the_quotient_ring():
+    """C = A/W built as its own ring is the reference: its explicit tower of
+    the stages I_n C passes ``verify_admissible``, and its lengths, Sally
+    values, gap and equality, and the multiplicity-colon numbers, equal
+    those read in A as colengths of X + W.  Over the corpus jobs with
+    torsion, five non-monomial depth-zero jobs and random towers.  In the
+    fifth, q_1 = y does not kill W = (x + y^2), so (0 : y) is not (W : y);
+    the check is called on it although c1 fails there and would skip it."""
+    moved = {"name": "torsion_moved_by_q",
+             "ring": {"variables": ["x", "y"], "relations": ["(x+y^2)^2", "(x+y^2)*y^2"]},
+             "filtration": {"kind": "adic", "stages": {"1": ["x", "y"]}},
+             "reduction": {"generators": ["y"]}}
+    nm = [parse_config(job) for job in NON_MONOMIAL_DEPTH_ZERO + [moved]]
+    cases = depth_zero_cases(nm)
+    assert len(cases) == 27
+    for ring, filt, gens, H in cases:
+        red = reduction_system(ring, gens)
+        verify_admissible(filt, red, H)
+        W = ring.torsion_ideal()
+        assert W.gens
+        read = compute_boundary_data(ring, filt, red, H, modulo=W)
+        C = torsion_free_quotient(ring)
+        cfilt = Filtration(C, EXPLICIT,
+                           {n: filt.get_ideal(n).gens for n in range(1, H + 1)})
+        cred = reduction_system(C, list(red.generators))
+        verify_admissible(cfilt, cred, H)
+        built = compute_boundary_data(C, cfilt, cred, H)
+        assert C.dimension == ring.dimension
+        for field in ("h_filt", "h_red", "sally_values", "gap", "equality"):
+            assert getattr(read, field) == getattr(built, field), field
+        colon = check_multiplicity_colon_formula(
+            compute_boundary_data(ring, filt, red, H))["details"]
+        first = cred.handle.finite_colength()
+        col = C.ideal(list(cred.generators[:-1])).colon(cred.generators[-1])
+        assert colon["colength_modulo_reduction"] == first
+        assert colon["expected"] == (col + cred.handle).finite_colength()
+
+
+def test_every_job_builds_one_ring(monkeypatch):
+    """Each corpus job and each non-monomial depth-zero job builds a single
+    LocalRing; depth-zero jobs built two while the torsion checks built A/W
+    as a ring of its own."""
+    built = []
+    init = LocalRing.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LocalRing, "__init__", counted)
+    configs = [load_config(p) for p in sorted(CORPUS_DIR.glob("*.json"))]
+    assert len(configs) == 13
+    configs += [parse_config(job) for job in NON_MONOMIAL_DEPTH_ZERO]
+    for cfg in configs:
+        built.clear()
+        out = report.run_job(cfg)
+        assert out["verdict"] == "verified", cfg.name
+        assert len(built) == 1, cfg.name
+        if cfg.name.startswith("nm"):
+            assert out["ring"]["torsion_length"] == 1
+            statuses = {c["name"]: c["status"] for c in out["checks"]}
+            assert statuses["torsion_quotient_reduction"] == "pass"
+            assert statuses["multiplicity_colon_formula"] == "pass"
 
 
 # -- nested equalities decided by lengths ------------------------------------
@@ -581,7 +657,7 @@ def test_nested_equalities_by_lengths_match_the_ideal_scans():
     seen = set()
     for data in cases:
         decided = length_decisions(data)
-        assert decided == ideal_scans(data), data.ring.name
+        assert decided == ideal_scans(data), data.ring
         seen.add(decided)
     # every outcome that admissibility allows: I_1 = Q with and without
     # I_n = Q^n, and a collapse with and without I_1 = Q
