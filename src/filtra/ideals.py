@@ -7,8 +7,10 @@ constructive operations (sum, product, intersection, colon, saturation)
 commute with localization, so a handle is a faithful presentation of its
 localized ideal.  Colengths are certified finite by exhibiting a power of
 each variable inside the ideal, which pins the support to the origin and
-makes the global standard-monomial count equal the local length.  Such a
-certified m-primary ideal is contracted from the localization (Atiyah-
+makes the global standard-monomial count equal the local length.  With no
+search, A + B is certified when A or B is, AB and A meet B when both are, and
+A : g when A is: V(AB) = V(A meet B) = V(A) u V(B), and A lies in A : g.
+Such a certified m-primary ideal is contracted from the localization (Atiyah-
 Macdonald, Prop. 4.8), so membership in it is a zero normal form and
 equality of two of them is equality of reduced bases.  For any other ideal
 membership, containment and equality are decided locally through colon
@@ -45,6 +47,14 @@ from .poly import Polynomial, PolyContext, add_multiple
 from .parser import parse_polynomial
 
 
+class CapReached(Exception):
+    """A loop ran into a hard cap; the witness names the cap and its value."""
+
+    def __init__(self, message: str, cap: str, value: int):
+        super().__init__(message)
+        self.witness = {"cap": cap, "value": value}
+
+
 class NotMPrimary(ValueError):
     """A finite colength was required but could not be certified."""
 
@@ -53,11 +63,11 @@ class NotNested(ValueError):
     """Subquotient length asked for ideals that are not nested."""
 
 
-class NotFiniteLength(ValueError):
+class NotFiniteLength(CapReached, ValueError):
     """A subquotient is not killed by any tested power of the maximal ideal."""
 
 
-class SaturationNotStabilized(RuntimeError):
+class SaturationNotStabilized(CapReached, RuntimeError):
     """The colon chain of a saturation did not repeat within its cap."""
 
 
@@ -256,7 +266,8 @@ class LocalRing:
         if D is None:
             raise NotFiniteLength(
                 f"no power of m up to SUBQUOTIENT_POWER_BOUND={SUBQUOTIENT_POWER_BOUND} "
-                "multiplies the first ideal into the second")
+                "multiplies the first ideal into the second",
+                "SUBQUOTIENT_POWER_BOUND", SUBQUOTIENT_POWER_BOUND)
         leads = (x + y).gb().leads
         box = (D + max(map(sum, leads)),) * self.nvars
         return (monomial.count_box_complement(box, gb_y.leads)
@@ -267,7 +278,7 @@ class IdealHandle:
     """An ideal of a local ring, presented by reduced generators."""
 
     __slots__ = ("ring", "gens", "monomials", "_gb", "_colength", "_colength_known",
-                 "_powers")
+                 "_powers", "_at_origin")
 
     def __init__(self, ring: LocalRing, gens: tuple):
         self.ring = ring
@@ -282,6 +293,8 @@ class IdealHandle:
         self._colength = None
         self._colength_known = False
         self._powers = None  # [unit, self, self^2, ...] as far as asked
+        # k[x]/(gens + J) is known to be supported at the origin alone
+        self._at_origin = False
 
     def __repr__(self):
         return f"IdealHandle({', '.join(str(g) for g in self.gens) or '0'})"
@@ -339,10 +352,14 @@ class IdealHandle:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "IdealHandle") -> "IdealHandle":
-        return self.ring._make(list(self.gens) + list(other.gens))
+        out = self.ring._make(list(self.gens) + list(other.gens))
+        out._at_origin |= self._at_origin or other._at_origin  # V(A+B) = V(A) & V(B)
+        return out
 
     def __mul__(self, other: "IdealHandle") -> "IdealHandle":
-        return self.ring._memo(("mul", self.gens, other.gens), self._mul, other)
+        out = self.ring._memo(("mul", self.gens, other.gens), self._mul, other)
+        out._at_origin |= self._at_origin and other._at_origin  # V(AB) = V(A) | V(B)
+        return out
 
     def _mul(self, other: "IdealHandle") -> "IdealHandle":
         ring = self.ring
@@ -374,7 +391,9 @@ class IdealHandle:
             return self
         if not self.gens or not other.gens:
             return ring.zero_ideal()
-        return ring._memo(("intersect", self.gens, other.gens), self._intersect, other)
+        out = ring._memo(("intersect", self.gens, other.gens), self._intersect, other)
+        out._at_origin |= self._at_origin and other._at_origin
+        return out
 
     def _intersect(self, other: "IdealHandle") -> "IdealHandle":
         ring = self.ring
@@ -398,7 +417,9 @@ class IdealHandle:
             return ring.unit_ideal()
         if g.constant_term() != ring.field.zero:
             return self  # dividing by a local unit changes nothing
-        return ring._memo(("colon", self.gens, g.terms), self._colon_element, g)
+        out = ring._memo(("colon", self.gens, g.terms), self._colon_element, g)
+        out._at_origin |= self._at_origin  # the colon contains the dividend
+        return out
 
     def _colon_element(self, g: Polynomial) -> "IdealHandle":
         """(self : g) for g reduced modulo the relations, nonzero, in m."""
@@ -422,7 +443,7 @@ class IdealHandle:
             cur = nxt
         raise SaturationNotStabilized(
             f"saturation did not stabilize within _SATURATION_CAP={_SATURATION_CAP} "
-            "colon steps")
+            "colon steps", "_SATURATION_CAP", _SATURATION_CAP)
 
     # -- length -------------------------------------------------------
 
@@ -430,11 +451,13 @@ class IdealHandle:
         """Length of the quotient ring by this ideal; None when not finite.
 
         Finiteness is certified by finding a power of every variable inside
-        the ideal, so the answer is the honest local length.
+        the ideal, or inherited, so the answer is the honest local length.
         """
         if self._colength_known:
             return self._colength
         value = self._colength_compute()
+        # every value of this global route proves the support is the origin
+        self._at_origin = value is not None
         self._colength = value
         self._colength_known = True
         return value
@@ -452,27 +475,33 @@ class IdealHandle:
         # the global quotient has dimension N, and an element of an
         # N-dimensional algebra is nilpotent iff its N-th power is zero
         N = monomial.count_box_complement(bounds, leads)
-        ctx = self.ring.ctx
-        nf = G.normal_form
-        for i, bound in enumerate(bounds):
-            # r = nf(x_i^e) for e = bound..N, stepped as nf(r * x_i): r
-            # differs from x_i^e by a member of the ideal, so r * x_i
-            # differs from x_i^(e+1) by one too
-            step = ctx.var_mono(i, 1)
-            r = nf(Polynomial.monomial(ctx, ctx.var_mono(i, bound)))
-            for _ in range(N - bound):
-                if r.is_zero:
-                    break
-                r = nf(r.shift(step))
-            if not r.is_zero:
-                return None
-        return N
+        return N if self._at_origin or _variables_nilpotent(G, bounds, N) else None
 
     def finite_colength(self) -> int:
         v = self.colength()
         if v is None:
             raise NotMPrimary(f"{self!r} is not m-primary within the certificate bounds")
         return v
+
+
+def _variables_nilpotent(G: GroebnerBasis, bounds, N: int) -> bool:
+    """Whether every variable's N-th power lies in the ideal of G, which has
+    x_i^bounds[i] as a lead and a quotient of dimension N."""
+    ctx = G.ctx
+    nf = G.normal_form
+    for i, bound in enumerate(bounds):
+        # r = nf(x_i^e) for e = bound..N, stepped as nf(r * x_i): r
+        # differs from x_i^e by a member of the ideal, so r * x_i
+        # differs from x_i^(e+1) by one too
+        step = ctx.var_mono(i, 1)
+        r = nf(Polynomial.monomial(ctx, ctx.var_mono(i, bound)))
+        for _ in range(N - bound):
+            if r.is_zero:
+                break
+            r = nf(r.shift(step))
+        if not r.is_zero:
+            return False
+    return True
 
 
 def _fresh_variable(variables) -> str:

@@ -41,7 +41,8 @@ def _strict_warnings(filt: Filtration, red, horizon: int) -> list:
     hide a Q that never reduces the seed ideal itself."""
     if filt.kind == ADIC:
         return []
-    if reduction_tail(filt.seed.power, red, horizon)[0] < horizon - 1:
+    powers = Filtration(filt.ring, ADIC, {1: filt.seed.gens})
+    if reduction_tail(powers, red, horizon)[0] < horizon - 1:
         return []
     return ["reduction never becomes exact for the plain power "
             "filtration of stage one within the horizon"]

@@ -194,7 +194,8 @@ def test_unstable_fit_is_invalid_input(tmp_path, monkeypatch):
 
 def test_ratliff_rush_cap_is_an_input_error(tmp_path, monkeypatch, capsys):
     """A closure that outruns its iteration bound ends the job as invalid
-    input, with a message that names the cap, instead of a traceback."""
+    input, with a message and a witness that name the cap, instead of a
+    traceback."""
     monkeypatch.setattr(filtration, "RR_ITERATION_BOUND", 1)
     out = tmp_path / "report.json"
     code = main(["verify", str(CORPUS_DIR / "sally_rr_equality.json"),
@@ -205,6 +206,7 @@ def test_ratliff_rush_cap_is_an_input_error(tmp_path, monkeypatch, capsys):
     assert report["exit_code"] == 1
     assert report["error"]["type"] == "RatliffRushNotStabilized"
     assert "RR_ITERATION_BOUND=1" in report["error"]["message"]
+    assert report["error"]["witness"] == {"cap": "RR_ITERATION_BOUND", "value": 1}
     assert "Traceback" not in capsys.readouterr().err
 
 

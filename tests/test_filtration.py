@@ -3,12 +3,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from filtra import filtration
+from filtra.config import parse_config
 from filtra.filtration import (ADIC, EXPLICIT, RATLIFF_RUSH, Filtration,
                                HorizonExceeded, NotAdmissible, SearchExhausted,
                                check_colon_in_i1, check_d_sequence,
                                check_usd_bounded, find_reduction,
                                reduction_system, verify_admissible)
 from filtra.ideals import LocalRing
+from filtra.report import run_job
 
 PLANE = LocalRing(("x", "y"))
 CUSP = LocalRing(("x", "y"), ["y^2 - x^3"])
@@ -45,8 +47,16 @@ def test_stage_index_guards(monkeypatch):
     filt = Filtration(PLANE, ADIC, {1: ["x", "y"]})
     with pytest.raises(ValueError):
         filt.get_ideal(-1)
-    with pytest.raises(HorizonExceeded, match=r"HARD_CAP=3"):
+    with pytest.raises(HorizonExceeded, match=r"HARD_CAP=3") as err:
         filt.get_ideal(4)
+    assert err.value.witness == {"cap": "HARD_CAP", "value": 3}
+    report = run_job(parse_config({
+        "name": "hard_cap", "horizon": 6,
+        "ring": {"variables": ["x", "y"], "relations": ["y^2 - x^3"]},
+        "filtration": {"kind": "adic", "stages": {"1": ["x", "y"]}},
+        "reduction": {"generators": ["x"]}}))
+    assert report["error"]["type"] == "HorizonExceeded"
+    assert report["error"]["witness"] == {"cap": "HARD_CAP", "value": 3}
 
 
 def test_listed_stage_past_hard_cap_is_refused(monkeypatch):

@@ -87,8 +87,9 @@ def test_subquotient_refusals():
     m = PLANE.maximal_ideal()
     with pytest.raises(NotNested):
         PLANE.subquotient_length(m.power(2), m)
-    with pytest.raises(NotFiniteLength, match="SUBQUOTIENT_POWER_BOUND=40"):
+    with pytest.raises(NotFiniteLength, match="SUBQUOTIENT_POWER_BOUND=40") as err:
         PLANE.subquotient_length(PLANE.ideal(["x"]), PLANE.zero_ideal())
+    assert err.value.witness == {"cap": "SUBQUOTIENT_POWER_BOUND", "value": 40}
 
 
 def test_subquotient_length_counts_the_sum_when_nesting_is_only_local():
@@ -214,14 +215,16 @@ def test_torsion_depth_zero():
 
 def test_saturation_cap_is_an_input_error(monkeypatch):
     """A saturation that outruns its cap ends the job as invalid input, with
-    an error that names the cap, instead of escaping as a traceback."""
+    an error whose message and witness name the cap, instead of escaping as
+    a traceback."""
     from filtra import ideals
     from filtra.config import parse_config
     from filtra.report import run_job
 
     monkeypatch.setattr(ideals, "_SATURATION_CAP", 1)
-    with pytest.raises(ideals.SaturationNotStabilized, match="_SATURATION_CAP=1"):
+    with pytest.raises(ideals.SaturationNotStabilized, match="_SATURATION_CAP=1") as err:
         LocalRing(("x", "y"), ["x^2", "x*y"]).torsion_ideal()
+    assert err.value.witness == {"cap": "_SATURATION_CAP", "value": 1}
     report = run_job(parse_config({
         "name": "saturation_cap",
         "horizon": 6,
@@ -233,6 +236,7 @@ def test_saturation_cap_is_an_input_error(monkeypatch):
     assert report["exit_code"] == 1
     assert report["error"]["type"] == "SaturationNotStabilized"
     assert "_SATURATION_CAP=1" in report["error"]["message"]
+    assert report["error"]["witness"] == {"cap": "_SATURATION_CAP", "value": 1}
 
 
 def test_torsion_vanishes_positive_depth():
@@ -401,13 +405,17 @@ def test_computed_colons_and_intersections(monkeypatch, name, colons, intersecti
 
 def test_curve_job_eliminations_and_buchberger_runs(monkeypatch):
     """Noise-free work count on the plane curve y^3 = x^4 with I_1 = m and
-    Q = (x): t-trick eliminations and general Buchberger runs.  Before the
-    graded clause was decided by lengths, the job took 18 and 88; before
-    the zero ideal took the relations' basis and l(I_1/(I_2 + Q)) became a
-    colength difference, 4 and 78; before c0, c1, c2 and the colon clause
-    were read off the Cohen-Macaulay certificate, 4 and 76."""
+    Q = (x): t-trick eliminations, general Buchberger runs and nilpotency
+    loops of the colength certificate.  Before the graded clause was
+    decided by lengths, the job took 18 and 88; before the zero ideal took
+    the relations' basis and l(I_1/(I_2 + Q)) became a colength difference,
+    4 and 78; before c0, c1, c2 and the colon clause were read off the
+    Cohen-Macaulay certificate, 4 and 76; before products, sums, meets and
+    colons inherited the certificate and the adic chain scan and the tail
+    after its first equality were skipped, 2 and 74, with 52 loops."""
     count = Counter()
     ambient, raw = ideals._intersection_in_ambient, groebner._buchberger_raw
+    nilpotent = ideals._variables_nilpotent
 
     def counted_ambient(*args, **kwargs):
         count["eliminations"] += 1
@@ -417,22 +425,30 @@ def test_curve_job_eliminations_and_buchberger_runs(monkeypatch):
         count["buchberger"] += 1
         return raw(*args, **kwargs)
 
+    def counted_loop(*args):
+        count["loops"] += 1
+        return nilpotent(*args)
+
     monkeypatch.setattr(ideals, "_intersection_in_ambient", counted_ambient)
     monkeypatch.setattr(groebner, "_buchberger_raw", counted_raw)
+    monkeypatch.setattr(ideals, "_variables_nilpotent", counted_loop)
     report = run_job(parse_config({
         "name": "curve_3_4", "field": "q",
         "ring": {"variables": ["x", "y"], "relations": ["y^3 - x^4"]},
         "filtration": {"kind": "adic", "stages": {"1": ["x", "y"]}},
         "reduction": {"generators": ["x"]}}))
     assert report["verdict"] == "verified"
-    assert (count["eliminations"], count["buchberger"]) == (2, 74)
+    assert (count["eliminations"], count["buchberger"], count["loops"]) == (2, 66, 2)
 
 
 def test_depth_zero_job_buchberger_runs(monkeypatch):
     """Noise-free work count on k[x, y]/((x + y^2)^2, (x + y^2) y) with
     I_1 = m and Q = (y), whose torsion ideal is (x + y^2): general
     Buchberger runs.  While the torsion checks built A/W as a second ring,
-    with its own relation basis and handles, the job took 164."""
+    with its own relation basis and handles, the job took 164; before
+    products, sums, meets and colons inherited the colength certificate and
+    the adic chain scan and the tail after its first equality were
+    skipped, 118."""
     count = Counter()
     raw = groebner._buchberger_raw
 
@@ -444,7 +460,7 @@ def test_depth_zero_job_buchberger_runs(monkeypatch):
     report = run_job(parse_config(NON_MONOMIAL_DEPTH_ZERO[0]))
     assert report["verdict"] == "verified"
     assert report["ring"]["torsion_length"] == 1
-    assert count["buchberger"] == 118
+    assert count["buchberger"] == 109
 
 
 # -- the t-trick against sympy ----------------------------------------------
