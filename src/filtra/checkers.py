@@ -145,11 +145,18 @@ def evaluate_conditions(data: BoundaryData, power_bound: int) -> dict:
 def evaluate_structural(data: BoundaryData, W: IdealHandle) -> dict:
     """The three-clause structural condition with per-clause witnesses.
 
-    The graded clause (Q^n + W) meet (I_{n+1} + W) = Q^n I_1 + W is decided
-    by lengths.  It assumes the filtration passed ``verify_admissible``: that
-    proves Q inside I_1, the chain and I_a I_b inside I_{a+b} for a + b <= H,
-    so the right side lies in both terms of the meet.  With a = Q^n + W and
-    b = I_{n+1} + W, all m-primary, the exact sequence
+    The collapse and graded clauses are decided by lengths.  Both assume
+    the filtration passed ``verify_admissible``: that proves Q inside I_1,
+    the chain and I_a I_b inside I_{a+b} for a + b <= H.
+
+    The collapse clause is I_{n+2} inside Q^n I_2 + W for n + 2 <= H.
+    Admissibility puts Q^n I_2 + W inside I_{n+2} + W, both m-primary, so
+    the clause holds iff their colengths are equal.  Only the first failing
+    n scans for its witness, the first generator of I_{n+2} outside.
+
+    The graded clause is (Q^n + W) meet (I_{n+1} + W) = Q^n I_1 + W.
+    Admissibility puts the right side in both terms of the meet.  With
+    a = Q^n + W and b = I_{n+1} + W, all m-primary, the exact sequence
     0 -> A/(a meet b) -> A/a + A/b -> A/(a + b) -> 0 gives
     l(A/(a meet b)) = l(A/a) + l(A/b) - l(A/(a + b)), and the clause holds
     iff that equals l(A/(Q^n I_1 + W)).  Only a failing n builds the meet,
@@ -161,8 +168,9 @@ def evaluate_structural(data: BoundaryData, W: IdealHandle) -> dict:
 
     collapse = {"holds": True, "range": [1, H - 2], "witness": None}
     for n in range(1, H - 1):
-        bad = (Q.power(n) * I2 + W).missing_generator(filt.get_ideal(n + 2))
-        if bad is not None:
+        small, big = Q.power(n) * I2 + W, filt.get_ideal(n + 2) + W
+        if small.finite_colength() != big.finite_colength():
+            bad = small.missing_generator(filt.get_ideal(n + 2))
             collapse = {"holds": False, "range": [1, H - 2],
                         "witness": {"n": n, "generator": str(bad)}}
             break

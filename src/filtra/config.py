@@ -26,7 +26,11 @@ DEFAULT_HORIZON = 12
 DEFAULT_POWER_BOUND = 2
 DEFAULT_SEARCH_ATTEMPTS = 60
 
+# the schema's name patterns, matched in full: their "$" also matches before
+# a final newline, so the schema lets "1\n", "x\n" and "q\n" through
 _STAGE_NAME = re.compile(r"[1-9][0-9]*")
+_VARIABLE_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_FIELD_NAME = re.compile(r"q|fp:[1-9][0-9]*")
 
 
 def _load_schema(name: str) -> dict:
@@ -328,10 +332,19 @@ def parse_config(obj, fallback_name: str = "job") -> JobConfig:
             raise ConfigError(f"unknown check names: {', '.join(unknown)}")
         selected = tuple(c for c in ALL_CHECKS if c in checks)
 
+    field = obj.get("field", "q")
+    if not _FIELD_NAME.fullmatch(field):
+        raise ConfigError(f"field {field!r} is not 'q' or 'fp:' and a "
+                          f"positive integer")
+    bad = [v for v in obj["ring"]["variables"] if not _VARIABLE_NAME.fullmatch(v)]
+    if bad:
+        raise ConfigError(f"variable names {', '.join(map(repr, bad))} are not "
+                          f"a letter followed by letters, digits or '_'")
+
     # the one check of a stage table: Filtration trusts what passes here
     stages_raw = obj["filtration"]["stages"]
     for key in stages_raw:
-        # the schema's pattern lets "1\n" through, which int() reads as 1
+        # int() would read "1\n" as 1
         if not _STAGE_NAME.fullmatch(key):
             raise ConfigError(f"filtration stage name {key!r} is not a plain "
                               f"positive integer")
@@ -351,7 +364,7 @@ def parse_config(obj, fallback_name: str = "job") -> JobConfig:
 
     return JobConfig(
         name=obj.get("name", fallback_name),
-        field_descriptor=obj.get("field", "q"),
+        field_descriptor=field,
         # the schema counts 8.0 as an integer; the algebra needs an int
         horizon=int(obj.get("horizon", DEFAULT_HORIZON)),
         power_bound=int(obj.get("power_bound", DEFAULT_POWER_BOUND)),

@@ -14,6 +14,12 @@ oracle.  With the criteria on, all-monomial input never reaches Buchberger:
 its reduced basis is the minimal generating set, taken from the monomial
 layer (``monomial.py``), which also holds the staircase count.
 
+A run may start from a seed, the reduced basis of an ideal inside the one
+asked for.  Its entries enter the basis and the active set with no pair
+among them: each of their S-polynomials already has a standard
+representation, which is all the Gebauer-Moller update assumes of the pairs
+it has dropped.  Only the new generators are reduced and paired.
+
 Nothing is kept from one call to the next: a basis lives on the ideal handle
 that asked for it (``ideals.py``), and so dies with the ring of its job.
 """
@@ -151,11 +157,18 @@ def _fingerprint(ctx: PolyContext, gens) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _buchberger_raw(inputs: list, ctx: PolyContext, use_criteria: bool) -> list:
-    basis: list = []      # (lead, tail_items, full_dict), monic
-    reduce_view: list = []  # (lead, tail_items) view for _nf_dict
+def _buchberger_raw(inputs: list, ctx: PolyContext, use_criteria: bool,
+                    seed: tuple = ()) -> list | None:
+    """Reduced basis of ``seed`` and ``inputs`` as term dicts.  ``seed`` is
+    a reduced basis, taken as complete: its entries start the basis and the
+    active set with no pair among them, since each of their S-polynomials
+    already has a standard representation.  None when no input survives
+    reduction by the seed, whose basis is then the answer."""
+    basis = [(g.lead_monomial(), g.terms[1:], g.as_dict()) for g in seed]
+    reduce_view = [(e[0], e[1]) for e in basis]  # (lead, tail_items) view for _nf_dict
     pairs: list = []      # heap of (key(lcm), lcm, i, j)
-    active: list = []     # indices of entries whose lead no later lead divides
+    # indices of entries whose lead no later lead divides
+    active = list(range(len(basis)))
     key = ctx.key
 
     def add(d: dict):
@@ -200,6 +213,8 @@ def _buchberger_raw(inputs: list, ctx: PolyContext, use_criteria: bool) -> list:
         r = _nf_dict(d, reduce_view, ctx)
         if r:
             add(r)
+    if len(basis) == len(seed):
+        return None
 
     while pairs:
         _, _, i, j = heapq.heappop(pairs)
@@ -218,28 +233,45 @@ def clear_cache():
     ``perfbench/run.py`` calls it before each pass."""
 
 
-def groebner_basis(gens, ctx: PolyContext | None = None,
-                   use_criteria: bool = True) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by ``gens``.
+def groebner_basis(gens, ctx: PolyContext | None = None, use_criteria: bool = True,
+                   seed: GroebnerBasis | None = None) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal generated by ``gens`` and, if
+    given, the reduced basis ``seed`` in the same context.
 
     Zero generators are allowed and yield the empty basis.  The result only
-    depends on the generated ideal, never on generator order.
-    ``use_criteria=False`` switches off the pair criteria and the
-    all-monomial shortcut and runs the full Buchberger, as their oracle.
+    depends on the generated ideal, never on generator order or on the seed.
+    The seed is taken as complete: only ``gens`` are reduced and paired, and
+    when none of them survives reduction by it, ``seed`` itself is returned.
+    ``use_criteria=False`` switches off the pair criteria, the all-monomial
+    shortcut and the seed, which counts as plain input, and runs the full
+    Buchberger, as their oracle.
     """
     gens = list(gens)
+    start = () if seed is None else seed.polys
     if ctx is None:
         if not gens:
             raise ValueError("context required for an empty generator list")
         ctx = gens[0].ctx
     gens = [g if g.ctx is ctx else g.convert(ctx) for g in gens if not g.is_zero]
+    # the seed's polys are hashed with gens, so that equal fingerprints
+    # still mean equal inputs
+    fingerprint = _fingerprint(ctx, start + tuple(gens))
+    if not use_criteria:
+        gens, start = list(start) + gens, ()
     inputs = [g.as_dict() for g in gens]
-    if use_criteria and all(len(d) == 1 for d in inputs):
-        leads = sorted(minimal([next(iter(d)) for d in inputs]), key=ctx.key)
+    if use_criteria and all(len(d) == 1 for d in inputs) and all(
+            g.is_monomial() for g in start):
+        leads = sorted(minimal([g.lead_monomial() for g in start]
+                               + [next(iter(d)) for d in inputs]), key=ctx.key)
+        if seed is not None and tuple(leads) == seed.leads:
+            return seed
         polys = tuple(Polynomial.monomial(ctx, m) for m in leads)
     else:
-        polys = tuple(Polynomial(ctx, d) for d in _buchberger_raw(inputs, ctx, use_criteria))
-    return GroebnerBasis(ctx, polys, _fingerprint(ctx, gens))
+        out = _buchberger_raw(inputs, ctx, use_criteria, start)
+        if out is None and seed is not None:
+            return seed
+        polys = tuple(Polynomial(ctx, d) for d in out or ())
+    return GroebnerBasis(ctx, polys, fingerprint)
 
 
 # -- dimension and elimination -------------------------------------------

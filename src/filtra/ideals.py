@@ -22,6 +22,13 @@ computed on exponent vectors by the monomial layer (``monomial.py``) instead.
 Every other intersection and colon by an element is one t-trick elimination,
 ``_intersection_in_ambient``, which meets its two sides as given.
 
+A handle's Groebner basis starts from the built basis of an ideal it is
+known to contain, taken as complete (``groebner.groebner_basis``'s seed): a
+sum starts from an operand's basis and adds the other operand's generators,
+and a colon, by an element or by an ideal, from the dividend's basis.  Any
+other handle starts from the relations' basis.  The reduced basis is unique,
+so where it started does not change it.
+
 A ring lives for one job, and no memo of its algebra outlives it.  It hands
 out one handle per normalized generator tuple, and a handle keeps its basis,
 its colength and its powers, so each is built once.  The ring memoizes its
@@ -277,8 +284,8 @@ class LocalRing:
 class IdealHandle:
     """An ideal of a local ring, presented by reduced generators."""
 
-    __slots__ = ("ring", "gens", "monomials", "_gb", "_colength", "_colength_known",
-                 "_powers", "_at_origin")
+    __slots__ = ("ring", "gens", "monomials", "_gb", "_inside", "_colength",
+                 "_colength_known", "_powers", "_at_origin")
 
     def __init__(self, ring: LocalRing, gens: tuple):
         self.ring = ring
@@ -290,6 +297,9 @@ class IdealHandle:
             tuple(g.lead_monomial() for g in gens) + rel
             if rel is not None and all(g.is_monomial() for g in gens) else None)
         self._gb = None
+        # (sub, rest): an ideal known to lie inside this one, and generators
+        # that together with it generate this one
+        self._inside = []
         self._colength = None
         self._colength_known = False
         self._powers = None  # [unit, self, self^2, ...] as far as asked
@@ -304,12 +314,26 @@ class IdealHandle:
         return bool(self.gens) and self.gens[0].degree() == 0
 
     def gb(self) -> GroebnerBasis:
-        """Groebner basis of the ideal together with the ring relations."""
+        """Groebner basis of the ideal together with the ring relations,
+        started from the basis of an ideal inside it: the first recorded
+        one whose basis is built, else the relations."""
         if self._gb is None:
             ring = self.ring
-            self._gb = (groebner_basis(ring.gb_relations.polys + self.gens, ctx=ring.ctx)
-                        if self.gens else ring.gb_relations)
+            seed, rest = ring.gb_relations, self.gens
+            for sub, gens in self._inside:
+                if sub._gb is not None:
+                    seed, rest = sub._gb, gens
+                    break
+            self._gb = groebner_basis(rest, ctx=ring.ctx, seed=seed) if self.gens else seed
+            self._inside = None
         return self._gb
+
+    def _contains(self, sub: "IdealHandle", rest) -> "IdealHandle":
+        """Record that ``sub`` lies inside this ideal and, with ``rest``,
+        generates it, so that this basis may start from the basis of sub."""
+        if self._gb is None and sub is not self:
+            self._inside.append((sub, rest))
+        return self
 
     def normal_form(self, f) -> Polynomial:
         return self.gb().normal_form(_as_poly(self.ring, f))
@@ -352,9 +376,13 @@ class IdealHandle:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "IdealHandle") -> "IdealHandle":
+        if not other.gens:
+            return self
+        if not self.gens:
+            return other
         out = self.ring._make(list(self.gens) + list(other.gens))
         out._at_origin |= self._at_origin or other._at_origin  # V(A+B) = V(A) & V(B)
-        return out
+        return out._contains(self, other.gens)._contains(other, self.gens)
 
     def __mul__(self, other: "IdealHandle") -> "IdealHandle":
         out = self.ring._memo(("mul", self.gens, other.gens), self._mul, other)
@@ -367,7 +395,13 @@ class IdealHandle:
         if mine is not None and theirs is not None:
             return ring._from_monomials(monomial.product(mine, theirs))
         nf = ring.gb_relations.normal_form
-        out = ring._make([nf(a * b) for a in self.gens for b in other.gens])
+        # equal products are reduced once; _make would merge them anyway
+        prods = {}
+        for a in self.gens:
+            for b in other.gens:
+                p = a * b
+                prods.setdefault(p.terms, p)
+        out = ring._make([nf(p) for p in prods.values()])
         monos = out.monomials
         return out if monos is None else ring._from_monomials(monomial.minimal(monos))
 
@@ -411,7 +445,7 @@ class IdealHandle:
             acc = ring.unit_ideal()
             for g in divisor.gens:
                 acc = acc.intersect(self.colon(g))
-            return acc
+            return acc._contains(self, acc.gens)
         g = ring.gb_relations.normal_form(_as_poly(ring, divisor))
         if g.is_zero:
             return ring.unit_ideal()
@@ -419,7 +453,7 @@ class IdealHandle:
             return self  # dividing by a local unit changes nothing
         out = ring._memo(("colon", self.gens, g.terms), self._colon_element, g)
         out._at_origin |= self._at_origin  # the colon contains the dividend
-        return out
+        return out._contains(self, out.gens)
 
     def _colon_element(self, g: Polynomial) -> "IdealHandle":
         """(self : g) for g reduced modulo the relations, nonzero, in m."""

@@ -391,6 +391,22 @@ def test_stage_name_with_a_newline_is_refused(tmp_path, capsys, stages):
     assert repr("1\n") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("over, name", [
+    ({"ring": {"variables": ["x\n", "y"], "relations": ["y^2 - x^3"]}}, "x\n"),
+    ({"field": "q\n"}, "q\n"),
+    ({"field": "fp:7\n"}, "fp:7\n"),
+])
+def test_names_with_a_newline_are_refused(tmp_path, capsys, over, name):
+    """The schema's ``$`` also lets a variable "x\\n" and a field "q\\n" or
+    "fp:7\\n" through; the variable then failed as an unknown variable 'x',
+    and the field as a bare ValueError."""
+    cfg = base_config(**over)
+    with pytest.raises(ConfigError, match=re.escape(repr(name))):
+        parse_config(cfg)
+    assert main(["verify", write_config(tmp_path, cfg), "--quiet"]) == 1
+    assert repr(name) in capsys.readouterr().err
+
+
 STAGE_NAMES = st.builds(lambda digits, newline: digits + newline,
                         st.text("0123456789", min_size=1, max_size=2),
                         st.sampled_from(["", "", "\n"]))

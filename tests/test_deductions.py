@@ -4,29 +4,48 @@ A handle built by sum, product, meet or colon from handles whose global
 quotient is supported at the origin inherits that certificate, and its
 colength skips the nilpotency loop.  For powers of I_1 the chain
 I^{n+1} in I^n holds by construction, and once I^{n+1} = Q I^n, also
-I^{n+2} = Q I^{n+1}.  Here every interned handle's colength is recomputed by
-the full loop on a fresh handle, and the full chain and tail scans run on
-every adic job.
+I^{n+2} = Q I^{n+1}.  A sum contains its operands and a colon its dividend,
+so its basis starts from theirs.  Admissibility puts Q^n I_2 + W inside
+I_{n+2} + W, so the collapse clause compares their colengths.  Here every
+interned handle's colength is recomputed by the full loop on a fresh
+handle, every basis started from another one is rebuilt from the relations
+and the generators, the collapse clause is scanned generator by generator,
+and the full chain and tail scans run on every adic job.
 """
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from filtra import report
+from filtra import ideals, report
 from filtra.config import load_config, parse_config
 from filtra.filtration import (ADIC, EXPLICIT, Filtration, reduction_system,
                                verify_admissible)
+from filtra.groebner import groebner_basis
 from filtra.ideals import IdealHandle, LocalRing
 
 from conftest import CORPUS_DIR, GOLDEN_DIR
 
 
+def collapse_by_scan(data, W):
+    """The collapse clause as it is defined: the first n with a generator of
+    I_{n+2} outside Q^n I_2 + W, and that generator."""
+    filt, Q = data.filt, data.red.handle
+    for n in range(1, data.horizon - 1):
+        bad = (Q.power(n) * filt.get_ideal(2) + W).missing_generator(filt.get_ideal(n + 2))
+        if bad is not None:
+            return {"n": n, "generator": str(bad)}
+    return None
+
+
 def run_captured(cfg):
-    """Run one job; return its report, its ring and the (filtration,
+    """Run one job; return its report, its ring, the bases built from a seed
+    other than the relations' basis, the collapse clause's witness by the
+    scan (False if the job stopped before it) and the (filtration,
     reduction) that run_job certified, or (None, None) if it stopped before."""
-    rings, certified = [], []
+    rings, certified, seeded, scanned = [], [], [], [False]
     make_ring, verify = report.LocalRing, report.verify_admissible
+    build, structural = ideals.groebner_basis, report.evaluate_structural
 
     def ring(*args, **kwargs):
         rings.append(make_ring(*args, **kwargs))
@@ -36,12 +55,27 @@ def run_captured(cfg):
         certified.append((filt, red))
         return verify(filt, red, horizon)
 
+    def counted(gens, ctx=None, use_criteria=True, seed=None):
+        out = build(gens, ctx, use_criteria, seed)
+        if seed is not None and seed is not rings[-1].gb_relations:
+            seeded.append(out)
+        return out
+
+    def compared(data, W):
+        out = structural(data, W)
+        scanned[0] = collapse_by_scan(data, W)
+        assert out["clause_collapse"]["witness"] == scanned[0], cfg.name
+        return out
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(report, "LocalRing", ring)
         mp.setattr(report, "verify_admissible", captured)
+        mp.setattr(ideals, "groebner_basis", counted)
+        mp.setattr(report, "evaluate_structural", compared)
         got = report.run_job(cfg)
     assert len(rings) == 1, got["name"]
-    return got, rings[0], *(certified[-1] if certified else (None, None))
+    return (got, rings[0], seeded, scanned[0],
+            *(certified[-1] if certified else (None, None)))
 
 
 def full_scans(filt, red, horizon) -> tuple:
@@ -71,34 +105,63 @@ def check_certificates(ring) -> int:
     return flagged
 
 
+def check_seeded_bases(ring, seeded) -> int:
+    """Assert every basis built from another handle's basis equals the one
+    built from the relations and the generators; return how many handles
+    hold one."""
+    ids = {id(gb) for gb in seeded}
+    count = 0
+    for gens, handle in ring._handles.items():
+        if handle._gb is not None and id(handle._gb) in ids:
+            scratch = groebner_basis(ring.gb_relations.polys + gens, ctx=ring.ctx)
+            assert handle._gb.polys == scratch.polys, handle
+            count += 1
+    return count
+
+
 @pytest.fixture(scope="module")
 def runs():
     """Every corpus job and every job of ``golden/report_digests.json``:
-    (report, adic scans' r or None, flagged non-monomial handles)."""
+    (report, adic scans' r or None, flagged non-monomial handles, handles
+    with a seeded basis, the collapse clause's witness by the scan)."""
     configs = [load_config(p) for p in sorted(CORPUS_DIR.glob("*.json"))]
     configs += [parse_config(e["config"]) for e in
                 json.loads((GOLDEN_DIR / "report_digests.json").read_text())]
     out = []
     for cfg in configs:
-        got, ring, filt, red = run_captured(cfg)
+        got, ring, seeded, collapse, filt, red = run_captured(cfg)
         r = None
         if filt is not None and filt.kind == ADIC:
             r = check_adic_scans(got, filt, red)
-        out.append((got, r, check_certificates(ring)))
+        out.append((got, r, check_certificates(ring), check_seeded_bases(ring, seeded),
+                    collapse))
     return out
 
 
 def test_inherited_certificates_match_the_full_loop(runs):
     """The comparison ran in the fixture, after the job and its scans; here,
     that it met the 3 355 certified non-monomial handles of those jobs."""
-    assert sum(flagged for _, _, flagged in runs) == 3355
+    assert sum(run[2] for run in runs) == 3355
 
 
 def test_adic_chain_and_tail_match_the_full_scans(runs):
     """The scans ran in the fixture; here, that they met all 95 adic jobs
     that reached the tail, 89 of them with r >= 1."""
-    rs = [r for _, r, _ in runs if r is not None]
+    rs = [run[1] for run in runs if run[1] is not None]
     assert (len(rs), sum(r >= 1 for r in rs)) == (95, 89)
+
+
+def test_seeded_bases_match_bases_from_scratch(runs):
+    """The rebuild ran in the fixture, after the job; here, that it met the
+    763 handles whose basis started from an operand's or a dividend's."""
+    assert sum(run[3] for run in runs) == 763
+
+
+def test_collapse_clause_by_lengths_matches_the_scan(runs):
+    """The comparison ran in the fixture, in place of evaluate_structural;
+    here, that it met all 103 jobs, 30 of them with a failing clause."""
+    reached = [run[4] for run in runs if run[4] is not False]
+    assert (len(reached), sum(w is not None for w in reached)) == (103, 30)
 
 
 def test_a_product_with_a_second_point_keeps_no_certificate():
@@ -126,10 +189,11 @@ def test_an_explicit_tower_scans_its_whole_tail():
 
 
 def assert_job_deductions(obj) -> int:
-    got, ring, filt, red = run_captured(parse_config(obj))
+    got, ring, seeded, _, filt, red = run_captured(parse_config(obj))
     assert got["verdict"] == "verified", got["name"]
     r = check_adic_scans(got, filt, red)
     check_certificates(ring)
+    check_seeded_bases(ring, seeded)
     return r
 
 

@@ -213,6 +213,69 @@ def test_monomial_input_bypasses_buchberger(monkeypatch):
         groebner_basis(gens, ctx=CTX2, use_criteria=False)
 
 
+# -- a seed basis taken as complete ----------------------------------------
+
+@st.composite
+def seeded_inputs(draw):
+    """(ctx, A, B) in k[x, y, z] over Q or F_101, under grevlex or an order
+    eliminating x; each side all monomials or mixed, and B may be empty."""
+    field = draw(st.sampled_from([QQ, PrimeField(101)]))
+    order = draw(st.sampled_from([grevlex(3), elimination_block(1, 3)]))
+    ctx = PolyContext.get(("x", "y", "z"), field, order)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def side(low):
+        most = 1 if draw(st.booleans()) else 3
+        gens = [random_poly(rng, ctx, 3, rng.randint(1, most))
+                for _ in range(draw(st.integers(low, 3)))]
+        return [g for g in gens if not g.is_zero]
+
+    return ctx, side(1), side(0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeded_inputs())
+def test_seeded_basis_equals_the_basis_of_the_sum(case):
+    """Started from the reduced basis of A, the basis of B is that of A + B,
+    and so is the criteria-off run, which takes the seed as plain input.
+    The fingerprint hashes the seed's polys with B, and a B that the seed
+    reduces to zero gets the seed itself back."""
+    ctx, A, B = case
+    seed = groebner_basis(A, ctx=ctx)
+    got = groebner_basis(B, ctx=ctx, seed=seed)
+    assert got.polys == groebner_basis(A + B, ctx=ctx).polys
+    assert got.polys == groebner_basis(B, ctx=ctx, seed=seed, use_criteria=False).polys
+    if any(not seed.normal_form(b).is_zero for b in B):
+        assert got.fingerprint == groebner_basis(list(seed.polys) + B, ctx=ctx).fingerprint
+    else:
+        assert got is seed
+    inside = [a * b for a in A for b in B] + [a + a for a in A]
+    assert groebner_basis(inside, ctx=ctx, seed=seed) is seed
+
+
+def test_a_seed_forms_no_pair_of_its_own(monkeypatch):
+    """Seeded by the twisted cubic's basis (y^2 - xz, xy - z, x^2 - y), a
+    generator that it reduces to zero forms no S-polynomial, and xyz - 1
+    forms none either, where the unseeded run forms two."""
+    calls = []
+    spoly = groebner._spoly_dict
+
+    def counting(a, b, c):
+        calls.append(1)
+        return spoly(a, b, c)
+
+    cubic = [parse_polynomial(s, CTX3) for s in ["y - x^2", "z - x^3"]]
+    extra = parse_polynomial("x*y*z - 1", CTX3)
+    seed = groebner_basis(cubic, ctx=CTX3)
+    monkeypatch.setattr(groebner, "_spoly_dict", counting)
+    assert groebner_basis([cubic[0] * extra], ctx=CTX3, seed=seed) is seed
+    seeded = groebner_basis([extra], ctx=CTX3, seed=seed)
+    on = len(calls)
+    calls.clear()
+    assert groebner_basis(cubic + [extra], ctx=CTX3).polys == seeded.polys
+    assert (on, len(calls)) == (0, 2)
+
+
 # -- t-trick input, where the Gebauer-Moller criteria prune most ----------
 
 def t_trick_gens(rng, field, order):

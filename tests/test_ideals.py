@@ -265,6 +265,47 @@ def test_a_presentation_has_one_handle():
     assert I.power(2) is ring.ideal(list(I.power(2).gens))
 
 
+def test_a_sum_with_the_zero_ideal_is_the_other_operand(monkeypatch):
+    """X + (0) and (0) + X are X, found without normalizing generators."""
+    ring = LocalRing(("x", "y"), ["y^2 - x^3"])
+    I, zero = ring.ideal(["x", "y^2"]), ring.zero_ideal()
+
+    def forbidden(self, polys):
+        raise AssertionError("a sum with the zero ideal normalized generators")
+
+    monkeypatch.setattr(LocalRing, "_make", forbidden)
+    assert I + zero is I
+    assert zero + I is I
+    assert zero + zero is zero
+
+
+def test_sums_and_colons_start_from_a_basis_inside(monkeypatch):
+    """A sum's basis starts from an operand's built basis and a colon's from
+    the dividend's; with none built, from the relations' basis."""
+    ring = LocalRing(("x", "y"), ["y^3 - x^5"])
+    seeds = []
+    build = ideals.groebner_basis
+
+    def recorded(gens, ctx=None, use_criteria=True, seed=None):
+        seeds.append(seed)
+        return build(gens, ctx, use_criteria, seed)
+
+    monkeypatch.setattr(ideals, "groebner_basis", recorded)
+    I, J = ring.ideal(["x^2 + y", "x*y"]), ring.ideal(["y^2 - x"])
+    (I + J).gb()
+    assert seeds == [ring.gb_relations]
+    I.gb()
+    K = I + ring.ideal(["x^3 - y^2"])
+    K.gb()
+    assert seeds[-1] is I.gb()
+    C = I.colon("x")
+    C.gb()
+    assert C is not I and seeds[-1] is I.gb()
+    D = K.colon(ring.maximal_ideal())
+    D.gb()
+    assert D is not K and seeds[-1] is K.gb()
+
+
 def test_equal_products_share_one_basis(monkeypatch):
     """A product and a handle built separately from its generators are one
     handle, so their bases take one Buchberger run between them."""
@@ -405,17 +446,19 @@ def test_computed_colons_and_intersections(monkeypatch, name, colons, intersecti
 
 def test_curve_job_eliminations_and_buchberger_runs(monkeypatch):
     """Noise-free work count on the plane curve y^3 = x^4 with I_1 = m and
-    Q = (x): t-trick eliminations, general Buchberger runs and nilpotency
-    loops of the colength certificate.  Before the graded clause was
+    Q = (x): t-trick eliminations, general Buchberger runs, nilpotency
+    loops of the colength certificate and S-polynomials formed.  Before the graded clause was
     decided by lengths, the job took 18 and 88; before the zero ideal took
     the relations' basis and l(I_1/(I_2 + Q)) became a colength difference,
     4 and 78; before c0, c1, c2 and the colon clause were read off the
     Cohen-Macaulay certificate, 4 and 76; before products, sums, meets and
     colons inherited the certificate and the adic chain scan and the tail
-    after its first equality were skipped, 2 and 74, with 52 loops."""
+    after its first equality were skipped, 2 and 74, with 52 loops; before
+    each basis started from the basis of a sum's operand, of a colon's
+    dividend or of the relations, 66 runs formed 64 S-polynomials."""
     count = Counter()
     ambient, raw = ideals._intersection_in_ambient, groebner._buchberger_raw
-    nilpotent = ideals._variables_nilpotent
+    nilpotent, spoly = ideals._variables_nilpotent, groebner._spoly_dict
 
     def counted_ambient(*args, **kwargs):
         count["eliminations"] += 1
@@ -429,38 +472,51 @@ def test_curve_job_eliminations_and_buchberger_runs(monkeypatch):
         count["loops"] += 1
         return nilpotent(*args)
 
+    def counted_spoly(*args):
+        count["spolys"] += 1
+        return spoly(*args)
+
     monkeypatch.setattr(ideals, "_intersection_in_ambient", counted_ambient)
     monkeypatch.setattr(groebner, "_buchberger_raw", counted_raw)
     monkeypatch.setattr(ideals, "_variables_nilpotent", counted_loop)
+    monkeypatch.setattr(groebner, "_spoly_dict", counted_spoly)
     report = run_job(parse_config({
         "name": "curve_3_4", "field": "q",
         "ring": {"variables": ["x", "y"], "relations": ["y^3 - x^4"]},
         "filtration": {"kind": "adic", "stages": {"1": ["x", "y"]}},
         "reduction": {"generators": ["x"]}}))
     assert report["verdict"] == "verified"
-    assert (count["eliminations"], count["buchberger"], count["loops"]) == (2, 66, 2)
+    assert (count["eliminations"], count["buchberger"], count["loops"],
+            count["spolys"]) == (2, 62, 2, 54)
 
 
 def test_depth_zero_job_buchberger_runs(monkeypatch):
     """Noise-free work count on k[x, y]/((x + y^2)^2, (x + y^2) y) with
     I_1 = m and Q = (y), whose torsion ideal is (x + y^2): general
-    Buchberger runs.  While the torsion checks built A/W as a second ring,
+    Buchberger runs and S-polynomials formed.  While the torsion checks built A/W as a second ring,
     with its own relation basis and handles, the job took 164; before
     products, sums, meets and colons inherited the colength certificate and
     the adic chain scan and the tail after its first equality were
-    skipped, 118."""
+    skipped, 118; before each basis started from the basis of a sum's
+    operand, of a colon's dividend or of the relations, 109 runs formed 251
+    S-polynomials."""
     count = Counter()
-    raw = groebner._buchberger_raw
+    raw, spoly = groebner._buchberger_raw, groebner._spoly_dict
 
     def counted_raw(*args, **kwargs):
         count["buchberger"] += 1
         return raw(*args, **kwargs)
 
+    def counted_spoly(*args):
+        count["spolys"] += 1
+        return spoly(*args)
+
     monkeypatch.setattr(groebner, "_buchberger_raw", counted_raw)
+    monkeypatch.setattr(groebner, "_spoly_dict", counted_spoly)
     report = run_job(parse_config(NON_MONOMIAL_DEPTH_ZERO[0]))
     assert report["verdict"] == "verified"
     assert report["ring"]["torsion_length"] == 1
-    assert count["buchberger"] == 109
+    assert (count["buchberger"], count["spolys"]) == (108, 141)
 
 
 # -- the t-trick against sympy ----------------------------------------------
