@@ -15,10 +15,12 @@ its reduced basis is the minimal generating set, taken from the monomial
 layer (``monomial.py``), which also holds the staircase count.
 
 A run may start from a seed, the reduced basis of an ideal inside the one
-asked for.  Its entries enter the basis and the active set with no pair
-among them: each of their S-polynomials already has a standard
-representation, which is all the Gebauer-Moller update assumes of the pairs
-it has dropped.  Only the new generators are reduced and paired.
+asked for, whose polys open the generators.  Its entries enter the basis
+and the active set with no pair among them: each of their S-polynomials
+already has a standard representation, which is all the Gebauer-Moller
+update assumes of the pairs it has dropped.  Only the generators after it
+are reduced and paired, and when none survives reduction by the seed, the
+seed is the answer.
 
 Nothing is kept from one call to the next: a basis lives on the ideal handle
 that asked for it (``ideals.py``), and so dies with the ring of its job.
@@ -158,12 +160,11 @@ def _fingerprint(ctx: PolyContext, gens) -> str:
 
 
 def _buchberger_raw(inputs: list, ctx: PolyContext, use_criteria: bool,
-                    seed: tuple = ()) -> list | None:
+                    seed: tuple = ()) -> list:
     """Reduced basis of ``seed`` and ``inputs`` as term dicts.  ``seed`` is
     a reduced basis, taken as complete: its entries start the basis and the
     active set with no pair among them, since each of their S-polynomials
-    already has a standard representation.  None when no input survives
-    reduction by the seed, whose basis is then the answer."""
+    already has a standard representation."""
     basis = [(g.lead_monomial(), g.terms[1:], g.as_dict()) for g in seed]
     reduce_view = [(e[0], e[1]) for e in basis]  # (lead, tail_items) view for _nf_dict
     pairs: list = []      # heap of (key(lcm), lcm, i, j)
@@ -213,8 +214,6 @@ def _buchberger_raw(inputs: list, ctx: PolyContext, use_criteria: bool,
         r = _nf_dict(d, reduce_view, ctx)
         if r:
             add(r)
-    if len(basis) == len(seed):
-        return None
 
     while pairs:
         _, _, i, j = heapq.heappop(pairs)
@@ -235,42 +234,41 @@ def clear_cache():
 
 def groebner_basis(gens, ctx: PolyContext | None = None, use_criteria: bool = True,
                    seed: GroebnerBasis | None = None) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by ``gens`` and, if
-    given, the reduced basis ``seed`` in the same context.
+    """Reduced Groebner basis of the ideal generated by ``gens``.
 
     Zero generators are allowed and yield the empty basis.  The result only
-    depends on the generated ideal, never on generator order or on the seed.
-    The seed is taken as complete: only ``gens`` are reduced and paired, and
-    when none of them survives reduction by it, ``seed`` itself is returned.
-    ``use_criteria=False`` switches off the pair criteria, the all-monomial
-    shortcut and the seed, which counts as plain input, and runs the full
-    Buchberger, as their oracle.
+    depends on the generated ideal, never on generator order or on a seed.
+    ``seed``, if given, is a reduced basis in the same context whose polys
+    open ``gens``.  It is taken as complete: only the generators after it
+    are reduced and paired, and when none of them survives reduction by it,
+    ``seed`` itself is returned.  ``use_criteria=False`` switches off the
+    pair criteria, the all-monomial shortcut and the seed, whose polys then
+    count as plain input, and runs the full Buchberger, as their oracle.
     """
     gens = list(gens)
-    start = () if seed is None else seed.polys
     if ctx is None:
         if not gens:
             raise ValueError("context required for an empty generator list")
         ctx = gens[0].ctx
+    start = () if seed is None or not use_criteria else seed.polys
+    if tuple(gens[:len(start)]) != start:
+        raise ValueError("the seed's polys must open the generators")
     gens = [g if g.ctx is ctx else g.convert(ctx) for g in gens if not g.is_zero]
-    # the seed's polys are hashed with gens, so that equal fingerprints
-    # still mean equal inputs
-    fingerprint = _fingerprint(ctx, start + tuple(gens))
-    if not use_criteria:
-        gens, start = list(start) + gens, ()
-    inputs = [g.as_dict() for g in gens]
+    fingerprint = _fingerprint(ctx, gens)
+    inputs = [g.as_dict() for g in gens[len(start):]]
+    if start:
+        view = [(g.lead_monomial(), g.terms[1:]) for g in start]
+        inputs = [r for r in (_nf_dict(d, view, ctx) for d in inputs) if r]
+        if not inputs:
+            return seed
     if use_criteria and all(len(d) == 1 for d in inputs) and all(
             g.is_monomial() for g in start):
         leads = sorted(minimal([g.lead_monomial() for g in start]
                                + [next(iter(d)) for d in inputs]), key=ctx.key)
-        if seed is not None and tuple(leads) == seed.leads:
-            return seed
         polys = tuple(Polynomial.monomial(ctx, m) for m in leads)
     else:
-        out = _buchberger_raw(inputs, ctx, use_criteria, start)
-        if out is None and seed is not None:
-            return seed
-        polys = tuple(Polynomial(ctx, d) for d in out or ())
+        polys = tuple(Polynomial(ctx, d)
+                      for d in _buchberger_raw(inputs, ctx, use_criteria, start))
     return GroebnerBasis(ctx, polys, fingerprint)
 
 

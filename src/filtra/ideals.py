@@ -297,9 +297,10 @@ class IdealHandle:
             tuple(g.lead_monomial() for g in gens) + rel
             if rel is not None and all(g.is_monomial() for g in gens) else None)
         self._gb = None
-        # (sub, rest): an ideal known to lie inside this one, and generators
-        # that together with it generate this one
-        self._inside = []
+        # [(sub, rest)]: ideals known to lie inside this one, each with
+        # generators that together with it generate this one; None until
+        # the first is recorded
+        self._inside = None
         self._colength = None
         self._colength_known = False
         self._powers = None  # [unit, self, self^2, ...] as far as asked
@@ -320,19 +321,25 @@ class IdealHandle:
         if self._gb is None:
             ring = self.ring
             seed, rest = ring.gb_relations, self.gens
-            for sub, gens in self._inside:
+            for sub, gens in self._inside or ():
                 if sub._gb is not None:
                     seed, rest = sub._gb, gens
                     break
-            self._gb = groebner_basis(rest, ctx=ring.ctx, seed=seed) if self.gens else seed
+            self._gb = (groebner_basis(seed.polys + rest, ctx=ring.ctx, seed=seed)
+                        if self.gens else seed)
             self._inside = None
         return self._gb
 
     def _contains(self, sub: "IdealHandle", rest) -> "IdealHandle":
         """Record that ``sub`` lies inside this ideal and, with ``rest``,
-        generates it, so that this basis may start from the basis of sub."""
-        if self._gb is None and sub is not self:
-            self._inside.append((sub, rest))
+        generates it, so that this basis may start from the basis of sub.
+        A monomial ideal's basis never runs Buchberger, so it records none,
+        and one rest per sub is enough."""
+        if self._gb is None and sub is not self and self.monomials is None:
+            if self._inside is None:
+                self._inside = [(sub, rest)]
+            elif all(s is not sub for s, _ in self._inside):
+                self._inside.append((sub, rest))
         return self
 
     def normal_form(self, f) -> Polynomial:

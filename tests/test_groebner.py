@@ -236,21 +236,53 @@ def seeded_inputs(draw):
 @settings(max_examples=60, deadline=None)
 @given(seeded_inputs())
 def test_seeded_basis_equals_the_basis_of_the_sum(case):
-    """Started from the reduced basis of A, the basis of B is that of A + B,
-    and so is the criteria-off run, which takes the seed as plain input.
-    The fingerprint hashes the seed's polys with B, and a B that the seed
-    reduces to zero gets the seed itself back."""
+    """Started from the reduced basis of A, the basis of its polys and B is
+    that of A + B, and so is the criteria-off run, which takes the seed as
+    plain input.  The fingerprint is that of the unseeded run on the same
+    generators, and a B that the seed reduces to zero gets the seed itself
+    back."""
     ctx, A, B = case
     seed = groebner_basis(A, ctx=ctx)
-    got = groebner_basis(B, ctx=ctx, seed=seed)
+    both = list(seed.polys) + B
+    got = groebner_basis(both, ctx=ctx, seed=seed)
     assert got.polys == groebner_basis(A + B, ctx=ctx).polys
-    assert got.polys == groebner_basis(B, ctx=ctx, seed=seed, use_criteria=False).polys
+    assert got.polys == groebner_basis(both, ctx=ctx, seed=seed, use_criteria=False).polys
     if any(not seed.normal_form(b).is_zero for b in B):
-        assert got.fingerprint == groebner_basis(list(seed.polys) + B, ctx=ctx).fingerprint
+        assert got.fingerprint == groebner_basis(both, ctx=ctx).fingerprint
     else:
         assert got is seed
     inside = [a * b for a in A for b in B] + [a + a for a in A]
-    assert groebner_basis(inside, ctx=ctx, seed=seed) is seed
+    assert groebner_basis(list(seed.polys) + inside, ctx=ctx, seed=seed) is seed
+
+
+def test_a_seed_opens_the_generators():
+    """The seed's polys come first among the generators, or the call is
+    refused; with the criteria off, the seed is plain input and any
+    generators go."""
+    seed = groebner_basis([parse_polynomial("x^2 - y", CTX2)], ctx=CTX2)
+    extra = parse_polynomial("x*y", CTX2)
+    with pytest.raises(ValueError, match="open the generators"):
+        groebner_basis([extra], ctx=CTX2, seed=seed)
+    with pytest.raises(ValueError, match="open the generators"):
+        groebner_basis([extra] + list(seed.polys), ctx=CTX2, seed=seed)
+    assert groebner_basis([extra], ctx=CTX2, seed=seed, use_criteria=False).polys == (extra,)
+
+
+def test_a_monomial_seed_keeps_the_monomial_shortcut(monkeypatch):
+    """All-monomial seed and generators take the monomial layer, not
+    Buchberger; a generator that the seed already holds returns the seed."""
+    seed = groebner_basis([parse_polynomial(s, CTX2) for s in ["x^3", "y^2"]], ctx=CTX2)
+
+    def forbidden(*args):
+        raise AssertionError("Buchberger ran on all-monomial input")
+
+    monkeypatch.setattr(groebner, "_buchberger_raw", forbidden)
+    more = groebner_basis(list(seed.polys) + [parse_polynomial("x*y", CTX2)],
+                          ctx=CTX2, seed=seed)
+    assert [str(g) for g in more.polys] == [str(parse_polynomial(s, CTX2))
+                                             for s in ["y^2", "x*y", "x^3"]]
+    assert groebner_basis(list(seed.polys) + [parse_polynomial("x^4*y", CTX2)],
+                          ctx=CTX2, seed=seed) is seed
 
 
 def test_a_seed_forms_no_pair_of_its_own(monkeypatch):
@@ -268,8 +300,9 @@ def test_a_seed_forms_no_pair_of_its_own(monkeypatch):
     extra = parse_polynomial("x*y*z - 1", CTX3)
     seed = groebner_basis(cubic, ctx=CTX3)
     monkeypatch.setattr(groebner, "_spoly_dict", counting)
-    assert groebner_basis([cubic[0] * extra], ctx=CTX3, seed=seed) is seed
-    seeded = groebner_basis([extra], ctx=CTX3, seed=seed)
+    start = list(seed.polys)
+    assert groebner_basis(start + [cubic[0] * extra], ctx=CTX3, seed=seed) is seed
+    seeded = groebner_basis(start + [extra], ctx=CTX3, seed=seed)
     on = len(calls)
     calls.clear()
     assert groebner_basis(cubic + [extra], ctx=CTX3).polys == seeded.polys

@@ -516,7 +516,7 @@ def test_depth_zero_job_buchberger_runs(monkeypatch):
     report = run_job(parse_config(NON_MONOMIAL_DEPTH_ZERO[0]))
     assert report["verdict"] == "verified"
     assert report["ring"]["torsion_length"] == 1
-    assert (count["buchberger"], count["spolys"]) == (108, 141)
+    assert (count["buchberger"], count["spolys"]) == (92, 141)
 
 
 # -- the t-trick against sympy ----------------------------------------------
