@@ -3,7 +3,8 @@ filtrations on concrete Noetherian local rings."""
 
 from .fields import QQ, PrimeField, Rationals, field_from_descriptor
 from .ideals import IdealHandle, LocalRing
-from .filtration import find_reduction, reduction_system, verify_admissible
+from .filtration import (LengthTable, find_reduction, reduction_system,
+                         verify_admissible)
 from .checkers import (BoundaryData, compute_boundary_data, evaluate_conditions,
                        evaluate_structural, run_checks)
 from .config import JobConfig, load_config, parse_config
@@ -14,7 +15,7 @@ __version__ = "0.1.0"
 __all__ = [
     "QQ", "PrimeField", "Rationals", "field_from_descriptor",
     "IdealHandle", "LocalRing",
-    "reduction_system", "find_reduction", "verify_admissible",
+    "reduction_system", "find_reduction", "verify_admissible", "LengthTable",
     "BoundaryData", "compute_boundary_data", "evaluate_conditions",
     "evaluate_structural", "run_checks",
     "JobConfig", "load_config", "parse_config",

@@ -10,11 +10,11 @@ The gates are data: ``CHECKS`` names each check's hypotheses, and
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import NamedTuple
 
-from .filtration import (Filtration, ReductionSystem, NotAdmissible,
-                         check_colon_in_i1, check_d_sequence, check_usd_bounded)
+from .filtration import (ADIC, Filtration, LengthTable, ReductionSystem,
+                         NotAdmissible, check_colon_in_i1, check_d_sequence,
+                         check_usd_bounded)
 from .hilbert import (HorizonTooSmall, NoPolynomialTail, PolynomialFit,
                       SallyFit, binom, fit_hilbert_samuel, fit_sally)
 from .ideals import IdealHandle, LocalRing
@@ -27,10 +27,7 @@ STABILITY_MARGIN = 3
 class BoundaryData:
     """Everything numeric the checks consume, for one ring."""
 
-    ring: LocalRing
-    filt: Filtration
-    red: ReductionSystem
-    horizon: int
+    lengths: LengthTable
     h_filt: list
     h_red: list
     fit_filt: PolynomialFit
@@ -47,15 +44,30 @@ class BoundaryData:
     structural: dict | None = None   # evaluate_structural's result, set by run_checks
 
     @property
+    def ring(self) -> LocalRing:
+        return self.lengths.ring
+
+    @property
+    def filt(self) -> Filtration:
+        return self.lengths.filt
+
+    @property
+    def red(self) -> ReductionSystem:
+        return self.lengths.red
+
+    @property
+    def horizon(self) -> int:
+        return self.lengths.horizon
+
+    @property
     def d(self) -> int:
         return self.ring.dimension
 
-    @cached_property
+    @property
     def cohen_macaulay(self) -> bool:
         """Whether q_1..q_d is a regular sequence, so that A is
-        Cohen-Macaulay.  ``run_job`` asks the ring first, so this is
-        answered from its interned handles and memoized colons."""
-        return self.ring.is_cm_via_parameters(self.red.generators)
+        Cohen-Macaulay."""
+        return self.lengths.cohen_macaulay
 
     def e_filt(self, i: int) -> int:
         return self.fit_filt.coefficients[i]
@@ -64,24 +76,23 @@ class BoundaryData:
         return self.fit_red.coefficients[i]
 
 
-def compute_boundary_data(ring: LocalRing, filt: Filtration, red: ReductionSystem,
-                          horizon: int, modulo: IdealHandle | None = None) -> BoundaryData:
-    """The numbers of A or, with ``modulo=W``, of C = A/W, read in A: C/XC is
-    A/(X + W), so a length over C is the colength of X + W.  d is dim A."""
-    d = ring.dimension
-    Q = red.handle
-
-    def length(X):
-        return (X if modulo is None else X + modulo).finite_colength()
-
-    h_filt = [length(filt.get_ideal(n)) for n in range(horizon + 1)]
-    h_red = [length(Q.power(n)) for n in range(horizon + 1)]
+def compute_boundary_data(lengths: LengthTable) -> BoundaryData:
+    """The numbers of A, read from the table that ``verify_admissible``
+    built, or, from a table with ``modulo=W``, those of C = A/W, read in A:
+    C/XC is A/(X + W), so a length over C is the colength of X + W.  d is
+    dim A.  The lengths l(A/I_n) and l(A/Q^n) and the Sally values
+    l(A/Q^n I_1) - l(A/I_{n+1}) are table entries, so where the
+    Cohen-Macaulay certificate holds they come from closed forms
+    (``filtration.closed_form``); only l(A/(I_2 + Q)) is always a colength."""
+    d, horizon = lengths.ring.dimension, lengths.horizon
+    get = lengths.get
+    h_filt = [get(0, n) for n in range(horizon + 1)]
+    h_red = [get(n, 0) for n in range(horizon + 1)]
     fit_filt = fit_hilbert_samuel(h_filt, d)
     fit_red = fit_hilbert_samuel(h_red, d)
     sally_values = []
-    I1 = filt.i1
     for n in range(horizon):
-        val = length(Q.power(n) * I1) - h_filt[n + 1]
+        val = get(n, 1) - h_filt[n + 1]
         if val < 0:
             raise NotAdmissible(
                 f"stage {n + 1} is smaller than reduction-power times stage one",
@@ -90,14 +101,14 @@ def compute_boundary_data(ring: LocalRing, filt: Filtration, red: ReductionSyste
     sally = fit_sally(sally_values, d)
     # l(I_1/(I_2 + Q)); verify_admissible proved Q and I_2 inside I_1
     ell_i1 = h_filt[1]
-    graded_colength = length(filt.get_ideal(2) + Q) - ell_i1
+    i2q = lengths.ideal(0, 2) + lengths.ideal(1, 0)
+    graded_colength = i2q.finite_colength() - ell_i1
     lhs = fit_filt.coefficients[1] - fit_red.coefficients[1]
     rhs = 2 * fit_filt.coefficients[0] - 2 * ell_i1 - graded_colength
     gap = lhs - rhs
     return BoundaryData(
-        ring=ring, filt=filt, red=red, horizon=horizon,
-        h_filt=h_filt, h_red=h_red, fit_filt=fit_filt, fit_red=fit_red,
-        sally_values=sally_values, sally=sally,
+        lengths=lengths, h_filt=h_filt, h_red=h_red,
+        fit_filt=fit_filt, fit_red=fit_red, sally_values=sally_values, sally=sally,
         stage_one_colength=ell_i1, graded_colength=graded_colength,
         lhs=lhs, rhs=rhs, gap=gap, equality=(gap == 0),
         second_nonnegative=(rhs >= 0))
@@ -142,12 +153,41 @@ def evaluate_conditions(data: BoundaryData, power_bound: int) -> dict:
 
 # -- structural criterion --------------------------------------------------
 
+def graded_stages(data: BoundaryData) -> list:
+    """The n at which the graded clause is decided: 1..H-1, or fewer in
+    dimension one under the Cohen-Macaulay certificate.
+
+    There Q = (x), W = 0, and the tail scan proved I_{n+1} = x I_n for
+    r <= n <= H - 2, and for every n >= r on a tower of powers.  Take
+    s = max(r, 1).  For s <= n with I_{n+1} = x^(n+1-s) I_s,
+    Q^n + I_{n+1} = x^(n+1-s) (x^(s-1) A + I_s), an m-primary ideal times a
+    power of x.  Multiplying an m-primary ideal by x^j adds j e_0 to its
+    colength (``filtration.closed_form``), so l(A/Q^n) = n e_0,
+    l(A/I_{n+1}) = l(A/I_s) + (n+1-s) e_0, l(A/Q^n I_1) = l(A/I_1) + n e_0
+    and l(A/(Q^n + I_{n+1})) = l(A/(x^(s-1) A + I_s)) + (n+1-s) e_0.  So the
+    clause's meet minus right side, l(A/I_s) - l(A/I_1)
+    - l(A/(x^(s-1) A + I_s)), is the same number at every such n: the
+    clause holds there iff it holds at n = s, and its first failure, the
+    witness, is at most s.  A tower of powers stops at s; any other kind
+    also decides n = H - 1, where I_H = Q I_{H-1} is not proved.  The
+    report's range stays [1, H - 1].
+    """
+    H = data.horizon
+    r = data.lengths.postulation
+    if data.d != 1 or r is None or not data.cohen_macaulay:
+        return list(range(1, H))
+    last = min(max(r, 1), H - 1)
+    tail = [H - 1] if data.filt.kind != ADIC and last < H - 1 else []
+    return list(range(1, last + 1)) + tail
+
+
 def evaluate_structural(data: BoundaryData, W: IdealHandle) -> dict:
     """The three-clause structural condition with per-clause witnesses.
 
-    The collapse and graded clauses are decided by lengths.  Both assume
-    the filtration passed ``verify_admissible``: that proves Q inside I_1,
-    the chain and I_a I_b inside I_{a+b} for a + b <= H.
+    The collapse and graded clauses are decided by lengths, read from the
+    job's length table, or from one modulo W when W is not zero.  Both
+    assume the filtration passed ``verify_admissible``: that proves Q inside
+    I_1, the chain and I_a I_b inside I_{a+b} for a + b <= H.
 
     The collapse clause is I_{n+2} inside Q^n I_2 + W for n + 2 <= H.
     Admissibility puts Q^n I_2 + W inside I_{n+2} + W, both m-primary, so
@@ -161,27 +201,26 @@ def evaluate_structural(data: BoundaryData, W: IdealHandle) -> dict:
     l(A/(a meet b)) = l(A/a) + l(A/b) - l(A/(a + b)), and the clause holds
     iff that equals l(A/(Q^n I_1 + W)).  Only a failing n builds the meet,
     for its witness: the first of its generators outside the right side.
+    ``graded_stages`` says at which n the clause is decided.
     """
     filt, red, H = data.filt, data.red, data.horizon
-    Q = red.handle
-    I1, I2 = filt.i1, filt.get_ideal(2)
+    lengths = data.lengths if not W.gens else LengthTable(filt, red, H, modulo=W)
+    ideal, get = lengths.ideal, lengths.get
 
     collapse = {"holds": True, "range": [1, H - 2], "witness": None}
     for n in range(1, H - 1):
-        small, big = Q.power(n) * I2 + W, filt.get_ideal(n + 2) + W
-        if small.finite_colength() != big.finite_colength():
-            bad = small.missing_generator(filt.get_ideal(n + 2))
+        if get(n, 2) != get(0, n + 2):
+            bad = ideal(n, 2).missing_generator(filt.get_ideal(n + 2))
             collapse = {"holds": False, "range": [1, H - 2],
                         "witness": {"n": n, "generator": str(bad)}}
             break
 
     graded = {"holds": True, "range": [1, H - 1], "witness": None}
-    for n in range(1, H):
-        a, b = Q.power(n) + W, filt.get_ideal(n + 1) + W
-        right = Q.power(n) * I1 + W
-        meet = a.finite_colength() + b.finite_colength() - (a + b).finite_colength()
-        if meet != right.finite_colength():
-            bad = right.missing_generator(a.intersect(b))
+    for n in graded_stages(data):
+        a, b = ideal(n, 0), ideal(0, n + 1)
+        meet = get(n, 0) + get(0, n + 1) - (a + b).finite_colength()
+        if meet != get(n, 1):
+            bad = ideal(n, 1).missing_generator(a.intersect(b))
             graded = {"holds": False, "range": [1, H - 1],
                       "witness": {"n": n, "generator": None if bad is None else str(bad)}}
             break
@@ -190,7 +229,7 @@ def evaluate_structural(data: BoundaryData, W: IdealHandle) -> dict:
     # (see ``evaluate_conditions``)
     colon = {"holds": True, "witness": None}
     if not data.cohen_macaulay:
-        i2q = I2 + Q
+        i2q = filt.get_ideal(2) + red.handle
         for i in range(red.count):
             bad = i2q.missing_generator(red.omit_handle(i).colon(red.generators[i]))
             if bad is not None:
@@ -230,12 +269,17 @@ def check_torsion_in_stage_two(data: BoundaryData) -> dict:
 def check_adic_collapse(data: BoundaryData) -> dict:
     """I_{n+2} inside Q^n I_1, and Q^n meet I_{n+1} equal to Q^n I_1.  Under
     the gate's C3 the torsion W is zero, so the second half is the graded
-    clause of the structural condition, whose witness is read here."""
+    clause of the structural condition, whose witness is read here.  The
+    collapse clause I_{n+2} inside Q^n I_2, inside Q^n I_1, implies the first
+    half at every n before the clause's first failure, so the scan starts
+    there."""
     filt, H = data.filt, data.horizon
     I1 = filt.i1
     detail = {}
     ok = True
-    for n in range(1, H - 1):
+    collapse = data.structural["clause_collapse"]
+    start = H - 1 if collapse["holds"] else collapse["witness"]["n"]
+    for n in range(start, H - 1):
         target = data.red.handle.power(n) * I1
         if not target.contains_ideal(filt.get_ideal(n + 2)):
             ok = False
@@ -371,7 +415,7 @@ def check_torsion_quotient_reduction(data: BoundaryData) -> dict:
         return _check("torsion_quotient_reduction", True,
                       torsion_free_already=True, equality=data.equality)
     try:
-        cdata = compute_boundary_data(ring, filt, data.red, H, modulo=W)
+        cdata = compute_boundary_data(LengthTable(filt, data.red, H, modulo=W))
     except (NotAdmissible, HorizonTooSmall, NoPolynomialTail) as exc:
         return _check("torsion_quotient_reduction", False,
                       error=f"{type(exc).__name__}: {exc}")
@@ -425,14 +469,11 @@ def check_base_reduction_equal(data: BoundaryData) -> dict:
 
 
 def check_fit_stability(data: BoundaryData) -> dict:
-    """Recompute both fits with a longer horizon; coefficients must agree."""
-    H = data.horizon + STABILITY_MARGIN
-    filt, Q = data.filt, data.red.handle
-    h_filt = list(data.h_filt)
-    h_red = list(data.h_red)
-    for n in range(data.horizon + 1, H + 1):
-        h_filt.append(filt.get_ideal(n).finite_colength())
-        h_red.append(Q.power(n).finite_colength())
+    """Recompute both fits with a longer horizon, its lengths read from the
+    job's length table; coefficients must agree."""
+    longer = range(data.horizon + 1, data.horizon + STABILITY_MARGIN + 1)
+    h_filt = data.h_filt + [data.lengths.get(0, n) for n in longer]
+    h_red = data.h_red + [data.lengths.get(n, 0) for n in longer]
     try:
         long_filt = fit_hilbert_samuel(h_filt, data.d)
         long_red = fit_hilbert_samuel(h_red, data.d)

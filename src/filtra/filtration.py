@@ -21,7 +21,9 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
+from .hilbert import binom
 from .ideals import CapReached, IdealHandle, LocalRing, _as_poly
 
 
@@ -129,16 +131,102 @@ def reduction_system(ring: LocalRing, gens) -> ReductionSystem:
     return ReductionSystem(ring, polys, ring.ideal(list(polys)))
 
 
+class LengthTable:
+    """The lengths l(A/Q^n I_k) of one job, with I_0 = A and Q^0 = A: the
+    stages' l(A/I_k) at n = 0 and the reduction's l(A/Q^n) at k = 0.  With
+    ``modulo=W`` the entries are l(A/(Q^n I_k + W)), the lengths of C = A/W.
+
+    Each entry is computed once: by ``closed_form`` or, where that gives
+    None, as the colength of its ideal.  Build a table only once Q is proved
+    m-primary with d generators, as ``verify_admissible`` does before it
+    builds the job's table; it also records there the tail's r, which
+    ``closed_form`` reads for the stages past the tail."""
+
+    def __init__(self, filt: Filtration, red: ReductionSystem, horizon: int,
+                 modulo: IdealHandle | None = None):
+        self.ring, self.filt, self.red = filt.ring, filt, red
+        self.horizon = horizon
+        self.modulo = modulo
+        self.postulation = None  # the least r with I_{n+1} = Q I_n for r <= n <= H - 2
+        self._entries: dict = {}
+
+    @cached_property
+    def cohen_macaulay(self) -> bool:
+        """Whether q_1..q_d is a regular sequence.  Such a sequence makes the
+        depth of A positive, so a table modulo a nonzero W never has it."""
+        return self.ring.is_cm_via_parameters(self.red.generators)
+
+    def ideal(self, n: int, k: int) -> IdealHandle:
+        """Q^n I_k, plus W for a table modulo W."""
+        Q = self.red.handle
+        if k == 0:
+            out = Q.power(n)
+        elif n == 0:
+            out = self.filt.get_ideal(k)
+        else:
+            out = Q.power(n) * self.filt.get_ideal(k)
+        return out if self.modulo is None else out + self.modulo
+
+    def get(self, n: int, k: int) -> int:
+        got = self._entries.get((n, k))
+        if got is None:
+            got = closed_form(self, n, k)
+            if got is None:
+                got = self.ideal(n, k).finite_colength()
+            self._entries[n, k] = got
+        return got
+
+
+def closed_form(lengths: LengthTable, n: int, k: int) -> int | None:
+    """The entry l(A/Q^n I_k) of ``lengths`` by a theorem, or None where none
+    applies.  Every rule needs the Cohen-Macaulay certificate, which also
+    makes W = 0.
+
+    - Q side, any d: q_1..q_d is a regular sequence, so gr_Q(A) is the
+      polynomial ring (A/Q)[X_1..X_d] (Matsumura, Commutative Ring Theory,
+      Thm 16.2) and l(A/Q^n) = l(A/Q) C(n+d-1, d).
+    - d = 1: Q = (x) with x a nonzerodivisor.  An m-primary ideal X is then a
+      one-dimensional Cohen-Macaulay module with e(x; X) = e(x; A) = l(A/xA),
+      as A/X has finite length, so l(X/x^n X) = n l(A/xA) (Matsumura, Sec. 14
+      and Thm 17.11).  Hence l(A/Q^n I_k) = l(A/I_k) + n e_0, e_0 = l(A/Q).
+    - d = 1 and powers: past the tail's r, I_{m+1} = Q I_m for every m, so
+      I_k = Q^(k-r-1) I_{r+1} and l(A/I_k) = l(A/I_{r+1}) + (k-r-1) e_0 for
+      k > r + 1.
+
+    The cheap tests come first, so that a job no rule serves never builds
+    the certificate here."""
+    d = lengths.ring.dimension
+    if k == 0:
+        if n < 2 or not lengths.cohen_macaulay:
+            return None
+        return lengths.get(1, 0) * binom(n + d - 1, d)
+    if d != 1:
+        return None
+    if n == 0:
+        r = lengths.postulation
+        if (lengths.filt.kind != ADIC or r is None or k <= r + 1
+                or not lengths.cohen_macaulay):
+            return None
+        return lengths.get(0, r + 1) + (k - r - 1) * lengths.get(1, 0)
+    if not lengths.cohen_macaulay:
+        return None
+    return lengths.get(0, k) + n * lengths.get(1, 0)
+
+
 @dataclass(frozen=True)
 class AdmissibilityCertificate:
     reduction_postulation: int
     stage_equalities: tuple  # n -> I_{n+1} == Q I_n over the checked window
+    lengths: LengthTable
 
 
 def verify_admissible(filt: Filtration, red: ReductionSystem,
                       horizon: int) -> AdmissibilityCertificate:
     """Check all filtration axioms up to the horizon; raise with a witness.
-    Powers meet the chain and product axioms by construction: no scan."""
+    Powers meet the chain and product axioms by construction: no scan.
+    Once Q is proved m-primary and inside I_1, and the stages a chain closed
+    under products, the job's length table is built; the tail scan reads it
+    and the certificate carries it."""
     ring = filt.ring
     I1 = filt.i1
     if I1.is_unit:
@@ -171,25 +259,34 @@ def verify_admissible(filt: Filtration, red: ReductionSystem,
                     raise NotAdmissible(
                         f"product of stages {a} and {b} escapes stage {a + b}",
                         {"check": "products", "a": a, "b": b})
-    r, flags = reduction_tail(filt, red, horizon)
+    lengths = LengthTable(filt, red, horizon)
+    r, flags = reduction_tail(filt, red, horizon, lengths)
     if r >= horizon - 1:
         raise NotAdmissible(
             "reduction never becomes exact within the horizon",
             {"check": "reduction_tail", "last_n": horizon - 2})
-    return AdmissibilityCertificate(r, flags)
+    lengths.postulation = r
+    return AdmissibilityCertificate(r, flags, lengths)
 
 
-def reduction_tail(filt: Filtration, red: ReductionSystem, horizon: int) -> tuple:
+def reduction_tail(filt: Filtration, red: ReductionSystem, horizon: int,
+                   lengths: LengthTable | None = None) -> tuple:
     """(r, flags): flags[n] says whether I_{n+1} == Q I_n for n < horizon - 1,
     and r is the least n from which every flag holds (horizon - 1 when the
-    last one fails).  For powers, every flag after a true one is true."""
+    last one fails).  For powers, every flag after a true one is true.
+
+    ``lengths`` is the table of a filtration whose other axioms passed, so
+    Q I_n lies inside I_{n+1}, both m-primary, and the flag compares their
+    lengths.  Without a table the two ideals are compared."""
     stage = filt.get_ideal
     flags = []
     for n in range(horizon - 1):
         if filt.kind == ADIC and any(flags):
             flags.append(True)
-        else:
+        elif lengths is None:
             flags.append(stage(n + 1).equals_local(red.handle * stage(n)))
+        else:
+            flags.append(lengths.get(0, n + 1) == lengths.get(1, n))
     flags = tuple(flags)
     r = horizon - 1
     while r > 0 and flags[r - 1]:

@@ -128,8 +128,8 @@ def run_job(cfg: JobConfig) -> dict:
             "stage_equalities": list(cert.stage_equalities),
         }
         # the reduction is a system of parameters, so it certifies CM-ness
-        report["ring"]["cm_certificate"] = ring.is_cm_via_parameters(red.generators)
-        data = compute_boundary_data(ring, filt, red, cfg.horizon)
+        report["ring"]["cm_certificate"] = cert.lengths.cohen_macaulay
+        data = compute_boundary_data(cert.lengths)
         conditions = evaluate_conditions(data, cfg.power_bound)
         structural = evaluate_structural(data, W)
         checks = run_checks(data, conditions, structural, cfg.checks)

@@ -59,5 +59,71 @@ def corpus_run(tmp_path_factory):
     return summary, reports, elapsed
 
 
+def corpus_and_digest_configs() -> list:
+    """Every corpus job and every job of ``golden/report_digests.json``."""
+    from filtra.config import load_config, parse_config
+    configs = [load_config(p) for p in sorted(CORPUS_DIR.glob("*.json"))]
+    configs += [parse_config(e["config"]) for e in
+                json.loads((GOLDEN_DIR / "report_digests.json").read_text())]
+    return configs
+
+
+def canonical_key(cfg) -> str:
+    return json.dumps(cfg.canonical(), sort_keys=True)
+
+
+def run_captured(cfg, closed_forms=True):
+    """Run one job, with ``filtration.closed_form`` giving nothing unless
+    ``closed_forms``; return its report, its ring, the bases built from a
+    seed other than the relations' basis, the (boundary data, W) that
+    evaluate_structural read (None if the job stopped before it) and the
+    (filtration, reduction) that run_job certified, or (None, None) if it
+    stopped before."""
+    from filtra import filtration, ideals, report
+    rings, certified, seeded, structural_args = [], [], [], [None]
+    make_ring, verify = report.LocalRing, report.verify_admissible
+    build, structural = ideals.groebner_basis, report.evaluate_structural
+
+    def ring(*args, **kwargs):
+        rings.append(make_ring(*args, **kwargs))
+        return rings[-1]
+
+    def captured(filt, red, horizon):
+        certified.append((filt, red))
+        return verify(filt, red, horizon)
+
+    def counted(gens, ctx=None, use_criteria=True, seed=None):
+        out = build(gens, ctx, use_criteria, seed)
+        if seed is not None and seed is not rings[-1].gb_relations:
+            seeded.append(out)
+        return out
+
+    def kept(data, W):
+        structural_args[0] = (data, W)
+        return structural(data, W)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(report, "LocalRing", ring)
+        mp.setattr(report, "verify_admissible", captured)
+        mp.setattr(ideals, "groebner_basis", counted)
+        mp.setattr(report, "evaluate_structural", kept)
+        if not closed_forms:
+            mp.setattr(filtration, "closed_form", lambda lengths, n, k: None)
+        got = report.run_job(cfg)
+    assert len(rings) == 1, got["name"]
+    return (got, rings[0], seeded, structural_args[0],
+            *(certified[-1] if certified else (None, None)))
+
+
+@pytest.fixture(scope="session")
+def without_closed_forms():
+    """``run_captured(cfg, closed_forms=False)`` for every job of
+    ``corpus_and_digest_configs``, by ``canonical_key``: the route on which
+    every length table entry is a colength, the reference for the closed
+    forms."""
+    return {canonical_key(cfg): run_captured(cfg, closed_forms=False)
+            for cfg in corpus_and_digest_configs()}
+
+
 def load_golden(name: str):
     return json.loads((GOLDEN_DIR / name).read_text())

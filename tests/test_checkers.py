@@ -25,7 +25,7 @@ from filtra.checkers import (_FACTS, ALL_CHECKS, check_base_reduction_equal,
 from filtra.config import load_config, parse_config
 from filtra.fields import field_from_descriptor
 from filtra.filtration import (ADIC, EXPLICIT, RATLIFF_RUSH, Filtration,
-                               find_reduction, reduction_system,
+                               LengthTable, find_reduction, reduction_system,
                                verify_admissible)
 from filtra.hilbert import SallyFit
 from filtra.ideals import LocalRing
@@ -36,7 +36,7 @@ from conftest import (CORPUS_DIR, GOLDEN_DIR, NON_MONOMIAL_DEPTH_ZERO,
 
 def pipeline(ring, filt, red_gens, horizon, power_bound=2):
     red = reduction_system(ring, red_gens)
-    data = compute_boundary_data(ring, filt, red, horizon)
+    data = compute_boundary_data(verify_admissible(filt, red, horizon).lengths)
     conditions = evaluate_conditions(data, power_bound)
     structural = evaluate_structural(data, ring.torsion_ideal())
     checks = run_checks(data, conditions, structural)
@@ -524,8 +524,7 @@ def test_lengths_by_colength_differences_match_the_subquotient_route():
     admissible explicit towers over k[x, y]/(x^2, x y)."""
     for ring, filt, gens, H in depth_zero_cases():
         red = reduction_system(ring, gens)
-        verify_admissible(filt, red, H)
-        data = compute_boundary_data(ring, filt, red, H)
+        data = compute_boundary_data(verify_admissible(filt, red, H).lengths)
         graded, correction, pieces, tail_empty = subquotient_route(data)
         colon = check_multiplicity_colon_formula(data)["details"]
         torsion = check_torsion_graded_pieces(data)["details"]
@@ -556,21 +555,19 @@ def test_quotient_numbers_read_in_a_match_the_quotient_ring():
     assert len(cases) == 27
     for ring, filt, gens, H in cases:
         red = reduction_system(ring, gens)
-        verify_admissible(filt, red, H)
+        lengths = verify_admissible(filt, red, H).lengths
         W = ring.torsion_ideal()
         assert W.gens
-        read = compute_boundary_data(ring, filt, red, H, modulo=W)
+        read = compute_boundary_data(LengthTable(filt, red, H, modulo=W))
         C = torsion_free_quotient(ring)
         cfilt = Filtration(C, EXPLICIT,
                            {n: filt.get_ideal(n).gens for n in range(1, H + 1)})
         cred = reduction_system(C, list(red.generators))
-        verify_admissible(cfilt, cred, H)
-        built = compute_boundary_data(C, cfilt, cred, H)
+        built = compute_boundary_data(verify_admissible(cfilt, cred, H).lengths)
         assert C.dimension == ring.dimension
         for field in ("h_filt", "h_red", "sally_values", "gap", "equality"):
             assert getattr(read, field) == getattr(built, field), field
-        colon = check_multiplicity_colon_formula(
-            compute_boundary_data(ring, filt, red, H))["details"]
+        colon = check_multiplicity_colon_formula(compute_boundary_data(lengths))["details"]
         first = cred.handle.finite_colength()
         col = C.ideal(list(cred.generators[:-1])).colon(cred.generators[-1])
         assert colon["colength_modulo_reduction"] == first
@@ -633,8 +630,7 @@ def admissible_data(cfg):
     else:
         red = find_reduction(filt, cfg.horizon, seed=cfg.search_seed,
                              attempts=cfg.search_attempts)
-    verify_admissible(filt, red, cfg.horizon)
-    return compute_boundary_data(ring, filt, red, cfg.horizon)
+    return compute_boundary_data(verify_admissible(filt, red, cfg.horizon).lengths)
 
 
 def test_nested_equalities_by_lengths_match_the_ideal_scans():
@@ -652,8 +648,7 @@ def test_nested_equalities_by_lengths_match_the_ideal_scans():
     for stages, gens, H in towers:
         ring = LocalRing(("x", "y"), ["x^2", "x*y"])
         filt, red = Filtration(ring, EXPLICIT, stages), reduction_system(ring, gens)
-        verify_admissible(filt, red, H)
-        cases.append(compute_boundary_data(ring, filt, red, H))
+        cases.append(compute_boundary_data(verify_admissible(filt, red, H).lengths))
     seen = set()
     for data in cases:
         decided = length_decisions(data)

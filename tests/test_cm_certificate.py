@@ -6,22 +6,22 @@ and c2, and ``evaluate_structural`` its colon clause, as holding with no
 witness, without computing a colon.  Here the full scans run on every job
 that has the certificate, and must say the same.  A CM ring also fixes the
 reduction's lengths and bounds e_1 from below, which every verified job with
-the certificate must show.
+the certificate must show.  Those numbers come from closed forms where the
+certificate holds (``filtration.closed_form``), so every job also runs with
+the closed forms giving nothing, every entry a colength, and the two reports
+must be byte-identical.
 """
-import json
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from filtra import report
-from filtra.config import load_config, parse_config
 from filtra.filtration import (ADIC, Filtration, check_colon_in_i1,
                                check_d_sequence, check_usd_bounded,
                                reduction_system)
 from filtra.hilbert import binom
 from filtra.ideals import LocalRing
 
-from conftest import CORPUS_DIR, GOLDEN_DIR
+from conftest import CORPUS_DIR, canonical_key, corpus_and_digest_configs
 
 NOT_CM = {"depth_zero", "depth_zero_equality", "two_planes"}
 
@@ -47,14 +47,11 @@ def full_scans(ring, red, filt, power_bound) -> dict:
 
 
 @pytest.fixture(scope="module")
-def runs():
+def runs(without_closed_forms):
     """Every corpus job and every job of ``golden/report_digests.json``, run
-    once: (report, the boundary data its conditions read, power_bound)."""
-    configs = [load_config(p) for p in sorted(CORPUS_DIR.glob("*.json"))]
-    configs += [parse_config(e["config"]) for e in
-                json.loads((GOLDEN_DIR / "report_digests.json").read_text())]
-    configs = list({json.dumps(c.canonical(), sort_keys=True): c
-                    for c in configs}.values())
+    once: (report, the boundary data its conditions read, power_bound).
+    Its run with no closed forms must give the same bytes."""
+    configs = list({canonical_key(c): c for c in corpus_and_digest_configs()}.values())
     conditions = report.evaluate_conditions
     out = []
     with pytest.MonkeyPatch.context() as mp:
@@ -69,6 +66,8 @@ def runs():
             seen.clear()
             got = report.run_job(cfg)
             assert len(seen) == 1, got["name"]
+            full = without_closed_forms[canonical_key(cfg)][0]
+            assert report.to_json(full) == report.to_json(got), got["name"]
             out.append((got, *seen[0]))
     return out
 

@@ -6,25 +6,31 @@ colength skips the nilpotency loop.  For powers of I_1 the chain
 I^{n+1} in I^n holds by construction, and once I^{n+1} = Q I^n, also
 I^{n+2} = Q I^{n+1}.  A sum contains its operands and a colon its dividend,
 so its basis starts from theirs.  Admissibility puts Q^n I_2 + W inside
-I_{n+2} + W, so the collapse clause compares their colengths.  Here every
-interned handle's colength is recomputed by the full loop on a fresh
-handle, every basis started from another one is rebuilt from the relations
-and the generators, the collapse clause is scanned generator by generator,
-and the full chain and tail scans run on every adic job.
+I_{n+2} + W, so the collapse clause compares their colengths.  Under the
+Cohen-Macaulay certificate the length table fills entries by closed forms,
+in dimension one the graded clause is decided at n <= max(r, 1), and
+``check_adic_collapse`` scans its containment from the collapse clause's
+first failure.  Here every job runs a second time with ``closed_form``
+giving nothing, so that every entry is a colength, and both reports must
+be byte-identical; on both runs every interned handle's colength is
+recomputed by the full loop on a fresh handle, and every basis started from
+another one is rebuilt from the relations and the generators; the collapse
+clause is scanned generator by generator; in dimension one the graded
+clause is decided at every n by building the meet, and the containment of
+``check_adic_collapse`` is scanned at every n; and the full chain and tail
+scans run on every adic job.
 """
-import json
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from filtra import ideals, report
-from filtra.config import load_config, parse_config
+from filtra import filtration, report
+from filtra.config import parse_config
 from filtra.filtration import (ADIC, EXPLICIT, Filtration, reduction_system,
                                verify_admissible)
 from filtra.groebner import groebner_basis
 from filtra.ideals import IdealHandle, LocalRing
 
-from conftest import CORPUS_DIR, GOLDEN_DIR
+from conftest import canonical_key, corpus_and_digest_configs, run_captured
 
 
 def collapse_by_scan(data, W):
@@ -38,44 +44,25 @@ def collapse_by_scan(data, W):
     return None
 
 
-def run_captured(cfg):
-    """Run one job; return its report, its ring, the bases built from a seed
-    other than the relations' basis, the collapse clause's witness by the
-    scan (False if the job stopped before it) and the (filtration,
-    reduction) that run_job certified, or (None, None) if it stopped before."""
-    rings, certified, seeded, scanned = [], [], [], [False]
-    make_ring, verify = report.LocalRing, report.verify_admissible
-    build, structural = ideals.groebner_basis, report.evaluate_structural
+def graded_by_scan(data, W):
+    """The graded clause as it is defined, at every n: the first n with a
+    generator of (Q^n + W) meet (I_{n+1} + W) outside Q^n I_1 + W, and that
+    generator."""
+    filt, Q = data.filt, data.red.handle
+    for n in range(1, data.horizon):
+        meet = (Q.power(n) + W).intersect(filt.get_ideal(n + 1) + W)
+        bad = (Q.power(n) * filt.i1 + W).missing_generator(meet)
+        if bad is not None:
+            return {"n": n, "generator": str(bad)}
+    return None
 
-    def ring(*args, **kwargs):
-        rings.append(make_ring(*args, **kwargs))
-        return rings[-1]
 
-    def captured(filt, red, horizon):
-        certified.append((filt, red))
-        return verify(filt, red, horizon)
-
-    def counted(gens, ctx=None, use_criteria=True, seed=None):
-        out = build(gens, ctx, use_criteria, seed)
-        if seed is not None and seed is not rings[-1].gb_relations:
-            seeded.append(out)
-        return out
-
-    def compared(data, W):
-        out = structural(data, W)
-        scanned[0] = collapse_by_scan(data, W)
-        assert out["clause_collapse"]["witness"] == scanned[0], cfg.name
-        return out
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(report, "LocalRing", ring)
-        mp.setattr(report, "verify_admissible", captured)
-        mp.setattr(ideals, "groebner_basis", counted)
-        mp.setattr(report, "evaluate_structural", compared)
-        got = report.run_job(cfg)
-    assert len(rings) == 1, got["name"]
-    return (got, rings[0], seeded, scanned[0],
-            *(certified[-1] if certified else (None, None)))
+def containment_by_scan(data):
+    """The first n with I_{n+2} not inside Q^n I_1, or None."""
+    filt, Q = data.filt, data.red.handle
+    return next((n for n in range(1, data.horizon - 1)
+                 if not (Q.power(n) * filt.i1).contains_ideal(filt.get_ideal(n + 2))),
+                None)
 
 
 def full_scans(filt, red, horizon) -> tuple:
@@ -119,29 +106,61 @@ def check_seeded_bases(ring, seeded) -> int:
     return count
 
 
+def check_clause_scans(got, data, W) -> tuple:
+    """Assert the collapse clause, and in dimension one the graded clause and
+    the containment of ``check_adic_collapse``, scanned at every n, agree
+    with the report; return the collapse witness and, in dimension one, the
+    graded one (else False)."""
+    name, structural = got["name"], got["structural"]
+    collapse = collapse_by_scan(data, W)
+    assert structural["clause_collapse"]["witness"] == collapse, name
+    if data.d != 1:
+        return collapse, False
+    graded = graded_by_scan(data, W)
+    assert structural["clause_graded"]["witness"] == graded, name
+    assert structural["clause_graded"]["holds"] is (graded is None), name
+    check = next(c for c in got["checks"] if c["name"] == "adic_collapse")
+    if check["status"] != "skipped":
+        assert (check.get("details", {}).get("containment_failed_at")
+                == containment_by_scan(data)), name
+    return collapse, graded
+
+
+def assert_job_deductions(cfg, full=None) -> tuple:
+    """Run the job, and unless ``full`` holds that run already, run it with
+    no closed forms; assert the deductions on both runs.  Return (report,
+    the adic scans' r or None, flagged non-monomial handles and handles with
+    a seeded basis on each route as ((fast, full), (fast, full)), the
+    collapse and graded witnesses by the scans, False where the job stopped
+    before them or, for graded, where d != 1)."""
+    got, ring, seeded, args, filt, red = run_captured(cfg)
+    full, full_ring, full_seeded = (full or run_captured(cfg, closed_forms=False))[:3]
+    assert report.to_json(full) == report.to_json(got), got["name"]
+    flagged = (check_certificates(ring), check_certificates(full_ring))
+    rebuilt = (check_seeded_bases(ring, seeded), check_seeded_bases(full_ring, full_seeded))
+    r = None
+    if filt is not None and filt.kind == ADIC:
+        r = check_adic_scans(got, filt, red)
+    collapse, graded = False, False
+    if args is not None:
+        collapse, graded = check_clause_scans(got, *args)
+    return got, r, flagged, rebuilt, collapse, graded
+
+
 @pytest.fixture(scope="module")
-def runs():
-    """Every corpus job and every job of ``golden/report_digests.json``:
-    (report, adic scans' r or None, flagged non-monomial handles, handles
-    with a seeded basis, the collapse clause's witness by the scan)."""
-    configs = [load_config(p) for p in sorted(CORPUS_DIR.glob("*.json"))]
-    configs += [parse_config(e["config"]) for e in
-                json.loads((GOLDEN_DIR / "report_digests.json").read_text())]
-    out = []
-    for cfg in configs:
-        got, ring, seeded, collapse, filt, red = run_captured(cfg)
-        r = None
-        if filt is not None and filt.kind == ADIC:
-            r = check_adic_scans(got, filt, red)
-        out.append((got, r, check_certificates(ring), check_seeded_bases(ring, seeded),
-                    collapse))
-    return out
+def runs(without_closed_forms):
+    """``assert_job_deductions`` on every corpus job and every job of
+    ``golden/report_digests.json``."""
+    return [assert_job_deductions(cfg, without_closed_forms[canonical_key(cfg)])
+            for cfg in corpus_and_digest_configs()]
 
 
 def test_inherited_certificates_match_the_full_loop(runs):
-    """The comparison ran in the fixture, after the job and its scans; here,
-    that it met the 3 355 certified non-monomial handles of those jobs."""
-    assert sum(run[2] for run in runs) == 3355
+    """The comparison ran in the fixture, after each job and its run with no
+    closed forms; here, that it met the 618 and 2 595 certified non-monomial
+    handles of those jobs on the two routes.  Before the length table, the
+    one route met 3 355."""
+    assert tuple(map(sum, zip(*(run[2] for run in runs)))) == (618, 2595)
 
 
 def test_adic_chain_and_tail_match_the_full_scans(runs):
@@ -152,16 +171,26 @@ def test_adic_chain_and_tail_match_the_full_scans(runs):
 
 
 def test_seeded_bases_match_bases_from_scratch(runs):
-    """The rebuild ran in the fixture, after the job; here, that it met the
-    763 handles whose basis started from an operand's or a dividend's."""
-    assert sum(run[3] for run in runs) == 763
+    """The rebuild ran in the fixture, after each job and its run with no
+    closed forms; here, that it met the 171 and 173 handles on the two
+    routes whose basis started from an operand's or a dividend's.  Before
+    the length table, the one route met 763."""
+    assert tuple(map(sum, zip(*(run[3] for run in runs)))) == (171, 173)
 
 
 def test_collapse_clause_by_lengths_matches_the_scan(runs):
-    """The comparison ran in the fixture, in place of evaluate_structural;
-    here, that it met all 103 jobs, 30 of them with a failing clause."""
+    """The comparison ran in the fixture; here, that it met all 103 jobs,
+    30 of them with a failing clause."""
     reached = [run[4] for run in runs if run[4] is not False]
     assert (len(reached), sum(w is not None for w in reached)) == (103, 30)
+
+
+def test_graded_clause_at_every_n_matches_the_report(runs):
+    """The comparison ran in the fixture; here, that it met the 55 jobs in
+    dimension one, none of them with a failing clause (the drawn curves
+    below meet failing ones)."""
+    reached = [run[5] for run in runs if run[5] is not False]
+    assert (len(reached), sum(w is not None for w in reached)) == (55, 0)
 
 
 def test_a_product_with_a_second_point_keeps_no_certificate():
@@ -188,12 +217,9 @@ def test_an_explicit_tower_scans_its_whole_tail():
     assert cert.reduction_postulation == 3
 
 
-def assert_job_deductions(obj) -> int:
-    got, ring, seeded, _, filt, red = run_captured(parse_config(obj))
+def assert_drawn_job(obj) -> int:
+    got, r = assert_job_deductions(parse_config(obj))[:2]
     assert got["verdict"] == "verified", got["name"]
-    r = check_adic_scans(got, filt, red)
-    check_certificates(ring)
-    check_seeded_bases(ring, seeded)
     return r
 
 
@@ -204,7 +230,7 @@ def test_drawn_curves(a, step, c, field):
     """y^a - x^b (+ c x^(b-1) y) with I_1 = m and Q = (x), where r = a - 1."""
     b = a + step
     f = f"y^{a} - x^{b}" + ("" if c is None else f" + {c}*x^{b - 1}*y")
-    r = assert_job_deductions({
+    r = assert_drawn_job({
         "name": "curve", "field": field,
         "ring": {"variables": ["x", "y"], "relations": [f]},
         "filtration": {"kind": "adic", "stages": {"1": ["x", "y"]}},
@@ -227,9 +253,55 @@ def test_drawn_monomial_ideals(case):
     """I_1 = (x^a, y^a, extras) with Q = (x^a, y^a); an extra outside Q
     makes I_1 != Q, so r >= 1."""
     a, extras = case
-    r = assert_job_deductions({
+    r = assert_drawn_job({
         "name": "monomial",
         "ring": {"variables": ["x", "y"]},
         "filtration": {"kind": "adic", "stages": {"1": [f"x^{a}", f"y^{a}"] + extras}},
         "reduction": {"generators": [f"x^{a}", f"y^{a}"]}})
     assert r >= 1
+
+
+# stage one and its reduction Q = (q): each q is a nonzerodivisor on every
+# curve below, and every stage-one generator is integral over it, as b > a.
+# (x^2, x y) is not Ratliff-Rush closed on some of them: the graded clause
+# then fails.
+STAGE_ONES = ((["x", "y"], "x"), (["x", "y^2"], "x"), (["x^2", "x*y"], "x^2"))
+
+
+@settings(max_examples=24, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 3), st.sampled_from((None, 1, -1)),
+       st.sampled_from(("q", "fp:32003")), st.sampled_from(STAGE_ONES),
+       st.booleans())
+def test_closed_forms_match_colengths_on_drawn_curves(a, step, c, field, stage_one,
+                                                      explicit):
+    """On y^a - x^b (+ c x^(b-1) y), with a stage one from STAGE_ONES as a
+    tower of powers or as an explicit tower that lists I_1^2, every length
+    table entry that ``closed_form`` fills equals the colength of a fresh
+    handle, and the collapse clause, the graded clause and the containment
+    of ``check_adic_collapse``, scanned at every n, agree with the report."""
+    b = a + step
+    f = f"y^{a} - x^{b}" + ("" if c is None else f" + {c}*x^{b - 1}*y")
+    gens, q = stage_one
+    stages = {"1": gens}
+    if explicit:
+        stages["2"] = [f"({g})*({h})" for i, g in enumerate(gens) for h in gens[i:]]
+    filled, closed = [], filtration.closed_form
+
+    def recorded(lengths, n, k):
+        got = closed(lengths, n, k)
+        if got is not None:
+            filled.append((lengths, n, k, got))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(filtration, "closed_form", recorded)
+        got, ring, _, args = run_captured(parse_config({
+            "name": "drawn", "field": field, "horizon": 6,
+            "ring": {"variables": ["x", "y"], "relations": [f]},
+            "filtration": {"kind": "explicit" if explicit else "adic", "stages": stages},
+            "reduction": {"generators": [q]}}))[:4]
+    assert got["verdict"] == "verified" and got["ring"]["cm_certificate"], got
+    assert filled
+    for lengths, n, k, value in filled:
+        assert IdealHandle(ring, lengths.ideal(n, k).gens).colength() == value, (n, k)
+    check_clause_scans(got, *args)
