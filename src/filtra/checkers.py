@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .filtration import (ADIC, Filtration, LengthTable, ReductionSystem,
+from .filtration import (Filtration, LengthTable, ReductionSystem,
                          NotAdmissible, check_colon_in_i1, check_d_sequence,
                          check_usd_bounded)
 from .hilbert import (HorizonTooSmall, NoPolynomialTail, PolynomialFit,
                       SallyFit, binom, fit_hilbert_samuel, fit_sally)
-from .ideals import IdealHandle, LocalRing
+from .ideals import LocalRing
 
 
 STABILITY_MARGIN = 3
@@ -78,12 +78,12 @@ class BoundaryData:
 
 def compute_boundary_data(lengths: LengthTable) -> BoundaryData:
     """The numbers of A, read from the table that ``verify_admissible``
-    built, or, from a table with ``modulo=W``, those of C = A/W, read in A:
-    C/XC is A/(X + W), so a length over C is the colength of X + W.  d is
-    dim A.  The lengths l(A/I_n) and l(A/Q^n) and the Sally values
-    l(A/Q^n I_1) - l(A/I_{n+1}) are table entries, so where the
-    Cohen-Macaulay certificate holds they come from closed forms
-    (``filtration.closed_form``); only l(A/(I_2 + Q)) is always a colength."""
+    built, or, from its ``quotient``, those of C = A/W, read in A: C/XC is
+    A/(X + W), so a length over C is the colength of X + W.  d is dim A.
+    The lengths l(A/I_n) and l(A/Q^n), the Sally values
+    l(A/Q^n I_1) - l(A/I_{n+1}) and l(A/(Q + I_2)) are table entries, so
+    where the Cohen-Macaulay certificate holds they come from closed forms
+    (``filtration.closed_form``)."""
     d, horizon = lengths.ring.dimension, lengths.horizon
     get = lengths.get
     h_filt = [get(0, n) for n in range(horizon + 1)]
@@ -101,8 +101,7 @@ def compute_boundary_data(lengths: LengthTable) -> BoundaryData:
     sally = fit_sally(sally_values, d)
     # l(I_1/(I_2 + Q)); verify_admissible proved Q and I_2 inside I_1
     ell_i1 = h_filt[1]
-    i2q = lengths.ideal(0, 2) + lengths.ideal(1, 0)
-    graded_colength = i2q.finite_colength() - ell_i1
+    graded_colength = get(1, 2, plus=True) - ell_i1
     lhs = fit_filt.coefficients[1] - fit_red.coefficients[1]
     rhs = 2 * fit_filt.coefficients[0] - 2 * ell_i1 - graded_colength
     gap = lhs - rhs
@@ -153,39 +152,11 @@ def evaluate_conditions(data: BoundaryData, power_bound: int) -> dict:
 
 # -- structural criterion --------------------------------------------------
 
-def graded_stages(data: BoundaryData) -> list:
-    """The n at which the graded clause is decided: 1..H-1, or fewer in
-    dimension one under the Cohen-Macaulay certificate.
-
-    There Q = (x), W = 0, and the tail scan proved I_{n+1} = x I_n for
-    r <= n <= H - 2, and for every n >= r on a tower of powers.  Take
-    s = max(r, 1).  For s <= n with I_{n+1} = x^(n+1-s) I_s,
-    Q^n + I_{n+1} = x^(n+1-s) (x^(s-1) A + I_s), an m-primary ideal times a
-    power of x.  Multiplying an m-primary ideal by x^j adds j e_0 to its
-    colength (``filtration.closed_form``), so l(A/Q^n) = n e_0,
-    l(A/I_{n+1}) = l(A/I_s) + (n+1-s) e_0, l(A/Q^n I_1) = l(A/I_1) + n e_0
-    and l(A/(Q^n + I_{n+1})) = l(A/(x^(s-1) A + I_s)) + (n+1-s) e_0.  So the
-    clause's meet minus right side, l(A/I_s) - l(A/I_1)
-    - l(A/(x^(s-1) A + I_s)), is the same number at every such n: the
-    clause holds there iff it holds at n = s, and its first failure, the
-    witness, is at most s.  A tower of powers stops at s; any other kind
-    also decides n = H - 1, where I_H = Q I_{H-1} is not proved.  The
-    report's range stays [1, H - 1].
-    """
-    H = data.horizon
-    r = data.lengths.postulation
-    if data.d != 1 or r is None or not data.cohen_macaulay:
-        return list(range(1, H))
-    last = min(max(r, 1), H - 1)
-    tail = [H - 1] if data.filt.kind != ADIC and last < H - 1 else []
-    return list(range(1, last + 1)) + tail
-
-
-def evaluate_structural(data: BoundaryData, W: IdealHandle) -> dict:
+def evaluate_structural(data: BoundaryData) -> dict:
     """The three-clause structural condition with per-clause witnesses.
 
     The collapse and graded clauses are decided by lengths, read from the
-    job's length table, or from one modulo W when W is not zero.  Both
+    table of C = A/W, W the torsion ideal (``LengthTable.quotient``).  Both
     assume the filtration passed ``verify_admissible``: that proves Q inside
     I_1, the chain and I_a I_b inside I_{a+b} for a + b <= H.
 
@@ -199,12 +170,13 @@ def evaluate_structural(data: BoundaryData, W: IdealHandle) -> dict:
     a = Q^n + W and b = I_{n+1} + W, all m-primary, the exact sequence
     0 -> A/(a meet b) -> A/a + A/b -> A/(a + b) -> 0 gives
     l(A/(a meet b)) = l(A/a) + l(A/b) - l(A/(a + b)), and the clause holds
-    iff that equals l(A/(Q^n I_1 + W)).  Only a failing n builds the meet,
-    for its witness: the first of its generators outside the right side.
-    ``graded_stages`` says at which n the clause is decided.
+    iff that equals l(A/(Q^n I_1 + W)).  All four are table entries, so in
+    dimension one under the Cohen-Macaulay certificate those past the tail
+    are closed forms.  Only a failing n builds the meet, for its witness:
+    the first of its generators outside the right side.
     """
     filt, red, H = data.filt, data.red, data.horizon
-    lengths = data.lengths if not W.gens else LengthTable(filt, red, H, modulo=W)
+    lengths = data.lengths.quotient
     ideal, get = lengths.ideal, lengths.get
 
     collapse = {"holds": True, "range": [1, H - 2], "witness": None}
@@ -216,11 +188,10 @@ def evaluate_structural(data: BoundaryData, W: IdealHandle) -> dict:
             break
 
     graded = {"holds": True, "range": [1, H - 1], "witness": None}
-    for n in graded_stages(data):
-        a, b = ideal(n, 0), ideal(0, n + 1)
-        meet = get(n, 0) + get(0, n + 1) - (a + b).finite_colength()
+    for n in range(1, H):
+        meet = get(n, 0) + get(0, n + 1) - get(n, n + 1, plus=True)
         if meet != get(n, 1):
-            bad = ideal(n, 1).missing_generator(a.intersect(b))
+            bad = ideal(n, 1).missing_generator(ideal(n, 0).intersect(ideal(0, n + 1)))
             graded = {"holds": False, "range": [1, H - 1],
                       "witness": {"n": n, "generator": None if bad is None else str(bad)}}
             break
@@ -229,7 +200,7 @@ def evaluate_structural(data: BoundaryData, W: IdealHandle) -> dict:
     # (see ``evaluate_conditions``)
     colon = {"holds": True, "witness": None}
     if not data.cohen_macaulay:
-        i2q = filt.get_ideal(2) + red.handle
+        i2q = data.lengths.ideal(1, 2, plus=True)
         for i in range(red.count):
             bad = i2q.missing_generator(red.omit_handle(i).colon(red.generators[i]))
             if bad is not None:
@@ -383,10 +354,10 @@ def check_sally_lower_bound(data: BoundaryData) -> dict:
 def check_multiplicity_colon_formula(data: BoundaryData) -> dict:
     """e_0 = l(C/Q) - l(col/(col meet Q)) = l(C/(col + Q)) in the
     torsion-free quotient C = A/W, with col = (q_1..q_{d-1}) : q_d, read in
-    A as l(A/(Q + W)) and ((q_1..q_{d-1}) + W) : q_d."""
+    A as l(A/(Q + W)), from C's length table, and ((q_1..q_{d-1}) + W) : q_d."""
     red = data.red
     W = data.ring.torsion_ideal()
-    first = (red.handle + W).finite_colength()
+    first = data.lengths.quotient.get(1, 0)
     col = (red.omit_handle(red.count - 1) + W).colon(red.generators[-1])
     expected = (col + red.handle).finite_colength()
     return _check("multiplicity_colon_formula", data.e_filt(0) == expected,
@@ -397,10 +368,11 @@ def check_multiplicity_colon_formula(data: BoundaryData) -> dict:
 
 def check_torsion_quotient_reduction(data: BoundaryData) -> dict:
     """The boundary equality holds in A iff it holds in C = A/W and W lies in
-    I_2 + Q.  C's numbers come from ``compute_boundary_data(..., modulo=W)``,
-    whose BoundaryData still names A as its ring; only its gap, its equality
-    and its exception are read.  C's filtration is admissible because A's
-    is, so ``verify_admissible`` is not run on it.  Under X -> X + W: the
+    I_2 + Q.  C's numbers come from ``compute_boundary_data`` on C's length
+    table (``LengthTable.quotient``), whose BoundaryData still names A as
+    its ring; only its gap, its equality and its exception are read.  C's
+    filtration is admissible because A's is, so ``verify_admissible`` is
+    not run on it.  Under X -> X + W: the
     chain, the products, Q in I_1 and each tail flag I_{n+1} = Q I_n pass to
     the images, so r_C <= r_A; I_1 + W and Q + W keep their certificate of
     finite colength, as adding W only shrinks the support; dim C = dim A,
@@ -408,14 +380,13 @@ def check_torsion_quotient_reduction(data: BoundaryData) -> dict:
     origin, and d >= 1; no q_i lies in W, as W is nilpotent and Q is a
     parameter ideal; and the sally_nonnegative guard cannot fire, as
     Q^n I_1 + W lies in I_{n+1} + W."""
-    ring, filt, H = data.ring, data.filt, data.horizon
-    W = ring.torsion_ideal()
-    w_inside = (filt.get_ideal(2) + data.red.handle).contains_ideal(W)
+    W = data.ring.torsion_ideal()
     if not W.gens:
         return _check("torsion_quotient_reduction", True,
                       torsion_free_already=True, equality=data.equality)
+    w_inside = data.lengths.ideal(1, 2, plus=True).contains_ideal(W)
     try:
-        cdata = compute_boundary_data(LengthTable(filt, data.red, H, modulo=W))
+        cdata = compute_boundary_data(data.lengths.quotient)
     except (NotAdmissible, HorizonTooSmall, NoPolynomialTail) as exc:
         return _check("torsion_quotient_reduction", False,
                       error=f"{type(exc).__name__}: {exc}")
@@ -428,16 +399,17 @@ def check_torsion_quotient_reduction(data: BoundaryData) -> dict:
 
 def check_torsion_graded_pieces(data: BoundaryData) -> dict:
     """The pieces l((I_n meet W)/(I_{n+1} meet W)), n = 2..H-1 and I_2 meet W
-    read as W, are differences of l(W/(I_n meet W)) = l(A/I_n) - l(A/(I_n + W)).
-    They sum to its value at H, which is l(W) iff I_H meet W vanishes."""
-    ring, filt, H = data.ring, data.filt, data.horizon
+    read as W, are differences of l(W/(I_n meet W)) = l(A/I_n) - l(A/(I_n + W)),
+    the last read from C's length table.  They sum to its value at H, which
+    is l(W) iff I_H meet W vanishes."""
+    ring, H = data.ring, data.horizon
     W = ring.torsion_ideal()
     w_len = ring.torsion_length()
     if not W.gens:
         return _check("torsion_graded_pieces", True,
                       pieces=[0, 0], total=0, torsion_length=0)
-    outside = [0, 0, 0] + [data.h_filt[n] - (filt.get_ideal(n) + W).finite_colength()
-                           for n in range(3, H + 1)]
+    get = data.lengths.quotient.get
+    outside = [0, 0, 0] + [data.h_filt[n] - get(0, n) for n in range(3, H + 1)]
     pieces = [0, 0] + [outside[n + 1] - outside[n] for n in range(2, H)]
     tail_empty = outside[H] == w_len
     return _check("torsion_graded_pieces", tail_empty,

@@ -132,32 +132,44 @@ def reduction_system(ring: LocalRing, gens) -> ReductionSystem:
 
 
 class LengthTable:
-    """The lengths l(A/Q^n I_k) of one job, with I_0 = A and Q^0 = A: the
-    stages' l(A/I_k) at n = 0 and the reduction's l(A/Q^n) at k = 0.  With
-    ``modulo=W`` the entries are l(A/(Q^n I_k + W)), the lengths of C = A/W.
+    """The lengths of one job: l(A/Q^n I_k), with I_0 = A and Q^0 = A, so the
+    stages' l(A/I_k) at n = 0 and the reduction's l(A/Q^n) at k = 0, and,
+    with ``plus``, l(A/(Q^n + I_k)).  With ``modulo=W`` each entry is the
+    length of its ideal plus W, a length of C = A/W.
 
     Each entry is computed once: by ``closed_form`` or, where that gives
-    None, as the colength of its ideal.  Build a table only once Q is proved
-    m-primary with d generators, as ``verify_admissible`` does before it
-    builds the job's table; it also records there the tail's r, which
-    ``closed_form`` reads for the stages past the tail."""
+    None, as the colength of its ideal.  ``verify_admissible`` builds the
+    job's table once Q is proved m-primary with d generators, records in it
+    the tail's flags and r, which ``closed_form`` reads for the entries past
+    the tail, and returns it as the certificate of admissibility."""
 
     def __init__(self, filt: Filtration, red: ReductionSystem, horizon: int,
                  modulo: IdealHandle | None = None):
         self.ring, self.filt, self.red = filt.ring, filt, red
         self.horizon = horizon
         self.modulo = modulo
-        self.postulation = None  # the least r with I_{n+1} = Q I_n for r <= n <= H - 2
+        self.flags = None  # flags[n]: I_{n+1} == Q I_n, for n <= H - 2
+        self.postulation = None  # the least r with every flag from r on true
         self._entries: dict = {}
 
     @cached_property
     def cohen_macaulay(self) -> bool:
-        """Whether q_1..q_d is a regular sequence.  Such a sequence makes the
-        depth of A positive, so a table modulo a nonzero W never has it."""
-        return self.ring.is_cm_via_parameters(self.red.generators)
+        """Whether q_1..q_d is a regular sequence.  Q is m-primary with
+        d = dim A generators, so this says that A is Cohen-Macaulay.  Such a
+        sequence makes the depth of A positive, so a table modulo a nonzero
+        W never has it."""
+        return self.ring.is_regular_sequence(self.red.generators)
 
-    def ideal(self, n: int, k: int) -> IdealHandle:
-        """Q^n I_k, plus W for a table modulo W."""
+    @cached_property
+    def quotient(self) -> LengthTable:
+        """The table of C = A/W, W the torsion ideal: this one when W = 0."""
+        W = self.ring.torsion_ideal()
+        return LengthTable(self.filt, self.red, self.horizon, modulo=W) if W.gens else self
+
+    def ideal(self, n: int, k: int, plus: bool = False) -> IdealHandle:
+        """Q^n I_k, or Q^n + I_k with ``plus``; plus W for a table modulo W."""
+        if plus:
+            return self.ideal(n, 0) + self.ideal(0, k)
         Q = self.red.handle
         if k == 0:
             out = Q.power(n)
@@ -167,21 +179,22 @@ class LengthTable:
             out = Q.power(n) * self.filt.get_ideal(k)
         return out if self.modulo is None else out + self.modulo
 
-    def get(self, n: int, k: int) -> int:
-        got = self._entries.get((n, k))
+    def get(self, n: int, k: int, plus: bool = False) -> int:
+        got = self._entries.get((n, k, plus))
         if got is None:
-            got = closed_form(self, n, k)
+            got = closed_form(self, n, k, plus)
             if got is None:
-                got = self.ideal(n, k).finite_colength()
-            self._entries[n, k] = got
+                got = self.ideal(n, k, plus).finite_colength()
+            self._entries[n, k, plus] = got
         return got
 
 
-def closed_form(lengths: LengthTable, n: int, k: int) -> int | None:
-    """The entry l(A/Q^n I_k) of ``lengths`` by a theorem, or None where none
-    applies.  Every rule needs the Cohen-Macaulay certificate, which also
-    makes W = 0.
+def closed_form(lengths: LengthTable, n: int, k: int, plus: bool = False) -> int | None:
+    """The entry (n, k, plus) of ``lengths`` by a theorem, or None where none
+    applies.  Past the first rule, every rule needs the Cohen-Macaulay
+    certificate, which also makes W = 0.
 
+    - Sums at n = 0, any ring: Q^0 + I_k = A, of length 0.
     - Q side, any d: q_1..q_d is a regular sequence, so gr_Q(A) is the
       polynomial ring (A/Q)[X_1..X_d] (Matsumura, Commutative Ring Theory,
       Thm 16.2) and l(A/Q^n) = l(A/Q) C(n+d-1, d).
@@ -192,18 +205,30 @@ def closed_form(lengths: LengthTable, n: int, k: int) -> int | None:
     - d = 1 and powers: past the tail's r, I_{m+1} = Q I_m for every m, so
       I_k = Q^(k-r-1) I_{r+1} and l(A/I_k) = l(A/I_{r+1}) + (k-r-1) e_0 for
       k > r + 1.
+    - d = 1, sums: where the tail proved I_k = Q I_{k-1}, at r <= k - 1 and,
+      unless the tower is powers, k - 1 <= H - 2, Q^n + I_k is
+      x (Q^(n-1) + I_{k-1}) for n >= 1, so by the same argument
+      l(A/(Q^n + I_k)) = l(A/(Q^(n-1) + I_{k-1})) + e_0.
 
     The cheap tests come first, so that a job no rule serves never builds
     the certificate here."""
+    if plus and n == 0:
+        return 0
     d = lengths.ring.dimension
-    if k == 0:
+    if k == 0 and not plus:
         if n < 2 or not lengths.cohen_macaulay:
             return None
         return lengths.get(1, 0) * binom(n + d - 1, d)
     if d != 1:
         return None
+    r = lengths.postulation
+    if plus:
+        if (r is None or k - 1 < r
+                or (k - 1 > lengths.horizon - 2 and lengths.filt.kind != ADIC)
+                or not lengths.cohen_macaulay):
+            return None
+        return lengths.get(n - 1, k - 1, plus=True) + lengths.get(1, 0)
     if n == 0:
-        r = lengths.postulation
         if (lengths.filt.kind != ADIC or r is None or k <= r + 1
                 or not lengths.cohen_macaulay):
             return None
@@ -213,20 +238,14 @@ def closed_form(lengths: LengthTable, n: int, k: int) -> int | None:
     return lengths.get(0, k) + n * lengths.get(1, 0)
 
 
-@dataclass(frozen=True)
-class AdmissibilityCertificate:
-    reduction_postulation: int
-    stage_equalities: tuple  # n -> I_{n+1} == Q I_n over the checked window
-    lengths: LengthTable
-
-
 def verify_admissible(filt: Filtration, red: ReductionSystem,
-                      horizon: int) -> AdmissibilityCertificate:
+                      horizon: int) -> LengthTable:
     """Check all filtration axioms up to the horizon; raise with a witness.
     Powers meet the chain and product axioms by construction: no scan.
     Once Q is proved m-primary and inside I_1, and the stages a chain closed
-    under products, the job's length table is built; the tail scan reads it
-    and the certificate carries it."""
+    under products, the job's length table is built; the tail scan reads it.
+    The table, with the tail's flags and r recorded in it, is returned as
+    the certificate."""
     ring = filt.ring
     I1 = filt.i1
     if I1.is_unit:
@@ -265,8 +284,8 @@ def verify_admissible(filt: Filtration, red: ReductionSystem,
         raise NotAdmissible(
             "reduction never becomes exact within the horizon",
             {"check": "reduction_tail", "last_n": horizon - 2})
-    lengths.postulation = r
-    return AdmissibilityCertificate(r, flags, lengths)
+    lengths.flags, lengths.postulation = flags, r
+    return lengths
 
 
 def reduction_tail(filt: Filtration, red: ReductionSystem, horizon: int,

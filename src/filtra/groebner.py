@@ -121,7 +121,7 @@ def _autoreduce(dicts: list, ctx: PolyContext) -> list:
     for e in entries:
         if not any(divides(k[0], e[0]) for k in kept):
             kept.append(e)
-    for i, (lm, tail, full) in enumerate(kept):
+    for i, (_, _, full) in enumerate(kept):
         others = [(k[0], k[1]) for j, k in enumerate(kept) if j != i]
         r = _nf_dict(full, others, ctx)
         if r != full:

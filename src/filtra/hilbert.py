@@ -116,7 +116,6 @@ class SallyFit:
     e_top: tuple
     e: tuple
     dim: int
-    postulation: int
     vanishes: bool
 
 
@@ -124,7 +123,7 @@ def fit_sally(values, dim: int) -> SallyFit:
     """Fit piece lengths of a graded module of dimension at most ``dim``."""
     if dim < 1:
         raise ValueError("dimension must be at least 1")
-    coeffs, n0 = fit_binomial(values, dim - 1, 0)
+    coeffs, _ = fit_binomial(values, dim - 1, 0)
     j = 0
     while j < len(coeffs) and coeffs[j] == 0:
         j += 1
@@ -135,5 +134,5 @@ def fit_sally(values, dim: int) -> SallyFit:
     if s > 0 and e[0] <= 0:
         raise NoPolynomialTail(
             f"leading fitted coefficient {e[0]} of a graded module must be positive")
-    return SallyFit(tuple(coeffs), e, max(s, 0), n0, vanishes)
+    return SallyFit(tuple(coeffs), e, max(s, 0), vanishes)
 

@@ -233,16 +233,6 @@ class LocalRing:
                 return False
         return True
 
-    def is_cm_via_parameters(self, parameters) -> bool:
-        """Cohen-Macaulayness witnessed by a system of parameters.
-
-        For an m-primary parameter ideal, regularity of the sequence is
-        equivalent to the ring being Cohen-Macaulay.
-        """
-        if len(parameters) != self.dimension:
-            raise ValueError("need exactly dim-many parameters")
-        return self.is_regular_sequence(parameters)
-
     # -- subquotient length -------------------------------------------
 
     def subquotient_length(self, x: "IdealHandle", y: "IdealHandle") -> int:

@@ -107,13 +107,13 @@ class _Parser:
                 return p
 
     def factor(self) -> Polynomial:
-        kind, val, off = self.peek()
+        kind, val, _ = self.peek()
         sign = 1
         while kind == "op" and val in "+-":
             if val == "-":
                 sign = -sign
             self.advance()
-            kind, val, off = self.peek()
+            kind, val, _ = self.peek()
         p = self.atom()
         while True:
             kind, val, _ = self.peek()

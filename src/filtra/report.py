@@ -11,13 +11,11 @@ from .checkers import (compute_boundary_data, evaluate_conditions,
                        evaluate_structural, run_checks)
 from .config import ConfigError, JobConfig, validate_report
 from .fields import field_from_descriptor
-from .filtration import (ADIC, Filtration, HorizonExceeded, NotAdmissible,
-                         RatliffRushNotStabilized, SearchExhausted,
+from .filtration import (ADIC, Filtration, NotAdmissible, SearchExhausted,
                          find_reduction, reduction_system, reduction_tail,
                          verify_admissible)
 from .hilbert import HorizonTooSmall, NoPolynomialTail
-from .ideals import (LocalRing, NotFiniteLength, NotMPrimary, NotNested,
-                     SaturationNotStabilized)
+from .ideals import CapReached, LocalRing, NotMPrimary, NotNested
 from .parser import PolySyntaxError
 
 EXIT_OK = 0
@@ -28,11 +26,11 @@ VERDICT_OK = "verified"
 VERDICT_INVALID = "invalid-input"
 VERDICT_VIOLATION = "violation"
 
-# anything here means the input (not the mathematics) is at fault
+# anything here means the input (not the mathematics) is at fault;
+# CapReached covers every hard cap
 _INPUT_ERRORS = (ConfigError, NotAdmissible, HorizonTooSmall, NoPolynomialTail,
-                 HorizonExceeded, RatliffRushNotStabilized, SaturationNotStabilized,
-                 SearchExhausted, NotMPrimary, NotNested,
-                 NotFiniteLength, PolySyntaxError, ValueError)
+                 CapReached, SearchExhausted, NotMPrimary, NotNested,
+                 PolySyntaxError, ValueError)
 
 
 def _strict_warnings(filt: Filtration, red, horizon: int) -> list:
@@ -122,16 +120,16 @@ def run_job(cfg: JobConfig) -> dict:
         }
         if searched:
             report["reduction"]["seed"] = cfg.search_seed
-        cert = verify_admissible(filt, red, cfg.horizon)
+        lengths = verify_admissible(filt, red, cfg.horizon)
         report["admissibility"] = {
-            "reduction_postulation": cert.reduction_postulation,
-            "stage_equalities": list(cert.stage_equalities),
+            "reduction_postulation": lengths.postulation,
+            "stage_equalities": list(lengths.flags),
         }
         # the reduction is a system of parameters, so it certifies CM-ness
-        report["ring"]["cm_certificate"] = cert.lengths.cohen_macaulay
-        data = compute_boundary_data(cert.lengths)
+        report["ring"]["cm_certificate"] = lengths.cohen_macaulay
+        data = compute_boundary_data(lengths)
         conditions = evaluate_conditions(data, cfg.power_bound)
-        structural = evaluate_structural(data, W)
+        structural = evaluate_structural(data)
         checks = run_checks(data, conditions, structural, cfg.checks)
         if cfg.strict:
             report["strict_warnings"] = _strict_warnings(filt, red, cfg.horizon)

@@ -75,8 +75,9 @@ def canonical_key(cfg) -> str:
 def run_captured(cfg, closed_forms=True):
     """Run one job, with ``filtration.closed_form`` giving nothing unless
     ``closed_forms``; return its report, its ring, the bases built from a
-    seed other than the relations' basis, the (boundary data, W) that
-    evaluate_structural read (None if the job stopped before it) and the
+    seed other than the relations' basis, the boundary data that
+    evaluate_structural read with the torsion ideal W, as (data, W), or
+    None if the job stopped before it, and the
     (filtration, reduction) that run_job certified, or (None, None) if it
     stopped before."""
     from filtra import filtration, ideals, report
@@ -98,9 +99,9 @@ def run_captured(cfg, closed_forms=True):
             seeded.append(out)
         return out
 
-    def kept(data, W):
-        structural_args[0] = (data, W)
-        return structural(data, W)
+    def kept(data):
+        structural_args[0] = (data, data.ring.torsion_ideal())
+        return structural(data)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(report, "LocalRing", ring)
@@ -108,7 +109,7 @@ def run_captured(cfg, closed_forms=True):
         mp.setattr(ideals, "groebner_basis", counted)
         mp.setattr(report, "evaluate_structural", kept)
         if not closed_forms:
-            mp.setattr(filtration, "closed_form", lambda lengths, n, k: None)
+            mp.setattr(filtration, "closed_form", lambda lengths, n, k, plus: None)
         got = report.run_job(cfg)
     assert len(rings) == 1, got["name"]
     return (got, rings[0], seeded, structural_args[0],

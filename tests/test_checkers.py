@@ -25,7 +25,7 @@ from filtra.checkers import (_FACTS, ALL_CHECKS, check_base_reduction_equal,
 from filtra.config import load_config, parse_config
 from filtra.fields import field_from_descriptor
 from filtra.filtration import (ADIC, EXPLICIT, RATLIFF_RUSH, Filtration,
-                               LengthTable, find_reduction, reduction_system,
+                               find_reduction, reduction_system,
                                verify_admissible)
 from filtra.hilbert import SallyFit
 from filtra.ideals import LocalRing
@@ -36,9 +36,9 @@ from conftest import (CORPUS_DIR, GOLDEN_DIR, NON_MONOMIAL_DEPTH_ZERO,
 
 def pipeline(ring, filt, red_gens, horizon, power_bound=2):
     red = reduction_system(ring, red_gens)
-    data = compute_boundary_data(verify_admissible(filt, red, horizon).lengths)
+    data = compute_boundary_data(verify_admissible(filt, red, horizon))
     conditions = evaluate_conditions(data, power_bound)
-    structural = evaluate_structural(data, ring.torsion_ideal())
+    structural = evaluate_structural(data)
     checks = run_checks(data, conditions, structural)
     return data, conditions, structural, {c["name"]: c for c in checks}
 
@@ -104,6 +104,7 @@ def test_cusp_numbers(cusp):
     assert data.stage_one_colength == 1 and data.graded_colength == 1
     assert all(v["holds"] for v in conditions.values())
     assert structural["holds"]
+    assert data.lengths.quotient is data.lengths  # W = 0: C is A
 
 
 def test_depth_zero_numbers(depth_zero):
@@ -116,6 +117,9 @@ def test_depth_zero_numbers(depth_zero):
     assert data.sally.vanishes
     assert not conditions["c3_positive_depth"]["holds"]
     assert conditions["c3_positive_depth"]["torsion_length"] == 1
+    quotient = data.lengths.quotient
+    assert quotient.modulo is data.ring.torsion_ideal()
+    assert quotient is data.lengths.quotient  # built once
     assert conditions["c0_d_sequence"]["holds"]
     assert conditions["c1_usd_bounded"]["holds"]
     assert conditions["c2_colon_in_i1"]["holds"]
@@ -447,10 +451,11 @@ def test_graded_clause_by_lengths_matches_the_intersection(monkeypatch):
     seen = {}
     structural = report.evaluate_structural
 
-    def compared(data, W):
-        out = structural(data, W)
+    def compared(data):
+        out = structural(data)
         graded = out["clause_graded"]
-        assert graded["witness"] == graded_clause_by_intersection(data, W)
+        assert graded["witness"] == graded_clause_by_intersection(
+            data, data.ring.torsion_ideal())
         assert graded["holds"] == (graded["witness"] is None)
         seen[cfg.name] = graded
         return out
@@ -524,7 +529,7 @@ def test_lengths_by_colength_differences_match_the_subquotient_route():
     admissible explicit towers over k[x, y]/(x^2, x y)."""
     for ring, filt, gens, H in depth_zero_cases():
         red = reduction_system(ring, gens)
-        data = compute_boundary_data(verify_admissible(filt, red, H).lengths)
+        data = compute_boundary_data(verify_admissible(filt, red, H))
         graded, correction, pieces, tail_empty = subquotient_route(data)
         colon = check_multiplicity_colon_formula(data)["details"]
         torsion = check_torsion_graded_pieces(data)["details"]
@@ -555,15 +560,14 @@ def test_quotient_numbers_read_in_a_match_the_quotient_ring():
     assert len(cases) == 27
     for ring, filt, gens, H in cases:
         red = reduction_system(ring, gens)
-        lengths = verify_admissible(filt, red, H).lengths
-        W = ring.torsion_ideal()
-        assert W.gens
-        read = compute_boundary_data(LengthTable(filt, red, H, modulo=W))
+        lengths = verify_admissible(filt, red, H)
+        assert ring.torsion_ideal().gens
+        read = compute_boundary_data(lengths.quotient)
         C = torsion_free_quotient(ring)
         cfilt = Filtration(C, EXPLICIT,
                            {n: filt.get_ideal(n).gens for n in range(1, H + 1)})
         cred = reduction_system(C, list(red.generators))
-        built = compute_boundary_data(verify_admissible(cfilt, cred, H).lengths)
+        built = compute_boundary_data(verify_admissible(cfilt, cred, H))
         assert C.dimension == ring.dimension
         for field in ("h_filt", "h_red", "sally_values", "gap", "equality"):
             assert getattr(read, field) == getattr(built, field), field
@@ -630,7 +634,7 @@ def admissible_data(cfg):
     else:
         red = find_reduction(filt, cfg.horizon, seed=cfg.search_seed,
                              attempts=cfg.search_attempts)
-    return compute_boundary_data(verify_admissible(filt, red, cfg.horizon).lengths)
+    return compute_boundary_data(verify_admissible(filt, red, cfg.horizon))
 
 
 def test_nested_equalities_by_lengths_match_the_ideal_scans():
@@ -648,7 +652,7 @@ def test_nested_equalities_by_lengths_match_the_ideal_scans():
     for stages, gens, H in towers:
         ring = LocalRing(("x", "y"), ["x^2", "x*y"])
         filt, red = Filtration(ring, EXPLICIT, stages), reduction_system(ring, gens)
-        cases.append(compute_boundary_data(verify_admissible(filt, red, H).lengths))
+        cases.append(compute_boundary_data(verify_admissible(filt, red, H)))
     seen = set()
     for data in cases:
         decided = length_decisions(data)
@@ -711,7 +715,7 @@ def test_sally_relations_from_e_top_match_the_two_branch_formulas(data):
                 tail[0] = (-1) ** j * data.draw(st.integers(1, 5))
             sign = -1 if j % 2 else 1
             sally = SallyFit((0,) * j + tuple(tail), tuple(sign * c for c in tail),
-                             d - j, 0, not tail)
+                             d - j, not tail)
             e_red = data.draw(st.lists(small, min_size=d + 1, max_size=d + 1))
             ell = data.draw(st.integers(1, 5))
             # e_1..e_d: each the value its relation expects, or off it

@@ -119,7 +119,7 @@ def test_cm_theorem_invariants(runs):
 
 def assert_scans_hold(ring, stage_one, red_gens, power_bound=2):
     red = reduction_system(ring, red_gens)
-    assert ring.is_cm_via_parameters(red.generators)
+    assert ring.is_regular_sequence(red.generators)
     filt = Filtration(ring, ADIC, {1: stage_one})
     scans = full_scans(ring, red, filt, power_bound)
     assert scans == dict.fromkeys(scans, (True, None))

@@ -8,8 +8,8 @@ I^{n+2} = Q I^{n+1}.  A sum contains its operands and a colon its dividend,
 so its basis starts from theirs.  Admissibility puts Q^n I_2 + W inside
 I_{n+2} + W, so the collapse clause compares their colengths.  Under the
 Cohen-Macaulay certificate the length table fills entries by closed forms,
-in dimension one the graded clause is decided at n <= max(r, 1), and
-``check_adic_collapse`` scans its containment from the collapse clause's
+in dimension one also the l(A/(Q^n + I_k)) that the graded clause reads
+past the tail, and ``check_adic_collapse`` scans its containment from the collapse clause's
 first failure.  Here every job runs a second time with ``closed_form``
 giving nothing, so that every entry is a colength, and both reports must
 be byte-identical; on both runs every interned handle's colength is
@@ -157,10 +157,12 @@ def runs(without_closed_forms):
 
 def test_inherited_certificates_match_the_full_loop(runs):
     """The comparison ran in the fixture, after each job and its run with no
-    closed forms; here, that it met the 618 and 2 595 certified non-monomial
+    closed forms; here, that it met the 538 and 3 019 certified non-monomial
     handles of those jobs on the two routes.  Before the length table, the
-    one route met 3 355."""
-    assert tuple(map(sum, zip(*(run[2] for run in runs)))) == (618, 2595)
+    one route met 3 355; before it held l(A/(Q^n + I_k)), the two met 618
+    and 2 595, as the route without closed forms then decided the graded
+    clause at fewer n in dimension one."""
+    assert tuple(map(sum, zip(*(run[2] for run in runs)))) == (538, 3019)
 
 
 def test_adic_chain_and_tail_match_the_full_scans(runs):
@@ -172,10 +174,11 @@ def test_adic_chain_and_tail_match_the_full_scans(runs):
 
 def test_seeded_bases_match_bases_from_scratch(runs):
     """The rebuild ran in the fixture, after each job and its run with no
-    closed forms; here, that it met the 171 and 173 handles on the two
+    closed forms; here, that it met the 123 and 783 handles on the two
     routes whose basis started from an operand's or a dividend's.  Before
-    the length table, the one route met 763."""
-    assert tuple(map(sum, zip(*(run[3] for run in runs)))) == (171, 173)
+    the length table, the one route met 763; before it held
+    l(A/(Q^n + I_k)), the two met 171 and 173."""
+    assert tuple(map(sum, zip(*(run[3] for run in runs)))) == (123, 783)
 
 
 def test_collapse_clause_by_lengths_matches_the_scan(runs):
@@ -212,9 +215,9 @@ def test_an_explicit_tower_scans_its_whole_tail():
     ring = LocalRing(("x", "y"))
     filt = Filtration(ring, EXPLICIT, {1: ["x", "y"], 2: ["x^2", "x*y", "y^2"],
                                        3: ["x^2", "x*y^2", "y^3"]})
-    cert = verify_admissible(filt, reduction_system(ring, ["x", "y"]), 5)
-    assert cert.stage_equalities == (True, True, False, True)
-    assert cert.reduction_postulation == 3
+    lengths = verify_admissible(filt, reduction_system(ring, ["x", "y"]), 5)
+    assert lengths.flags == (True, True, False, True)
+    assert lengths.postulation == 3
 
 
 def assert_drawn_job(obj) -> int:
@@ -276,8 +279,8 @@ def test_closed_forms_match_colengths_on_drawn_curves(a, step, c, field, stage_o
                                                       explicit):
     """On y^a - x^b (+ c x^(b-1) y), with a stage one from STAGE_ONES as a
     tower of powers or as an explicit tower that lists I_1^2, every length
-    table entry that ``closed_form`` fills equals the colength of a fresh
-    handle, and the collapse clause, the graded clause and the containment
+    table entry that ``closed_form`` fills, l(A/(Q^n + I_k)) included,
+    equals the colength of a fresh handle, and the collapse clause, the graded clause and the containment
     of ``check_adic_collapse``, scanned at every n, agree with the report."""
     b = a + step
     f = f"y^{a} - x^{b}" + ("" if c is None else f" + {c}*x^{b - 1}*y")
@@ -287,10 +290,10 @@ def test_closed_forms_match_colengths_on_drawn_curves(a, step, c, field, stage_o
         stages["2"] = [f"({g})*({h})" for i, g in enumerate(gens) for h in gens[i:]]
     filled, closed = [], filtration.closed_form
 
-    def recorded(lengths, n, k):
-        got = closed(lengths, n, k)
+    def recorded(lengths, n, k, plus):
+        got = closed(lengths, n, k, plus)
         if got is not None:
-            filled.append((lengths, n, k, got))
+            filled.append((lengths, n, k, plus, got))
         return got
 
     with pytest.MonkeyPatch.context() as mp:
@@ -302,6 +305,7 @@ def test_closed_forms_match_colengths_on_drawn_curves(a, step, c, field, stage_o
             "reduction": {"generators": [q]}}))[:4]
     assert got["verdict"] == "verified" and got["ring"]["cm_certificate"], got
     assert filled
-    for lengths, n, k, value in filled:
-        assert IdealHandle(ring, lengths.ideal(n, k).gens).colength() == value, (n, k)
+    for lengths, n, k, plus, value in filled:
+        fresh = IdealHandle(ring, lengths.ideal(n, k, plus).gens)
+        assert fresh.colength() == value, (n, k, plus)
     check_clause_scans(got, *args)

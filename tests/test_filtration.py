@@ -168,10 +168,10 @@ def test_explicit_tail_rule():
 def test_certificate_cusp():
     filt = Filtration(CUSP, ADIC, {1: ["x", "y"]})
     red = reduction_system(CUSP, ["x"])
-    cert = verify_admissible(filt, red, 8)
-    assert cert.reduction_postulation == 1
-    assert cert.stage_equalities[0] is False
-    assert all(cert.stage_equalities[1:])
+    lengths = verify_admissible(filt, red, 8)
+    assert lengths.postulation == 1
+    assert lengths.flags[0] is False
+    assert all(lengths.flags[1:])
 
 
 def test_certificate_sally_reduction():
@@ -179,13 +179,12 @@ def test_certificate_sally_reduction():
     # equalities only start at n = 2
     filt = Filtration(PLANE, ADIC, {1: SALLY_GENS})
     red = reduction_system(PLANE, ["x^4", "y^4"])
-    cert = verify_admissible(filt, red, 8)
-    assert cert.reduction_postulation == 2
-    assert cert.stage_equalities[:2] == (False, False)
-    assert all(cert.stage_equalities[2:])
+    lengths = verify_admissible(filt, red, 8)
+    assert lengths.postulation == 2
+    assert lengths.flags[:2] == (False, False)
+    assert all(lengths.flags[2:])
     rr = Filtration(PLANE, RATLIFF_RUSH, {1: SALLY_GENS})
-    cert_rr = verify_admissible(rr, red, 8)
-    assert cert_rr.reduction_postulation == 1
+    assert verify_admissible(rr, red, 8).postulation == 1
 
 
 def test_not_admissible_stage_one_not_primary():

@@ -70,7 +70,7 @@ def test_round_trip_shift_zero():
         if e[0] > 0:
             fit = fit_sally(values, k + 1)
             assert fit.e_top == e and fit.e == e
-            assert fit.dim == k + 1 and fit.postulation == n0
+            assert fit.dim == k + 1
 
 
 def test_fit_against_sympy_solver():
@@ -159,7 +159,6 @@ def test_sally_spike_not_vanishing():
         assert fit.dim == 0
         assert not fit.vanishes
         assert fit.e == ()
-        assert fit.postulation == 2
 
 
 def test_sally_full_dimension():
@@ -167,7 +166,6 @@ def test_sally_full_dimension():
     assert fit.e_top == (1, 0)
     assert fit.e == (1, 0)
     assert fit.dim == 2
-    assert fit.postulation == 1
 
 
 def test_sally_dimension_drop_sign_twist():
@@ -177,7 +175,6 @@ def test_sally_dimension_drop_sign_twist():
     assert fit.e_top == (0, -1)
     assert fit.e == (1,)
     assert fit.dim == 1
-    assert fit.postulation == 1
 
 
 def test_sally_rejects_nonpositive_leading_term():

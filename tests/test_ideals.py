@@ -368,13 +368,13 @@ def test_regular_sequences():
 
 
 def test_cm_certificates():
-    assert PLANE.is_cm_via_parameters(["x", "y"])
-    assert CUSP.is_cm_via_parameters(["x"])
-    assert not DEPTH0.is_cm_via_parameters(["y"])
-    assert not PLANES2.is_cm_via_parameters(["x - z", "y - w"])
-    assert SEMI345.is_cm_via_parameters(["x"])
-    with pytest.raises(ValueError):
-        CUSP.is_cm_via_parameters(["x", "y"])
+    """A system of parameters is a regular sequence iff the ring is
+    Cohen-Macaulay."""
+    assert PLANE.is_regular_sequence(["x", "y"])
+    assert CUSP.is_regular_sequence(["x"])
+    assert not DEPTH0.is_regular_sequence(["y"])
+    assert not PLANES2.is_regular_sequence(["x - z", "y - w"])
+    assert SEMI345.is_regular_sequence(["x"])
 
 
 
@@ -388,7 +388,7 @@ def test_repeated_cm_certificate_is_all_memo_hits(monkeypatch):
              (LocalRing(("x", "y", "z")), ["x", "y", "z"]),
              (LocalRing(("x", "y", "z", "w"), ["x*z", "x*w", "y*z", "y*w"]),
               ["x - z", "y - w"])]
-    firsts = [ring.is_cm_via_parameters(params) for ring, params in cases]
+    firsts = [ring.is_regular_sequence(params) for ring, params in cases]
     assert firsts == [True, False, True, False]
     count = Counter()
     colon, raw = IdealHandle._colon_element, groebner._buchberger_raw
@@ -405,7 +405,7 @@ def test_repeated_cm_certificate_is_all_memo_hits(monkeypatch):
     monkeypatch.setattr(groebner, "_buchberger_raw", counted_raw)
     for (ring, params), first in zip(cases, firsts):
         for _ in range(2):
-            assert ring.is_cm_via_parameters(params) is first
+            assert ring.is_regular_sequence(params) is first
     assert not count
 
 @pytest.mark.parametrize("name, colons, intersections", [
@@ -447,7 +447,8 @@ def test_computed_colons_and_intersections(monkeypatch, name, colons, intersecti
 def test_curve_job_eliminations_and_buchberger_runs(monkeypatch):
     """Noise-free work count on the plane curve y^3 = x^4 with I_1 = m and
     Q = (x): t-trick eliminations, general Buchberger runs, nilpotency
-    loops of the colength certificate and S-polynomials formed.  Before the graded clause was
+    loops of the colength certificate, S-polynomials formed and handles
+    interned.  Before the graded clause was
     decided by lengths, the job took 18 and 88; before the zero ideal took
     the relations' basis and l(I_1/(I_2 + Q)) became a colength difference,
     4 and 78; before c0, c1, c2 and the colon clause were read off the
@@ -458,7 +459,8 @@ def test_curve_job_eliminations_and_buchberger_runs(monkeypatch):
     dividend or of the relations, 66 runs formed 64 S-polynomials; before
     the length table filled l(A/Q^n), l(A/Q^n I_k) and the stages past the
     tail by closed forms and the graded clause stopped at n = max(r, 1), 62
-    runs formed 54."""
+    runs formed 54; before the table held l(A/(Q^n + I_k)), filled by
+    closed forms past the tail, the job interned 9 handles."""
     count = Counter()
     ambient, raw = ideals._intersection_in_ambient, groebner._buchberger_raw
     nilpotent, spoly = ideals._variables_nilpotent, groebner._spoly_dict
@@ -483,6 +485,13 @@ def test_curve_job_eliminations_and_buchberger_runs(monkeypatch):
     monkeypatch.setattr(groebner, "_buchberger_raw", counted_raw)
     monkeypatch.setattr(ideals, "_variables_nilpotent", counted_loop)
     monkeypatch.setattr(groebner, "_spoly_dict", counted_spoly)
+    rings = []
+
+    def ring(*args, **kwargs):
+        rings.append(LocalRing(*args, **kwargs))
+        return rings[-1]
+
+    monkeypatch.setattr("filtra.report.LocalRing", ring)
     report = run_job(parse_config({
         "name": "curve_3_4", "field": "q",
         "ring": {"variables": ["x", "y"], "relations": ["y^3 - x^4"]},
@@ -490,7 +499,7 @@ def test_curve_job_eliminations_and_buchberger_runs(monkeypatch):
         "reduction": {"generators": ["x"]}}))
     assert report["verdict"] == "verified"
     assert (count["eliminations"], count["buchberger"], count["loops"],
-            count["spolys"]) == (2, 8, 2, 9)
+            count["spolys"], len(rings[0]._handles)) == (2, 8, 2, 9, 7)
 
 
 def test_depth_zero_job_buchberger_runs(monkeypatch):

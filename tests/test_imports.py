@@ -1,5 +1,6 @@
-"""Every name a package module imports is used there.  No linter runs on
-this tree, so this is its guard against dead imports."""
+"""Every name a package module imports is used there, and every local a
+function assigns is read there.  No linter runs on this tree, so this is
+its guard against dead imports and dead locals."""
 import ast
 
 import pytest
@@ -40,9 +41,31 @@ def unused_imports(path) -> list:
                   if name not in used and (path.stem, name) not in ALLOWED)
 
 
+def unused_locals(path) -> list:
+    """(function, name) for each name a function assigns and never reads;
+    a read in a nested function counts, and ``_`` is exempt."""
+    out = set()
+    for fn in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored, read = set(), set()
+        for node in ast.walk(fn):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                read.update(node.names)  # a write to an outer scope
+            elif isinstance(node, ast.Name):
+                (stored if isinstance(node.ctx, ast.Store) else read).add(node.id)
+        out |= {(fn.name, name) for name in stored - read if name != "_"}
+    return sorted(out)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_locals(path):
+    assert unused_locals(path) == []
 
 
 def test_the_guard_sees_an_unused_import(tmp_path):
@@ -50,3 +73,11 @@ def test_the_guard_sees_an_unused_import(tmp_path):
     path.write_text("import os\nfrom typing import List, Dict\n"
                     "def f(x: \"List[int]\"):\n    return os.sep\n")
     assert unused_imports(path) == ["Dict"]
+
+
+def test_the_guard_sees_an_unused_local(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("def f(xs):\n    total = 0\n    for i, (a, b) in enumerate(xs):\n"
+                    "        total += a\n    def g():\n        nonlocal total\n"
+                    "        total = 1\n    g()\n    return total\n")
+    assert unused_locals(path) == [("f", "b"), ("f", "i")]
