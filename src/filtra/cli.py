@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -95,7 +94,7 @@ def _cmd_corpus(args) -> int:
     for e in entries:
         counts[e["verdict"]] += 1
     summary = {"format": 1, "instances": entries, "counts": counts}
-    text = json.dumps(summary, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    text = to_json(summary)
     if args.summary:
         Path(args.summary).write_text(text)
     if not args.quiet:
@@ -112,7 +111,7 @@ def _cmd_corpus(args) -> int:
 
 def _cmd_schema(args) -> int:
     schema = config_schema() if args.which == "config" else report_schema()
-    sys.stdout.write(json.dumps(schema, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(to_json(schema))
     return 0
 
 

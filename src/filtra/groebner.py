@@ -35,7 +35,7 @@ from .fields import canonical
 # count_box_complement is unused here: perfbench/layers.py traces it by this name
 from .monomial import count_box_complement, coprime, div, divides, lcm, minimal, mul
 from .orders import elimination_block
-from .poly import Polynomial, PolyContext, add_multiple
+from .poly import ContextMismatch, Polynomial, PolyContext, add_multiple
 
 
 def _nf_dict(f: dict, basis: list, ctx: PolyContext) -> dict:
@@ -143,7 +143,7 @@ class GroebnerBasis:
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.ctx is not self.ctx:
-            f = f.convert(self.ctx)
+            raise ContextMismatch(f"{f} is not in the basis's context {self.ctx.descriptor}")
         basis = [(g.lead_monomial(), g.terms[1:]) for g in self.polys]
         return Polynomial(self.ctx, _nf_dict(f.as_dict(), basis, self.ctx))
 
@@ -232,12 +232,15 @@ def clear_cache():
     ``perfbench/run.py`` calls it before each pass."""
 
 
-def groebner_basis(gens, ctx: PolyContext | None = None, use_criteria: bool = True,
+def groebner_basis(gens, ctx: PolyContext, use_criteria: bool = True,
                    seed: GroebnerBasis | None = None) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by ``gens``.
+    """Reduced Groebner basis in ``ctx`` of the ideal generated by ``gens``.
 
-    Zero generators are allowed and yield the empty basis.  The result only
-    depends on the generated ideal, never on generator order or on a seed.
+    Every generator must live in ``ctx``; one from another context raises
+    ``ContextMismatch``, since reducing it under ``ctx``'s order would give
+    a wrong basis.  Zero generators are allowed and yield the empty basis.
+    The result only depends on the generated ideal, never on generator
+    order or on a seed.
     ``seed``, if given, is a reduced basis in the same context whose polys
     open ``gens``.  It is taken as complete: only the generators after it
     are reduced and paired, and when none of them survives reduction by it,
@@ -246,14 +249,12 @@ def groebner_basis(gens, ctx: PolyContext | None = None, use_criteria: bool = Tr
     count as plain input, and runs the full Buchberger, as their oracle.
     """
     gens = list(gens)
-    if ctx is None:
-        if not gens:
-            raise ValueError("context required for an empty generator list")
-        ctx = gens[0].ctx
     start = () if seed is None or not use_criteria else seed.polys
     if tuple(gens[:len(start)]) != start:
         raise ValueError("the seed's polys must open the generators")
-    gens = [g if g.ctx is ctx else g.convert(ctx) for g in gens if not g.is_zero]
+    if any(g.ctx is not ctx for g in gens):
+        raise ContextMismatch(f"a generator is not in the context {ctx.descriptor}")
+    gens = [g for g in gens if not g.is_zero]
     fingerprint = _fingerprint(ctx, gens)
     inputs = [g.as_dict() for g in gens[len(start):]]
     if start:
@@ -291,14 +292,15 @@ def lead_ideal_dimension(gb: GroebnerBasis) -> int:
     return best
 
 
-def eliminate(polys, k: int, ctx: PolyContext | None = None) -> list:
+def eliminate(polys, k: int, ctx: PolyContext) -> list:
     """Generators of the elimination ideal dropping the first k variables.
 
-    The result still lives in the full ring but is free of those variables.
+    ``ctx`` must be ordered by ``elimination_block(k, ctx.nvars)``, under
+    which the basis elements free of those variables generate the
+    elimination ideal; any other order raises ``ValueError``.  The result
+    lives in ``ctx``, free of those variables.
     """
-    polys = list(polys)
-    if ctx is None:
-        ctx = polys[0].ctx
-    gb = groebner_basis(polys, ctx=ctx.with_order(elimination_block(k, ctx.nvars)))
-    return [g if g.ctx is ctx else g.convert(ctx) for g in gb.polys
+    if ctx.order != elimination_block(k, ctx.nvars):
+        raise ValueError(f"eliminate needs an elim:{k} order, not {ctx.order.descriptor}")
+    return [g for g in groebner_basis(polys, ctx).polys
             if not any(any(m[:k]) for m, _ in g.terms)]

@@ -25,21 +25,23 @@ Every other intersection and colon by an element is one t-trick elimination,
 A handle's Groebner basis starts from the built basis of an ideal it is
 known to contain, taken as complete (``groebner.groebner_basis``'s seed): a
 sum starts from an operand's basis and adds the other operand's generators,
-and a colon, by an element or by an ideal, from the dividend's basis.  Any
-other handle starts from the relations' basis.  The reduced basis is unique,
-so where it started does not change it.
+and a colon, by an element or by an ideal, from the dividend's basis.  A
+handle records one such sub, which a later one replaces until its basis is
+built; with no built sub, it starts from the relations' basis.  The reduced
+basis is unique, so where it started does not change it.
 
 A ring lives for one job, and no memo of its algebra outlives it.  It hands
 out one handle per normalized generator tuple, and a handle keeps its basis,
 its colength and its powers, so each is built once.  The ring memoizes its
 products, its colons by an element and its intersections, keyed by the
-presentation of the inputs: the generators of each handle and the terms of
-the reduced divisor.  The key is not the reduced basis, because the route
-taken (monomial layer or elimination) and so the printed generators of the
-result depend on the presentation.  Ratliff-Rush closures ask for the same
-colons stage after stage, a job asks for the same products check after
-check, and the memo answers the repeats.  No other layer memoizes them, so
-a repeated Cohen-Macaulay certificate costs only memo hits.
+presentation of the inputs: the input handles, each of which stands for its
+generator tuple, and the terms of the reduced divisor.  The key is not the
+reduced basis, because the route taken (monomial layer or elimination) and
+so the printed generators of the result depend on the presentation.
+Ratliff-Rush closures ask for the same colons stage after stage, a job asks
+for the same products check after check, and the memo answers the repeats.
+No other layer memoizes them, so a repeated Cohen-Macaulay certificate
+costs only memo hits.
 """
 from __future__ import annotations
 
@@ -84,11 +86,9 @@ _SATURATION_CAP = 100
 
 def _as_poly(ring: "LocalRing", g) -> Polynomial:
     if isinstance(g, Polynomial):
-        return g if g.ctx is ring.ctx else g.convert(ring.ctx)
+        return g
     if isinstance(g, str):
         return parse_polynomial(g, ring.ctx)
-    if isinstance(g, int):
-        return Polynomial.from_int(ring.ctx, g)
     raise TypeError(f"cannot interpret {g!r} as a ring element")
 
 
@@ -132,6 +132,7 @@ class LocalRing:
             self.gb_relations.leads
             if all(g.is_monomial() for g in self.gb_relations.polys) else None)
         self._torsion = None
+        self._torsion_length = None
         self._handles: dict = {}  # the one handle of each normalized generator tuple
         self._ops: dict = {}  # product, colon and intersect results by presentation
 
@@ -218,7 +219,11 @@ class LocalRing:
         return self._torsion
 
     def torsion_length(self) -> int:
-        return self.subquotient_length(self.torsion_ideal(), self.zero_ideal())
+        """l(W) for the torsion ideal W, computed once per ring."""
+        if self._torsion_length is None:
+            self._torsion_length = self.subquotient_length(self.torsion_ideal(),
+                                                           self.zero_ideal())
+        return self._torsion_length
 
     def has_positive_depth(self) -> bool:
         return not self.torsion_ideal().gens
@@ -287,9 +292,8 @@ class IdealHandle:
             tuple(g.lead_monomial() for g in gens) + rel
             if rel is not None and all(g.is_monomial() for g in gens) else None)
         self._gb = None
-        # [(sub, rest)]: ideals known to lie inside this one, each with
-        # generators that together with it generate this one; None until
-        # the first is recorded
+        # (sub, rest): an ideal known to lie inside this one, with generators
+        # that together with it generate this one; None until one is recorded
         self._inside = None
         self._colength = None
         self._colength_known = False
@@ -306,15 +310,15 @@ class IdealHandle:
 
     def gb(self) -> GroebnerBasis:
         """Groebner basis of the ideal together with the ring relations,
-        started from the basis of an ideal inside it: the first recorded
-        one whose basis is built, else the relations."""
+        started from the basis of the recorded sub if that basis is built,
+        else from the relations' basis."""
         if self._gb is None:
             ring = self.ring
-            seed, rest = ring.gb_relations, self.gens
-            for sub, gens in self._inside or ():
-                if sub._gb is not None:
-                    seed, rest = sub._gb, gens
-                    break
+            inside = self._inside
+            if inside is not None and inside[0]._gb is not None:
+                seed, rest = inside[0]._gb, inside[1]
+            else:
+                seed, rest = ring.gb_relations, self.gens
             self._gb = (groebner_basis(seed.polys + rest, ctx=ring.ctx, seed=seed)
                         if self.gens else seed)
             self._inside = None
@@ -323,13 +327,13 @@ class IdealHandle:
     def _contains(self, sub: "IdealHandle", rest) -> "IdealHandle":
         """Record that ``sub`` lies inside this ideal and, with ``rest``,
         generates it, so that this basis may start from the basis of sub.
-        A monomial ideal's basis never runs Buchberger, so it records none,
-        and one rest per sub is enough."""
-        if self._gb is None and sub is not self and self.monomials is None:
-            if self._inside is None:
-                self._inside = [(sub, rest)]
-            elif all(s is not sub for s, _ in self._inside):
-                self._inside.append((sub, rest))
+        A monomial ideal's basis never runs Buchberger, so it records none.
+        One sub is kept, which a later record replaces until its basis is
+        built."""
+        inside = self._inside
+        if (self._gb is None and sub is not self and self.monomials is None
+                and (inside is None or inside[0]._gb is None)):
+            self._inside = (sub, rest)
         return self
 
     def normal_form(self, f) -> Polynomial:
@@ -382,7 +386,7 @@ class IdealHandle:
         return out._contains(self, other.gens)._contains(other, self.gens)
 
     def __mul__(self, other: "IdealHandle") -> "IdealHandle":
-        out = self.ring._memo(("mul", self.gens, other.gens), self._mul, other)
+        out = self.ring._memo(("mul", self, other), self._mul, other)
         out._at_origin |= self._at_origin and other._at_origin  # V(AB) = V(A) | V(B)
         return out
 
@@ -422,7 +426,7 @@ class IdealHandle:
             return self
         if not self.gens or not other.gens:
             return ring.zero_ideal()
-        out = ring._memo(("intersect", self.gens, other.gens), self._intersect, other)
+        out = ring._memo(("intersect", self, other), self._intersect, other)
         out._at_origin |= self._at_origin and other._at_origin
         return out
 
@@ -448,7 +452,7 @@ class IdealHandle:
             return ring.unit_ideal()
         if g.constant_term() != ring.field.zero:
             return self  # dividing by a local unit changes nothing
-        out = ring._memo(("colon", self.gens, g.terms), self._colon_element, g)
+        out = ring._memo(("colon", self, g.terms), self._colon_element, g)
         out._at_origin |= self._at_origin  # the colon contains the dividend
         return out._contains(self, out.gens)
 

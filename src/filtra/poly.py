@@ -4,18 +4,19 @@ Monomials are plain int tuples (one slot per variable, total degree is just
 ``sum``); ``monomial`` holds their arithmetic.  A ``PolyContext`` bundles
 variable names, the coefficient field and the active monomial order; contexts
 are interned so identity comparison works and sort keys can be memoized per
-context.  ``add_multiple`` is the one coefficient-accumulation loop; only the
-hot normal form (``groebner._nf_dict``) inlines its own, one loop for both
-kinds of field.
+context.  A polynomial lives in the one context it was built in: nothing
+converts between contexts, and arithmetic across two of them raises
+``ContextMismatch``.  ``add_multiple`` is the one coefficient-accumulation
+loop; only the hot normal form (``groebner._nf_dict``) inlines its own, one
+loop for both kinds of field.
 """
 from __future__ import annotations
 
 import itertools
 from typing import Iterable
 
-from .fields import QQ
 from .monomial import mul
-from .orders import MonomialOrder, grevlex
+from .orders import MonomialOrder
 
 Monomial = tuple  # exponent vector; degree = sum(m)
 
@@ -56,12 +57,10 @@ class PolyContext:
         self.descriptor = f"{','.join(variables)}|{field.descriptor}|{order.descriptor}"
 
     @staticmethod
-    def get(variables: Iterable[str], field=QQ, order: MonomialOrder | None = None) -> "PolyContext":
+    def get(variables: Iterable[str], field, order: MonomialOrder) -> "PolyContext":
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
             raise ValueError(f"duplicate variable names in {variables}")
-        if order is None:
-            order = grevlex(len(variables))
         if order.nvars != len(variables):
             raise ValueError("order width does not match variable count")
         ck = (variables, field, order)
@@ -85,9 +84,6 @@ class PolyContext:
         if k is None:
             k = self._negkeys[m] = tuple(-c for c in self.order.key(m))
         return k
-
-    def with_order(self, order: MonomialOrder) -> "PolyContext":
-        return PolyContext.get(self.variables, self.field, order)
 
     def zero_mono(self) -> Monomial:
         return (0,) * self.nvars
@@ -256,14 +252,6 @@ class Polynomial:
         field = self.ctx.field
         inv = field.inv(lc)
         return Polynomial(self.ctx, {m: field.mul(inv, c) for m, c in self.terms})
-
-    # -- conversion -------------------------------------------------------
-
-    def convert(self, ctx: PolyContext) -> "Polynomial":
-        """Re-sort into another context over the same variables and field."""
-        if ctx.variables != self.ctx.variables or ctx.field != self.ctx.field:
-            raise ContextMismatch("convert only changes the monomial order")
-        return Polynomial(ctx, dict(self.terms))
 
     # -- comparison and printing -----------------------------------------
 

@@ -183,6 +183,7 @@ def run_job(cfg: JobConfig) -> dict:
 
 
 def to_json(report: dict) -> str:
+    """The one JSON writer: reports, the corpus summary and the schemas."""
     return json.dumps(report, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
 
 

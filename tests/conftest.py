@@ -93,7 +93,7 @@ def run_captured(cfg, closed_forms=True):
         certified.append((filt, red))
         return verify(filt, red, horizon)
 
-    def counted(gens, ctx=None, use_criteria=True, seed=None):
+    def counted(gens, ctx, use_criteria=True, seed=None):
         out = build(gens, ctx, use_criteria, seed)
         if seed is not None and seed is not rings[-1].gb_relations:
             seeded.append(out)

@@ -16,7 +16,7 @@ from filtra.groebner import eliminate, groebner_basis, lead_ideal_dimension
 from filtra.monomial import count_box_complement, divides, pure_power_bounds
 from filtra.orders import elimination_block, grevlex, lex
 from filtra.parser import parse_polynomial
-from filtra.poly import PolyContext, Polynomial
+from filtra.poly import ContextMismatch, PolyContext, Polynomial
 
 CTX2 = PolyContext.get(("x", "y"), QQ, grevlex(2))
 CTX3 = PolyContext.get(("x", "y", "z"), QQ, grevlex(3))
@@ -427,7 +427,7 @@ def test_t_trick_sympy_lex(field):
 
 def test_eliminate_intersection():
     # (x) meet (y) = (xy), computed by the t-trick by hand
-    ctxt = PolyContext.get(("t", "x", "y"), QQ, grevlex(3))
+    ctxt = PolyContext.get(("t", "x", "y"), QQ, elimination_block(1, 3))
     t = Polynomial.variable(ctxt, "t")
     x = Polynomial.variable(ctxt, "x")
     y = Polynomial.variable(ctxt, "y")
@@ -436,8 +436,28 @@ def test_eliminate_intersection():
     assert [str(p) for p in out] == ["x*y"]
 
 
+def test_eliminate_refuses_an_order_that_does_not_eliminate():
+    """Under grevlex the basis elements free of t need not generate the
+    elimination ideal, so eliminate refuses the context instead of
+    reordering it."""
+    ctxt = PolyContext.get(("t", "x", "y"), QQ, grevlex(3))
+    t, x = Polynomial.variable(ctxt, "t"), Polynomial.variable(ctxt, "x")
+    with pytest.raises(ValueError, match="elim:1"):
+        eliminate([t * x], 1, ctx=ctxt)
+
+
+def test_a_generator_from_another_context_is_refused():
+    """A generator is never reordered into the basis's context: reduced
+    under the wrong order it would give a wrong basis with no error."""
+    foreign = parse_polynomial("x + y^2*z", CTX3L)
+    with pytest.raises(ContextMismatch):
+        groebner_basis([parse_polynomial("x", CTX3), foreign], ctx=CTX3)
+    with pytest.raises(ContextMismatch):
+        groebner_basis([foreign], ctx=CTX3)
+
+
 def test_eliminate_semigroup_parametrization():
-    ctxt = PolyContext.get(("t", "x", "y", "z"), QQ, grevlex(4))
+    ctxt = PolyContext.get(("t", "x", "y", "z"), QQ, elimination_block(1, 4))
     t = Polynomial.variable(ctxt, "t")
     gens = [Polynomial.variable(ctxt, "x") - t ** 3,
             Polynomial.variable(ctxt, "y") - t ** 4,

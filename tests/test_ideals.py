@@ -286,7 +286,7 @@ def test_sums_and_colons_start_from_a_basis_inside(monkeypatch):
     seeds = []
     build = ideals.groebner_basis
 
-    def recorded(gens, ctx=None, use_criteria=True, seed=None):
+    def recorded(gens, ctx, use_criteria=True, seed=None):
         seeds.append(seed)
         return build(gens, ctx, use_criteria, seed)
 
@@ -529,6 +529,30 @@ def test_depth_zero_job_buchberger_runs(monkeypatch):
     assert report["verdict"] == "verified"
     assert report["ring"]["torsion_length"] == 1
     assert (count["buchberger"], count["spolys"]) == (92, 141)
+
+
+DEPTH_ZERO_JOBS = ([load_config(CORPUS_DIR / f"{name}.json")
+                    for name in ("depth_zero", "depth_zero_equality")]
+                   + [parse_config(job) for job in NON_MONOMIAL_DEPTH_ZERO])
+
+
+@pytest.mark.parametrize("cfg", DEPTH_ZERO_JOBS, ids=lambda cfg: cfg.name)
+def test_torsion_length_is_counted_once_per_job(monkeypatch, cfg):
+    """The report, the c3 condition and the torsion graded pieces all read
+    l(W); the ring counts it once, where each reader used to count it
+    again (two or three subquotient counts per job)."""
+    runs = []
+    count = LocalRing.subquotient_length
+
+    def counted(self, x, y):
+        runs.append(1)
+        return count(self, x, y)
+
+    monkeypatch.setattr(LocalRing, "subquotient_length", counted)
+    report = run_job(cfg)
+    assert report["ring"]["depth_positive"] is False
+    assert report["ring"]["torsion_length"] > 0
+    assert len(runs) == 1
 
 
 # -- the t-trick against sympy ----------------------------------------------

@@ -1,6 +1,8 @@
-"""Every name a package module imports is used there, and every local a
-function assigns is read there.  No linter runs on this tree, so this is
-its guard against dead imports and dead locals."""
+"""Every name a package module imports is used there, every local a
+function assigns is read there, and every function or method the package
+defines is named somewhere in the package.  No linter runs on this tree, so
+this is its guard against dead imports, dead locals and code that only
+tests reach."""
 import ast
 
 import pytest
@@ -12,6 +14,12 @@ MODULES = sorted(p for p in (PKG_ROOT / "src" / "filtra").glob("*.py")
 
 # imported only so that perfbench/layers.py can trace it under this module
 ALLOWED = {("groebner", "count_box_complement")}
+
+# functions no package module names, each with the reason it stays
+UNREFERENCED = {
+    "clear_cache": "perfbench/run.py calls it before each pass",
+    "lex": "the order the sympy cross-checks run Buchberger under",
+}
 
 
 def _annotation_names(tree) -> set:
@@ -56,6 +64,45 @@ def unused_locals(path) -> list:
                 (stored if isinstance(node.ctx, ast.Store) else read).add(node.id)
         out |= {(fn.name, name) for name in stored - read if name != "_"}
     return sorted(out)
+
+
+def unreferenced_functions(paths) -> list:
+    """(file, name) for each function or method defined in ``paths`` whose
+    name no Name or attribute in ``paths`` reads.  Dunders are called by
+    the language, and ``check_*`` are dispatched by name from
+    ``checkers.CHECKS``, so neither counts."""
+    trees = {path.name: ast.parse(path.read_text()) for path in paths}
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    out = set()
+    for fname, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name not in named and node.name not in UNREFERENCED
+                    and not node.name.startswith(("__", "check_"))):
+                out.add((fname, node.name))
+    return sorted(out)
+
+
+def test_every_function_is_named_in_the_package():
+    assert unreferenced_functions(sorted((PKG_ROOT / "src" / "filtra").glob("*.py"))) == []
+
+
+def test_the_guard_sees_an_unreferenced_function(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("class A:\n    def __init__(self):\n        self.f()\n"
+                    "    def f(self):\n        return helper\n"
+                    "    def g(self):\n        pass\n"
+                    "def helper():\n    pass\n"
+                    "def check_x():\n    pass\n"
+                    "def lex():\n    pass\n"
+                    "def orphan():\n    pass\n")
+    assert unreferenced_functions([path]) == [("sample.py", "g"), ("sample.py", "orphan")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
