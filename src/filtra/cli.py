@@ -8,8 +8,8 @@ from pathlib import Path
 
 from .config import (ConfigError, config_schema, load_config, parse_config,
                      report_schema)
-from .report import (EXIT_INVALID, config_error_report, run_job, to_json,
-                     to_markdown)
+from .report import (EXIT_CODES, EXIT_INVALID, config_error_report, run_job,
+                     to_json, to_markdown)
 
 
 def _cmd_verify(args) -> int:
@@ -90,7 +90,7 @@ def _cmd_corpus(args) -> int:
         for fname, _, text in results:
             (outdir / fname).write_text(text)
     entries = [entry for _, entry, _ in results]
-    counts = {"verified": 0, "violation": 0, "invalid-input": 0}
+    counts = dict.fromkeys(EXIT_CODES, 0)
     for e in entries:
         counts[e["verdict"]] += 1
     summary = {"format": 1, "instances": entries, "counts": counts}
@@ -102,11 +102,8 @@ def _cmd_corpus(args) -> int:
     else:
         for e in entries:
             print(f"{e['name']}: {e['verdict']}")
-    if counts["violation"]:
-        return 2
-    if counts["invalid-input"]:
-        return 1
-    return 0
+    # the exit codes rank the verdicts, so the worst entry decides
+    return max(e["exit_code"] for e in entries)
 
 
 def _cmd_schema(args) -> int:

@@ -1,4 +1,4 @@
-"""Exact coefficient fields: rationals and odd-word-size prime fields.
+"""Exact coefficient fields: the rationals, and Z/p for any prime p below 2^63.
 
 Coefficients are stored raw and the field object supplies the arithmetic.  A
 prime field stores an int in [0, p).  The rationals store every value in one
@@ -100,7 +100,7 @@ class Rationals:
 
 
 class PrimeField:
-    """Z/p for an odd prime p that fits in a machine word."""
+    """Z/p for a prime p below 2^63, p = 2 included."""
 
     def __init__(self, p: int):
         if not isinstance(p, int) or not is_prime(p):

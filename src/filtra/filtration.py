@@ -238,15 +238,10 @@ def closed_form(lengths: LengthTable, n: int, k: int, plus: bool = False) -> int
     return lengths.get(0, k) + n * lengths.get(1, 0)
 
 
-def verify_admissible(filt: Filtration, red: ReductionSystem,
-                      horizon: int) -> LengthTable:
-    """Check all filtration axioms up to the horizon; raise with a witness.
-    Powers meet the chain and product axioms by construction: no scan.
-    Once Q is proved m-primary and inside I_1, and the stages a chain closed
-    under products, the job's length table is built; the tail scan reads it.
-    The table, with the tail's flags and r recorded in it, is returned as
-    the certificate."""
-    ring = filt.ring
+def _refuse_unreducible(filt: Filtration):
+    """Raise NotAdmissible for the faults no reduction can mend: a stage one
+    that is the unit ideal, zero or not m-primary, or a ring of dimension 0,
+    where a reduction would have no generators."""
     I1 = filt.i1
     if I1.is_unit:
         raise NotAdmissible("stage one is the unit ideal", {"check": "proper"})
@@ -255,6 +250,22 @@ def verify_admissible(filt: Filtration, red: ReductionSystem,
     if I1.colength() is None:
         raise NotAdmissible("stage one is not m-primary",
                             {"check": "m_primary", "ideal": [str(g) for g in I1.gens]})
+    if filt.ring.dimension < 1:
+        raise NotAdmissible("the ring has dimension 0, so no reduction has "
+                            "generators", {"check": "parameter_count"})
+
+
+def verify_admissible(filt: Filtration, red: ReductionSystem,
+                      horizon: int) -> LengthTable:
+    """Check all filtration axioms up to the horizon; raise with a witness.
+    Powers meet the chain and product axioms by construction: no scan.
+    Once Q is proved m-primary and inside I_1, and the stages a chain closed
+    under products, the job's length table is built; the tail scan reads it.
+    The table, with the tail's flags and r recorded in it, is returned as
+    the certificate."""
+    _refuse_unreducible(filt)
+    ring = filt.ring
+    I1 = filt.i1
     if len(red.generators) != ring.dimension:
         raise NotAdmissible(
             f"reduction has {len(red.generators)} generators, dimension is {ring.dimension}",
@@ -315,7 +326,9 @@ def reduction_tail(filt: Filtration, red: ReductionSystem, horizon: int,
 
 def find_reduction(filt: Filtration, horizon: int, seed: int,
                    attempts: int) -> ReductionSystem:
-    """Random small-coefficient combinations of stage-one generators."""
+    """Random small-coefficient combinations of stage-one generators.  What
+    no reduction can mend is refused before the first attempt."""
+    _refuse_unreducible(filt)
     ring = filt.ring
     d = ring.dimension
     gens = filt.i1.gens

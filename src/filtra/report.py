@@ -9,7 +9,7 @@ import json
 
 from .checkers import (compute_boundary_data, evaluate_conditions,
                        evaluate_structural, run_checks)
-from .config import ConfigError, JobConfig, validate_report
+from .config import ConfigError, JobConfig, report_schema, validate_report
 from .fields import field_from_descriptor
 from .filtration import (ADIC, Filtration, NotAdmissible, SearchExhausted,
                          find_reduction, reduction_system, reduction_tail,
@@ -18,13 +18,13 @@ from .hilbert import HorizonTooSmall, NoPolynomialTail
 from .ideals import CapReached, LocalRing, NotMPrimary, NotNested
 from .parser import PolySyntaxError
 
-EXIT_OK = 0
-EXIT_INVALID = 1
-EXIT_VIOLATION = 2
-
 VERDICT_OK = "verified"
 VERDICT_INVALID = "invalid-input"
 VERDICT_VIOLATION = "violation"
+
+# the one verdict table; the exit codes rank the verdicts, worst highest
+EXIT_CODES = {VERDICT_OK: 0, VERDICT_INVALID: 1, VERDICT_VIOLATION: 2}
+EXIT_INVALID = EXIT_CODES[VERDICT_INVALID]   # also the CLI's usage errors
 
 # anything here means the input (not the mathematics) is at fault;
 # CapReached covers every hard cap
@@ -46,26 +46,18 @@ def _strict_warnings(filt: Filtration, red, horizon: int) -> list:
             "filtration of stage one within the horizon"]
 
 
+def _set_verdict(report: dict, verdict: str) -> dict:
+    report.update(verdict=verdict, exit_code=EXIT_CODES[verdict])
+    return report
+
+
 def _new_report(name: str, config: dict) -> dict:
-    """Every key the schema requires, with the verdict invalid input until
-    the job gets further."""
-    return {
-        "format": 1,
-        "name": name,
-        "verdict": VERDICT_INVALID,
-        "exit_code": EXIT_INVALID,
-        "error": None,
-        "config": config,
-        "ring": None,
-        "filtration": None,
-        "reduction": None,
-        "admissibility": None,
-        "numbers": None,
-        "conditions": None,
-        "structural": None,
-        "checks": [],
-        "strict_warnings": [],
-    }
+    """Every key the schema requires, None until the job fills it in, with
+    the verdict invalid input until the job gets further."""
+    report = dict.fromkeys(report_schema()["required"])
+    report.update(format=1, name=name, config=config, checks=[],
+                  strict_warnings=[])
+    return _set_verdict(report, VERDICT_INVALID)
 
 
 def _mark_invalid(report: dict, exc: Exception) -> dict:
@@ -74,8 +66,8 @@ def _mark_invalid(report: dict, exc: Exception) -> dict:
     witness = getattr(exc, "witness", None)
     if witness:
         err["witness"] = witness
-    report.update(error=err, verdict=VERDICT_INVALID, exit_code=EXIT_INVALID)
-    return report
+    report["error"] = err
+    return _set_verdict(report, VERDICT_INVALID)
 
 
 def config_error_report(name: str, exc: ConfigError) -> dict:
@@ -163,19 +155,14 @@ def run_job(cfg: JobConfig) -> dict:
         failed = [c["name"] for c in checks if c["status"] == "fail"]
         if "fit_stability" in failed:
             # unstable fits poison every number downstream: input problem
-            report["verdict"] = VERDICT_INVALID
-            report["exit_code"] = EXIT_INVALID
             report["error"] = {
                 "type": "UnstableFit",
                 "message": "coefficients changed when the horizon grew; "
                            "raise the horizon",
             }
-        elif failed:
-            report["verdict"] = VERDICT_VIOLATION
-            report["exit_code"] = EXIT_VIOLATION
+            _set_verdict(report, VERDICT_INVALID)
         else:
-            report["verdict"] = VERDICT_OK
-            report["exit_code"] = EXIT_OK
+            _set_verdict(report, VERDICT_VIOLATION if failed else VERDICT_OK)
     except _INPUT_ERRORS as exc:
         _mark_invalid(report, exc)
     validate_report(report)

@@ -382,8 +382,9 @@ def test_explicit_stage_validation():
 @pytest.mark.parametrize("stages", [{"1": ["x", "y"], "1\n": ["x"]},
                                     {"1\n": ["x", "y"]}])
 def test_stage_name_with_a_newline_is_refused(tmp_path, capsys, stages):
-    """The schema's ``$`` matches before a final newline, so "1\\n" passes
-    it; read as stage 1 it silently replaced or renamed a declared stage."""
+    """The schema's stage-name pattern refuses "1\\n", which Python's ``$``
+    alone would let through; read as stage 1 it would silently replace or
+    rename a declared stage."""
     cfg = base_config(filtration={"kind": "explicit", "stages": stages})
     with pytest.raises(ConfigError, match=re.escape(repr("1\n"))):
         parse_config(cfg)
@@ -397,9 +398,10 @@ def test_stage_name_with_a_newline_is_refused(tmp_path, capsys, stages):
     ({"field": "fp:7\n"}, "fp:7\n"),
 ])
 def test_names_with_a_newline_are_refused(tmp_path, capsys, over, name):
-    """The schema's ``$`` also lets a variable "x\\n" and a field "q\\n" or
-    "fp:7\\n" through; the variable then failed as an unknown variable 'x',
-    and the field as a bare ValueError."""
+    """The schema's patterns refuse a variable "x\\n" and a field "q\\n" or
+    "fp:7\\n", which Python's ``$`` alone would let through; the variable
+    would then fail as an unknown variable 'x', and the field as a bare
+    ValueError."""
     cfg = base_config(**over)
     with pytest.raises(ConfigError, match=re.escape(repr(name))):
         parse_config(cfg)

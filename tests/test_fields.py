@@ -1,11 +1,12 @@
 """Coefficient field kernels: exact rationals and prime fields."""
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from filtra import groebner
-from filtra.config import load_config
+from filtra.config import load_config, parse_config
 from filtra.fields import (PrimeField, QQ, Rationals, field_from_descriptor,
                            is_prime)
 from filtra.ideals import LocalRing
@@ -43,6 +44,17 @@ def test_prime_field_basics():
     assert F.neg(2) == 5
     with pytest.raises(ZeroDivisionError):
         F.inv(0)
+
+
+def test_characteristic_two_gives_the_cusp_numbers_of_the_rationals():
+    """Z/2 is a prime field like any other: the cusp y^2 = x^3 has the same
+    lengths and coefficients over fp:2 as over q."""
+    cfg = json.loads((CORPUS_DIR / "cusp.json").read_text())
+    over_q = run_job(parse_config(cfg))
+    over_2 = run_job(parse_config({**cfg, "field": "fp:2"}))
+    assert over_2["ring"]["field"] == "fp:2"
+    assert over_2["verdict"] == over_q["verdict"] == "verified"
+    assert over_2["numbers"] == over_q["numbers"]
 
 
 def test_descriptor_round_trip():

@@ -253,6 +253,28 @@ def test_find_reduction_exhaustion():
         find_reduction(filt, 8, seed=0, attempts=0)
 
 
+@pytest.mark.parametrize("variables, relations, stage_one, reduction, check", [
+    (["x", "y"], ["y^2 - x^3"], ["y^2 - x^3"], {"search": {}}, "proper"),
+    (["x", "y", "z"], [], ["x", "y"], {"search": {}}, "m_primary"),
+    (["x"], ["x^2"], ["x"], {"search": {}}, "parameter_count"),
+    (["x"], ["x^2"], ["x"], {"generators": ["x"]}, "parameter_count"),
+], ids=["zero_stage_one", "not_m_primary", "dimension_zero_searched",
+        "dimension_zero_declared"])
+def test_search_refuses_what_no_reduction_mends(variables, relations, stage_one,
+                                                reduction, check):
+    """A stage one that is zero or not m-primary, or a ring of dimension 0,
+    is refused before the first attempt, as it is for declared generators,
+    not after every attempt as an exhausted search (or, in dimension 0, a
+    bare ValueError from the fit)."""
+    report = run_job(parse_config({
+        "ring": {"variables": variables, "relations": relations},
+        "filtration": {"kind": "adic", "stages": {"1": stage_one}},
+        "reduction": reduction}))
+    assert report["verdict"] == "invalid-input"
+    assert report["error"]["type"] == "NotAdmissible"
+    assert report["error"]["witness"]["check"] == check
+
+
 def test_find_reduction_lets_internal_faults_through(monkeypatch):
     """Only a candidate that is not admissible is skipped: any other error
     in an attempt is a fault, and must not read as an exhausted search."""

@@ -19,7 +19,7 @@ import pytest
 
 from filtra.config import (_CONFIG_VALID, _REPORT_VALID, config_schema,
                            parse_config, report_schema, schema_predicate)
-from filtra.report import run_job
+from filtra.report import EXIT_CODES, run_job
 
 from conftest import CORPUS_DIR, GOLDEN_DIR, PKG_ROOT
 
@@ -28,8 +28,8 @@ CONFIGS = ([json.loads(p.read_text()) for p in sorted(CORPUS_DIR.glob("*.json"))
               json.loads((GOLDEN_DIR / "report_digests.json").read_text())])
 
 # values swapped in for any node: booleans and integral floats where ints
-# are expected, a trailing newline that ``$`` in a pattern still matches,
-# empty and wrong-typed containers
+# are expected, a trailing newline, which Python's ``$`` would match were
+# it not for the ``(?!\n)`` after it, empty and wrong-typed containers
 SWAPS = [True, False, None, 0, 1, -1, 41, 1.0, 6.0, 8.0, 2.5, "", "q", "q\n",
          "x\n", "all", "fp:7\n", [], ["x", "x"], [1], {}, {"extra": 1}]
 
@@ -176,3 +176,20 @@ def test_import_leaves_jsonschema_unloaded():
             "assert 'jsonschema' not in sys.modules, 'jsonschema imported'")
     subprocess.run([sys.executable, "-c", code], check=True,
                    cwd=PKG_ROOT, env={"PYTHONPATH": str(PKG_ROOT / "src")})
+
+
+def test_every_pattern_refuses_a_final_newline():
+    """Under Python's ``re.search`` a ``$`` also matches before a final
+    newline; each pattern must close with ``$(?!\\n)`` to mean what it
+    means to an ECMA-262 validator."""
+    patterns = [parent[key] for schema in (config_schema(), report_schema())
+                for parent, key in _nodes(schema) if key == "pattern"]
+    assert len(patterns) >= 3
+    for pattern in patterns:
+        assert pattern.endswith("$(?!\\n)"), pattern
+
+
+def test_exit_codes_are_the_report_schemas_enums():
+    props = report_schema()["properties"]
+    assert sorted(EXIT_CODES) == sorted(props["verdict"]["enum"])
+    assert sorted(EXIT_CODES.values()) == sorted(props["exit_code"]["enum"])
