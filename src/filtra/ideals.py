@@ -31,13 +31,20 @@ built; with no built sub, it starts from the relations' basis.  The reduced
 basis is unique, so where it started does not change it.
 
 A ring lives for one job, and no memo of its algebra outlives it.  It hands
-out one handle per normalized generator tuple, and a handle keeps its basis,
-its colength and its powers, so each is built once.  The ring memoizes its
-products, its colons by an element and its intersections, keyed by the
-presentation of the inputs: the input handles, each of which stands for its
-generator tuple, and the terms of the reduced divisor.  The key is not the
-reduced basis, because the route taken (monomial layer or elimination) and
-so the printed generators of the result depend on the presentation.
+out one handle per presentation, and a handle keeps its basis, its colength
+and its powers, so each is built once.  A presentation by monomials is
+keyed by the generators' exponent vectors in the order ``_make`` sorts
+them, any other by the normalized generator tuple.  Two such monomial
+handles are summed on exponent vectors, and, when the relations are
+monomials too, multiplied, met, divided and scanned for a generator of one
+outside the other there.  Their generators are built as polynomials only
+where they are read: where they are printed, or where a Groebner basis or
+another general route needs them.  The ring memoizes its products, its
+colons by an element and its intersections, keyed by the presentation of
+the inputs: the input handles, each of which stands for its presentation,
+and the terms of the reduced divisor.  The key is not the reduced basis,
+because the route taken (monomial layer or elimination) and so the printed
+generators of the result depend on the presentation.
 Ratliff-Rush closures ask for the same colons stage after stage, a job asks
 for the same products check after check, and the memo answers the repeats.
 No other layer memoizes them, so a repeated Cohen-Macaulay certificate
@@ -133,7 +140,7 @@ class LocalRing:
             if all(g.is_monomial() for g in self.gb_relations.polys) else None)
         self._torsion = None
         self._torsion_length = None
-        self._handles: dict = {}  # the one handle of each normalized generator tuple
+        self._handles: dict = {}  # the one handle of each presentation, by _handle's key
         self._ops: dict = {}  # product, colon and intersect results by presentation
 
     @property
@@ -155,52 +162,56 @@ class LocalRing:
         return self._make(polys)
 
     def zero_ideal(self) -> "IdealHandle":
-        return self._make([])
+        return self._handle(())
 
     def unit_ideal(self) -> "IdealHandle":
-        return self._make([Polynomial.from_int(self.ctx, 1)])
+        return self._handle((self.ctx.zero_mono(),))
 
     def maximal_ideal(self) -> "IdealHandle":
         return self.ideal(list(self.ctx.variables))
 
     def _make(self, polys) -> "IdealHandle":
-        """Normalize reduced generators: monic, deduplicated, sorted."""
+        """Normalize reduced generators: monic, deduplicated, sorted by lead,
+        then by printed form among equal leads."""
         out = []
-        unit = False
         for p in polys:
             if p.is_zero:
                 continue
             if p.constant_term() != self.field.zero:
-                unit = True  # a unit of the local ring generates everything
-                break
+                return self.unit_ideal()  # a unit of the local ring generates everything
             out.append(p.monic())
-        if unit:
-            return self._handle((Polynomial.from_int(self.ctx, 1),))
         seen = {}
         for p in out:
             seen[p.terms] = p
-        # by lead, then by printed form among equal leads
         def lead_key(p):
             return self.ctx.key(p.lead_monomial())
         gens = []
         for _, tied in itertools.groupby(sorted(seen.values(), key=lead_key), key=lead_key):
             tied = list(tied)
             gens.extend(sorted(tied, key=str) if len(tied) > 1 else tied)
-        return self._handle(tuple(gens))
+        gens = tuple(gens)
+        if all(p.is_monomial() for p in gens):
+            return self._handle(tuple(p.lead_monomial() for p in gens), gens)
+        return self._handle(gens, gens)
 
     def _from_monomials(self, gens) -> "IdealHandle":
-        """Handle of a monomial ideal given by its minimal generators: those
-        outside the relations, sorted like ``_make`` sorts."""
+        """Handle of a monomial ideal presented by distinct exponent vectors,
+        the zero vector only alone: those outside the relations, sorted like
+        ``_make`` sorts."""
         rel = self.relation_monomials
-        keep = sorted((m for m in gens if not monomial.contains(rel, m)), key=self.ctx.key)
-        return self._handle(tuple(Polynomial.monomial(self.ctx, m) for m in keep))
+        if rel:
+            gens = [m for m in gens if not monomial.contains(rel, m)]
+        return self._handle(tuple(sorted(gens, key=self.ctx.key)))
 
-    def _handle(self, gens: tuple) -> "IdealHandle":
-        """The one handle of a normalized generator tuple, so that its basis,
-        colength and powers are built once for the life of this ring."""
-        got = self._handles.get(gens)
+    def _handle(self, key: tuple, gens: tuple | None = None) -> "IdealHandle":
+        """The one handle of a presentation, so that its basis, colength and
+        powers are built once for the life of this ring.  ``key`` is the
+        generators' exponent vectors in ``ctx.key`` order when all are
+        monomials, else the generators; ``gens`` is the generators where they
+        are built."""
+        got = self._handles.get(key)
         if got is None:
-            got = self._handles[gens] = IdealHandle(self, gens)
+            got = self._handles[key] = IdealHandle(self, gens, None if key is gens else key)
         return got
 
     def _memo(self, key, compute, *args) -> "IdealHandle":
@@ -226,7 +237,7 @@ class LocalRing:
         return self._torsion_length
 
     def has_positive_depth(self) -> bool:
-        return not self.torsion_ideal().gens
+        return self.torsion_ideal().is_zero
 
     # -- regular sequences and the Cohen-Macaulay certificate ---------
 
@@ -279,21 +290,27 @@ class LocalRing:
 class IdealHandle:
     """An ideal of a local ring, presented by reduced generators."""
 
-    __slots__ = ("ring", "gens", "monomials", "_gb", "_inside", "_colength",
-                 "_colength_known", "_powers", "_at_origin")
+    __slots__ = ("ring", "_gens", "exponents", "monomials", "_gb", "_inside",
+                 "_colength", "_colength_known", "_powers", "_at_origin")
 
-    def __init__(self, ring: LocalRing, gens: tuple):
+    def __init__(self, ring: LocalRing, gens: tuple | None, exponents: tuple | None = None):
+        """From normalized generators, from the exponent vectors of monomial
+        ones in ``ctx.key`` order (``gens`` None), or from both; without
+        ``exponents`` they are read off the generators."""
+        if exponents is None and all(g.is_monomial() for g in gens):
+            exponents = tuple(g.lead_monomial() for g in gens)
         self.ring = ring
-        self.gens = gens
-        # exponent vectors of the generators and the relations, or None
-        # unless all of them are monomials
+        self._gens = gens
+        # the generators' exponent vectors, or None unless all are monomials
+        self.exponents = exponents
+        # these and the relations' exponent vectors, or None unless all of
+        # them are monomials
         rel = ring.relation_monomials
-        self.monomials = (
-            tuple(g.lead_monomial() for g in gens) + rel
-            if rel is not None and all(g.is_monomial() for g in gens) else None)
+        self.monomials = exponents + rel if exponents is not None and rel is not None else None
         self._gb = None
-        # (sub, rest): an ideal known to lie inside this one, with generators
-        # that together with it generate this one; None until one is recorded
+        # (sub, rest): an ideal known to lie inside this one, and a handle
+        # whose generators together with it generate this one; None until
+        # one is recorded
         self._inside = None
         self._colength = None
         self._colength_known = False
@@ -305,8 +322,22 @@ class IdealHandle:
         return f"IdealHandle({', '.join(str(g) for g in self.gens) or '0'})"
 
     @property
+    def gens(self) -> tuple:
+        """The generators as polynomials, built on first read for a
+        presentation by monomials."""
+        if self._gens is None:
+            ctx = self.ring.ctx
+            self._gens = tuple(Polynomial.monomial(ctx, m) for m in self.exponents)
+        return self._gens
+
+    @property
+    def is_zero(self) -> bool:
+        return self.exponents == ()
+
+    @property
     def is_unit(self) -> bool:
-        return bool(self.gens) and self.gens[0].degree() == 0
+        e = self.exponents
+        return bool(e) and not any(e[0])
 
     def gb(self) -> GroebnerBasis:
         """Groebner basis of the ideal together with the ring relations,
@@ -316,20 +347,20 @@ class IdealHandle:
             ring = self.ring
             inside = self._inside
             if inside is not None and inside[0]._gb is not None:
-                seed, rest = inside[0]._gb, inside[1]
+                seed, rest = inside[0]._gb, inside[1].gens
             else:
                 seed, rest = ring.gb_relations, self.gens
             self._gb = (groebner_basis(seed.polys + rest, ctx=ring.ctx, seed=seed)
-                        if self.gens else seed)
+                        if not self.is_zero else seed)
             self._inside = None
         return self._gb
 
-    def _contains(self, sub: "IdealHandle", rest) -> "IdealHandle":
-        """Record that ``sub`` lies inside this ideal and, with ``rest``,
-        generates it, so that this basis may start from the basis of sub.
-        A monomial ideal's basis never runs Buchberger, so it records none.
-        One sub is kept, which a later record replaces until its basis is
-        built."""
+    def _contains(self, sub: "IdealHandle", rest: "IdealHandle") -> "IdealHandle":
+        """Record that ``sub`` lies inside this ideal and, with the
+        generators of ``rest``, generates it, so that this basis may start
+        from the basis of sub.  A monomial ideal's basis never runs
+        Buchberger, so it records none.  One sub is kept, which a later
+        record replaces until its basis is built."""
         inside = self._inside
         if (self._gb is None and sub is not self and self.monomials is None
                 and (inside is None or inside[0]._gb is None)):
@@ -360,7 +391,12 @@ class IdealHandle:
         return self.missing_generator(other) is None
 
     def missing_generator(self, other: "IdealHandle"):
-        """The first generator of ``other`` outside this ideal, or None."""
+        """The first generator of ``other`` outside this ideal, or None.
+        Between monomial ideals it is found on exponent vectors."""
+        mine, theirs = self.monomials, other.exponents
+        if mine is not None and theirs is not None:
+            m = next((m for m in theirs if not monomial.contains(mine, m)), None)
+            return None if m is None else Polynomial.monomial(self.ring.ctx, m)
         return next((g for g in other.gens if not self.contains_element(g)), None)
 
     def equals_local(self, other: "IdealHandle") -> bool:
@@ -377,13 +413,19 @@ class IdealHandle:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "IdealHandle") -> "IdealHandle":
-        if not other.gens:
+        if other.is_zero:
             return self
-        if not self.gens:
+        if self.is_zero:
             return other
-        out = self.ring._make(list(self.gens) + list(other.gens))
+        ring = self.ring
+        if self.is_unit or other.is_unit:
+            out = ring.unit_ideal()
+        elif self.exponents is not None and other.exponents is not None:
+            out = ring._from_monomials(dict.fromkeys(self.exponents + other.exponents))
+        else:
+            out = ring._make(list(self.gens) + list(other.gens))
         out._at_origin |= self._at_origin or other._at_origin  # V(A+B) = V(A) & V(B)
-        return out._contains(self, other.gens)._contains(other, self.gens)
+        return out._contains(self, other)._contains(other, self)
 
     def __mul__(self, other: "IdealHandle") -> "IdealHandle":
         out = self.ring._memo(("mul", self, other), self._mul, other)
@@ -424,7 +466,7 @@ class IdealHandle:
             return other
         if other.is_unit:
             return self
-        if not self.gens or not other.gens:
+        if self.is_zero or other.is_zero:
             return ring.zero_ideal()
         out = ring._memo(("intersect", self, other), self._intersect, other)
         out._at_origin |= self._at_origin and other._at_origin
@@ -440,13 +482,16 @@ class IdealHandle:
             ring, list(self.gens) + rels, list(other.gens) + rels))
 
     def colon(self, divisor) -> "IdealHandle":
-        """(self : divisor) for a single element or a finitely generated ideal."""
+        """(self : divisor) for a single element or a finitely generated ideal,
+        the meet of the colons by its generators, which stops at a zero meet."""
         ring = self.ring
         if isinstance(divisor, IdealHandle):
             acc = ring.unit_ideal()
             for g in divisor.gens:
                 acc = acc.intersect(self.colon(g))
-            return acc._contains(self, acc.gens)
+                if acc.is_zero:
+                    break  # 0 meet X = 0
+            return acc._contains(self, acc)
         g = ring.gb_relations.normal_form(_as_poly(ring, divisor))
         if g.is_zero:
             return ring.unit_ideal()
@@ -454,7 +499,7 @@ class IdealHandle:
             return self  # dividing by a local unit changes nothing
         out = ring._memo(("colon", self, g.terms), self._colon_element, g)
         out._at_origin |= self._at_origin  # the colon contains the dividend
-        return out._contains(self, out.gens)
+        return out._contains(self, out)
 
     def _colon_element(self, g: Polynomial) -> "IdealHandle":
         """(self : g) for g reduced modulo the relations, nonzero, in m."""

@@ -5,7 +5,7 @@ environment echoes, sorted keys.
 """
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .checkers import (compute_boundary_data, evaluate_conditions,
                        evaluate_structural, run_checks)
@@ -170,8 +170,56 @@ def run_job(cfg: JobConfig) -> dict:
 
 
 def to_json(report: dict) -> str:
-    """The one JSON writer: reports, the corpus summary and the schemas."""
-    return json.dumps(report, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    """The one JSON writer: reports, the corpus summary and the schemas.
+    It writes the bytes of ``json.dumps(report, sort_keys=True, indent=2,
+    ensure_ascii=True)`` and a final newline, for dicts with str keys,
+    lists, tuples, str, int, bool and None; any other type, float included,
+    raises TypeError."""
+    out: list = []
+    _write(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, newline: str, out: list) -> None:
+    """Append the JSON text of ``value`` to ``out``; ``newline`` is a line
+    break followed by the indent of the line ``value`` starts on."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON keys are written as str, not {type(key).__name__}")
+            out.append(f"{sep}{_quote(key)}: ")
+            _write(value[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"{type(value).__name__} is not written as JSON")
 
 
 def _status_mark(status: str) -> str:

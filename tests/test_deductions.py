@@ -87,8 +87,8 @@ def check_certificates(ring) -> int:
     """Assert every interned handle's colength equals the full loop's on a
     fresh handle; return how many non-monomial handles carry the flag."""
     flagged = sum(h._at_origin and h.monomials is None for h in ring._handles.values())
-    for gens, handle in list(ring._handles.items()):
-        assert IdealHandle(ring, gens).colength() == handle.colength(), handle
+    for handle in list(ring._handles.values()):
+        assert IdealHandle(ring, handle.gens).colength() == handle.colength(), handle
     return flagged
 
 
@@ -98,9 +98,9 @@ def check_seeded_bases(ring, seeded) -> int:
     hold one."""
     ids = {id(gb) for gb in seeded}
     count = 0
-    for gens, handle in ring._handles.items():
+    for handle in ring._handles.values():
         if handle._gb is not None and id(handle._gb) in ids:
-            scratch = groebner_basis(ring.gb_relations.polys + gens, ctx=ring.ctx)
+            scratch = groebner_basis(ring.gb_relations.polys + handle.gens, ctx=ring.ctx)
             assert handle._gb.polys == scratch.polys, handle
             count += 1
     return count
