@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .config import (ConfigError, config_schema, load_config, parse_config,
@@ -79,6 +78,8 @@ def _cmd_corpus(args) -> int:
     # more workers than there are configs
     workers = min(args.jobs, len(paths))
     if workers > 1:
+        # imported here, so that a run without a pool never loads it
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_corpus_worker, paths))
     else:

@@ -127,7 +127,8 @@ class ReductionSystem:
 def reduction_system(ring: LocalRing, gens) -> ReductionSystem:
     polys = tuple(ring.gb_relations.normal_form(_as_poly(ring, g)) for g in gens)
     if any(p.is_zero for p in polys):
-        raise ValueError("reduction generators must be nonzero in the ring")
+        raise NotAdmissible("reduction generators must be nonzero in the ring",
+                            {"check": "reduction_nonzero"})
     return ReductionSystem(ring, polys, ring.ideal(list(polys)))
 
 
@@ -343,10 +344,7 @@ def find_reduction(filt: Filtration, horizon: int, seed: int,
                 term = g.scale(ring.field.from_int(c))
                 p = term if p is None else p + term
             cand.append(p)
-        # reduction_system refuses a generator that is zero in the ring
-        if any(p is None or ring.gb_relations.normal_form(p).is_zero for p in cand):
-            continue
-        try:
+        try:  # reduction_system refuses a candidate that is zero in the ring
             red = reduction_system(ring, cand)
             verify_admissible(filt, red, horizon)
             return red

@@ -11,10 +11,10 @@ makes the global standard-monomial count equal the local length.  With no
 search, A + B is certified when A or B is, AB and A meet B when both are, and
 A : g when A is: V(AB) = V(A meet B) = V(A) u V(B), and A lies in A : g.
 Such a certified m-primary ideal is contracted from the localization (Atiyah-
-Macdonald, Prop. 4.8), so membership in it is a zero normal form and
-equality of two of them is equality of reduced bases.  For any other ideal
-membership, containment and equality are decided locally through colon
-ideals.
+Macdonald, Prop. 4.8), so membership in it is a zero normal form.  For any
+other ideal membership is decided locally through a colon ideal.
+Containment is membership of every generator, and equality is containment
+both ways.
 
 When the relations and the generators are all monomials, membership of a
 monomial, products, intersections, colons by a monomial and colengths are
@@ -393,6 +393,8 @@ class IdealHandle:
     def missing_generator(self, other: "IdealHandle"):
         """The first generator of ``other`` outside this ideal, or None.
         Between monomial ideals it is found on exponent vectors."""
+        if other is self:
+            return None
         mine, theirs = self.monomials, other.exponents
         if mine is not None and theirs is not None:
             m = next((m for m in theirs if not monomial.contains(mine, m)), None)
@@ -400,14 +402,6 @@ class IdealHandle:
         return next((g for g in other.gens if not self.contains_element(g)), None)
 
     def equals_local(self, other: "IdealHandle") -> bool:
-        # the reduced basis of ideal + relations is unique, so equal bases
-        # mean equal ideals whatever generators present them
-        if self.gb().polys == other.gb().polys:
-            return True
-        # two certified m-primary ideals are contracted from the
-        # localization, so different global bases mean different ideals
-        if self.colength() is not None and other.colength() is not None:
-            return False
         return self.contains_ideal(other) and other.contains_ideal(self)
 
     # -- arithmetic ---------------------------------------------------
@@ -518,6 +512,8 @@ class IdealHandle:
         cur = self
         for _ in range(_SATURATION_CAP):
             nxt = cur.colon(other)
+            # the chain must stop globally: by a divisor other than m it can
+            # repeat locally before it does
             if nxt.gb().polys == cur.gb().polys:
                 return cur
             cur = nxt

@@ -1,12 +1,14 @@
 """Command line behavior: exit codes, determinism, schemas, corpus sweeps."""
+import concurrent.futures
 import json
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import filtra.checkers as checkers
-import filtra.cli as cli
 import filtra.filtration as filtration
 from filtra.cli import main
 from filtra.config import ConfigError, config_schema, parse_config, validate_report
@@ -321,13 +323,23 @@ def test_corpus_jobs_capped_at_config_count(tmp_path, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     cdir = tmp_path / "corpus"
     cdir.mkdir()
     for name in ("cusp.json", "regular_d1.json"):
         (cdir / name).write_text((CORPUS_DIR / name).read_text())
     assert main(["corpus", str(cdir), "--jobs", "64", "--quiet"]) == 0
     assert asked == [2]
+
+
+def test_cli_import_leaves_the_pool_unloaded():
+    """Only ``corpus --jobs`` above 1 uses a process pool, so importing the
+    command line loads no multiprocessing machinery."""
+    code = ("import sys, filtra.cli; "
+            "loaded = {'multiprocessing', 'concurrent.futures.process'} & set(sys.modules); "
+            "assert not loaded, loaded")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   cwd=PKG_ROOT, env={"PYTHONPATH": str(PKG_ROOT / "src")})
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -318,5 +318,15 @@ def test_colon_in_stage_one_cases():
 
 
 def test_reduction_system_rejects_zero():
-    with pytest.raises(ValueError):
+    """A generator that is zero in the ring is not admissible, and a job
+    that declares one reports that with the witness."""
+    with pytest.raises(NotAdmissible) as err:
         reduction_system(DEPTH0, ["x^2"])
+    assert err.value.witness == {"check": "reduction_nonzero"}
+    report = run_job(parse_config({
+        "ring": {"variables": ["x", "y"], "relations": ["x^2", "x*y"]},
+        "filtration": {"kind": "adic", "stages": {"1": ["x", "y"]}},
+        "reduction": {"generators": ["x^2"]}}))
+    assert report["verdict"] == "invalid-input"
+    assert report["error"]["type"] == "NotAdmissible"
+    assert report["error"]["witness"] == {"check": "reduction_nonzero"}

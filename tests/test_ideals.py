@@ -177,17 +177,40 @@ def test_local_membership_through_units():
         I.finite_colength()
 
 
+def test_monomial_job_builds_only_the_relations_basis(monkeypatch):
+    """Every question a monomial job asks of its monomial handles, equality
+    in the Cohen-Macaulay certificate included, is answered on exponent
+    vectors: the one Groebner basis built is the relations' basis."""
+    built = []
+    build = ideals.groebner_basis
 
-def test_equal_ideals_compare_by_reduced_basis(monkeypatch):
-    """Two presentations of one ideal are equal on their reduced bases
-    alone, without testing containment generator by generator."""
-    def forbidden(self, other):
-        raise AssertionError("containment was tested")
+    def recorded(gens, ctx, use_criteria=True, seed=None):
+        built.append(list(gens))
+        return build(gens, ctx, use_criteria, seed)
 
-    a = PLANE.ideal(["x", "y"])
-    b = PLANE.ideal(["x + y", "y"])
-    monkeypatch.setattr(IdealHandle, "contains_ideal", forbidden)
-    assert a.equals_local(b)
+    monkeypatch.setattr(ideals, "groebner_basis", recorded)
+    report = run_job(parse_config({
+        "name": "monomial_adic", "horizon": 6,
+        "ring": {"variables": ["x", "y"]},
+        "filtration": {"kind": "adic", "stages": {"1": ["x^3", "y^3", "x^2*y"]}},
+        "reduction": {"generators": ["x^3", "y^3"]}}))
+    assert report["verdict"] == "verified"
+    assert report["ring"]["cm_certificate"]
+    assert built == [[]]
+
+
+def test_a_handle_contains_itself_without_a_scan(monkeypatch):
+    """A Ratliff-Rush closure stops when a colon is the handle it had
+    before; that comparison scans no generator."""
+    def refuse(*args):
+        raise AssertionError("a generator was scanned")
+
+    I = PLANE.ideal(["x^4", "x^3*y", "x*y^3", "y^4"]).power(3)
+    monkeypatch.setattr(ideals.monomial, "contains", refuse)
+    monkeypatch.setattr(IdealHandle, "contains_element", refuse)
+    assert I.contains_ideal(I)
+    assert I.equals_local(I)
+
 
 def test_membership_plain():
     m = PLANE.maximal_ideal()
@@ -738,6 +761,12 @@ def test_certified_membership_and_equality_match_the_colon_route(case):
                  and all(colon_member(other, g) for g in I.gens))
     assert I.equals_local(other) == both_ways
     assert other.equals_local(I) == both_ways
+    # the reduced-basis oracle: equal bases always mean equal ideals, and
+    # two certified m-primary ideals are contracted from the localization,
+    # so for them equal ideals also mean equal bases
+    same_basis = I.gb().polys == other.gb().polys
+    if same_basis or (I.colength() is not None and other.colength() is not None):
+        assert I.equals_local(other) == same_basis
 
 
 # -- dual computation routes ----------------------------------------------
