@@ -10,9 +10,12 @@ adds pairs only with the active elements, thinned by criteria M and F and
 the product criterion, and drops old pairs by criterion B_k.  A pair of two
 monomial entries is not formed: its S-polynomial is zero.  With the
 criteria off every pair is reduced, which serves as their correctness
-oracle.  With the criteria on, all-monomial input never reaches Buchberger:
-its reduced basis is the minimal generating set, taken from the monomial
-layer (``monomial.py``), which also holds the staircase count.
+oracle.  With the criteria on, a monomial ideal never reaches Buchberger:
+its reduced basis is its set of minimal generators in every monomial order,
+taken from the monomial layer (``monomial.py``), which also holds the
+staircase count.  The ideal is taken as monomial when, with M the monomial
+generators, every other generator has at most one term outside M: it is
+then generated by M and those terms, as m^4 + (y^3 - x^4) = m^4 + (y^3).
 
 A run may start from a seed, the reduced basis of an ideal inside the one
 asked for, whose polys open the generators.  Its entries enter the basis
@@ -33,7 +36,8 @@ from dataclasses import dataclass
 
 from .fields import canonical
 # count_box_complement is unused here: perfbench/layers.py traces it by this name
-from .monomial import count_box_complement, coprime, div, divides, lcm, minimal, mul
+from .monomial import (count_box_complement, contains, coprime, div, divides, lcm,
+                       minimal, mul)
 from .orders import elimination_block
 from .poly import ContextMismatch, Polynomial, PolyContext, add_multiple
 
@@ -227,6 +231,26 @@ def _buchberger_raw(inputs: list, ctx: PolyContext, use_criteria: bool,
     return _autoreduce([e[2] for e in basis], ctx)
 
 
+def _monomial_ideal(supports: list) -> tuple | None:
+    """Minimal generators of the ideal that generators with these term
+    supports span, when one pass shows it is monomial; otherwise None.
+
+    Let M be the single-term generators.  The terms of any other generator
+    that lie in M are elements of M, so the generator may be replaced by
+    the rest of its terms; when each such rest has at most one term, the
+    ideal is generated by M and those rests.
+    """
+    M = [s[0] for s in supports if len(s) == 1]
+    rests = []
+    for s in supports:
+        if len(s) > 1:
+            rest = [m for m in s if not contains(M, m)]
+            if len(rest) > 1:
+                return None
+            rests += rest
+    return minimal(M + rests)
+
+
 def clear_cache():
     """Does nothing: no basis outlives the call that built it.  Kept because
     ``perfbench/run.py`` calls it before each pass."""
@@ -244,9 +268,13 @@ def groebner_basis(gens, ctx: PolyContext, use_criteria: bool = True,
     ``seed``, if given, is a reduced basis in the same context whose polys
     open ``gens``.  It is taken as complete: only the generators after it
     are reduced and paired, and when none of them survives reduction by it,
-    ``seed`` itself is returned.  ``use_criteria=False`` switches off the
-    pair criteria, the all-monomial shortcut and the seed, whose polys then
-    count as plain input, and runs the full Buchberger, as their oracle.
+    ``seed`` itself is returned.  Otherwise, when each generator, the
+    seed's polys included, is a monomial or has at most one term outside
+    the ideal M of the monomial generators, the ideal is monomial: it is
+    generated by M and those terms, whose minimal set is the reduced basis,
+    and no Buchberger runs.  ``use_criteria=False`` switches off the pair
+    criteria, that monomial rule and the seed, whose polys then count as
+    plain input, and runs the full Buchberger, as their oracle.
     """
     gens = list(gens)
     start = () if seed is None or not use_criteria else seed.polys
@@ -262,11 +290,10 @@ def groebner_basis(gens, ctx: PolyContext, use_criteria: bool = True,
         inputs = [r for r in (_nf_dict(d, view, ctx) for d in inputs) if r]
         if not inputs:
             return seed
-    if use_criteria and all(len(d) == 1 for d in inputs) and all(
-            g.is_monomial() for g in start):
-        leads = sorted(minimal([g.lead_monomial() for g in start]
-                               + [next(iter(d)) for d in inputs]), key=ctx.key)
-        polys = tuple(Polynomial.monomial(ctx, m) for m in leads)
+    leads = _monomial_ideal([[m for m, _ in g.terms] for g in start]
+                            + [list(d) for d in inputs]) if use_criteria else None
+    if leads is not None:
+        polys = tuple(Polynomial.monomial(ctx, m) for m in sorted(leads, key=ctx.key))
     else:
         polys = tuple(Polynomial(ctx, d)
                       for d in _buchberger_raw(inputs, ctx, use_criteria, start))

@@ -20,7 +20,11 @@ When the relations and the generators are all monomials, membership of a
 monomial, products, intersections, colons by a monomial and colengths are
 computed on exponent vectors by the monomial layer (``monomial.py``) instead.
 Every other intersection and colon by an element is one t-trick elimination,
-``_intersection_in_ambient``, which meets its two sides as given.
+``_intersection_in_ambient``, which meets its two sides as given.  A handle
+whose generators and relations together span a monomial ideal, as
+m^k + (y^3 - x^4) = m^k + (y^3) for k <= 4, takes its basis from the
+monomial layer too, inside ``groebner.groebner_basis``, while its other
+operations take the general routes.
 
 A handle's Groebner basis starts from the built basis of an ideal it is
 known to contain, taken as complete (``groebner.groebner_basis``'s seed): a

@@ -5,6 +5,7 @@ lengths have an oracle that shares no code with the implementation.
 """
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,7 @@ from filtra import groebner
 from filtra.config import parse_config
 from filtra.fields import PrimeField, QQ
 from filtra.groebner import eliminate, groebner_basis, lead_ideal_dimension
-from filtra.monomial import count_box_complement, divides, pure_power_bounds
+from filtra.monomial import count_box_complement, divides, mul, pure_power_bounds
 from filtra.orders import elimination_block, grevlex, lex
 from filtra.parser import parse_polynomial
 from filtra.poly import ContextMismatch, PolyContext, Polynomial
@@ -211,6 +212,82 @@ def test_monomial_input_bypasses_buchberger(monkeypatch):
     gens = [parse_polynomial(s, CTX2) for s in ["x^2", "x*y"]]
     with pytest.raises(AssertionError, match="Buchberger ran"):
         groebner_basis(gens, ctx=CTX2, use_criteria=False)
+
+
+# -- a monomial ideal presented with non-monomial generators ---------------
+
+@st.composite
+def nearly_monomial_inputs(draw):
+    """(ctx, seed, gens) in 2-3 variables over Q or F_101: a few monomials M,
+    and up to three more generators of at most three terms each, all of
+    them multiples of M but for zero, one or two free terms of low degree,
+    which may or may not lie in M.  With a seed, its polys open gens: it is
+    the reduced basis of some of the drawn generators, which may be
+    non-monomial, and the rest follow it."""
+    field = draw(st.sampled_from([QQ, PrimeField(101)]))
+    nvars = draw(st.sampled_from([2, 3]))
+    ctx = PolyContext.get(tuple("xyz"[:nvars]), field, grevlex(nvars))
+    expo = st.tuples(*[st.integers(0, 3)] * nvars)
+    low = st.tuples(*[st.integers(0, 2)] * nvars)
+    coeff = st.sampled_from([-3, -2, -1, 1, 2, 3])
+
+    def term(m):
+        return Polynomial.monomial(ctx, m, field.from_int(draw(coeff)))
+
+    variable = st.integers(0, nvars - 1).map(ctx.var_mono)
+    monos = [mul(draw(expo), draw(variable)) for _ in range(draw(st.integers(1, 3)))]
+    gens = [term(m) for m in monos]
+    for _ in range(draw(st.integers(1, 3))):
+        free = [draw(low) for _ in range(draw(st.sampled_from([0, 1, 2])))]
+        inside = [mul(draw(st.sampled_from(monos)), draw(expo))
+                  for _ in range(draw(st.integers(1, 3 - len(free))))]
+        g = sum((term(m) for m in inside + free), Polynomial.zero(ctx))
+        if not g.is_zero:
+            gens.append(g)
+    gens = draw(st.permutations(gens))
+    if not draw(st.booleans()):
+        return ctx, None, gens
+    cut = draw(st.integers(1, len(gens)))
+    seed = groebner_basis(gens[:cut], ctx=ctx)
+    return ctx, seed, list(seed.polys) + gens[cut:]
+
+
+def spans_a_monomial_ideal(polys) -> bool:
+    """The rule restated: with M the monomial generators, every generator
+    has at most one term outside M."""
+    M = [g.lead_monomial() for g in polys if g.is_monomial()]
+    return all(sum(not any(divides(a, m) for a in M) for m, _ in g.terms) <= 1
+               for g in polys)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nearly_monomial_inputs())
+def test_a_monomial_ideal_takes_its_basis_without_buchberger(case):
+    """The basis equals the criteria-off run and sympy's reduced grevlex
+    basis, and Buchberger runs exactly when the seed check and the monomial
+    rule both fall through: the rule reads the seed's polys and the other
+    generators reduced by the seed."""
+    sympy = pytest.importorskip("sympy")
+    ctx, seed, gens = case
+    with mock.patch.object(groebner, "_buchberger_raw",
+                           wraps=groebner._buchberger_raw) as raw:
+        got = groebner_basis(gens, ctx=ctx, seed=seed)
+    assert got.polys == groebner_basis(gens, ctx=ctx, use_criteria=False).polys
+    xs = sympy.symbols(ctx.variables)
+    modulus = {} if ctx.field.p is None else {"modulus": ctx.field.p}
+    theirs = sympy.groebner([to_sympy(g) for g in gens], *xs, order="grevlex",
+                            **modulus)
+    ref = {str(from_sympy(e, ctx, xs).monic()) for e in theirs.exprs}
+    assert {str(p) for p in got.polys} == ref
+    polys = gens
+    if seed is not None:
+        rest = [seed.normal_form(g) for g in gens[len(seed.polys):]]
+        rest = [r for r in rest if not r.is_zero]
+        if not rest:
+            assert got is seed and not raw.called
+            return
+        polys = list(seed.polys) + rest
+    assert raw.called != spans_a_monomial_ideal(polys)
 
 
 # -- a seed basis taken as complete ----------------------------------------

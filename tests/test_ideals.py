@@ -550,7 +550,9 @@ def test_curve_job_eliminations_and_buchberger_runs(monkeypatch):
     the length table filled l(A/Q^n), l(A/Q^n I_k) and the stages past the
     tail by closed forms and the graded clause stopped at n = max(r, 1), 62
     runs formed 54; before the table held l(A/(Q^n + I_k)), filled by
-    closed forms past the tail, the job interned 9 handles."""
+    closed forms past the tail, the job interned 9 handles; before a
+    monomial ideal such as m^4 + (y^3 - x^4) took its basis from the
+    monomial layer, 8 runs formed 9."""
     count = Counter()
     ambient, raw = ideals._intersection_in_ambient, groebner._buchberger_raw
     nilpotent, spoly = ideals._variables_nilpotent, groebner._spoly_dict
@@ -589,7 +591,7 @@ def test_curve_job_eliminations_and_buchberger_runs(monkeypatch):
         "reduction": {"generators": ["x"]}}))
     assert report["verdict"] == "verified"
     assert (count["eliminations"], count["buchberger"], count["loops"],
-            count["spolys"], len(rings[0]._handles)) == (2, 8, 2, 9, 7)
+            count["spolys"], len(rings[0]._handles)) == (2, 3, 2, 5, 7)
 
 
 def test_depth_zero_job_buchberger_runs(monkeypatch):
@@ -601,7 +603,8 @@ def test_depth_zero_job_buchberger_runs(monkeypatch):
     the adic chain scan and the tail after its first equality were
     skipped, 118; before each basis started from the basis of a sum's
     operand, of a colon's dividend or of the relations, 109 runs formed 251
-    S-polynomials."""
+    S-polynomials; before a monomial ideal presented with non-monomial
+    generators took its basis from the monomial layer, 92 runs formed 141."""
     count = Counter()
     raw, spoly = groebner._buchberger_raw, groebner._spoly_dict
 
@@ -618,7 +621,31 @@ def test_depth_zero_job_buchberger_runs(monkeypatch):
     report = run_job(parse_config(NON_MONOMIAL_DEPTH_ZERO[0]))
     assert report["verdict"] == "verified"
     assert report["ring"]["torsion_length"] == 1
-    assert (count["buchberger"], count["spolys"]) == (92, 141)
+    assert (count["buchberger"], count["spolys"]) == (83, 128)
+
+
+def test_low_powers_of_m_on_a_curve_take_no_buchberger_run(monkeypatch):
+    """On k[x,y]/(y^3 - x^4), m^k + (y^3 - x^4) = m^k + (y^3) for k <= 4,
+    since x^4 lies in m^k, so the basis and colength of m^k run no
+    Buchberger.  m^5 + (y^3 - x^4) is not a monomial ideal, as neither term
+    of the relation lies in m^5, and its basis takes one run."""
+    runs = []
+    raw = groebner._buchberger_raw
+
+    def counted(*args):
+        runs.append(1)
+        return raw(*args)
+
+    ring = LocalRing(("x", "y"), ["y^3 - x^4"])
+    m = ring.maximal_ideal()
+    monkeypatch.setattr(groebner, "_buchberger_raw", counted)
+    colengths = []
+    for k in range(1, 6):
+        I = m.power(k)
+        assert all(g.is_monomial() for g in I.gb().polys) == (k <= 4)
+        colengths.append(I.colength())
+        assert len(runs) == (k == 5)
+    assert colengths == [1, 3, 6, 9, 12]
 
 
 DEPTH_ZERO_JOBS = ([load_config(CORPUS_DIR / f"{name}.json")
