@@ -216,8 +216,10 @@ def evaluate_structural(data: BoundaryData) -> dict:
 # -- individual checks -----------------------------------------------------
 
 def check_master_inequality(data: BoundaryData) -> dict:
+    """A reduction Q of I has e_0(Q) = e_0(I) > 0; a multiplicity that is
+    not positive betrays an inconsistent fit, such as a wrong dimension."""
     e0_match = data.e_filt(0) == data.e_red(0)
-    passed = data.gap >= 0 and e0_match
+    passed = data.gap >= 0 and e0_match and data.e_filt(0) > 0
     return _check(
         "master_inequality", passed,
         lhs=data.lhs, rhs=data.rhs, gap=data.gap,

@@ -24,7 +24,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for n < 2**64."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n == q:
             return True
         if n % q == 0:

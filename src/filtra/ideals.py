@@ -16,9 +16,10 @@ other ideal membership is decided locally through a colon ideal.
 Containment is membership of every generator, and equality is containment
 both ways.
 
-When the relations and the generators are all monomials, membership of a
-monomial, products, intersections, colons by a monomial and colengths are
-computed on exponent vectors by the monomial layer (``monomial.py``) instead.
+When the relations and the generators are all monomials, containment of a
+monomial ideal, products, intersections, colons by a monomial and colengths
+are computed on exponent vectors by the monomial layer (``monomial.py``)
+instead.
 Every other intersection and colon by an element is one t-trick elimination,
 ``_intersection_in_ambient``, which meets its two sides as given.  A handle
 whose generators and relations together span a monomial ideal, as
@@ -26,13 +27,12 @@ m^k + (y^3 - x^4) = m^k + (y^3) for k <= 4, takes its basis from the
 monomial layer too, inside ``groebner.groebner_basis``, while its other
 operations take the general routes.
 
-A handle's Groebner basis starts from the built basis of an ideal it is
-known to contain, taken as complete (``groebner.groebner_basis``'s seed): a
-sum starts from an operand's basis and adds the other operand's generators,
-and a colon, by an element or by an ideal, from the dividend's basis.  A
-handle records one such sub, which a later one replaces until its basis is
-built; with no built sub, it starts from the relations' basis.  The reduced
-basis is unique, so where it started does not change it.
+A handle's Groebner basis starts from a built basis, taken as complete
+(``groebner.groebner_basis``'s seed): a sum A + B keeps its operands and
+starts from A's basis and B's generators, else from B's basis and A's
+generators; any other handle, or a sum with neither basis built, starts
+from the relations' basis.  The reduced basis is unique, so where it
+started does not change it.
 
 A ring lives for one job, and no memo of its algebra outlives it.  It hands
 out one handle per presentation, and a handle keeps its basis, its colength
@@ -294,7 +294,7 @@ class LocalRing:
 class IdealHandle:
     """An ideal of a local ring, presented by reduced generators."""
 
-    __slots__ = ("ring", "_gens", "exponents", "monomials", "_gb", "_inside",
+    __slots__ = ("ring", "_gens", "exponents", "monomials", "_gb", "_operands",
                  "_colength", "_colength_known", "_powers", "_at_origin")
 
     def __init__(self, ring: LocalRing, gens: tuple | None, exponents: tuple | None = None):
@@ -312,10 +312,7 @@ class IdealHandle:
         rel = ring.relation_monomials
         self.monomials = exponents + rel if exponents is not None and rel is not None else None
         self._gb = None
-        # (sub, rest): an ideal known to lie inside this one, and a handle
-        # whose generators together with it generate this one; None until
-        # one is recorded
-        self._inside = None
+        self._operands = None  # (A, B) when this handle was built as A + B
         self._colength = None
         self._colength_known = False
         self._powers = None  # [unit, self, self^2, ...] as far as asked
@@ -344,32 +341,21 @@ class IdealHandle:
         return bool(e) and not any(e[0])
 
     def gb(self) -> GroebnerBasis:
-        """Groebner basis of the ideal together with the ring relations,
-        started from the basis of the recorded sub if that basis is built,
-        else from the relations' basis."""
+        """Groebner basis of the ideal together with the ring relations.  A
+        sum A + B starts from A's basis if built, else from B's; any other
+        handle, or a sum with neither built, from the relations' basis."""
         if self._gb is None:
             ring = self.ring
-            inside = self._inside
-            if inside is not None and inside[0]._gb is not None:
-                seed, rest = inside[0]._gb, inside[1].gens
-            else:
-                seed, rest = ring.gb_relations, self.gens
+            seed, rest = ring.gb_relations, self.gens
+            if self._operands is not None:
+                a, b = self._operands
+                if a._gb is not None:
+                    seed, rest = a._gb, b.gens
+                elif b._gb is not None:
+                    seed, rest = b._gb, a.gens
             self._gb = (groebner_basis(seed.polys + rest, ctx=ring.ctx, seed=seed)
                         if not self.is_zero else seed)
-            self._inside = None
         return self._gb
-
-    def _contains(self, sub: "IdealHandle", rest: "IdealHandle") -> "IdealHandle":
-        """Record that ``sub`` lies inside this ideal and, with the
-        generators of ``rest``, generates it, so that this basis may start
-        from the basis of sub.  A monomial ideal's basis never runs
-        Buchberger, so it records none.  One sub is kept, which a later
-        record replaces until its basis is built."""
-        inside = self._inside
-        if (self._gb is None and sub is not self and self.monomials is None
-                and (inside is None or inside[0]._gb is None)):
-            self._inside = (sub, rest)
-        return self
 
     def normal_form(self, f) -> Polynomial:
         return self.gb().normal_form(_as_poly(self.ring, f))
@@ -381,9 +367,6 @@ class IdealHandle:
         contracted from the localization, so its global normal form decides;
         any other ideal takes a colon when reduction fails."""
         f = _as_poly(self.ring, f)
-        mine = self.monomials
-        if mine is not None and f.is_monomial():
-            return monomial.contains(mine, f.lead_monomial())
         if self.normal_form(f).is_zero:
             return True
         if self.colength() is not None:
@@ -423,7 +406,8 @@ class IdealHandle:
         else:
             out = ring._make(list(self.gens) + list(other.gens))
         out._at_origin |= self._at_origin or other._at_origin  # V(A+B) = V(A) & V(B)
-        return out._contains(self, other)._contains(other, self)
+        out._operands = (self, other)
+        return out
 
     def __mul__(self, other: "IdealHandle") -> "IdealHandle":
         out = self.ring._memo(("mul", self, other), self._mul, other)
@@ -489,7 +473,7 @@ class IdealHandle:
                 acc = acc.intersect(self.colon(g))
                 if acc.is_zero:
                     break  # 0 meet X = 0
-            return acc._contains(self, acc)
+            return acc
         g = ring.gb_relations.normal_form(_as_poly(ring, divisor))
         if g.is_zero:
             return ring.unit_ideal()
@@ -497,7 +481,7 @@ class IdealHandle:
             return self  # dividing by a local unit changes nothing
         out = ring._memo(("colon", self, g.terms), self._colon_element, g)
         out._at_origin |= self._at_origin  # the colon contains the dividend
-        return out._contains(self, out)
+        return out
 
     def _colon_element(self, g: Polynomial) -> "IdealHandle":
         """(self : g) for g reduced modulo the relations, nonzero, in m."""

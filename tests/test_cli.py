@@ -183,6 +183,25 @@ def test_violation_exit_code(tmp_path, monkeypatch):
     assert report["exit_code"] == 2
 
 
+def test_nonpositive_multiplicity_is_a_violation(tmp_path):
+    """k[x,y,z]/(xz - x, yz - y) is k[z]_(z) at the origin, but its dimension
+    is read globally as 2, so the fit gives e(I) = e(Q) = (0, -1, 0).  A
+    reduction has e_0(Q) = e_0(I) > 0, so the master inequality fails."""
+    cfg = base_config(ring={"variables": ["x", "y", "z"],
+                            "relations": ["x*z - x", "y*z - y"]},
+                      filtration={"kind": "adic", "stages": {"1": ["x", "y", "z"]}},
+                      reduction={"generators": ["z", "x"]})
+    out = tmp_path / "report.json"
+    code = main(["verify", write_config(tmp_path, cfg), "--report", str(out), "--quiet"])
+    assert code == 2
+    report = read_report(out)
+    assert report["verdict"] == "violation"
+    assert report["numbers"]["e_filtration"] == [0, -1, 0]
+    master = next(c for c in report["checks"] if c["name"] == "master_inequality")
+    assert master["status"] == "fail"
+    assert master["details"]["multiplicities_agree"] is True
+
+
 def test_unstable_fit_is_invalid_input(tmp_path, monkeypatch):
     monkeypatch.setattr(checkers, "check_fit_stability",
                         lambda data: forced_fail("fit_stability"))

@@ -4,8 +4,8 @@ A handle built by sum, product, meet or colon from handles whose global
 quotient is supported at the origin inherits that certificate, and its
 colength skips the nilpotency loop.  For powers of I_1 the chain
 I^{n+1} in I^n holds by construction, and once I^{n+1} = Q I^n, also
-I^{n+2} = Q I^{n+1}.  A sum contains its operands and a colon its dividend,
-so its basis starts from theirs.  Admissibility puts Q^n I_2 + W inside
+I^{n+2} = Q I^{n+1}.  A sum contains its operands, so its basis starts
+from a built one of theirs.  Admissibility puts Q^n I_2 + W inside
 I_{n+2} + W, so the collapse clause compares their colengths.  Under the
 Cohen-Macaulay certificate the length table fills entries by closed forms,
 in dimension one also the l(A/(Q^n + I_k)) that the graded clause reads
@@ -175,9 +175,9 @@ def test_adic_chain_and_tail_match_the_full_scans(runs):
 def test_seeded_bases_match_bases_from_scratch(runs):
     """The rebuild ran in the fixture, after each job and its run with no
     closed forms; here, that it met the 123 and 783 handles on the two
-    routes whose basis started from an operand's or a dividend's.  Before
-    the length table, the one route met 763; before it held
-    l(A/(Q^n + I_k)), the two met 171 and 173."""
+    routes whose basis started from an operand's.  Before the length table,
+    when a colon's basis could also start from its dividend's, the one route
+    met 763; before it held l(A/(Q^n + I_k)), the two met 171 and 173."""
     assert tuple(map(sum, zip(*(run[3] for run in runs)))) == (123, 783)
 
 

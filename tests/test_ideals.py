@@ -303,9 +303,10 @@ def test_a_sum_with_the_zero_ideal_is_the_other_operand(monkeypatch):
     assert zero + zero is zero
 
 
-def test_sums_and_colons_start_from_a_basis_inside(monkeypatch):
-    """A sum's basis starts from an operand's built basis and a colon's from
-    the dividend's; with none built, from the relations' basis."""
+def test_a_sum_starts_from_a_built_operand_and_a_colon_from_the_relations(monkeypatch):
+    """A + B starts its basis from A's built basis, else from B's, else from
+    the relations'; a colon, by an element or by an ideal, starts from the
+    relations' basis."""
     ring = LocalRing(("x", "y"), ["y^3 - x^5"])
     seeds = []
     build = ideals.groebner_basis
@@ -314,20 +315,24 @@ def test_sums_and_colons_start_from_a_basis_inside(monkeypatch):
         seeds.append(seed)
         return build(gens, ctx, use_criteria, seed)
 
+    def seed_of(handle):
+        start = len(seeds)
+        handle.gb()
+        assert len(seeds) == start + 1
+        return seeds[start]
+
     monkeypatch.setattr(ideals, "groebner_basis", recorded)
     I, J = ring.ideal(["x^2 + y", "x*y"]), ring.ideal(["y^2 - x"])
-    (I + J).gb()
-    assert seeds == [ring.gb_relations]
+    assert seed_of(I + J) is ring.gb_relations
     I.gb()
     K = I + ring.ideal(["x^3 - y^2"])
-    K.gb()
-    assert seeds[-1] is I.gb()
-    C = I.colon("x")
-    C.gb()
-    assert C is not I and seeds[-1] is I.gb()
+    assert seed_of(K) is I.gb()
+    J.gb()
+    assert seed_of(ring.ideal(["x^4 - y"]) + J) is J.gb()
+    C = I.colon("x + y")
+    assert C is not I and seed_of(C) is ring.gb_relations
     D = K.colon(ring.maximal_ideal())
-    D.gb()
-    assert D is not K and seeds[-1] is K.gb()
+    assert D is not K and seed_of(D) is ring.gb_relations
 
 
 def test_equal_products_share_one_basis(monkeypatch):
@@ -622,6 +627,37 @@ def test_depth_zero_job_buchberger_runs(monkeypatch):
     assert report["verdict"] == "verified"
     assert report["ring"]["torsion_length"] == 1
     assert (count["buchberger"], count["spolys"]) == (83, 128)
+
+
+def test_corpus_pass_work(monkeypatch):
+    """Noise-free work count of one pass over the 13 corpus jobs: general
+    Buchberger runs, S-polynomials formed and Groebner bases asked for by
+    ideal handles.  Before a monomial ideal presented with non-monomial
+    generators took its basis from the monomial layer, 85 runs formed 889
+    S-polynomials."""
+    count = Counter()
+    raw, spoly, build = groebner._buchberger_raw, groebner._spoly_dict, ideals.groebner_basis
+
+    def counted_raw(*args, **kwargs):
+        count["buchberger"] += 1
+        return raw(*args, **kwargs)
+
+    def counted_spoly(*args):
+        count["spolys"] += 1
+        return spoly(*args)
+
+    def counted_build(*args, **kwargs):
+        count["bases"] += 1
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_buchberger_raw", counted_raw)
+    monkeypatch.setattr(groebner, "_spoly_dict", counted_spoly)
+    monkeypatch.setattr(ideals, "groebner_basis", counted_build)
+    configs = sorted(CORPUS_DIR.glob("*.json"))
+    assert len(configs) == 13
+    for path in configs:
+        run_job(load_config(path))
+    assert (count["buchberger"], count["spolys"], count["bases"]) == (63, 851, 73)
 
 
 def test_low_powers_of_m_on_a_curve_take_no_buchberger_run(monkeypatch):
