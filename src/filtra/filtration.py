@@ -356,15 +356,16 @@ def find_reduction(filt: Filtration, horizon: int, seed: int,
 # -- sequence conditions ---------------------------------------------------
 
 def check_d_sequence(ring: LocalRing, elements) -> tuple:
-    """Colon stability over prefixes, for all 1 <= i <= j <= d."""
+    """Colon stability over prefixes, for all 1 <= i <= j <= d.  The colon by
+    q_i q_j is taken as ((B : q_j) : q_i) (Atiyah-Macdonald, Ex. 1.12), so
+    the right side B : q_j is computed once for both."""
     elements = [ring.gb_relations.normal_form(_as_poly(ring, g)) for g in elements]
     d = len(elements)
     for i in range(d):
         base = ring.ideal(elements[:i])
         for j in range(i, d):
-            prod = elements[i] * elements[j]
-            left = base.colon(prod)
             right = base.colon(elements[j])
+            left = right.colon(elements[i])
             if not left.equals_local(right):
                 return False, {"i": i + 1, "j": j + 1,
                                "prefix": [str(g) for g in elements[:i]]}

@@ -5,18 +5,25 @@ Groebner layers call ``mul``, ``div``, ``divides``, ``lcm`` and ``coprime``.
 A monomial ideal is given by any finite collection of exponent vectors.
 Its minimal generators, the vectors divisible by no other one, are also its
 reduced Groebner basis in every monomial order, so no S-pair is ever
-formed.  Products add exponents, intersections take pairwise lcms, the
-colon by a monomial subtracts exponents clipped at zero, membership is
-divisibility, and the colength of an artinian ideal is a staircase count,
-which reads any generating set: it needs no minimal generators.
+formed.  For products and minimal generators each vector is packed into
+one integer, so that a product's sums are integer additions and sorting
+the integers puts every divisor before its multiples; the minimal ones
+are then kept in one pass over the sorted integers, and only they are
+unpacked.  An intersection in two variables merges the two staircases;
+in more it takes pairwise lcms.  The colon by a monomial subtracts
+exponents clipped at zero, membership is divisibility, and the colength
+of an artinian ideal is a staircase count, which reads any generating
+set: it needs no minimal generators.
 Nothing here builds a polynomial; callers convert at their own boundary.
 
 References: A. M. Bigatti, "Computation of Hilbert-Poincare series",
 JPAA 119 (1997); E. Miller and B. Sturmfels, *Combinatorial Commutative
-Algebra*, chapters 1-2.
+Algebra*, chapters 1-3.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
+from math import inf
 from operator import add, le, sub
 
 
@@ -48,51 +55,151 @@ def contains(gens, m: tuple) -> bool:
     return any(all(map(le, g, m)) for g in gens)
 
 
+# Below this many vectors, testing each against the kept ones costs less than
+# packing: the Gebauer-Moller update asks for the minimal lcms of 1 to 6.
+_FEW = 8
+
+
 def minimal(monos) -> tuple:
     """Minimal generators: duplicates and multiples of others dropped, in no
     promised order.
 
-    In two variables, a vector sorted by first exponent is minimal exactly
-    when its second exponent is below all earlier ones.  Otherwise each
-    vector is packed into one integer with a guard bit above every exponent
-    field, so that k | m is a single subtraction: the guard bits of
-    (m | guards) - k all survive exactly when no field of k exceeds m's.
+    Fewer than ``_FEW`` vectors are each tested against the kept ones
+    (``_minimal_few``).  More are packed (``_pack``), sorted as integers and
+    kept by ``_minimal_sorted``, the minimalizer that ``product`` uses too;
+    each kept integer maps back to its vector.
     """
-    monos = list(dict.fromkeys(monos))
-    if len(monos) < 2:
-        return tuple(monos)
-    if len(monos[0]) == 2:
-        out, low = [], None
-        for m in sorted(monos):
-            if low is None or m[1] < low:
-                out.append(m)
-                low = m[1]
-        return tuple(out)
-    width = max(map(max, monos)).bit_length() + 1
-    guards = 0
-    for i in range(len(monos[0])):
-        guards |= 1 << (i * width + width - 1)
-    out, packed = [], []
-    for m in sorted(monos, key=sum):
-        p = 0
-        for e in m:
-            p = p << width | e
-        pg = p | guards
-        for k in packed:
-            if (pg - k) & guards == guards:
+    monos = tuple(monos)
+    if len(monos) < _FEW:
+        return _minimal_few(monos)
+    width = max(map(max, zip(*monos))).bit_length() + 1
+    vector = dict(zip(_pack(monos, width), monos))
+    return tuple(map(vector.__getitem__,
+                     _minimal_sorted(sorted(vector), len(monos[0]), width)))
+
+
+def _minimal_few(monos) -> tuple:
+    """``minimal`` by testing each vector, in lex order, against the kept
+    ones: every divisor comes first, and a repeat after its first copy."""
+    out = []
+    for m in sorted(monos):
+        for k in out:
+            if all(map(le, k, m)):
                 break
         else:
             out.append(m)
-            packed.append(p)
     return tuple(out)
 
 
+def _pack(vectors, width: int) -> list:
+    """Each vector as one integer, its first exponent in the highest field of
+    ``width`` bits.  While every exponent sits below the top bit of its
+    field, packed sums are sums of vectors and integer order is lex order,
+    which puts every divisor before its multiples."""
+    columns = zip(*vectors)
+    packed = next(columns)
+    for column in columns:
+        packed = [p << width | e for p, e in zip(packed, column)]
+    return packed
+
+
+def _unpack(packed, nvars: int, width: int) -> tuple:
+    mask = (1 << width) - 1
+    shifts = range((nvars - 1) * width, -1, -width)
+    return tuple(zip(*[[p >> s & mask for p in packed] for s in shifts]))
+
+
+def _minimal_sorted(packed: list, nvars: int, width: int) -> list:
+    """The minimal ones among distinct packed vectors sorted ascending.
+
+    Every divisor of a vector comes before it, so a vector is kept when no
+    kept vector before it divides it.  In at most two variables that holds
+    exactly when its last exponent is below every earlier one.  In three,
+    the earlier first exponents are no larger, so it holds when the
+    staircase of the kept vectors' last two exponents does not contain the
+    vector's last two: the staircase is kept sorted by its middle exponent,
+    the last one descending, and each vector is one ``bisect`` into it.  In
+    more variables each vector is tested against every kept one by a guard
+    bit at the top of each field: the guards of (p | guards) - k all survive
+    exactly when no field of k exceeds p's.
+    """
+    mask = (1 << width) - 1
+    out = []
+    if nvars <= 2:
+        low = mask
+        for p in packed:
+            e = p & mask
+            if e < low:
+                out.append(p)
+                low = e
+        return out
+    if nvars == 3:
+        ys, negzs = [], []  # the staircase; negzs holds -z, so both ascend
+        for p in packed:
+            y, z = p >> width & mask, p & mask
+            i = bisect_right(ys, y)
+            if i and -negzs[i - 1] <= z:
+                continue
+            # drop the staircase points (y, z) now divides: the one of equal
+            # y, and those of larger y and no smaller z
+            lo = i - 1 if i and ys[i - 1] == y else i
+            hi = bisect_right(negzs, -z, i)
+            ys[lo:hi] = [y]
+            negzs[lo:hi] = [-z]
+            out.append(p)
+        return out
+    guards = 0
+    for i in range(nvars):
+        guards |= 1 << (i * width + width - 1)
+    for p in packed:
+        pg = p | guards
+        for k in out:
+            if (pg - k) & guards == guards:
+                break
+        else:
+            out.append(p)
+    return out
+
+
 def product(a, b) -> tuple:
-    return minimal([tuple(map(add, u, v)) for u in a for v in b])
+    """Minimal generators of the product of the ideals that a and b generate.
+
+    The fields are wide enough for the largest sum plus a guard bit, so each
+    sum is one integer addition; the sums are deduplicated as a set, sorted,
+    minimalized and only the kept ones unpacked."""
+    if not a or not b:
+        return ()
+    width = (max(map(max, zip(*a))) + max(map(max, zip(*b)))).bit_length() + 1
+    nvars = len(a[0])
+    pb = _pack(b, width)
+    sums = sorted({p + q for p in _pack(a, width) for q in pb})
+    return _unpack(_minimal_sorted(sums, nvars, width), nvars, width)
 
 
 def intersect(a, b) -> tuple:
-    return minimal([tuple(map(max, u, v)) for u in a for v in b])
+    """Minimal generators of the meet of the ideals that a and b generate.
+
+    In two variables x^i y^j lies in the meet exactly when j is at least
+    max(f_a(i), f_b(i)), f the least y-exponent over generators with
+    x-exponent at most i.  One sweep over both sets of breakpoints, sorted
+    by x-exponent, emits a generator wherever that maximum steps down.  In
+    more variables the meet is generated by the pairwise lcms."""
+    if not a or not b:
+        return ()
+    if len(a[0]) != 2:
+        return minimal([tuple(map(max, u, v)) for u in a for v in b])
+    out, f, low = [], [inf, inf], inf
+    for i, j, side in sorted([(*u, 0) for u in a] + [(*v, 1) for v in b]):
+        if j < f[side]:
+            f[side] = j
+            h = max(f)
+            if h < low:
+                low = h
+                if out and out[-1][0] == i:
+                    out[-1] = (i, h)  # a lower step at the same i
+                else:
+                    out.append((i, h))
+    return tuple(out)
 
 
 def colon(a, m: tuple) -> tuple:
@@ -153,6 +260,24 @@ def pure_power_bounds(gens, nvars: int) -> tuple | None:
 
 def colength(gens, nvars: int) -> int | None:
     """Number of monomials outside the ideal; None when it is infinite.
-    The generators need not be minimal."""
+    The generators need not be minimal.
+
+    In two variables one sweep over the generators sorted by x-exponent
+    reads both pure powers and the count: the first generator must be a
+    power of y, and the count closes at the first power of x."""
+    if nvars == 2:
+        total = lo = 0
+        low = None
+        for i, j in sorted(gens):
+            if low is None:
+                if i:
+                    return None  # no power of y
+                low = j
+            elif j < low:
+                total += (i - lo) * low
+                lo, low = i, j
+            if not low:
+                return total
+        return None  # no power of x
     bounds = pure_power_bounds(gens, nvars)
     return None if bounds is None else count_box_complement(bounds, gens)

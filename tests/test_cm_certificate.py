@@ -11,6 +11,8 @@ certificate holds (``filtration.closed_form``), so every job also runs with
 the closed forms giving nothing, every entry a colength, and the two reports
 must be byte-identical.
 """
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -95,6 +97,30 @@ def test_reports_agree_with_the_full_scans(runs):
     corpus = {p.stem for p in CORPUS_DIR.glob("*.json")}
     assert corpus - certified == NOT_CM
     assert {"depth_zero", "two_planes"} <= clause_fails
+
+
+def test_colon_by_a_product_is_two_colons(runs):
+    """``check_d_sequence`` takes (B : q_i q_j) as ((B : q_j) : q_i)
+    (Atiyah-Macdonald, Ex. 1.12).  On every job whose reduction is not a
+    regular sequence, for each sequence of powers that c1 scans, each prefix
+    B = (q_1..q_{i-1}) and all i <= j, that is the colon by the product."""
+    checked = set()
+    for got, data, power_bound in runs:
+        if data.cohen_macaulay:
+            continue
+        ring, gens = data.ring, data.red.generators
+        d = len(gens)
+        for perm in itertools.permutations(gens):
+            for exps in itertools.product(range(1, power_bound + 1), repeat=d):
+                q = [g ** e for g, e in zip(perm, exps)]
+                for i in range(d):
+                    base = ring.ideal(q[:i])
+                    for j in range(i, d):
+                        one = base.colon(q[i] * q[j])
+                        assert one.equals_local(base.colon(q[j]).colon(q[i])), \
+                            (got["name"], [str(g) for g in q], i + 1, j + 1)
+        checked.add(got["name"])
+    assert NOT_CM <= checked
 
 
 def test_cm_theorem_invariants(runs):

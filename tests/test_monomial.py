@@ -7,6 +7,7 @@ outside the box, zero bounds, one to four variables.
 """
 import itertools
 import random
+from operator import le
 
 import pytest
 
@@ -17,7 +18,7 @@ from filtra.poly import PolyContext, Polynomial
 
 
 def member(gens, m):
-    return any(all(g[i] <= m[i] for i in range(len(m))) for g in gens)
+    return any(all(map(le, g, m)) for g in gens)
 
 
 def box(bounds):
@@ -149,3 +150,118 @@ def test_polynomial_monomial_equals_general_constructor(ctx):
     zero = Polynomial.monomial(ctx, (1,) * ctx.nvars, field.zero)
     assert zero.is_zero and zero == Polynomial.zero(ctx)
     assert hash(zero) == hash(Polynomial.zero(ctx))
+
+
+def is_minimal_generating_set(got, gens) -> bool:
+    """got is, without repeats, the minimal generators of the ideal that gens
+    generate: an antichain inside that ideal that divides every one of gens.
+    The reduced generating set is unique, so this is ``brute_minimal(gens)``
+    without its quadratic pass over gens."""
+    return (len(got) == len(set(got))
+            and not any(k != m and member([k], m) for k in got for m in got)
+            and all(member(gens, m) for m in got)
+            and all(member(got, m) for m in gens))
+
+
+def staircase(rng, count, top):
+    """An untidy generating set of a two-variable ideal with ``count``
+    minimal generators, x-exponents rising and y-exponents falling."""
+    xs = sorted(rng.sample(range(top), count))
+    ys = sorted(rng.sample(range(top), count), reverse=True)
+    gens = list(zip(xs, ys))
+    gens += [(x + rng.randint(0, 2), y + rng.randint(0, 2)) for x, y in rng.sample(gens, count // 4)]
+    rng.shuffle(gens)
+    return gens
+
+
+def colength_by_rows(gens):
+    """Colength of a two-variable ideal summed over the rows y^j below its
+    pure power of y, each row holding the x^i below its least x-exponent;
+    None unless there are pure powers of both variables."""
+    if not any(g[0] == 0 for g in gens) or not any(g[1] == 0 for g in gens):
+        return None
+    rows = min(g[1] for g in gens if g[0] == 0)
+    return sum(min(g[0] for g in gens if g[1] <= j) for j in range(rows))
+
+
+def sums(a, b):
+    return [tuple(x + y for x, y in zip(u, v)) for u in a for v in b]
+
+
+def lcms(a, b):
+    return [tuple(max(x, y) for x, y in zip(u, v)) for u in a for v in b]
+
+
+def test_two_variable_staircases_of_a_hundred_generators():
+    rng = random.Random(6400)
+    for _ in range(2):
+        a = staircase(rng, rng.randint(100, 120), 400)
+        b = staircase(rng, rng.randint(100, 120), 400)
+        small = staircase(rng, 12, 40)
+        got = monomial.minimal(a)
+        assert len(got) >= 100 and set(got) == brute_minimal(a)
+        assert is_minimal_generating_set(monomial.product(a, small), sums(a, small))
+        assert is_minimal_generating_set(monomial.intersect(a, b), lcms(a, b))
+        for gens in (a, a + [(0, 450)], a + [(450, 0)], a + [(0, 450), (450, 0)] + b):
+            assert monomial.colength(gens, 2) == colength_by_rows(gens), gens
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+def test_exponents_past_thirty_one_bits(nvars):
+    """Exponents of 2^31 and more beside small ones: the packed fields must
+    be as wide as the largest sum plus a guard bit."""
+    rng = random.Random(7400 + nvars)
+    huge = [2 ** 31, 2 ** 31 + 1, 2 ** 32 - 1, 2 ** 40, 3 * 2 ** 62]
+    for _ in range(60):
+        def vec():
+            return tuple(rng.choice(huge) if rng.random() < 0.4 else rng.randint(0, 3)
+                         for _ in range(nvars))
+        a = [vec() for _ in range(rng.randint(1, 12))]
+        b = [vec() for _ in range(rng.randint(1, 12))]
+        assert set(monomial.minimal(a)) == brute_minimal(a), a
+        assert set(monomial.product(a, b)) == brute_minimal(sums(a, b)), (a, b)
+        assert set(monomial.intersect(a, b)) == brute_minimal(lcms(a, b)), (a, b)
+    # colength, counted row by row: a huge x-bound beside small y-exponents
+    for _ in range(30):
+        gens = [(rng.choice(huge + [rng.randint(1, 9)]), rng.randint(1, 4))
+                for _ in range(rng.randint(0, 8))]
+        gens += [(rng.choice(huge), 0), (rng.randint(0, 9), rng.randint(1, 6))]
+        assert monomial.colength(gens, 2) == colength_by_rows(gens), gens
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+def test_zero_vector_and_empty_input(nvars):
+    rng = random.Random(8400 + nvars)
+    zero = (0,) * nvars
+    assert monomial.minimal([]) == ()
+    assert monomial.product([], [zero]) == monomial.product([zero], []) == ()
+    assert monomial.intersect([], [zero]) == monomial.intersect([zero], []) == ()
+    assert monomial.colength([], nvars) is None
+    assert monomial.colength([zero], nvars) == 0
+    for _ in range(40):
+        gens = untidy_gens(rng, nvars)
+        want = brute_minimal(gens)
+        assert monomial.minimal(gens + [zero]) == (zero,)
+        assert set(monomial.product([zero], gens)) == want
+        assert set(monomial.product(gens, [zero, zero])) == want
+        assert set(monomial.intersect([zero], gens)) == want
+        assert set(monomial.intersect(gens, [zero])) == want
+        assert monomial.colength(gens + [zero], nvars) == 0
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+def test_minimal_paths_agree(nvars, monkeypatch):
+    """``minimal`` compares a few vectors pairwise and packs more; forced
+    onto either path, it gives the same generators on every input."""
+    rng = random.Random(9400 + nvars)
+    inputs = [untidy_gens(rng, nvars, top=rng.choice((3, 6, 2 ** 33)), count=(1, 30))
+              for _ in range(150)]
+    inputs += [[(0,) * nvars], [(1,) * nvars] * 5,
+               [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]]
+    got = {}
+    for few in (10 ** 9, 0):
+        monkeypatch.setattr(monomial, "_FEW", few)
+        got[few] = [monomial.minimal(gens) for gens in inputs]
+    for gens, pairwise, packed in zip(inputs, got[10 ** 9], got[0]):
+        assert sorted(pairwise) == sorted(packed), gens
+        assert set(pairwise) == brute_minimal(gens)
