@@ -56,8 +56,6 @@ def report_schema() -> dict:
 # Every leaf check below mirrors the jsonschema keyword it stands for, down
 # to the type checker (8.0 is an integer, True is not) and the equality of
 # ``enum`` (True is not 1), so its False is a refusal jsonschema also makes.
-# ``oneOf`` relies on that: it counts a branch out only when a leaf check
-# of that branch fails.
 
 _ANNOTATIONS = frozenset({"$schema", "$id", "$defs", "$comment", "title",
                           "description"})
@@ -135,6 +133,7 @@ _LEAVES = {
     "minItems": lambda n: _sized(list, n, True),
     "maxItems": lambda n: _sized(list, n, False),
     "minProperties": lambda n: _sized(dict, n, True),
+    "maxProperties": lambda n: _sized(dict, n, False),
 }
 
 
@@ -188,53 +187,21 @@ def _property_names(sub, schema, root):
     return lambda x: not isinstance(x, dict) or all(map(test, x))
 
 
-def _one_of(branches, schema, root):
-    pairs = [(schema_predicate(b, root), _all(_leaf_checks(b, root)))
-             for b in branches]
-
-    def check(x) -> bool:
-        hits = 0
-        for accepts, may_accept in pairs:
-            if accepts(x):
-                hits += 1
-            elif may_accept(x):
-                return False      # neither shown valid nor shown invalid
-        return hits == 1
-    return check
-
-
-def _resolve(ref: str, root: dict) -> dict:
+def _ref(ref, schema, root):
     prefix = "#/$defs/"
     if not ref.startswith(prefix):
         raise ValueError(f"no predicate for schema keyword '$ref' to {ref!r}")
-    return root["$defs"][ref[len(prefix):]]
+    return schema_predicate(root["$defs"][ref[len(prefix):]], root)
 
 
-def _ref(ref, schema, root):
-    return schema_predicate(_resolve(ref, root), root)
-
-
-# checks that descend into sub-schemas, and ``uniqueItems``, which refuses
-# lists it cannot judge: a False from these does not count a branch out
 _NODES = {
     "uniqueItems": _unique,
     "properties": _object,
     "additionalProperties": _object,
     "items": _items,
     "propertyNames": _property_names,
-    "oneOf": _one_of,
     "$ref": _ref,
 }
-
-
-def _leaf_checks(schema, root) -> list:
-    """The checks of ``schema`` whose failure alone makes jsonschema refuse."""
-    if isinstance(schema, bool):
-        return [] if schema else [_never]
-    checks = [_LEAVES[k](v) for k, v in schema.items() if k in _LEAVES]
-    if "$ref" in schema:
-        checks += _leaf_checks(_resolve(schema["$ref"], root), root)
-    return checks
 
 
 def schema_predicate(schema, root=None):

@@ -291,7 +291,7 @@ def verify_admissible(filt: Filtration, red: ReductionSystem,
                         f"product of stages {a} and {b} escapes stage {a + b}",
                         {"check": "products", "a": a, "b": b})
     lengths = LengthTable(filt, red, horizon)
-    r, flags = reduction_tail(filt, red, horizon, lengths)
+    r, flags = reduction_tail(lengths)
     if r >= horizon - 1:
         raise NotAdmissible(
             "reduction never becomes exact within the horizon",
@@ -300,22 +300,19 @@ def verify_admissible(filt: Filtration, red: ReductionSystem,
     return lengths
 
 
-def reduction_tail(filt: Filtration, red: ReductionSystem, horizon: int,
-                   lengths: LengthTable | None = None) -> tuple:
+def reduction_tail(lengths: LengthTable) -> tuple:
     """(r, flags): flags[n] says whether I_{n+1} == Q I_n for n < horizon - 1,
     and r is the least n from which every flag holds (horizon - 1 when the
     last one fails).  For powers, every flag after a true one is true.
 
     ``lengths`` is the table of a filtration whose other axioms passed, so
     Q I_n lies inside I_{n+1}, both m-primary, and the flag compares their
-    lengths.  Without a table the two ideals are compared."""
-    stage = filt.get_ideal
+    lengths."""
+    horizon = lengths.horizon
     flags = []
     for n in range(horizon - 1):
-        if filt.kind == ADIC and any(flags):
+        if lengths.filt.kind == ADIC and any(flags):
             flags.append(True)
-        elif lengths is None:
-            flags.append(stage(n + 1).equals_local(red.handle * stage(n)))
         else:
             flags.append(lengths.get(0, n + 1) == lengths.get(1, n))
     flags = tuple(flags)

@@ -22,7 +22,7 @@ Algebra*, chapters 1-3.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from math import inf
 from operator import add, le, sub
 
@@ -214,8 +214,9 @@ def count_box_complement(bounds, leads) -> int:
     the box.  Sorted by first exponent, they split the box into slabs on
     which the set of active leads is fixed; each slab is counted from the
     raw projections of the active leads, so runtime scales with the number
-    of leads rather than the box.  In two variables a slab's count is the
-    least second exponent seen so far, kept in one sweep.
+    of leads rather than the box.  The active projections are kept sorted,
+    so a slab's own sort is one linear pass.  In two variables a slab's
+    count is the least second exponent seen so far, kept in one sweep.
     """
     if not bounds:
         return 0 if leads else 1
@@ -242,7 +243,7 @@ def count_box_complement(bounds, leads) -> int:
         if a > lo:
             total += (a - lo) * count_box_complement(rest, active)
             lo = a
-        active.append(l[1:])
+        insort(active, l[1:])
     return total + (b0 - lo) * count_box_complement(rest, active)
 
 

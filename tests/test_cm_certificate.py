@@ -143,6 +143,24 @@ def test_cm_theorem_invariants(runs):
     assert checked == 86
 
 
+def test_certificate_and_positive_depth(runs):
+    """A regular sequence gives positive depth, so on a verified job the
+    certificate implies ``depth_positive``.  In dimension one, Q = (x) is
+    m-primary, so x is regular exactly when (0 : m^oo) = 0, and the two
+    are equal."""
+    d_one = 0
+    for got, _, _ in runs:
+        if got["verdict"] != "verified":
+            continue
+        ring = got["ring"]
+        cm, depth = ring["cm_certificate"], ring["depth_positive"]
+        assert depth or not cm, got["name"]
+        if ring["dimension"] == 1:
+            d_one += 1
+            assert cm == depth, got["name"]
+    assert d_one == 47
+
+
 def assert_scans_hold(ring, stage_one, red_gens, power_bound=2):
     red = reduction_system(ring, red_gens)
     assert ring.is_regular_sequence(red.generators)

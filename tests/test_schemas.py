@@ -17,8 +17,9 @@ import sys
 import jsonschema
 import pytest
 
-from filtra.config import (_CONFIG_VALID, _REPORT_VALID, config_schema,
-                           parse_config, report_schema, schema_predicate)
+from filtra.config import (_ANNOTATIONS, _CONFIG_VALID, _LEAVES, _NODES,
+                           _REPORT_VALID, config_schema, parse_config,
+                           report_schema, schema_predicate)
 from filtra.report import EXIT_CODES, run_job
 
 from conftest import CORPUS_DIR, GOLDEN_DIR, PKG_ROOT
@@ -152,22 +153,39 @@ def test_predicates_accept_every_known_config_and_report(reports):
     assert all(_REPORT_VALID(r) for r in reports)
 
 
-def test_one_of_never_counts_out_a_branch_it_cannot_judge():
-    # ``uniqueItems`` judges lists of strings only: [1, 2] is valid under
-    # both branches, so jsonschema refuses it, and the predicate must too
-    schema = {"oneOf": [{"uniqueItems": True}, {"items": {"type": "integer"}}]}
-    assert not jsonschema.Draft202012Validator(schema).is_valid([1, 2])
-    assert not schema_predicate(schema)([1, 2])
+def _keywords(schema) -> set:
+    """The keywords ``schema`` uses, in itself and every sub-schema."""
+    if isinstance(schema, bool):
+        return set()
+    out = set(schema)
+    for key, value in schema.items():
+        if key in ("properties", "$defs"):
+            subs = value.values()
+        elif key in ("items", "additionalProperties", "propertyNames"):
+            subs = [value]
+        else:
+            continue
+        for sub in subs:
+            out |= _keywords(sub)
+    return out
+
+
+def test_every_predicate_keyword_is_one_the_schemas_use():
+    """A handler that neither published schema needs is dead code."""
+    used = _keywords(config_schema()) | _keywords(report_schema())
+    assert set(_LEAVES) | set(_NODES) == used - _ANNOTATIONS
 
 
 @pytest.mark.parametrize("schema", [
     {"type": "object", "patternProperties": {"^x": {"type": "string"}}},
     {"properties": {"a": {"items": {"format": "email"}}}},
-    {"oneOf": [{"type": "null"}, {"not": {"type": "string"}}]},
+    {"not": {"type": "string"}},
+    {"oneOf": [{"type": "null"}, {"type": "object"}]},
     {"$defs": {"a": {"multipleOf": 2}}, "items": {"$ref": "#/$defs/a"}},
 ])
 def test_unknown_keyword_has_no_predicate(schema):
-    with pytest.raises(ValueError, match="'(patternProperties|format|not|multipleOf)'"):
+    with pytest.raises(ValueError,
+                       match="'(patternProperties|format|not|oneOf|multipleOf)'"):
         schema_predicate(schema)
 
 
