@@ -9,7 +9,6 @@ The gates are data: ``CHECKS`` names each check's hypotheses, and
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .filtration import (Filtration, LengthTable, ReductionSystem,
@@ -23,8 +22,7 @@ from .ideals import LocalRing
 STABILITY_MARGIN = 3
 
 
-@dataclass
-class BoundaryData:
+class BoundaryData(NamedTuple):
     """Everything numeric the checks consume, for one ring."""
 
     lengths: LengthTable
@@ -201,7 +199,7 @@ def evaluate_structural(data: BoundaryData) -> dict:
     colon = {"holds": True, "witness": None}
     if not data.cohen_macaulay:
         i2q = data.lengths.ideal(1, 2, plus=True)
-        for i in range(red.count):
+        for i in range(len(red.generators)):
             bad = i2q.missing_generator(red.omit_handle(i).colon(red.generators[i]))
             if bad is not None:
                 colon = {"holds": False,
@@ -360,7 +358,7 @@ def check_multiplicity_colon_formula(data: BoundaryData) -> dict:
     red = data.red
     W = data.ring.torsion_ideal()
     first = data.lengths.quotient.get(1, 0)
-    col = (red.omit_handle(red.count - 1) + W).colon(red.generators[-1])
+    col = (red.omit_handle(len(red.generators) - 1) + W).colon(red.generators[-1])
     expected = (col + red.handle).finite_colength()
     return _check("multiplicity_colon_formula", data.e_filt(0) == expected,
                   colength_modulo_reduction=first,
@@ -524,7 +522,7 @@ def run_checks(data: BoundaryData, conditions: dict, structural: dict,
     """Evaluate each selected check's gate and run ``check_<name>`` when it
     holds.  The function is looked up at call time, so a rebound module
     attribute is what runs."""
-    data = replace(data, structural=structural)
+    data = data._replace(structural=structural)
     facts = {name: c["holds"] for name, c in conditions.items()}
 
     def fact(name):

@@ -1,4 +1,4 @@
-"""Job configuration: schema-checked JSON in, a frozen dataclass out.
+"""Job configuration: schema-checked JSON in, a ``JobConfig`` record out.
 
 Each published schema is turned once, at import, into a predicate built
 from closures, in the manner of fastjsonschema.  The contract is
@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import json
 import numbers
+import os
 import re
-from dataclasses import dataclass
-from importlib import resources
+from typing import NamedTuple
 
 from .checkers import ALL_CHECKS
 
@@ -35,8 +35,8 @@ DEFAULT_SEARCH_ATTEMPTS = 60
 
 
 def _load_schema(name: str) -> dict:
-    text = resources.files("filtra").joinpath(f"schemas/{name}").read_text()
-    return json.loads(text)
+    with open(os.path.join(os.path.dirname(__file__), "schemas", name), encoding="utf-8") as f:
+        return json.load(f)
 
 
 _CONFIG_SCHEMA = _load_schema("config.schema.json")
@@ -241,8 +241,7 @@ _CONFIG_VALID = schema_predicate(_CONFIG_SCHEMA)
 _REPORT_VALID = schema_predicate(_REPORT_SCHEMA)
 
 
-@dataclass(frozen=True)
-class JobConfig:
+class JobConfig(NamedTuple):
     name: str
     field_descriptor: str
     horizon: int

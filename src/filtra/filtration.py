@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .hilbert import binom
 from .ideals import CapReached, IdealHandle, LocalRing, _as_poly
@@ -107,17 +107,12 @@ class Filtration:
             "RR_ITERATION_BOUND", RR_ITERATION_BOUND)
 
 
-@dataclass(frozen=True)
-class ReductionSystem:
+class ReductionSystem(NamedTuple):
     """A parameter ideal inside stage one, with its ordered generator list."""
 
     ring: LocalRing
     generators: tuple
     handle: IdealHandle
-
-    @property
-    def count(self) -> int:
-        return len(self.generators)
 
     def omit_handle(self, i: int) -> IdealHandle:
         gens = [g for j, g in enumerate(self.generators) if j != i]
@@ -388,7 +383,7 @@ def check_usd_bounded(ring: LocalRing, elements, power_bound: int) -> tuple:
 
 def check_colon_in_i1(ring: LocalRing, red: ReductionSystem, I1: IdealHandle) -> tuple:
     """Each omitted-generator colon lands inside stage one."""
-    for i in range(red.count):
+    for i in range(len(red.generators)):
         bad = I1.missing_generator(red.omit_handle(i).colon(red.generators[i]))
         if bad is not None:
             return False, {"i": i + 1, "witness": str(bad)}

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fields import canonical
 # count_box_complement is unused here: perfbench/layers.py traces it by this name
@@ -133,8 +133,7 @@ def _autoreduce(dicts: list, ctx: PolyContext) -> list:
     return [e[2] for e in kept]
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(NamedTuple):
     """Reduced, monic, auto-reduced basis in a fixed context."""
 
     ctx: PolyContext

@@ -10,7 +10,7 @@ extra point of agreement so the window never masquerades as a tail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class HorizonTooSmall(ValueError):
@@ -34,8 +34,7 @@ def binom(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
-@dataclass(frozen=True)
-class PolynomialFit:
+class PolynomialFit(NamedTuple):
     """Signed coefficients of a binomial-basis polynomial plus postulation data."""
 
     coefficients: tuple
@@ -104,8 +103,7 @@ def fit_hilbert_samuel(values, dim: int) -> PolynomialFit:
     return PolynomialFit(coeffs, dim, -1, n0)
 
 
-@dataclass(frozen=True)
-class SallyFit:
+class SallyFit(NamedTuple):
     """Graded-module fit with leading zeros stripped off.
 
     e_top keeps the full length-d coefficient vector of the degree-(d-1)

@@ -426,9 +426,7 @@ class IdealHandle:
             for b in other.gens:
                 p = a * b
                 prods.setdefault(p.terms, p)
-        out = ring._make([nf(p) for p in prods.values()])
-        monos = out.monomials
-        return out if monos is None else ring._from_monomials(monomial.minimal(monos))
+        return ring._make([nf(p) for p in prods.values()])
 
     def power(self, n: int) -> "IdealHandle":
         """self^n, kept on the handle: each new power is the last one times

@@ -6,11 +6,10 @@ the keys heap-friendly and negatable componentwise.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
+class MonomialOrder(NamedTuple):
     """A multiplicative total order on exponent vectors of a fixed width."""
 
     kind: str            # "grevlex" | "lex" | "elim:<k>"

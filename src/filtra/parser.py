@@ -13,6 +13,7 @@ from .poly import Polynomial, PolyContext
 
 EXPONENT_LIMIT = 100_000
 NESTING_LIMIT = 64
+PRODUCT_LIMIT = 250_000  # term pairs one product multiplies out
 
 
 class PolySyntaxError(ValueError):
@@ -31,6 +32,11 @@ class ExponentOverflow(PolySyntaxError):
     def __init__(self, value: int, offset: int):
         super().__init__(f"exponent {value} exceeds limit {EXPONENT_LIMIT}", offset)
         self.value = value
+
+
+class ProductOverflow(PolySyntaxError):
+    def __init__(self, pairs: int, offset: int):
+        super().__init__(f"{pairs} term pairs exceed PRODUCT_LIMIT={PRODUCT_LIMIT}", offset)
 
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^()/]))")
@@ -78,6 +84,12 @@ class _Parser:
             raise PolySyntaxError(f"expected {op!r}", off)
         self.advance()
 
+    def times(self, a: Polynomial, b: Polynomial, offset: int) -> Polynomial:
+        """a * b, refused before it multiplies out too many term pairs."""
+        if len(a.terms) * len(b.terms) > PRODUCT_LIMIT:
+            raise ProductOverflow(len(a.terms) * len(b.terms), offset)
+        return a * b
+
     def parse(self) -> Polynomial:
         p = self.expr()
         kind, _, off = self.peek()
@@ -99,10 +111,10 @@ class _Parser:
     def term(self) -> Polynomial:
         p = self.factor()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, off = self.peek()
             if kind == "op" and val == "*":
                 self.advance()
-                p = p * self.factor()
+                p = self.times(p, self.factor(), off)
             else:
                 return p
 
@@ -116,7 +128,7 @@ class _Parser:
             kind, val, _ = self.peek()
         p = self.atom()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, off = self.peek()
             if kind == "op" and val == "^":
                 self.advance()
                 ekind, eval_, eoff = self.advance()
@@ -124,7 +136,13 @@ class _Parser:
                     raise PolySyntaxError("exponent must be a non-negative integer literal", eoff)
                 if eval_ > EXPONENT_LIMIT:
                     raise ExponentOverflow(eval_, eoff)
-                p = p ** eval_
+                base, p = p, Polynomial.from_int(self.ctx, 1)
+                while eval_:  # by squaring, each product checked
+                    if eval_ & 1:
+                        p = self.times(p, base, off)
+                    eval_ >>= 1
+                    if eval_:
+                        base = self.times(base, base, off)
             else:
                 break
         if sign < 0:

@@ -232,15 +232,10 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative polynomial power")
+        # exponents here are at most a job's power_bound; the parser squares
         out = Polynomial.constant(self.ctx, self.ctx.field.one)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base_needed = n >> 1
-            if base_needed:
-                base = base * base
-            n >>= 1
+        for _ in range(n):
+            out = out * self
         return out
 
     def monic(self) -> "Polynomial":

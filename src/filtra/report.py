@@ -174,8 +174,8 @@ def to_json(report: dict) -> str:
     """The one JSON writer: reports, the corpus summary and the schemas.
     It writes the bytes of ``json.dumps(report, sort_keys=True, indent=2,
     ensure_ascii=True)`` and a final newline, for dicts with str keys,
-    lists, tuples, str, int, bool and None; any other type, float included,
-    raises TypeError."""
+    lists, tuples, str, int, bool and None; any other type, float and the
+    package's NamedTuple records included, raises TypeError."""
     out: list = []
     _write(report, "\n", out)
     out.append("\n")
@@ -208,7 +208,7 @@ def _write(value, newline: str, out: list) -> None:
             _write(value[key], inner, out)
             sep = "," + inner
         out.append(newline + "}")
-    elif isinstance(value, (list, tuple)):
+    elif type(value) in (list, tuple):  # a record is a tuple subclass, and refused
         if not value:
             out.append("[]")
             return

@@ -7,7 +7,6 @@ them, not the other way round.
 """
 import json
 import random
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -364,7 +363,7 @@ def test_gate_map(plane):
     assert skipped_names(data, conditions, structural) == base
     for fact, off in PLANE_SKIPPED_WHEN_OFF.items():
         if fact == "equality":
-            got = skipped_names(replace(data, equality=False), conditions,
+            got = skipped_names(data._replace(equality=False), conditions,
                                 structural)
         else:
             got = skipped_names(data, flip_condition(conditions, fact),
@@ -382,7 +381,7 @@ def test_gate_map_sally_nonvanishing(depth_zero_eq):
         "adic_collapse", "sally_relations_at_equality"}
     deep = flip_condition(conditions, "c3_positive_depth")
     assert skipped_names(data, deep, structural) == facts_off
-    assert skipped_names(replace(data, equality=False), deep, structural) == {
+    assert skipped_names(data._replace(equality=False), deep, structural) == {
         "torsion_in_stage_two", "adic_collapse", "coefficient_identities",
         "sally_relations_at_equality", "torsion_graded_pieces",
         "small_stage_two_collapse", "base_reduction_equal"}
@@ -391,7 +390,7 @@ def test_gate_map_sally_nonvanishing(depth_zero_eq):
 def test_skipped_checks_keep_their_details(plane, depth_zero, sally_closed):
     data, conditions, structural, _ = plane
     off = {c["name"]: c for c in run_checks(
-        replace(data, equality=False), flip_condition(conditions, "c1_usd_bounded"),
+        data._replace(equality=False), flip_condition(conditions, "c1_usd_bounded"),
         structural)}
     assert off["boundary_equality"] == {
         "name": "boundary_equality", "applicable": False, "status": "skipped",

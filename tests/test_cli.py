@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import filtra.checkers as checkers
 import filtra.filtration as filtration
+import filtra.parser as parser
 from filtra.cli import main
 from filtra.config import ConfigError, config_schema, parse_config, validate_report
 from filtra.filtration import ADIC, EXPLICIT, Filtration, reduction_system
@@ -142,6 +143,8 @@ def hostile_configs():
         "zero_denominator": json.dumps(base_config(
             field="fp:101",
             ring={"variables": ["x", "y"], "relations": ["y^2 - 1/101*x^3"]})).encode(),
+        "long_expansion": json.dumps(base_config(
+            ring={"variables": ["x", "y", "z"], "relations": ["(x+y+z)^200"]})).encode(),
     }
 
 
@@ -156,6 +159,7 @@ def test_verify_unreadable_config_is_invalid_input(tmp_path, capsys, name):
 @pytest.mark.parametrize("name, message", [
     ("deep_parens", "NESTING_LIMIT=64 (at byte 64)"),
     ("zero_denominator", "zero in the field fp:101 (at byte 8)"),
+    ("long_expansion", f"PRODUCT_LIMIT={parser.PRODUCT_LIMIT} (at byte 7)"),
 ])
 def test_verify_unparsable_relation_is_invalid_input(tmp_path, name, message):
     path = tmp_path / f"{name}.json"
@@ -163,7 +167,7 @@ def test_verify_unparsable_relation_is_invalid_input(tmp_path, name, message):
     out = tmp_path / "report.json"
     assert main(["verify", str(path), "--report", str(out), "--quiet"]) == 1
     report = read_report(out)
-    assert report["error"]["type"] == "PolySyntaxError"
+    assert issubclass(getattr(parser, report["error"]["type"]), parser.PolySyntaxError)
     assert report["error"]["message"].endswith(message)
 
 
@@ -273,7 +277,8 @@ def test_corpus_sweep_survives_hostile_configs(tmp_path):
     summary_path = tmp_path / "summary.json"
     assert main(["corpus", str(cdir), "--summary", str(summary_path), "--quiet"]) == 1
     summary = json.loads(summary_path.read_text())
-    assert summary["counts"] == {"verified": 1, "violation": 0, "invalid-input": 5}
+    assert summary["counts"] == {"verified": 1, "violation": 0,
+                                 "invalid-input": len(hostile_configs())}
 
 
 def test_corpus_config_error_reports_are_schema_valid(tmp_path):
@@ -358,6 +363,18 @@ def test_cli_import_leaves_the_pool_unloaded():
             "loaded = {'multiprocessing', 'concurrent.futures.process'} & set(sys.modules); "
             "assert not loaded, loaded")
     subprocess.run([sys.executable, "-c", code], check=True,
+                   cwd=PKG_ROOT, env={"PYTHONPATH": str(PKG_ROOT / "src")})
+
+
+def test_cli_import_loads_no_introspection():
+    """The records are NamedTuples and the schemas are read beside the
+    package's files, so importing the command line loads neither
+    ``dataclasses``, with its ``inspect``, nor ``importlib.resources``.  ``-S``
+    keeps site hooks from importing them first."""
+    code = ("import sys, filtra.cli; "
+            "loaded = {'dataclasses', 'inspect', 'importlib.resources'} & set(sys.modules); "
+            "assert not loaded, loaded")
+    subprocess.run([sys.executable, "-S", "-c", code], check=True,
                    cwd=PKG_ROOT, env={"PYTHONPATH": str(PKG_ROOT / "src")})
 
 

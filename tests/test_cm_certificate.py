@@ -32,7 +32,7 @@ def colon_clause(red, I2) -> tuple:
     """The structural colon clause by its definition: each
     (q_j : j != i) : q_i lies inside I_2 + Q."""
     i2q = I2 + red.handle
-    for i in range(red.count):
+    for i in range(len(red.generators)):
         bad = i2q.missing_generator(red.omit_handle(i).colon(red.generators[i]))
         if bad is not None:
             return False, {"i": i + 1, "generator": str(bad)}

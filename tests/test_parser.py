@@ -1,11 +1,13 @@
 """Polynomial text syntax: parsing, errors, round trips."""
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from filtra.fields import QQ, PrimeField
 from filtra.orders import grevlex
-from filtra.parser import (NESTING_LIMIT, ExponentOverflow, parse_polynomial,
-                           PolySyntaxError, UnknownVariable)
+from filtra.parser import (NESTING_LIMIT, PRODUCT_LIMIT, ExponentOverflow, parse_polynomial,
+                           PolySyntaxError, ProductOverflow, UnknownVariable)
 from filtra.poly import PolyContext, Polynomial
 
 CTX = PolyContext.get(("x", "y", "z"), QQ, grevlex(3))
@@ -74,6 +76,22 @@ def test_denominator_zero_in_the_field():
         parse_polynomial("x + 1/14*y", ctxp)
     assert e.value.offset == 6
     assert parse_polynomial("1/15*y", ctxp) == parse_polynomial("y", ctxp)
+
+
+def test_product_limit():
+    """A small exponent can still ask for a huge expansion: (x+y+z)^200 has
+    20 301 terms.  Each product, a power's squarings included, is refused
+    before it multiplies out more than PRODUCT_LIMIT term pairs, at the
+    offset of its operator and well within a second."""
+    start = time.perf_counter()
+    with pytest.raises(ProductOverflow, match=f"PRODUCT_LIMIT={PRODUCT_LIMIT}") as e:
+        p("(x + y + z)^200")
+    assert time.perf_counter() - start < 1
+    assert e.value.offset == 11
+    with pytest.raises(ProductOverflow) as e:
+        p("(x+y+z)^40 * (x+y+z)^40")
+    assert e.value.offset == 11
+    assert p("(x - 2*y + z)^13") == p("x - 2*y + z") ** 13
 
 
 def test_exponent_edge():

@@ -1,10 +1,13 @@
 """``report.to_json`` writes the bytes of ``json.dumps(..., sort_keys=True,
 indent=2, ensure_ascii=True)`` plus a newline, on every value it accepts."""
+import importlib
 import json
+import pkgutil
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import filtra
 from filtra.config import config_schema, load_config, report_schema
 from filtra.report import run_job, to_json
 
@@ -44,8 +47,29 @@ def test_drawn_values_are_written_as_json_dumps_writes_them(value):
     assert to_json(value) == dumped(value)
 
 
-@pytest.mark.parametrize("value", [1.0, {"a": 0.5}, [set()], {1: "a"}, {None: 1}, b"x"],
-                         ids=["float", "nested-float", "set", "int-key", "none-key", "bytes"])
+def records() -> list:
+    """Every tuple subclass the package defines: its records, which are all
+    NamedTuples."""
+    found = {}
+    for info in pkgutil.iter_modules(filtra.__path__):
+        module = importlib.import_module(f"filtra.{info.name}")
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and issubclass(obj, tuple)
+                    and obj.__module__ == module.__name__):
+                found[obj.__name__] = obj
+    return [found[name] for name in sorted(found)]
+
+
+# a record is a tuple; one that leaks into a report must not pass as an array
+RECORDS = records()
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.0, {"a": 0.5}, [set()], {1: "a"}, {None: 1}, b"x"]
+    + [[r(*range(len(r._fields)))] for r in RECORDS],
+    ids=["float", "nested-float", "set", "int-key", "none-key", "bytes"]
+    + [r.__name__ for r in RECORDS])
 def test_other_types_are_refused(value):
     with pytest.raises(TypeError):
         to_json(value)
