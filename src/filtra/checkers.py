@@ -354,12 +354,18 @@ def check_sally_lower_bound(data: BoundaryData) -> dict:
 def check_multiplicity_colon_formula(data: BoundaryData) -> dict:
     """e_0 = l(C/Q) - l(col/(col meet Q)) = l(C/(col + Q)) in the
     torsion-free quotient C = A/W, with col = (q_1..q_{d-1}) : q_d, read in
-    A as l(A/(Q + W)), from C's length table, and ((q_1..q_{d-1}) + W) : q_d."""
+    A as l(A/(Q + W)), from C's length table, and ((q_1..q_{d-1}) + W) : q_d.
+    Under the Cohen-Macaulay certificate W = 0 and q_d is regular modulo
+    the others, so col lies in Q and the expected value is l(A/Q), a table
+    entry, with no colon."""
     red = data.red
-    W = data.ring.torsion_ideal()
     first = data.lengths.quotient.get(1, 0)
-    col = (red.omit_handle(len(red.generators) - 1) + W).colon(red.generators[-1])
-    expected = (col + red.handle).finite_colength()
+    if data.cohen_macaulay:
+        expected = first
+    else:
+        W = data.ring.torsion_ideal()
+        col = (red.omit_handle(len(red.generators) - 1) + W).colon(red.generators[-1])
+        expected = (col + red.handle).finite_colength()
     return _check("multiplicity_colon_formula", data.e_filt(0) == expected,
                   colength_modulo_reduction=first,
                   colon_correction=first - expected, expected=expected,

@@ -19,7 +19,6 @@ ones that an earlier k or stage already asked for.
 from __future__ import annotations
 
 import itertools
-import random
 from functools import cached_property
 from typing import NamedTuple
 
@@ -153,8 +152,19 @@ class LengthTable:
         """Whether q_1..q_d is a regular sequence.  Q is m-primary with
         d = dim A generators, so this says that A is Cohen-Macaulay.  Such a
         sequence makes the depth of A positive, so a table modulo a nonzero
-        W never has it."""
-        return self.ring.is_regular_sequence(self.red.generators)
+        W never has it.
+
+        No colon is taken where a theorem decides: a complete intersection
+        (``LocalRing.complete_intersection``) is Cohen-Macaulay, so every
+        system of parameters is regular (Matsumura, Thm 17.4); in dimension
+        one Q = (x), and x is regular exactly when W = (0 : m^oo) is zero.
+        Only d >= 2 outside a complete intersection takes the colons."""
+        ring = self.ring
+        if ring.complete_intersection:
+            return True
+        if ring.dimension == 1:
+            return ring.has_positive_depth()
+        return ring.is_regular_sequence(self.red.generators)
 
     @cached_property
     def quotient(self) -> LengthTable:
@@ -321,6 +331,7 @@ def find_reduction(filt: Filtration, horizon: int, seed: int,
                    attempts: int) -> ReductionSystem:
     """Random small-coefficient combinations of stage-one generators.  What
     no reduction can mend is refused before the first attempt."""
+    import random  # only the search draws, so importing the package skips it
     _refuse_unreducible(filt)
     ring = filt.ring
     d = ring.dimension

@@ -138,6 +138,12 @@ class LocalRing:
         if self.gb_relations.is_unit_ideal():
             raise ValueError("relations generate the unit ideal; the ring is zero")
         self.dimension = lead_ideal_dimension(self.gb_relations)
+        # c relations with dimension v - c: every minimal prime of J has
+        # height at least c, and by Krull's theorem at most c (Matsumura,
+        # Commutative Ring Theory, Thm 13.5), so in the regular ring k[x]_m
+        # the relations are a regular sequence (Thm 17.4) and A is a complete
+        # intersection of dimension v - c, so Cohen-Macaulay (Thm 21.3)
+        self.complete_intersection = len(rels) == self.nvars - self.dimension
         # exponent vectors of the relations when all are monomials, else None
         self.relation_monomials = (
             self.gb_relations.leads
@@ -228,9 +234,13 @@ class LocalRing:
     # -- torsion part -------------------------------------------------
 
     def torsion_ideal(self) -> "IdealHandle":
-        """Elements killed by a power of the maximal ideal."""
+        """Elements killed by a power of the maximal ideal, (0 : m^oo).  A
+        complete intersection of positive dimension is Cohen-Macaulay, so of
+        positive depth, and this is zero with no saturation."""
         if self._torsion is None:
-            self._torsion = self.zero_ideal().saturate(self.maximal_ideal())
+            self._torsion = (
+                self.zero_ideal() if self.complete_intersection and self.dimension >= 1
+                else self.zero_ideal().saturate(self.maximal_ideal()))
         return self._torsion
 
     def torsion_length(self) -> int:

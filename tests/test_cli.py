@@ -369,10 +369,12 @@ def test_cli_import_leaves_the_pool_unloaded():
 def test_cli_import_loads_no_introspection():
     """The records are NamedTuples and the schemas are read beside the
     package's files, so importing the command line loads neither
-    ``dataclasses``, with its ``inspect``, nor ``importlib.resources``.  ``-S``
-    keeps site hooks from importing them first."""
+    ``dataclasses``, with its ``inspect``, nor ``importlib.resources``; and
+    only the reduction search imports ``random``.  ``-S`` keeps site hooks
+    from importing them first."""
     code = ("import sys, filtra.cli; "
-            "loaded = {'dataclasses', 'inspect', 'importlib.resources'} & set(sys.modules); "
+            "loaded = {'dataclasses', 'inspect', 'importlib.resources', 'random'}"
+            " & set(sys.modules); "
             "assert not loaded, loaded")
     subprocess.run([sys.executable, "-S", "-c", code], check=True,
                    cwd=PKG_ROOT, env={"PYTHONPATH": str(PKG_ROOT / "src")})

@@ -10,6 +10,13 @@ the certificate must show.  Those numbers come from closed forms where the
 certificate holds (``filtration.closed_form``), so every job also runs with
 the closed forms giving nothing, every entry a colength, and the two reports
 must be byte-identical.
+
+The certificate itself is a theorem wherever one applies: a complete
+intersection (``LocalRing.complete_intersection``) is Cohen-Macaulay with
+zero torsion, and in dimension one Q = (x) is regular exactly when the
+torsion is zero.  Here the colons and the saturation those theorems skip
+run on every job and must agree, and rings that are not complete
+intersections must not be counted as such.
 """
 import itertools
 
@@ -17,6 +24,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from filtra import report
+from filtra.config import load_config
+from filtra.fields import field_from_descriptor
 from filtra.filtration import (ADIC, Filtration, check_colon_in_i1,
                                check_d_sequence, check_usd_bounded,
                                reduction_system)
@@ -159,6 +168,50 @@ def test_certificate_and_positive_depth(runs):
             d_one += 1
             assert cm == depth, got["name"]
     assert d_one == 47
+
+
+def test_theorems_agree_with_the_generic_routes(runs):
+    """The certificate is read off ``LocalRing.complete_intersection`` or, in
+    dimension one, off the torsion ideal, with no colon.  On every job the
+    colons of ``is_regular_sequence`` must say the same, and on every
+    complete intersection of positive dimension the saturation (0 : m^oo),
+    which ``torsion_ideal`` skips there, must be zero."""
+    intersections = 0
+    for got, data, _ in runs:
+        ring, name = data.ring, got["name"]
+        assert ring.is_regular_sequence(data.red.generators) is data.cohen_macaulay, name
+        if ring.complete_intersection:
+            intersections += 1
+            assert data.cohen_macaulay and ring.dimension >= 1, name
+            saturated = ring.zero_ideal().saturate(ring.maximal_ideal())
+            assert saturated.is_zero and ring.torsion_ideal() is saturated, name
+    assert intersections == 84
+
+
+@pytest.mark.parametrize("variables, relations", [
+    (("x", "y", "z"), ["x*z - x", "y*z - y"]),  # 2 relations, dimension 2
+    (("x", "y"), ["y^2 - x^3", "x*y^2 - x^4"]),  # the second is redundant
+], ids=["plane_and_line", "redundant_relation"])
+def test_rings_the_count_must_not_certify(variables, relations):
+    assert not LocalRing(variables, relations).complete_intersection
+
+
+@pytest.mark.parametrize("name", ["depth_zero", "depth_zero_equality", "semigroup_345",
+                                  "semigroup_4567", "two_planes"])
+def test_corpus_rings_outside_the_count(name):
+    cfg = load_config(CORPUS_DIR / f"{name}.json")
+    ring = LocalRing(cfg.variables, cfg.relations,
+                     field=field_from_descriptor(cfg.field_descriptor))
+    assert not ring.complete_intersection
+
+
+def test_an_artinian_complete_intersection_keeps_its_torsion():
+    """k[x]/(x^2) is a complete intersection of dimension 0: its depth is
+    zero, so the torsion is the saturation, the unit ideal."""
+    ring = LocalRing(("x",), ["x^2"])
+    assert ring.complete_intersection and ring.dimension == 0
+    assert ring.torsion_ideal().is_unit
+    assert not ring.has_positive_depth()
 
 
 def assert_scans_hold(ring, stage_one, red_gens, power_bound=2):

@@ -4,8 +4,11 @@ Two independent routes are exercised against each other throughout: the
 monomial fast paths vs the generic t-trick, and certificate lengths vs a
 brute staircase walk done inline here.
 """
+import importlib.util
 import itertools
+import json
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -21,7 +24,7 @@ from filtra.parser import parse_polynomial
 from filtra.poly import Polynomial
 from filtra.report import run_job, to_json
 
-from conftest import (CORPUS_DIR, NON_MONOMIAL_DEPTH_ZERO, run_captured,
+from conftest import (CORPUS_DIR, NON_MONOMIAL_DEPTH_ZERO, PKG_ROOT, run_captured,
                       torsion_free_quotient)
 
 PLANE = LocalRing(("x", "y"))
@@ -407,7 +410,10 @@ def test_monomial_job_builds_few_generators(monkeypatch):
     Q = (x^2, y^2, z^2): the handles the ring interns, those whose
     generators were ever built as polynomials, and Buchberger runs.  Only
     handles made from parsed or printed generators hold polynomials; when
-    every handle was built from its polynomials, all 24 held them."""
+    every handle was built from its polynomials, all 24 held them.  Before
+    a polynomial ring, a complete intersection with no relation, took its
+    Cohen-Macaulay certificate by theorem instead of by colons, the job
+    interned 24 handles and built 6."""
     runs = []
     raw = groebner._buchberger_raw
 
@@ -424,7 +430,7 @@ def test_monomial_job_builds_few_generators(monkeypatch):
     assert got["verdict"] == "verified"
     handles = ring._handles.values()
     assert all(h.exponents is not None for h in handles)
-    assert (len(handles), sum(h._gens is not None for h in handles), len(runs)) == (24, 6, 0)
+    assert (len(handles), sum(h._gens is not None for h in handles), len(runs)) == (21, 3, 0)
 
 
 def test_rings_with_equal_relations_share_nothing():
@@ -501,8 +507,8 @@ def test_repeated_cm_certificate_is_all_memo_hits(monkeypatch):
     assert not count
 
 @pytest.mark.parametrize("name, colons, intersections", [
-    pytest.param("sally_rr_equality.json", 67, 16, id="sally_rr_equality"),
-    pytest.param("regular_d3.json", 4, 0, id="regular_d3"),
+    pytest.param("sally_rr_equality.json", 64, 16, id="sally_rr_equality"),
+    pytest.param("regular_d3.json", 0, 0, id="regular_d3"),
     pytest.param("two_planes.json", 24, 2, id="two_planes"),
 ])
 def test_computed_colons_and_intersections(monkeypatch, name, colons, intersections):
@@ -521,7 +527,10 @@ def test_computed_colons_and_intersections(monkeypatch, name, colons, intersecti
     Stopping a colon by an ideal once its running meet is zero, as in the
     torsion saturation (0 : m) of a ring of positive depth, took them from
     68, 5 and 27 colons.  Taking the d-sequence colon by q_i q_j as two
-    colons, the second side's colon reused, took two_planes from 26."""
+    colons, the second side's colon reused, took two_planes from 26.
+    Certifying the complete intersections sally_rr_equality and regular_d3
+    as Cohen-Macaulay with zero torsion by theorem took them from 67/16
+    and 4/0."""
     count = Counter()
     colon, meet = IdealHandle._colon_element, IdealHandle._intersect
 
@@ -558,7 +567,10 @@ def test_curve_job_eliminations_and_buchberger_runs(monkeypatch):
     runs formed 54; before the table held l(A/(Q^n + I_k)), filled by
     closed forms past the tail, the job interned 9 handles; before a
     monomial ideal such as m^4 + (y^3 - x^4) took its basis from the
-    monomial layer, 8 runs formed 9."""
+    monomial layer, 8 runs formed 9; before a complete intersection was
+    certified Cohen-Macaulay with zero torsion by theorem, the regularity
+    colon and the torsion saturation took 2 eliminations, 3 runs and 5
+    S-polynomials.  The one run left is the relation's basis."""
     count = Counter()
     ambient, raw = ideals._intersection_in_ambient, groebner._buchberger_raw
     nilpotent, spoly = ideals._variables_nilpotent, groebner._spoly_dict
@@ -597,7 +609,7 @@ def test_curve_job_eliminations_and_buchberger_runs(monkeypatch):
         "reduction": {"generators": ["x"]}}))
     assert report["verdict"] == "verified"
     assert (count["eliminations"], count["buchberger"], count["loops"],
-            count["spolys"], len(rings[0]._handles)) == (2, 3, 2, 5, 7)
+            count["spolys"], len(rings[0]._handles)) == (0, 1, 2, 0, 7)
 
 
 def test_depth_zero_job_buchberger_runs(monkeypatch):
@@ -612,7 +624,8 @@ def test_depth_zero_job_buchberger_runs(monkeypatch):
     S-polynomials; before a monomial ideal presented with non-monomial
     generators took its basis from the monomial layer, 92 runs formed 141;
     before the d-sequence colon by q_i q_j was taken as two colons, 83 runs
-    formed 128."""
+    formed 128; before the certificate in dimension one was read off the
+    torsion ideal instead of a colon by y, 83 runs formed 127."""
     count = Counter()
     raw, spoly = groebner._buchberger_raw, groebner._spoly_dict
 
@@ -629,7 +642,7 @@ def test_depth_zero_job_buchberger_runs(monkeypatch):
     report = run_job(parse_config(NON_MONOMIAL_DEPTH_ZERO[0]))
     assert report["verdict"] == "verified"
     assert report["ring"]["torsion_length"] == 1
-    assert (count["buchberger"], count["spolys"]) == (83, 127)
+    assert (count["buchberger"], count["spolys"]) == (82, 122)
 
 
 def test_corpus_pass_work(monkeypatch):
@@ -638,7 +651,10 @@ def test_corpus_pass_work(monkeypatch):
     ideal handles.  Before a monomial ideal presented with non-monomial
     generators took its basis from the monomial layer, 85 runs formed 889
     S-polynomials.  Before ``check_d_sequence`` took the colon by q_i q_j as
-    two colons, the pass made 63 runs, 851 S-polynomials and 73 bases."""
+    two colons, the pass made 63 runs, 851 S-polynomials and 73 bases.
+    Before complete intersections were certified Cohen-Macaulay with zero
+    torsion by theorem, and rings of dimension one by their torsion ideal,
+    it made 61 runs and 821 S-polynomials."""
     count = Counter()
     raw, spoly, build = groebner._buchberger_raw, groebner._spoly_dict, ideals.groebner_basis
 
@@ -661,7 +677,40 @@ def test_corpus_pass_work(monkeypatch):
     assert len(configs) == 13
     for path in configs:
         run_job(load_config(path))
-    assert (count["buchberger"], count["spolys"], count["bases"]) == (61, 821, 73)
+    assert (count["buchberger"], count["spolys"], count["bases"]) == (52, 751, 73)
+
+
+def test_curves_pass_work(monkeypatch):
+    """Noise-free work count of one pass over the benchmark's 33 plane
+    curves at seed 13 (``perfbench/workloads.py``): general Buchberger runs,
+    S-polynomials and t-trick eliminations.  Each curve is a complete
+    intersection, so its certificate and its zero torsion are theorems, and
+    the one run per job is its relation's basis.  Before that, the pass made
+    99 runs, 165 S-polynomials and 66 eliminations, two per job: the
+    regularity colon and the torsion saturation."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PKG_ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks it up
+    spec.loader.exec_module(workloads)
+    jobs = workloads.curves_jobs(13)
+    assert len(jobs) == 33
+    count = Counter()
+    raw, spoly = groebner._buchberger_raw, groebner._spoly_dict
+    ambient = ideals._intersection_in_ambient
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            count[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(groebner, "_buchberger_raw", counted("buchberger", raw))
+    monkeypatch.setattr(groebner, "_spoly_dict", counted("spolys", spoly))
+    monkeypatch.setattr(ideals, "_intersection_in_ambient", counted("eliminations", ambient))
+    for job in jobs:
+        assert run_job(parse_config(json.loads(job.text)))["verdict"] == "verified"
+    assert (count["buchberger"], count["spolys"], count["eliminations"]) == (33, 0, 0)
 
 
 def test_low_powers_of_m_on_a_curve_take_no_buchberger_run(monkeypatch):
