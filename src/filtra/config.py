@@ -13,6 +13,10 @@ variable, a stage.  Each of its patterns ends in ``$(?!\\n)``.  Python's
 match before a final newline; the lookahead refuses that, and changes
 nothing under ECMA-262, where ``$`` is already the end of the input.  So
 ``parse_config`` checks no name again.
+
+This module imports no algebra module, so validating a job loads none of
+the engine: ``parse_config`` imports the check names from ``checkers``
+only for a config that lists its checks.
 """
 from __future__ import annotations
 
@@ -21,8 +25,6 @@ import numbers
 import os
 import re
 from typing import NamedTuple
-
-from .checkers import ALL_CHECKS
 
 
 class ConfigError(ValueError):
@@ -294,6 +296,7 @@ def parse_config(obj, fallback_name: str = "job") -> JobConfig:
     if checks == "all":
         selected = None
     else:
+        from .checkers import ALL_CHECKS  # only a list of checks needs the engine
         unknown = sorted(set(checks) - set(ALL_CHECKS))
         if unknown:
             raise ConfigError(f"unknown check names: {', '.join(unknown)}")

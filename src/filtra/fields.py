@@ -6,12 +6,12 @@ canonical form: a Python int when the value is integral, a Fraction only when
 it is not (see ``canonical``).  Ints are much cheaper than Fractions, and
 almost every coefficient met in practice is integral.  The form must be
 canonical, not merely equal: no hot loop should pay for a Fraction holding an
-integer, and ``groebner._fingerprint`` hashes the repr of the terms, where
-``repr(3) != repr(Fraction(3))``.  Coefficient loops go through the field's
-methods, in ``poly.add_multiple``.  The one exception, the normal form
-``groebner._nf_dict``, inlines the arithmetic in one loop for both kinds of
-field and normalizes each result itself: by ``canonical`` over the rationals,
-by reduction mod p over a prime field.
+integer, and ``groebner.GroebnerBasis.fingerprint`` hashes the repr of the
+terms, where ``repr(3) != repr(Fraction(3))``.  Coefficient loops go through
+the field's methods, in ``poly.add_multiple``.  The one exception, the normal
+form ``groebner._nf_dict``, inlines the arithmetic in one loop for both kinds
+of field and normalizes each result itself: by ``canonical`` over the
+rationals, by reduction mod p over a prime field.
 """
 from __future__ import annotations
 

@@ -15,7 +15,9 @@ its reduced basis is its set of minimal generators in every monomial order,
 taken from the monomial layer (``monomial.py``), which also holds the
 staircase count.  The ideal is taken as monomial when, with M the monomial
 generators, every other generator has at most one term outside M: it is
-then generated by M and those terms, as m^4 + (y^3 - x^4) = m^4 + (y^3).
+then generated by M and those terms, as m^4 + (y^3 - x^4) = m^4 + (y^3).  A
+single generator needs no run either: made monic, it is its own reduced
+basis.
 
 A run may start from a seed, the reduced basis of an ideal inside the one
 asked for, whose polys open the generators.  Its entries enter the basis
@@ -30,7 +32,6 @@ that asked for it (``ideals.py``), and so dies with the ring of its job.
 """
 from __future__ import annotations
 
-import hashlib
 import heapq
 from typing import NamedTuple
 
@@ -52,7 +53,7 @@ def _nf_dict(f: dict, basis: list, ctx: PolyContext) -> dict:
     reduces mod p over a prime field, and over the rationals keeps
     coefficients in the field's canonical form (``fields.canonical``: an int
     when integral), which is cheaper than a Fraction and which
-    ``_fingerprint`` relies on.
+    ``GroebnerBasis.fingerprint`` relies on.
     """
     if not f or not basis:
         return dict(f)
@@ -134,11 +135,25 @@ def _autoreduce(dicts: list, ctx: PolyContext) -> list:
 
 
 class GroebnerBasis(NamedTuple):
-    """Reduced, monic, auto-reduced basis in a fixed context."""
+    """Reduced, monic, auto-reduced basis in a fixed context, with the
+    nonzero generators it was built from."""
 
     ctx: PolyContext
     polys: tuple
-    fingerprint: str
+    inputs: tuple
+
+    @property
+    def fingerprint(self) -> str:
+        """sha256 hex of the context and the multiset of input generators.
+        Only the benchmark's layer trace (``perfbench/layers.py``) reads it,
+        so it is computed when read, and importing the package loads no
+        ``hashlib``."""
+        import hashlib
+        # terms are canonical (sorted, no zero coefficients, canonical
+        # rationals), so equal payloads mean equal generator multisets,
+        # without printing any polynomial
+        payload = self.ctx.descriptor + "\n" + repr(sorted(g.terms for g in self.inputs))
+        return hashlib.sha256(payload.encode()).hexdigest()
 
     @property
     def leads(self) -> tuple:
@@ -152,14 +167,6 @@ class GroebnerBasis(NamedTuple):
 
     def is_unit_ideal(self) -> bool:
         return len(self.polys) == 1 and self.polys[0].degree() == 0
-
-
-def _fingerprint(ctx: PolyContext, gens) -> str:
-    # terms are canonical (sorted, no zero coefficients, canonical rationals),
-    # so equal payloads mean equal generator multisets, without printing any
-    # polynomial
-    payload = ctx.descriptor + "\n" + repr(sorted(g.terms for g in gens))
-    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def _buchberger_raw(inputs: list, ctx: PolyContext, use_criteria: bool,
@@ -267,13 +274,14 @@ def groebner_basis(gens, ctx: PolyContext, use_criteria: bool = True,
     ``seed``, if given, is a reduced basis in the same context whose polys
     open ``gens``.  It is taken as complete: only the generators after it
     are reduced and paired, and when none of them survives reduction by it,
-    ``seed`` itself is returned.  Otherwise, when each generator, the
-    seed's polys included, is a monomial or has at most one term outside
-    the ideal M of the monomial generators, the ideal is monomial: it is
-    generated by M and those terms, whose minimal set is the reduced basis,
-    and no Buchberger runs.  ``use_criteria=False`` switches off the pair
-    criteria, that monomial rule and the seed, whose polys then count as
-    plain input, and runs the full Buchberger, as their oracle.
+    ``seed`` itself is returned.  Without a seed, a single nonzero
+    generator made monic is its own reduced basis.  Otherwise, when each
+    generator, the seed's polys included, is a monomial or has at most one
+    term outside the ideal M of the monomial generators, the ideal is
+    monomial: it is generated by M and those terms, whose minimal set is the
+    reduced basis, and no Buchberger runs.  ``use_criteria=False`` switches
+    off the pair criteria, those two rules and the seed, whose polys then
+    count as plain input, and runs the full Buchberger, as their oracle.
     """
     gens = list(gens)
     start = () if seed is None or not use_criteria else seed.polys
@@ -281,14 +289,15 @@ def groebner_basis(gens, ctx: PolyContext, use_criteria: bool = True,
         raise ValueError("the seed's polys must open the generators")
     if any(g.ctx is not ctx for g in gens):
         raise ContextMismatch(f"a generator is not in the context {ctx.descriptor}")
-    gens = [g for g in gens if not g.is_zero]
-    fingerprint = _fingerprint(ctx, gens)
+    gens = tuple(g for g in gens if not g.is_zero)
     inputs = [g.as_dict() for g in gens[len(start):]]
     if start:
         view = [(g.lead_monomial(), g.terms[1:]) for g in start]
         inputs = [r for r in (_nf_dict(d, view, ctx) for d in inputs) if r]
         if not inputs:
             return seed
+    elif use_criteria and len(inputs) == 1:
+        return GroebnerBasis(ctx, (Polynomial(ctx, _monic_dict(inputs[0], ctx)[2]),), gens)
     leads = _monomial_ideal([[m for m, _ in g.terms] for g in start]
                             + [list(d) for d in inputs]) if use_criteria else None
     if leads is not None:
@@ -296,7 +305,7 @@ def groebner_basis(gens, ctx: PolyContext, use_criteria: bool = True,
     else:
         polys = tuple(Polynomial(ctx, d)
                       for d in _buchberger_raw(inputs, ctx, use_criteria, start))
-    return GroebnerBasis(ctx, polys, fingerprint)
+    return GroebnerBasis(ctx, polys, gens)
 
 
 # -- dimension and elimination -------------------------------------------

@@ -40,4 +40,4 @@ def test_names_the_benchmark_runner_reads_resolve():
     sees.  Neither is traced, and nothing in filtra uses them, so a cleanup
     that deleted them would break every benchmark pass unnoticed."""
     assert callable(groebner.clear_cache)
-    assert "fingerprint" in groebner.GroebnerBasis._fields
+    assert isinstance(groebner.GroebnerBasis.fingerprint, property)

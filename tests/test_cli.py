@@ -380,6 +380,15 @@ def test_cli_import_loads_no_introspection():
                    cwd=PKG_ROOT, env={"PYTHONPATH": str(PKG_ROOT / "src")})
 
 
+def test_cli_import_loads_no_hashlib():
+    """Only the benchmark's trace reads ``GroebnerBasis.fingerprint``, which
+    imports ``hashlib`` when read, so importing the command line does not."""
+    code = ("import sys, filtra.cli; "
+            "assert 'hashlib' not in sys.modules, 'hashlib imported'")
+    subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                   cwd=PKG_ROOT, env={"PYTHONPATH": str(PKG_ROOT / "src")})
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_corpus_jobs_below_one(tmp_path, capsys, jobs):
     (tmp_path / "cusp.json").write_text(CUSP.read_text())

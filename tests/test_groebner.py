@@ -8,7 +8,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from filtra import groebner
 from filtra.config import parse_config
@@ -288,6 +288,33 @@ def test_a_monomial_ideal_takes_its_basis_without_buchberger(case):
             return
         polys = list(seed.polys) + rest
     assert raw.called != spans_a_monomial_ideal(polys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([QQ, PrimeField(101)]), st.sampled_from([2, 3]),
+       st.sampled_from(["grevlex", "lex"]), st.integers(0, 2**32 - 1),
+       st.integers(0, 2))
+def test_a_single_generator_takes_its_basis_without_buchberger(
+        field, nvars, order_name, draw_seed, zeros):
+    """One nonzero generator, among any zero ones, made monic is its own
+    reduced basis: no Buchberger runs, and the basis equals the
+    criteria-off run and sympy's."""
+    sympy = pytest.importorskip("sympy")
+    order = {"grevlex": grevlex, "lex": lex}[order_name](nvars)
+    ctx = PolyContext.get(tuple("xyz"[:nvars]), field, order)
+    g = random_poly(random.Random(draw_seed), ctx, 4, 4)
+    assume(not g.is_zero)
+    gens = [Polynomial.zero(ctx)] * zeros + [g]
+    with mock.patch.object(groebner, "_buchberger_raw",
+                           wraps=groebner._buchberger_raw) as raw:
+        got = groebner_basis(gens, ctx=ctx)
+    assert not raw.called
+    assert got.polys == (g.monic(),)
+    assert got.polys == groebner_basis(gens, ctx=ctx, use_criteria=False).polys
+    xs = sympy.symbols(ctx.variables)
+    modulus = {} if field.p is None else {"modulus": field.p}
+    theirs = sympy.groebner([to_sympy(g)], *xs, order=order_name, **modulus)
+    assert [str(from_sympy(e, ctx, xs).monic()) for e in theirs.exprs] == [str(g.monic())]
 
 
 # -- a seed basis taken as complete ----------------------------------------

@@ -570,7 +570,8 @@ def test_curve_job_eliminations_and_buchberger_runs(monkeypatch):
     monomial layer, 8 runs formed 9; before a complete intersection was
     certified Cohen-Macaulay with zero torsion by theorem, the regularity
     colon and the torsion saturation took 2 eliminations, 3 runs and 5
-    S-polynomials.  The one run left is the relation's basis."""
+    S-polynomials; before a single generator was taken as its own basis,
+    the relation's basis took 1 run."""
     count = Counter()
     ambient, raw = ideals._intersection_in_ambient, groebner._buchberger_raw
     nilpotent, spoly = ideals._variables_nilpotent, groebner._spoly_dict
@@ -609,7 +610,7 @@ def test_curve_job_eliminations_and_buchberger_runs(monkeypatch):
         "reduction": {"generators": ["x"]}}))
     assert report["verdict"] == "verified"
     assert (count["eliminations"], count["buchberger"], count["loops"],
-            count["spolys"], len(rings[0]._handles)) == (0, 1, 2, 0, 7)
+            count["spolys"], len(rings[0]._handles)) == (0, 0, 2, 0, 7)
 
 
 def test_depth_zero_job_buchberger_runs(monkeypatch):
@@ -654,7 +655,8 @@ def test_corpus_pass_work(monkeypatch):
     two colons, the pass made 63 runs, 851 S-polynomials and 73 bases.
     Before complete intersections were certified Cohen-Macaulay with zero
     torsion by theorem, and rings of dimension one by their torsion ideal,
-    it made 61 runs and 821 S-polynomials."""
+    it made 61 runs and 821 S-polynomials.  Before a single generator was
+    taken as its own basis, it made 52 runs."""
     count = Counter()
     raw, spoly, build = groebner._buchberger_raw, groebner._spoly_dict, ideals.groebner_basis
 
@@ -677,7 +679,7 @@ def test_corpus_pass_work(monkeypatch):
     assert len(configs) == 13
     for path in configs:
         run_job(load_config(path))
-    assert (count["buchberger"], count["spolys"], count["bases"]) == (52, 751, 73)
+    assert (count["buchberger"], count["spolys"], count["bases"]) == (49, 751, 73)
 
 
 def test_curves_pass_work(monkeypatch):
@@ -685,9 +687,11 @@ def test_curves_pass_work(monkeypatch):
     curves at seed 13 (``perfbench/workloads.py``): general Buchberger runs,
     S-polynomials and t-trick eliminations.  Each curve is a complete
     intersection, so its certificate and its zero torsion are theorems, and
-    the one run per job is its relation's basis.  Before that, the pass made
-    99 runs, 165 S-polynomials and 66 eliminations, two per job: the
-    regularity colon and the torsion saturation."""
+    its relation, a single generator, is its own basis: the pass runs no
+    Buchberger.  Before the certificate, the pass made 99 runs, 165
+    S-polynomials and 66 eliminations, two per job: the regularity colon
+    and the torsion saturation; before a single generator was taken as its
+    own basis, 33 runs, one per job for its relation."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", PKG_ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
@@ -710,7 +714,7 @@ def test_curves_pass_work(monkeypatch):
     monkeypatch.setattr(ideals, "_intersection_in_ambient", counted("eliminations", ambient))
     for job in jobs:
         assert run_job(parse_config(json.loads(job.text)))["verdict"] == "verified"
-    assert (count["buchberger"], count["spolys"], count["eliminations"]) == (33, 0, 0)
+    assert (count["buchberger"], count["spolys"], count["eliminations"]) == (0, 0, 0)
 
 
 def test_low_powers_of_m_on_a_curve_take_no_buchberger_run(monkeypatch):

@@ -17,9 +17,10 @@ import sys
 import jsonschema
 import pytest
 
+from filtra.checkers import ALL_CHECKS
 from filtra.config import (_ANNOTATIONS, _CONFIG_VALID, _LEAVES, _NODES,
-                           _REPORT_VALID, config_schema, parse_config,
-                           report_schema, schema_predicate)
+                           _REPORT_VALID, ConfigError, config_schema,
+                           parse_config, report_schema, schema_predicate)
 from filtra.report import EXIT_CODES, run_job
 
 from conftest import CORPUS_DIR, GOLDEN_DIR, PKG_ROOT
@@ -194,6 +195,32 @@ def test_import_leaves_jsonschema_unloaded():
             "assert 'jsonschema' not in sys.modules, 'jsonschema imported'")
     subprocess.run([sys.executable, "-c", code], check=True,
                    cwd=PKG_ROOT, env={"PYTHONPATH": str(PKG_ROOT / "src")})
+
+
+def test_config_import_loads_no_engine():
+    """Validating a job needs only ``filtra.config``: importing it, and
+    loading a config that runs all checks, loads no other filtra module,
+    nor ``fractions`` or ``hashlib``, which only the algebra uses.  ``-S``
+    keeps site hooks from importing them first."""
+    code = ("import sys, filtra.config; "
+            f"filtra.config.load_config({str(CORPUS_DIR / 'cusp.json')!r}); "
+            "loaded = {m for m in sys.modules if m.startswith('filtra')}; "
+            "assert loaded == {'filtra', 'filtra.config'}, loaded; "
+            "loaded = {'fractions', 'hashlib'} & set(sys.modules); "
+            "assert not loaded, loaded")
+    subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                   cwd=PKG_ROOT, env={"PYTHONPATH": str(PKG_ROOT / "src")})
+
+
+def test_a_checks_list_names_the_engine_checks():
+    """A config that lists its checks is matched against the engine's
+    names: they are kept in the engine's order, and an unknown name is
+    refused."""
+    config = json.loads((CORPUS_DIR / "cusp.json").read_text())
+    picked = [ALL_CHECKS[-1], ALL_CHECKS[0]]
+    assert parse_config({**config, "checks": picked}).checks == tuple(reversed(picked))
+    with pytest.raises(ConfigError, match="^unknown check names: bogus, zz$"):
+        parse_config({**config, "checks": ["zz", ALL_CHECKS[0], "bogus"]})
 
 
 def test_every_pattern_refuses_a_final_newline():
