@@ -274,8 +274,9 @@ def groebner_basis(gens, ctx: PolyContext, use_criteria: bool = True,
     ``seed``, if given, is a reduced basis in the same context whose polys
     open ``gens``.  It is taken as complete: only the generators after it
     are reduced and paired, and when none of them survives reduction by it,
-    ``seed`` itself is returned.  Without a seed, a single nonzero
-    generator made monic is its own reduced basis.  Otherwise, when each
+    ``seed`` itself is returned, the empty seed of the zero ideal too.
+    Without seed polys, a single nonzero generator made monic is its own
+    reduced basis.  Otherwise, when each
     generator, the seed's polys included, is a monomial or has at most one
     term outside the ideal M of the monomial generators, the ideal is
     monomial: it is generated by M and those terms, whose minimal set is the
@@ -284,7 +285,8 @@ def groebner_basis(gens, ctx: PolyContext, use_criteria: bool = True,
     count as plain input, and runs the full Buchberger, as their oracle.
     """
     gens = list(gens)
-    start = () if seed is None or not use_criteria else seed.polys
+    seeded = seed is not None and use_criteria
+    start = seed.polys if seeded else ()
     if tuple(gens[:len(start)]) != start:
         raise ValueError("the seed's polys must open the generators")
     if any(g.ctx is not ctx for g in gens):
@@ -294,9 +296,10 @@ def groebner_basis(gens, ctx: PolyContext, use_criteria: bool = True,
     if start:
         view = [(g.lead_monomial(), g.terms[1:]) for g in start]
         inputs = [r for r in (_nf_dict(d, view, ctx) for d in inputs) if r]
-        if not inputs:
-            return seed
-    elif use_criteria and len(inputs) == 1:
+    # the seed of the zero ideal has no polys, and is still the answer
+    if seeded and not inputs:
+        return seed
+    if not start and use_criteria and len(inputs) == 1:
         return GroebnerBasis(ctx, (Polynomial(ctx, _monic_dict(inputs[0], ctx)[2]),), gens)
     leads = _monomial_ideal([[m for m, _ in g.terms] for g in start]
                             + [list(d) for d in inputs]) if use_criteria else None

@@ -359,6 +359,18 @@ def test_seeded_basis_equals_the_basis_of_the_sum(case):
     assert groebner_basis(list(seed.polys) + inside, ctx=ctx, seed=seed) is seed
 
 
+
+def test_the_empty_seed_is_its_own_answer():
+    """The seed of the zero ideal has no polys; with no nonzero generator
+    after it, it is still returned itself, and one generator after it is
+    its own basis, made monic."""
+    ctx = PolyContext.get(("x", "y", "z"), QQ, grevlex(3))
+    seed = groebner_basis([], ctx=ctx)
+    assert groebner_basis([], ctx=ctx, seed=seed) is seed
+    assert groebner_basis([Polynomial.zero(ctx)], ctx=ctx, seed=seed) is seed
+    f = parse_polynomial("2*y^2 - x^2*z", ctx)
+    assert groebner_basis([f], ctx=ctx, seed=seed).polys == (f.monic(),)
+
 def test_a_seed_opens_the_generators():
     """The seed's polys come first among the generators, or the call is
     refused; with the criteria off, the seed is plain input and any
