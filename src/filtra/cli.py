@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .config import (ConfigError, config_schema, load_config, parse_config,
                      report_schema)
@@ -12,6 +11,7 @@ from .report import (EXIT_CODES, EXIT_INVALID, config_error_report, run_job,
 
 
 def _cmd_verify(args) -> int:
+    from pathlib import Path  # imported by the commands, so importing the module skips it
     try:
         cfg = load_config(args.config)
         if args.horizon is not None:
@@ -56,6 +56,7 @@ def _summarize(report: dict, filename: str) -> dict:
 
 def _corpus_worker(path: str):
     """Top level so it pickles for the process pool."""
+    from pathlib import Path
     p = Path(path)
     try:
         cfg = load_config(p)
@@ -69,6 +70,7 @@ def _cmd_corpus(args) -> int:
     if args.jobs < 1:
         print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return EXIT_INVALID
+    from pathlib import Path
     root = Path(args.directory)
     paths = sorted(str(p) for p in root.glob("*.json"))
     if not paths:

@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .hilbert import binom
-from .ideals import CapReached, IdealHandle, LocalRing, _as_poly
+from .ideals import AssociatedGraded, CapReached, IdealHandle, LocalRing, _as_poly
 
 
 class HorizonExceeded(CapReached, RuntimeError):
@@ -168,9 +168,22 @@ class LengthTable:
 
     @cached_property
     def quotient(self) -> LengthTable:
-        """The table of C = A/W, W the torsion ideal: this one when W = 0."""
+        """The table of C = A/W, W the torsion ideal: this one when W = 0.
+        Each tail flag I_{n+1} = Q I_n passes to the images X + W, so C's
+        table records A's flags and r."""
         W = self.ring.torsion_ideal()
-        return LengthTable(self.filt, self.red, self.horizon, modulo=W) if W.gens else self
+        if not W.gens:
+            return self
+        out = LengthTable(self.filt, self.red, self.horizon, modulo=W)
+        out.flags, out.postulation = self.flags, self.postulation
+        return out
+
+    @cached_property
+    def graded(self) -> AssociatedGraded:
+        """The presentation of gr_Q(A/W) that ``closed_form`` reads each
+        l(A/(Q^n + W)) off, built when first asked for."""
+        W = self.modulo
+        return AssociatedGraded(self.ring, self.red.generators, () if W is None else W.gens)
 
     def ideal(self, n: int, k: int, plus: bool = False) -> IdealHandle:
         """Q^n I_k, or Q^n + I_k with ``plus``; plus W for a table modulo W."""
@@ -197,13 +210,21 @@ class LengthTable:
 
 def closed_form(lengths: LengthTable, n: int, k: int, plus: bool = False) -> int | None:
     """The entry (n, k, plus) of ``lengths`` by a theorem, or None where none
-    applies.  Past the first rule, every rule needs the Cohen-Macaulay
-    certificate, which also makes W = 0.
+    applies.  The first three rules hold in any ring; every other rule needs
+    the Cohen-Macaulay certificate, which also makes W = 0.
 
-    - Sums at n = 0, any ring: Q^0 + I_k = A, of length 0.
-    - Q side, any d: q_1..q_d is a regular sequence, so gr_Q(A) is the
-      polynomial ring (A/Q)[X_1..X_d] (Matsumura, Commutative Ring Theory,
-      Thm 16.2) and l(A/Q^n) = l(A/Q) C(n+d-1, d).
+    - Sums at n = 0: Q^0 + I_k = A, of length 0.
+    - Sums past the tail, any d: the flags prove I_{m+1} = Q I_m for
+      r <= m <= H - 2, and for every m >= r on powers, so I_k = Q^(k-r) I_r
+      lies in Q^(k-r).  Where k - r >= n, and k <= H - 1 unless the tower is
+      powers, Q^n + I_k is Q^n, and the entry is l(A/Q^n).
+    - Q side, any d, with the certificate: q_1..q_d is a regular sequence,
+      so gr_Q(A) is the polynomial ring (A/Q)[X_1..X_d] (Matsumura,
+      Commutative Ring Theory, Thm 16.2) and l(A/Q^n) = l(A/Q) C(n+d-1, d).
+    - Q side, any d, without the certificate: l(A/(Q^n + W)) is read off one
+      presentation of gr_Q(A/W) by the Rees algebra (``LengthTable.graded``,
+      ``ideals.AssociatedGraded``), except where Q^n + W is a monomial
+      ideal, whose staircase count is cheaper.
     - d = 1: Q = (x) with x a nonzerodivisor.  An m-primary ideal X is then a
       one-dimensional Cohen-Macaulay module with e(x; X) = e(x; A) = l(A/xA),
       as A/X has finite length, so l(X/x^n X) = n l(A/xA) (Matsumura, Sec. 14
@@ -220,14 +241,22 @@ def closed_form(lengths: LengthTable, n: int, k: int, plus: bool = False) -> int
     the certificate here."""
     if plus and n == 0:
         return 0
+    r = lengths.postulation
+    if (plus and r is not None and k - r >= n
+            and (k <= lengths.horizon - 1 or lengths.filt.kind == ADIC)):
+        return lengths.get(n, 0)
     d = lengths.ring.dimension
     if k == 0 and not plus:
-        if n < 2 or not lengths.cohen_macaulay:
+        if n < 2:
             return None
-        return lengths.get(1, 0) * binom(n + d - 1, d)
+        if lengths.cohen_macaulay:
+            return lengths.get(1, 0) * binom(n + d - 1, d)
+        W = lengths.modulo
+        if lengths.red.handle.monomials is not None and (W is None or W.exponents is not None):
+            return None
+        return lengths.graded.power_colength(n)
     if d != 1:
         return None
-    r = lengths.postulation
     if plus:
         if (r is None or k - 1 < r
                 or (k - 1 > lengths.horizon - 2 and lengths.filt.kind != ADIC)

@@ -21,7 +21,10 @@ monomial ideal, products, intersections, colons by a monomial and colengths
 are computed on exponent vectors by the monomial layer (``monomial.py``)
 instead.
 Every other intersection and colon by an element is one t-trick elimination,
-``_intersection_in_ambient``, which meets its two sides as given.  A handle
+``_intersection_in_ambient``, which meets its two sides as given.  The
+colengths of Q^n + W for every n are read off one presentation of the
+associated graded ring gr_Q(A/W) by the Rees algebra (``AssociatedGraded``):
+one elimination and one basis serve every power.  A handle
 whose generators and relations together span a monomial ideal, as
 m^k + (y^3 - x^4) = m^k + (y^3) for k <= 4, takes its basis from the
 monomial layer too, inside ``groebner.groebner_basis``, while its other
@@ -576,8 +579,8 @@ def _variables_nilpotent(G: GroebnerBasis, bounds, N: int) -> bool:
     return True
 
 
-def _fresh_variable(variables) -> str:
-    name = "_t"
+def _fresh_variable(variables, stem: str = "_t") -> str:
+    name = stem
     while name in variables:
         name = "_" + name
     return name
@@ -598,3 +601,74 @@ def _intersection_in_ambient(ring: LocalRing, left, right) -> list:
              for p in right]
     return [Polynomial(ctx, {m[1:]: c for m, c in p.terms})
             for p in eliminate(gens, 1, ctx=big)]
+
+
+class AssociatedGraded:
+    """The colengths l(A/(Q^n + W)), n >= 0, of Q = (q_1..q_s) plus an ideal
+    W, read off one presentation of gr_Q(A/W) instead of a basis of each
+    Q^n + W.  Q + W must have finite colength certified at the origin.
+
+    The Rees algebra (A/W)[Q u] is k[x, T]/L with
+    L = (J, W, T_i - q_i u) meet k[x, T], the kernel of T_i -> q_i u, so one
+    elimination of a fresh u gives L (Cox-Little-O'Shea, Ideals, Varieties,
+    and Algorithms, Ch. 3 sec. 3), and gr_Q(A/W) = R/QR is k[x, T]/(L + Q).
+    With deg x = 0 and deg u = deg T_i = 1 every generator is homogeneous,
+    so each reduced basis is, and the standard monomials of T-degree n are a
+    k-basis of (Q^n + W)/(Q^(n+1) + W) (CLO Ch. 5 sec. 3).  For each T^a
+    with |a| = n they are the x^b outside the leads whose T-part divides
+    T^a: a staircase count of those leads' x-parts.  The counts are global
+    dimensions; each piece is a module over k[x]/(J + W + Q), supported at
+    the origin alone, so they are its local lengths too, and a count that
+    is not finite is an internal error.  The presentation is built once,
+    and each degree is counted when first asked for.
+    """
+
+    __slots__ = ("_params", "_nvars", "_leads", "_colengths")
+
+    def __init__(self, ring: LocalRing, gens, modulo=()):
+        ctx, field = ring.ctx, ring.field
+        s = len(gens)
+        names = []
+        for stem in ["_u"] + [f"_T{i}" for i in range(s)]:
+            names.append(_fresh_variable(ctx.variables + tuple(names), stem))
+        big = PolyContext.get(tuple(names) + ctx.variables, field,
+                              elimination_block(1, 1 + s + ctx.nvars))
+        rees = PolyContext.get(big.variables[1:], field, grevlex(s + ctx.nvars))
+
+        def lift(p, into, head):
+            """p times the monomial with exponents ``head`` in the new variables."""
+            return Polynomial(into, {head + m: c for m, c in p.terms})
+
+        no_t = (0,) * s
+        rels = [lift(p, big, (0,) + no_t) for p in ring.gb_relations.polys + tuple(modulo)]
+        rels += [Polynomial.variable(big, names[1 + i]) - lift(q, big, (1,) + no_t)
+                 for i, q in enumerate(gens)]
+        kernel = tuple(Polynomial(rees, {m[1:]: c for m, c in p.terms})
+                       for p in eliminate(rels, 1, ctx=big))
+        # the members of a reduced basis free of u are the reduced basis of
+        # the kernel, under the order the elimination order induces on k[T, x]
+        seed = GroebnerBasis(rees, kernel, kernel)
+        gr = groebner_basis(kernel + tuple(lift(q, rees, no_t) for q in gens),
+                            ctx=rees, seed=seed)
+        self._params, self._nvars = s, ctx.nvars
+        self._leads = [(m[:s], m[s:]) for m in gr.leads]
+        self._colengths = [0]
+
+    def power_colength(self, n: int) -> int:
+        """l(A/(Q^n + W)): the pieces of T-degree below n, summed."""
+        sums = self._colengths
+        while len(sums) <= n:
+            sums.append(sums[-1] + self._piece(len(sums) - 1))
+        return sums[n]
+
+    def _piece(self, n: int) -> int:
+        """dim_k (Q^n + W)/(Q^(n+1) + W)."""
+        total = 0
+        for a in monomial.of_degree(n, self._params):
+            count = monomial.colength([x for t, x in self._leads if monomial.divides(t, a)],
+                                      self._nvars)
+            if count is None:
+                raise RuntimeError(f"the piece of gr_Q at T^{a} is not finite, "
+                                   "though Q has finite colength at the origin")
+            total += count
+        return total

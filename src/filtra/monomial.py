@@ -23,6 +23,7 @@ Algebra*, chapters 1-3.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
+from itertools import combinations
 from math import inf
 from operator import add, le, sub
 
@@ -48,6 +49,19 @@ def lcm(a: tuple, b: tuple) -> tuple:
 def coprime(a: tuple, b: tuple) -> bool:
     """True when x^a and x^b share no variable."""
     return not any(map(min, a, b))
+
+
+def of_degree(d: int, nvars: int) -> list:
+    """All exponent vectors of total degree exactly d in nvars variables."""
+    out = []
+    for bars in combinations(range(d + nvars - 1), nvars - 1):
+        prev, e = -1, []
+        for b in bars:
+            e.append(b - prev - 1)
+            prev = b
+        e.append(d + nvars - 2 - prev)
+        out.append(tuple(e))
+    return out
 
 
 def contains(gens, m: tuple) -> bool:

@@ -12,10 +12,9 @@ loop for both kinds of field.
 """
 from __future__ import annotations
 
-import itertools
 from typing import Iterable
 
-from .monomial import mul
+from .monomial import mul, of_degree
 from .orders import MonomialOrder
 
 Monomial = tuple  # exponent vector; degree = sum(m)
@@ -95,16 +94,7 @@ class PolyContext:
 
     def monomials_of_degree(self, d: int) -> list:
         """All exponent vectors of total degree exactly d."""
-        out = []
-        n = self.nvars
-        for bars in itertools.combinations(range(d + n - 1), n - 1):
-            prev, e = -1, []
-            for b in bars:
-                e.append(b - prev - 1)
-                prev = b
-            e.append(d + n - 2 - prev)
-            out.append(tuple(e))
-        return out
+        return of_degree(d, self.nvars)
 
     def __repr__(self):
         return f"PolyContext({self.descriptor})"

@@ -1,0 +1,81 @@
+"""The colengths l(A/(Q^n + W)) read off one presentation of gr_Q(A/W)
+(``ideals.AssociatedGraded``) against the colength of a basis of each
+Q^n + W, the route it replaces.  Only two_planes and its Ratliff-Rush twin
+take it among the corpus and digest jobs, so here it also meets Macaulay's
+Buchsbaum ring and drawn rings, several of them not Cohen-Macaulay, with
+linear parameters that are not monomials, over the rationals and over
+fp:101.
+"""
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
+
+from filtra.fields import field_from_descriptor
+from filtra.ideals import AssociatedGraded, LocalRing
+
+TOP = 6
+
+# k[s^4, s^3 t, s t^3, t^4]: Buchsbaum, not Cohen-Macaulay, of dimension two
+MACAULAY = (("x", "y", "z", "w"),
+            ["x*w - y*z", "y^3 - x^2*z", "z^3 - y*w^2", "y^2*w - x*z^2"])
+
+# (variables, relations, dimension): rings of dimension one and two, with
+# the depth-zero k[x,y]/(x^2, xy), the two planes (x,y) meet (z,w), a plane
+# with an embedded line and a plane meeting a line, none Cohen-Macaulay
+RINGS = [
+    (("x", "y"), ["x^2", "x*y"], 1),
+    (("x", "y"), ["y^2 - x^3"], 1),
+    (("x", "y", "z"), ["x*y", "x*z", "y*z"], 1),
+    (("x", "y"), [], 2),
+    (("x", "y", "z"), ["x^2", "x*y"], 2),
+    (("x", "y", "z"), ["x*z", "y*z"], 2),
+    (("x", "y", "z", "w"), ["x*z", "x*w", "y*z", "y*w"], 2),
+]
+
+
+def assert_matches_powers(ring, gens):
+    """The route's l(A/Q^n) and, for a nonzero torsion ideal W, its
+    l(A/(Q^n + W)) equal the colengths of the ideals for n <= TOP."""
+    Q = ring.ideal(gens)
+    W = ring.torsion_ideal()
+    for modulo in ([ring.zero_ideal(), W] if W.gens else [W]):
+        graded = AssociatedGraded(ring, Q.gens, modulo.gens)
+        got = [graded.power_colength(n) for n in range(TOP + 1)]
+        assert got == [(Q.power(n) + modulo).finite_colength() for n in range(TOP + 1)], \
+            (ring, gens, modulo)
+
+
+def test_two_planes():
+    ring = LocalRing(*RINGS[-1][:2])
+    assert_matches_powers(ring, ["x - z", "y - w"])
+
+
+def test_macaulay_ring_with_linear_parameters():
+    assert_matches_powers(LocalRing(*MACAULAY), ["x - z", "y + w"])
+
+
+@pytest.mark.parametrize("field", ["q", "fp:101"])
+@pytest.mark.parametrize("c", [0, 1, -2])
+def test_depth_zero_line_with_a_slanted_parameter(field, c):
+    """k[x,y]/(x^2, xy) with Q = (y + c x): W = (x), so both the table of A
+    and that of A/W are checked."""
+    ring = LocalRing(("x", "y"), ["x^2", "x*y"], field=field_from_descriptor(field))
+    assert ring.torsion_ideal().gens
+    assert_matches_powers(ring, [f"y + {c}*x"])
+
+
+def linear_form(variables, coeffs) -> str:
+    return " + ".join(f"{c}*{v}" for v, c in zip(variables, coeffs) if c) or "0"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(RINGS), st.sampled_from(["q", "fp:101"]),
+       st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+                min_size=2, max_size=2))
+@example(RINGS[-1], "q", [[1, 0, -1, 0], [0, 1, 0, -1]])
+@example(RINGS[0], "fp:101", [[2, 1, 0, 0], [0, 0, 0, 0]])
+def test_drawn_rings_with_linear_parameters(spec, field, coeffs):
+    variables, relations, d = spec
+    ring = LocalRing(variables, relations, field=field_from_descriptor(field))
+    gens = [linear_form(variables, row) for row in coeffs[:d]]
+    assume(ring.ideal(gens).colength() is not None)  # a system of parameters
+    assert_matches_powers(ring, gens)

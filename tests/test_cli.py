@@ -389,6 +389,15 @@ def test_cli_import_loads_no_hashlib():
                    cwd=PKG_ROOT, env={"PYTHONPATH": str(PKG_ROOT / "src")})
 
 
+def test_cli_import_loads_no_pathlib():
+    """Only the commands that read or write files import ``pathlib``, so
+    importing the command line does not."""
+    code = ("import sys, filtra.cli; "
+            "assert 'pathlib' not in sys.modules, 'pathlib imported'")
+    subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                   cwd=PKG_ROOT, env={"PYTHONPATH": str(PKG_ROOT / "src")})
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_corpus_jobs_below_one(tmp_path, capsys, jobs):
     (tmp_path / "cusp.json").write_text(CUSP.read_text())

@@ -10,7 +10,9 @@ I_{n+2} + W, so the collapse clause compares their colengths.  Under the
 Cohen-Macaulay certificate the length table fills entries by closed forms,
 in dimension one also the l(A/(Q^n + I_k)) that the graded clause reads
 past the tail, and ``check_adic_collapse`` scans its containment from the collapse clause's
-first failure.  Here every job runs a second time with ``closed_form``
+first failure.  On any ring a sum Q^n + I_k with I_k inside Q^n past the
+tail is read as l(A/Q^n), and each sum a closed form fills is checked
+against its colength.  Here every job runs a second time with ``closed_form``
 giving nothing, so that every entry is a colength, and both reports must
 be byte-identical; on both runs every interned handle's colength is
 recomputed by the full loop on a fresh handle, and every basis started from
@@ -126,14 +128,35 @@ def check_clause_scans(got, data, W) -> tuple:
     return collapse, graded
 
 
+def check_filled_sums(sums) -> int:
+    """Assert each l(A/(Q^n + I_k)), n >= 1, that ``closed_form`` filled
+    equals the colength of ``lengths.ideal(n, k, plus=True)`` on a fresh
+    handle; return how many there were."""
+    for lengths, n, k, value in sums:
+        fresh = IdealHandle(lengths.ring, lengths.ideal(n, k, plus=True).gens)
+        assert fresh.colength() == value, (n, k, lengths.modulo)
+    return len(sums)
+
+
 def assert_job_deductions(cfg, full=None) -> tuple:
     """Run the job, and unless ``full`` holds that run already, run it with
     no closed forms; assert the deductions on both runs.  Return (report,
     the adic scans' r or None, flagged non-monomial handles and handles with
     a seeded basis on each route as ((fast, full), (fast, full)), the
     collapse and graded witnesses by the scans, False where the job stopped
-    before them or, for graded, where d != 1)."""
-    got, ring, seeded, args, filt, red = run_captured(cfg)
+    before them or, for graded, where d != 1, and the number of sums
+    l(A/(Q^n + I_k)), n >= 1, that closed forms filled)."""
+    sums, closed = [], filtration.closed_form
+
+    def recorded(lengths, n, k, plus):
+        got = closed(lengths, n, k, plus)
+        if got is not None and plus and n >= 1:
+            sums.append((lengths, n, k, got))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(filtration, "closed_form", recorded)
+        got, ring, seeded, args, filt, red = run_captured(cfg)
     full, full_ring, full_seeded = (full or run_captured(cfg, closed_forms=False))[:3]
     assert report.to_json(full) == report.to_json(got), got["name"]
     flagged = (check_certificates(ring), check_certificates(full_ring))
@@ -144,7 +167,8 @@ def assert_job_deductions(cfg, full=None) -> tuple:
     collapse, graded = False, False
     if args is not None:
         collapse, graded = check_clause_scans(got, *args)
-    return got, r, flagged, rebuilt, collapse, graded
+    filled = check_filled_sums(sums)
+    return got, r, flagged, rebuilt, collapse, graded, filled
 
 
 @pytest.fixture(scope="module")
@@ -157,12 +181,13 @@ def runs(without_closed_forms):
 
 def test_inherited_certificates_match_the_full_loop(runs):
     """The comparison ran in the fixture, after each job and its run with no
-    closed forms; here, that it met the 538 and 3 019 certified non-monomial
+    closed forms; here, that it met the 503 and 3 019 certified non-monomial
     handles of those jobs on the two routes.  Before the length table, the
     one route met 3 355; before it held l(A/(Q^n + I_k)), the two met 618
     and 2 595, as the route without closed forms then decided the graded
-    clause at fewer n in dimension one."""
-    assert tuple(map(sum, zip(*(run[2] for run in runs)))) == (538, 3019)
+    clause at fewer n in dimension one; before sums past the tail were read
+    as Q^n, 538 and 3 019."""
+    assert tuple(map(sum, zip(*(run[2] for run in runs)))) == (503, 3019)
 
 
 def test_adic_chain_and_tail_match_the_full_scans(runs):
@@ -174,11 +199,22 @@ def test_adic_chain_and_tail_match_the_full_scans(runs):
 
 def test_seeded_bases_match_bases_from_scratch(runs):
     """The rebuild ran in the fixture, after each job and its run with no
-    closed forms; here, that it met the 123 and 783 handles on the two
+    closed forms; here, that it met the 75 and 783 handles on the two
     routes whose basis started from an operand's.  Before the length table,
     when a colon's basis could also start from its dividend's, the one route
-    met 763; before it held l(A/(Q^n + I_k)), the two met 171 and 173."""
-    assert tuple(map(sum, zip(*(run[3] for run in runs)))) == (123, 783)
+    met 763; before it held l(A/(Q^n + I_k)), the two met 171 and 173;
+    before sums past the tail were read as Q^n, 123 and 783."""
+    assert tuple(map(sum, zip(*(run[3] for run in runs)))) == (75, 783)
+
+
+def test_sums_filled_by_closed_forms_match_colengths(runs):
+    """The comparison ran in the fixture; here, that it met the sums that
+    closed forms filled on those jobs: 403 past the tail on any ring, where
+    I_k lies in Q^n and the sum is Q^n, and 288 more in dimension one
+    under the Cohen-Macaulay certificate, by adding e_0.  The graded clause
+    reads each of them, and reports only its verdict, so a wrong sum could
+    hide behind it."""
+    assert sum(run[6] for run in runs) == 691
 
 
 def test_collapse_clause_by_lengths_matches_the_scan(runs):

@@ -413,7 +413,8 @@ def test_monomial_job_builds_few_generators(monkeypatch):
     every handle was built from its polynomials, all 24 held them.  Before
     a polynomial ring, a complete intersection with no relation, took its
     Cohen-Macaulay certificate by theorem instead of by colons, the job
-    interned 24 handles and built 6."""
+    interned 24 handles and built 6.  Before l(A/(Q^n + I_k)) was read as
+    l(A/Q^n) past the tail, where I_k lies in Q^n, it interned 21."""
     runs = []
     raw = groebner._buchberger_raw
 
@@ -430,7 +431,7 @@ def test_monomial_job_builds_few_generators(monkeypatch):
     assert got["verdict"] == "verified"
     handles = ring._handles.values()
     assert all(h.exponents is not None for h in handles)
-    assert (len(handles), sum(h._gens is not None for h in handles), len(runs)) == (21, 3, 0)
+    assert (len(handles), sum(h._gens is not None for h in handles), len(runs)) == (16, 3, 0)
 
 
 def test_rings_with_equal_relations_share_nothing():
@@ -626,7 +627,10 @@ def test_depth_zero_job_buchberger_runs(monkeypatch):
     generators took its basis from the monomial layer, 92 runs formed 141;
     before the d-sequence colon by q_i q_j was taken as two colons, 83 runs
     formed 128; before the certificate in dimension one was read off the
-    torsion ideal instead of a colon by y, 83 runs formed 127."""
+    torsion ideal instead of a colon by y, 83 runs formed 127; before
+    l(A/Q^n) and l(A/(Q^n + W)) were read off one presentation of the
+    associated graded ring instead of a basis of each, and sums past the
+    tail as Q^n, 82 runs formed 122."""
     count = Counter()
     raw, spoly = groebner._buchberger_raw, groebner._spoly_dict
 
@@ -643,7 +647,7 @@ def test_depth_zero_job_buchberger_runs(monkeypatch):
     report = run_job(parse_config(NON_MONOMIAL_DEPTH_ZERO[0]))
     assert report["verdict"] == "verified"
     assert report["ring"]["torsion_length"] == 1
-    assert (count["buchberger"], count["spolys"]) == (82, 122)
+    assert (count["buchberger"], count["spolys"]) == (62, 103)
 
 
 def test_corpus_pass_work(monkeypatch):
@@ -656,7 +660,10 @@ def test_corpus_pass_work(monkeypatch):
     Before complete intersections were certified Cohen-Macaulay with zero
     torsion by theorem, and rings of dimension one by their torsion ideal,
     it made 61 runs and 821 S-polynomials.  Before a single generator was
-    taken as its own basis, it made 52 runs."""
+    taken as its own basis, it made 52 runs.  Before l(A/Q^n) was read off
+    one presentation of the associated graded ring instead of a basis of
+    each Q^n, and sums past the tail as Q^n, it made 49 runs, 751
+    S-polynomials and 73 bases."""
     count = Counter()
     raw, spoly, build = groebner._buchberger_raw, groebner._spoly_dict, ideals.groebner_basis
 
@@ -679,7 +686,31 @@ def test_corpus_pass_work(monkeypatch):
     assert len(configs) == 13
     for path in configs:
         run_job(load_config(path))
-    assert (count["buchberger"], count["spolys"], count["bases"]) == (49, 751, 73)
+    assert (count["buchberger"], count["spolys"], count["bases"]) == (39, 484, 54)
+
+
+def test_two_planes_work(monkeypatch):
+    """Noise-free work count of two_planes, (x, y) meet (z, w) with I_1 = m
+    and Q = (x - z, y - w), the corpus job without the Cohen-Macaulay
+    certificate in dimension two: general Buchberger runs and S-polynomials
+    formed.  Its l(A/Q^n) come from one presentation of gr_Q(A): an
+    elimination and one basis.  While each came from a basis of J + Q^n,
+    n = 2..13, the job made 36 runs and 678 S-polynomials."""
+    count = Counter()
+    raw, spoly = groebner._buchberger_raw, groebner._spoly_dict
+
+    def counted_raw(*args, **kwargs):
+        count["buchberger"] += 1
+        return raw(*args, **kwargs)
+
+    def counted_spoly(*args):
+        count["spolys"] += 1
+        return spoly(*args)
+
+    monkeypatch.setattr(groebner, "_buchberger_raw", counted_raw)
+    monkeypatch.setattr(groebner, "_spoly_dict", counted_spoly)
+    assert run_job(load_config(CORPUS_DIR / "two_planes.json"))["verdict"] == "verified"
+    assert (count["buchberger"], count["spolys"]) == (26, 411)
 
 
 def test_curves_pass_work(monkeypatch):
