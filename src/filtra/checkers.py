@@ -81,7 +81,8 @@ def compute_boundary_data(lengths: LengthTable) -> BoundaryData:
     The lengths l(A/I_n) and l(A/Q^n), the Sally values
     l(A/Q^n I_1) - l(A/I_{n+1}) and l(A/(Q + I_2)) are table entries, so
     where the Cohen-Macaulay certificate holds they come from closed forms
-    (``filtration.closed_form``)."""
+    (``filtration.closed_form``), and where it fails l(A/Q^n) and
+    l(A/Q^n I_1) come from one presentation of the Rees algebra A[Q u]."""
     d, horizon = lengths.ring.dimension, lengths.horizon
     get = lengths.get
     h_filt = [get(0, n) for n in range(horizon + 1)]
@@ -128,7 +129,9 @@ def evaluate_conditions(data: BoundaryData, power_bound: int) -> dict:
     (Matsumura, Commutative Ring Theory, Thms 16.1 and 16.3), and a regular
     sequence is a d-sequence (Huneke, Adv. Math. 46, 1982).  So c0 holds, c1
     holds for every exponent, and each (q_j : j != i) : q_i is (q_j : j != i),
-    inside Q and so inside I_1: no colon needs computing."""
+    inside Q and so inside I_1: no colon needs computing.  Without the
+    certificate, each clause of c0 and c1 is one nonzerodivisor test
+    (``filtration.check_d_sequence``)."""
     ring, red = data.ring, data.red
     if data.cohen_macaulay:
         c0 = c1 = c2 = True

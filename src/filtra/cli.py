@@ -1,4 +1,8 @@
-"""Command line front end: verify one job or sweep a corpus directory."""
+"""Command line front end: verify one job or sweep a corpus directory.
+
+The commands that run jobs import ``report``, and with it the algebra
+engine, and ``pathlib``; importing this module, or printing a schema,
+loads neither."""
 from __future__ import annotations
 
 import argparse
@@ -6,12 +10,11 @@ import sys
 
 from .config import (ConfigError, config_schema, load_config, parse_config,
                      report_schema)
-from .report import (EXIT_CODES, EXIT_INVALID, config_error_report, run_job,
-                     to_json, to_markdown)
 
 
 def _cmd_verify(args) -> int:
-    from pathlib import Path  # imported by the commands, so importing the module skips it
+    from pathlib import Path
+    from .report import EXIT_INVALID, run_job, to_json, to_markdown
     try:
         cfg = load_config(args.config)
         if args.horizon is not None:
@@ -57,6 +60,7 @@ def _summarize(report: dict, filename: str) -> dict:
 def _corpus_worker(path: str):
     """Top level so it pickles for the process pool."""
     from pathlib import Path
+    from .report import config_error_report, run_job, to_json
     p = Path(path)
     try:
         cfg = load_config(p)
@@ -67,6 +71,7 @@ def _corpus_worker(path: str):
 
 
 def _cmd_corpus(args) -> int:
+    from .report import EXIT_CODES, EXIT_INVALID, to_json
     if args.jobs < 1:
         print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return EXIT_INVALID
@@ -110,8 +115,10 @@ def _cmd_corpus(args) -> int:
 
 
 def _cmd_schema(args) -> int:
+    import json  # config has loaded it already
     schema = config_schema() if args.which == "config" else report_schema()
-    sys.stdout.write(to_json(schema))
+    # the bytes of report.to_json, written without loading the engine
+    sys.stdout.write(json.dumps(schema, sort_keys=True, indent=2) + "\n")
     return 0
 
 

@@ -158,7 +158,8 @@ class LengthTable:
         (``LocalRing.complete_intersection``) is Cohen-Macaulay, so every
         system of parameters is regular (Matsumura, Thm 17.4); in dimension
         one Q = (x), and x is regular exactly when W = (0 : m^oo) is zero.
-        Only d >= 2 outside a complete intersection takes the colons."""
+        Only d >= 2 outside a complete intersection takes the nonzerodivisor
+        tests of ``LocalRing.is_regular_sequence``."""
         ring = self.ring
         if ring.complete_intersection:
             return True
@@ -180,8 +181,9 @@ class LengthTable:
 
     @cached_property
     def graded(self) -> AssociatedGraded:
-        """The presentation of gr_Q(A/W) that ``closed_form`` reads each
-        l(A/(Q^n + W)) off, built when first asked for."""
+        """The presentation of the Rees algebra (A/W)[Q u] that
+        ``closed_form`` reads each l(A/(Q^n + W)) and l(A/(Q^n I_k + W))
+        off, built when first asked for."""
         W = self.modulo
         return AssociatedGraded(self.ring, self.red.generators, () if W is None else W.gens)
 
@@ -210,8 +212,9 @@ class LengthTable:
 
 def closed_form(lengths: LengthTable, n: int, k: int, plus: bool = False) -> int | None:
     """The entry (n, k, plus) of ``lengths`` by a theorem, or None where none
-    applies.  The first three rules hold in any ring; every other rule needs
-    the Cohen-Macaulay certificate, which also makes W = 0.
+    applies.  The rules for sums past the tail and both rules without the
+    Cohen-Macaulay certificate hold in any ring; every other rule needs the
+    certificate, which also makes W = 0.
 
     - Sums at n = 0: Q^0 + I_k = A, of length 0.
     - Sums past the tail, any d: the flags prove I_{m+1} = Q I_m for
@@ -225,6 +228,13 @@ def closed_form(lengths: LengthTable, n: int, k: int, plus: bool = False) -> int
       presentation of gr_Q(A/W) by the Rees algebra (``LengthTable.graded``,
       ``ideals.AssociatedGraded``), except where Q^n + W is a monomial
       ideal, whose staircase count is cheaper.
+    - I side, any d, without the certificate: for n, k >= 1,
+      l(A/(Q^n I_k + W)) = l(A/(Q^n + W)) + dim [R/I_k R]_n, R the same
+      Rees algebra, read off one more basis per stage, except where Q, I_k
+      and W are monomial ideals, whose products of staircases are cheaper.
+      The count is a local length because I_k + J is supported at the
+      origin: admissibility puts Q^k inside I_k, and the stage's own
+      colength is certified before the count is read.
     - d = 1: Q = (x) with x a nonzerodivisor.  An m-primary ideal X is then a
       one-dimensional Cohen-Macaulay module with e(x; X) = e(x; A) = l(A/xA),
       as A/X has finite length, so l(X/x^n X) = n l(A/xA) (Matsumura, Sec. 14
@@ -246,31 +256,37 @@ def closed_form(lengths: LengthTable, n: int, k: int, plus: bool = False) -> int
             and (k <= lengths.horizon - 1 or lengths.filt.kind == ADIC)):
         return lengths.get(n, 0)
     d = lengths.ring.dimension
-    if k == 0 and not plus:
-        if n < 2:
-            return None
-        if lengths.cohen_macaulay:
-            return lengths.get(1, 0) * binom(n + d - 1, d)
-        W = lengths.modulo
-        if lengths.red.handle.monomials is not None and (W is None or W.exponents is not None):
-            return None
-        return lengths.graded.power_colength(n)
-    if d != 1:
-        return None
     if plus:
-        if (r is None or k - 1 < r
+        if (d != 1 or r is None or k - 1 < r
                 or (k - 1 > lengths.horizon - 2 and lengths.filt.kind != ADIC)
                 or not lengths.cohen_macaulay):
             return None
         return lengths.get(n - 1, k - 1, plus=True) + lengths.get(1, 0)
+    if k == 0:
+        if n < 2:
+            return None
+        if lengths.cohen_macaulay:
+            return lengths.get(1, 0) * binom(n + d - 1, d)
+        return None if _monomial_reduction(lengths) else lengths.graded.power_colength(n)
     if n == 0:
-        if (lengths.filt.kind != ADIC or r is None or k <= r + 1
+        if (d != 1 or lengths.filt.kind != ADIC or r is None or k <= r + 1
                 or not lengths.cohen_macaulay):
             return None
         return lengths.get(0, r + 1) + (k - r - 1) * lengths.get(1, 0)
-    if not lengths.cohen_macaulay:
+    if d == 1 and lengths.cohen_macaulay:
+        return lengths.get(0, k) + n * lengths.get(1, 0)
+    stage = lengths.filt.get_ideal(k)
+    if (stage.monomials is not None and _monomial_reduction(lengths)) or lengths.cohen_macaulay:
         return None
-    return lengths.get(0, k) + n * lengths.get(1, 0)
+    stage.finite_colength()  # certified, as I_k contains Q^k
+    return lengths.graded.product_colength(n, stage)
+
+
+def _monomial_reduction(lengths: LengthTable) -> bool:
+    """Whether Q, and W if the table is modulo W, are monomial ideals of a
+    ring with monomial relations."""
+    W = lengths.modulo
+    return lengths.red.handle.monomials is not None and (W is None or W.exponents is not None)
 
 
 def _refuse_unreducible(filt: Filtration):
@@ -387,21 +403,42 @@ def find_reduction(filt: Filtration, horizon: int, seed: int,
 
 # -- sequence conditions ---------------------------------------------------
 
-def check_d_sequence(ring: LocalRing, elements) -> tuple:
-    """Colon stability over prefixes, for all 1 <= i <= j <= d.  The colon by
-    q_i q_j is taken as ((B : q_j) : q_i) (Atiyah-Macdonald, Ex. 1.12), so
-    the right side B : q_j is computed once for both."""
-    elements = [ring.gb_relations.normal_form(_as_poly(ring, g)) for g in elements]
+def check_d_sequence(ring: LocalRing, elements, exponents=None) -> tuple:
+    """Whether q_1^e_1..q_d^e_d, every exponent 1 unless ``exponents`` says
+    otherwise, is a d-sequence: (B : q_i^e_i q_j^e_j) = (B : q_j^e_j) for
+    all 1 <= i <= j <= d, B the ideal of the first i - 1 powers.  The left
+    side is ((B : q_j^e_j) : q_i^e_i) (Atiyah-Macdonald, Ex. 1.12), so each
+    clause says that q_i^e_i, or equally q_i, is a nonzerodivisor on
+    A/(B : q_j^e_j) (``IdealHandle.is_nonzerodivisor``).  The right side is
+    ``_colon_power``'s chain, so for i = j the clause is one test.  The scan
+    order and the witness of the first failing clause are those of the
+    colons' comparison."""
+    nf = ring.gb_relations.normal_form
+    elements = [nf(_as_poly(ring, g)) for g in elements]
     d = len(elements)
+    exponents = exponents or (1,) * d
+    powers = [nf(g ** e) for g, e in zip(elements, exponents)]
     for i in range(d):
-        base = ring.ideal(elements[:i])
+        base = ring.ideal(powers[:i])
         for j in range(i, d):
-            right = base.colon(elements[j])
-            left = right.colon(elements[i])
-            if not left.equals_local(right):
+            right = _colon_power(base, elements[j], exponents[j])
+            if not right.is_nonzerodivisor(elements[i]):
                 return False, {"i": i + 1, "j": j + 1,
-                               "prefix": [str(g) for g in elements[:i]]}
+                               "prefix": [str(g) for g in powers[:i]]}
     return True, None
+
+
+def _colon_power(base: IdealHandle, q, e: int) -> IdealHandle:
+    """(base : q^e), as e colons by q (Atiyah-Macdonald, Ex. 1.12) that stop
+    where the chain does.  The chain C_k = (base : q^k) grows, and
+    C_{k+1} = C_k exactly when q is a nonzerodivisor on A/C_k; then
+    C_{k+2} = (C_{k+1} : q) = C_{k+1}, and so on, so C_e = C_k."""
+    cur = base
+    for _ in range(e):
+        if cur.is_nonzerodivisor(q):
+            break
+        cur = cur.colon(q)
+    return cur
 
 
 def check_usd_bounded(ring: LocalRing, elements, power_bound: int) -> tuple:
@@ -412,8 +449,7 @@ def check_usd_bounded(ring: LocalRing, elements, power_bound: int) -> tuple:
     d = len(elements)
     for perm in itertools.permutations(range(d)):
         for exps in itertools.product(range(1, power_bound + 1), repeat=d):
-            seq = [elements[p] ** e for p, e in zip(perm, exps)]
-            ok, wit = check_d_sequence(ring, seq)
+            ok, wit = check_d_sequence(ring, [elements[p] for p in perm], exps)
             if not ok:
                 wit = dict(wit or {})
                 wit.update({"permutation": [p + 1 for p in perm], "exponents": list(exps)})

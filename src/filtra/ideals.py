@@ -21,10 +21,15 @@ monomial ideal, products, intersections, colons by a monomial and colengths
 are computed on exponent vectors by the monomial layer (``monomial.py``)
 instead.
 Every other intersection and colon by an element is one t-trick elimination,
-``_intersection_in_ambient``, which meets its two sides as given.  The
-colengths of Q^n + W for every n are read off one presentation of the
-associated graded ring gr_Q(A/W) by the Rees algebra (``AssociatedGraded``):
-one elimination and one basis serve every power.  A handle
+``_intersection_in_ambient``, which meets its two sides as given.  Whether
+an element is a nonzerodivisor modulo an ideal is read off two Hilbert
+series where the ideal, the relations and the element are homogeneous,
+with no elimination, and off one colon elsewhere
+(``IdealHandle.is_nonzerodivisor``).  The colengths of Q^n + W and of
+Q^n I + W, for every n and every ideal I containing a power of Q, are read
+off one presentation of the Rees algebra (A/W)[Q u] (``AssociatedGraded``):
+one elimination serves every power, and one more basis each of Q and of
+every I.  A handle
 whose generators and relations together span a monomial ideal, as
 m^k + (y^3 - x^4) = m^k + (y^3) for k <= 4, takes its basis from the
 monomial layer too, inside ``groebner.groebner_basis``, while its other
@@ -49,7 +54,8 @@ where they are read: where they are printed, or where a Groebner basis or
 another general route needs them.  The ring memoizes its products, its
 colons by an element and its intersections, keyed by the presentation of
 the inputs: the input handles, each of which stands for its presentation,
-and the terms of the reduced divisor.  The key is not the reduced basis,
+and the terms of the reduced divisor; it keeps its nonzerodivisor tests by
+the same keys.  The key is not the reduced basis,
 because the route taken (monomial layer or elimination) and so the printed
 generators of the result depend on the presentation.
 Ratliff-Rush closures ask for the same colons stage after stage, a job asks
@@ -154,7 +160,7 @@ class LocalRing:
         self._torsion = None
         self._torsion_length = None
         self._handles: dict = {}  # the one handle of each presentation, by _handle's key
-        self._ops: dict = {}  # product, colon and intersect results by presentation
+        self._ops: dict = {}  # product, colon, intersect and nonzerodivisor results
 
     @property
     def nvars(self) -> int:
@@ -260,11 +266,8 @@ class LocalRing:
 
     def is_regular_sequence(self, elements) -> bool:
         elements = [_as_poly(self, g) for g in elements]
-        for i, g in enumerate(elements):
-            base = self.ideal(elements[:i])
-            if not base.colon(g).equals_local(base):
-                return False
-        return True
+        return all(self.ideal(elements[:i]).is_nonzerodivisor(g)
+                   for i, g in enumerate(elements))
 
     # -- subquotient length -------------------------------------------
 
@@ -403,6 +406,48 @@ class IdealHandle:
 
     def equals_local(self, other: "IdealHandle") -> bool:
         return self.contains_ideal(other) and other.contains_ideal(self)
+
+    def is_nonzerodivisor(self, g) -> bool:
+        """Whether g is a nonzerodivisor on A/self, that is (self : g) = self
+        in the local ring, once per g for the life of the ring.  Where self
+        plus the relations and g are homogeneous it is read off Hilbert
+        series (``_nonzerodivisor_by_series``), else off the colon
+        (``_nonzerodivisor_by_colon``)."""
+        ring = self.ring
+        g = ring.gb_relations.normal_form(_as_poly(ring, g))
+        return ring._memo(("nonzerodivisor", self, g.terms), self._nonzerodivisor, g)
+
+    def _nonzerodivisor(self, g: Polynomial) -> bool:
+        by_series = self._nonzerodivisor_by_series(g)
+        return self._nonzerodivisor_by_colon(g) if by_series is None else by_series
+
+    def _nonzerodivisor_by_colon(self, g: Polynomial) -> bool:
+        """(self : g) = self, which holds iff (self : g) lies in self."""
+        return self.contains_ideal(self.colon(g))
+
+    def _nonzerodivisor_by_series(self, g: Polynomial) -> bool | None:
+        """The graded test, or None where the ideal I = self + J or g, of
+        degree e, is not homogeneous, or g is zero.  From the exact sequence
+        0 -> ((I : g)/I)(-e) -> (S/I)(-e) -> S/I -> S/(I + g) -> 0 of graded
+        S-modules, g is a nonzerodivisor on S/I iff
+        HS(S/(I + g)) = (1 - t^e) HS(S/I), and each series is that of the
+        quotient by the leads of a Groebner basis, a monomial ideal
+        (``monomial.hilbert_numerator``).  The associated primes of a
+        graded module are graded, so they lie in m (Bruns-Herzog,
+        Cohen-Macaulay Rings, sec. 1.5): g is a zerodivisor on S/I iff it
+        is one on its localization at m, and the global answer is the local
+        one.  The basis of I + g starts from that of I."""
+        if g.is_zero or not _homogeneous(g):
+            return None
+        G = self.gb()
+        if not all(_homogeneous(p) for p in G.polys):
+            return None
+        ring = self.ring
+        nvars = ring.nvars
+        before = monomial.hilbert_numerator(G.leads, nvars)
+        after = monomial.hilbert_numerator((self + ring.ideal([g])).gb().leads, nvars)
+        e = g.degree()
+        return after == monomial.shifted_sum(before, before, e, -1)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -579,6 +624,11 @@ def _variables_nilpotent(G: GroebnerBasis, bounds, N: int) -> bool:
     return True
 
 
+def _homogeneous(p: Polynomial) -> bool:
+    """Whether every term of p has the same total degree."""
+    return len({sum(m) for m, _ in p.terms}) <= 1
+
+
 def _fresh_variable(variables, stem: str = "_t") -> str:
     name = stem
     while name in variables:
@@ -604,26 +654,37 @@ def _intersection_in_ambient(ring: LocalRing, left, right) -> list:
 
 
 class AssociatedGraded:
-    """The colengths l(A/(Q^n + W)), n >= 0, of Q = (q_1..q_s) plus an ideal
-    W, read off one presentation of gr_Q(A/W) instead of a basis of each
-    Q^n + W.  Q + W must have finite colength certified at the origin.
+    """The colengths l(A/(Q^n + W)) and l(A/(Q^n I + W)), n >= 0, of
+    Q = (q_1..q_s) plus an ideal W, and of its products with ideals I that
+    contain a power of Q, read off one presentation of the Rees algebra
+    R = (A/W)[Q u] instead of a basis of each ideal.  Q + W must have
+    finite colength certified at the origin.
 
-    The Rees algebra (A/W)[Q u] is k[x, T]/L with
-    L = (J, W, T_i - q_i u) meet k[x, T], the kernel of T_i -> q_i u, so one
-    elimination of a fresh u gives L (Cox-Little-O'Shea, Ideals, Varieties,
-    and Algorithms, Ch. 3 sec. 3), and gr_Q(A/W) = R/QR is k[x, T]/(L + Q).
-    With deg x = 0 and deg u = deg T_i = 1 every generator is homogeneous,
-    so each reduced basis is, and the standard monomials of T-degree n are a
-    k-basis of (Q^n + W)/(Q^(n+1) + W) (CLO Ch. 5 sec. 3).  For each T^a
-    with |a| = n they are the x^b outside the leads whose T-part divides
-    T^a: a staircase count of those leads' x-parts.  The counts are global
-    dimensions; each piece is a module over k[x]/(J + W + Q), supported at
-    the origin alone, so they are its local lengths too, and a count that
-    is not finite is an internal error.  The presentation is built once,
-    and each degree is counted when first asked for.
+    R is k[x, T]/L with L = (J, W, T_i - q_i u) meet k[x, T], the kernel of
+    T_i -> q_i u, so one elimination of a fresh u gives L (Cox-Little-O'Shea,
+    Ideals, Varieties, and Algorithms, Ch. 3 sec. 3).  With deg x = 0 and
+    deg u = deg T_i = 1 every generator is homogeneous, so each reduced basis
+    is, and for an ideal X of A the standard monomials of T-degree n modulo
+    L + X are a k-basis of [R/XR]_n (CLO Ch. 5 sec. 3).  For each T^a with
+    |a| = n they are the x^b outside the leads whose T-part divides T^a: a
+    staircase count of those leads' x-parts.
+
+    - X = Q: R/QR is gr_Q(A/W), whose piece of degree n is
+      (Q^n + W)/(Q^(n+1) + W), so l(A/(Q^n + W)) sums the pieces below n.
+    - X = I: R_n = (Q^n + W)/W and (IR)_n = (Q^n I + W)/W, so
+      l(A/(Q^n I + W)) = l(A/(Q^n + W)) + dim [R/IR]_n.
+
+    The counts are global dimensions.  Each piece is a module over
+    k[x]/(J + W + X), and X + J is supported at the origin alone: Q by its
+    certificate, and I because it contains a power of Q.  So they are local
+    lengths too, and a count that is not finite is an internal error.  The
+    kernel's basis is kept; one more basis, seeded with it, is built for Q
+    and for each I when first asked for, and each degree is counted when
+    first asked for.
     """
 
-    __slots__ = ("_params", "_nvars", "_leads", "_colengths")
+    __slots__ = ("_params", "_nvars", "_rees", "_kernel", "_q_leads", "_stage_leads",
+                 "_colengths", "_staircases")
 
     def __init__(self, ring: LocalRing, gens, modulo=()):
         ctx, field = ring.ctx, ring.field
@@ -635,40 +696,62 @@ class AssociatedGraded:
                               elimination_block(1, 1 + s + ctx.nvars))
         rees = PolyContext.get(big.variables[1:], field, grevlex(s + ctx.nvars))
 
-        def lift(p, into, head):
-            """p times the monomial with exponents ``head`` in the new variables."""
-            return Polynomial(into, {head + m: c for m, c in p.terms})
-
         no_t = (0,) * s
-        rels = [lift(p, big, (0,) + no_t) for p in ring.gb_relations.polys + tuple(modulo)]
-        rels += [Polynomial.variable(big, names[1 + i]) - lift(q, big, (1,) + no_t)
+        rels = [_lift(p, big, (0,) + no_t) for p in ring.gb_relations.polys + tuple(modulo)]
+        rels += [Polynomial.variable(big, names[1 + i]) - _lift(q, big, (1,) + no_t)
                  for i, q in enumerate(gens)]
         kernel = tuple(Polynomial(rees, {m[1:]: c for m, c in p.terms})
                        for p in eliminate(rels, 1, ctx=big))
         # the members of a reduced basis free of u are the reduced basis of
         # the kernel, under the order the elimination order induces on k[T, x]
-        seed = GroebnerBasis(rees, kernel, kernel)
-        gr = groebner_basis(kernel + tuple(lift(q, rees, no_t) for q in gens),
-                            ctx=rees, seed=seed)
-        self._params, self._nvars = s, ctx.nvars
-        self._leads = [(m[:s], m[s:]) for m in gr.leads]
+        self._kernel = GroebnerBasis(rees, kernel, kernel)
+        self._params, self._nvars, self._rees = s, ctx.nvars, rees
+        self._q_leads = self._split_leads(gens)
+        self._stage_leads = {}  # the split leads of L + I, by the handle of I
         self._colengths = [0]
+        self._staircases = {}  # the count outside each tuple of x-parts
+
+    def _split_leads(self, gens) -> list:
+        """(T-part, x-part) of each lead of the basis of L + (gens)."""
+        s, rees = self._params, self._rees
+        polys = self._kernel.polys + tuple(_lift(g, rees, (0,) * s) for g in gens)
+        return [(m[:s], m[s:]) for m in
+                groebner_basis(polys, ctx=rees, seed=self._kernel).leads]
 
     def power_colength(self, n: int) -> int:
-        """l(A/(Q^n + W)): the pieces of T-degree below n, summed."""
+        """l(A/(Q^n + W)): the pieces of gr_Q(A/W) of degree below n, summed."""
         sums = self._colengths
         while len(sums) <= n:
-            sums.append(sums[-1] + self._piece(len(sums) - 1))
+            sums.append(sums[-1] + self._count(self._q_leads, len(sums) - 1))
         return sums[n]
 
-    def _piece(self, n: int) -> int:
-        """dim_k (Q^n + W)/(Q^(n+1) + W)."""
+    def product_colength(self, n: int, ideal: IdealHandle) -> int:
+        """l(A/(Q^n I + W)) for the ideal I of ``ideal``, which must contain
+        a power of Q."""
+        leads = self._stage_leads.get(ideal)
+        if leads is None:
+            leads = self._stage_leads[ideal] = self._split_leads(ideal.gens)
+        return self.power_colength(n) + self._count(leads, n)
+
+    def _count(self, leads, n: int) -> int:
+        """The standard monomials of T-degree n outside the split leads.  Past
+        the leads' T-degrees many T^a see the same x-parts, so each
+        staircase is counted once."""
         total = 0
+        staircases = self._staircases
         for a in monomial.of_degree(n, self._params):
-            count = monomial.colength([x for t, x in self._leads if monomial.divides(t, a)],
-                                      self._nvars)
+            xs = tuple(x for t, x in leads if monomial.divides(t, a))
+            count = staircases.get(xs)
             if count is None:
-                raise RuntimeError(f"the piece of gr_Q at T^{a} is not finite, "
-                                   "though Q has finite colength at the origin")
+                count = staircases[xs] = monomial.colength(xs, self._nvars)
+                if count is None:
+                    raise RuntimeError(f"the piece of degree {n} at T^{a} is not finite, "
+                                       "though its ideal has finite colength at the origin")
             total += count
         return total
+
+
+def _lift(p: Polynomial, into: PolyContext, head: tuple) -> Polynomial:
+    """p times the monomial with exponents ``head`` in the variables that
+    ``into`` puts before p's."""
+    return Polynomial(into, {head + m: c for m, c in p.terms})

@@ -13,7 +13,9 @@ unpacked.  An intersection in two variables merges the two staircases;
 in more it takes pairwise lcms.  The colon by a monomial subtracts
 exponents clipped at zero, membership is divisibility, and the colength
 of an artinian ideal is a staircase count, which reads any generating
-set: it needs no minimal generators.
+set: it needs no minimal generators.  The Hilbert series of any monomial
+quotient is read off the numerator that Bigatti's pivot recursion
+computes.
 Nothing here builds a polynomial; callers convert at their own boundary.
 
 References: A. M. Bigatti, "Computation of Hilbert-Poincare series",
@@ -296,3 +298,46 @@ def colength(gens, nvars: int) -> int | None:
         return None  # no power of x
     bounds = pure_power_bounds(gens, nvars)
     return None if bounds is None else count_box_complement(bounds, gens)
+
+
+def hilbert_numerator(gens, nvars: int) -> tuple:
+    """The numerator N(t) of the Hilbert series N(t)/(1 - t)^nvars of
+    k[x]/(gens), every variable of degree one, as its coefficients from t^0
+    up with no trailing zero: (1,) for the zero ideal and () for the unit
+    ideal.  The generators need not be minimal.
+
+    Pairwise coprime generators m_1..m_r are a regular sequence, so
+    N = (1 - t^deg m_1)...(1 - t^deg m_r).  Otherwise a pivot p = x_i^e
+    splits the ideal M by the exact sequence
+    0 -> S/(M : p)(-e) -> S/M -> S/(M + p) -> 0, so
+    N(M) = N(M + p) + t^e N(M : p) (Bigatti, JPAA 119, 1997).  The
+    pivot's variable is one that the most generators hold, and e the median
+    of its exponents in the generators that are not its pure powers.  So p
+    lies outside M and properly divides a generator: both sides have a
+    smaller sum of generator degrees, and the recursion ends.
+    """
+    gens = minimal(gens)
+    if any(not any(m) for m in gens):
+        return ()
+    holders = [[m for m in gens if m[i]] for i in range(nvars)]
+    i = max(range(nvars), key=lambda v: len(holders[v]))
+    if len(holders[i]) < 2:
+        out = (1,)
+        for m in gens:
+            out = shifted_sum(out, out, sum(m), -1)
+        return out
+    exps = sorted(m[i] for m in holders[i] if sum(m) != m[i])
+    e = exps[len(exps) // 2]
+    p = tuple(e if j == i else 0 for j in range(nvars))
+    return shifted_sum(hilbert_numerator(gens + (p,), nvars),
+                        hilbert_numerator(colon(gens, p), nvars), e, 1)
+
+
+def shifted_sum(a: tuple, b: tuple, shift: int, sign: int) -> tuple:
+    """a + sign t^shift b for coefficient tuples, with no trailing zero."""
+    out = list(a) + [0] * max(0, shift + len(b) - len(a))
+    for k, c in enumerate(b, shift):
+        out[k] += sign * c
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)

@@ -171,11 +171,13 @@ def run_job(cfg: JobConfig) -> dict:
 
 
 def to_json(report: dict) -> str:
-    """The one JSON writer: reports, the corpus summary and the schemas.
-    It writes the bytes of ``json.dumps(report, sort_keys=True, indent=2,
+    """The JSON writer of reports and the corpus summary.  It writes the
+    bytes of ``json.dumps(report, sort_keys=True, indent=2,
     ensure_ascii=True)`` and a final newline, for dicts with str keys,
     lists, tuples, str, int, bool and None; any other type, float and the
-    package's NamedTuple records included, raises TypeError."""
+    package's NamedTuple records included, raises TypeError.  ``filtra
+    schema`` calls that ``json.dumps`` itself, so that printing a schema
+    loads no engine module; the bytes are the same."""
     out: list = []
     _write(report, "\n", out)
     out.append("\n")

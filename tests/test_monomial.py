@@ -265,3 +265,63 @@ def test_minimal_paths_agree(nvars, monkeypatch):
     for gens, pairwise, packed in zip(inputs, got[10 ** 9], got[0]):
         assert sorted(pairwise) == sorted(packed), gens
         assert set(pairwise) == brute_minimal(gens)
+
+
+def series_by_degree(gens, nvars, top) -> list:
+    """dim_k of k[x]/(gens) in each degree up to ``top``, monomial by
+    monomial."""
+    out = [0] * (top + 1)
+    for m in box((top + 1,) * nvars):
+        if sum(m) <= top and not member(gens, m):
+            out[sum(m)] += 1
+    return out
+
+
+def expand_series(numerator, nvars, top) -> list:
+    """The coefficients up to ``top`` of numerator / (1 - t)^nvars."""
+    out = list(numerator[:top + 1]) + [0] * (top + 1 - len(numerator))
+    for _ in range(nvars):
+        for d in range(1, top + 1):
+            out[d] += out[d - 1]  # divide by 1 - t: partial sums
+    return out
+
+
+@pytest.mark.parametrize("nvars", [2, 3, 4])
+def test_hilbert_numerator_counts_monomials_by_degree(nvars):
+    """N(t)/(1 - t)^n, expanded, counts the standard monomials of each
+    degree, on ideals with and without a pure power of every variable, and
+    the numerator has no trailing zero."""
+    rng = random.Random(9900 + nvars)
+    top = 9 if nvars < 4 else 7
+    artinian = 0
+    for _ in range(60 if nvars < 4 else 25):
+        gens = untidy_gens(rng, nvars, top=4)
+        if rng.random() < 0.5:
+            gens = with_pure_powers(rng, nvars, gens, top=4)
+        artinian += monomial.colength(gens, nvars) is not None
+        got = monomial.hilbert_numerator(gens, nvars)
+        assert not got or got[-1], gens
+        assert expand_series(got, nvars, top) == series_by_degree(gens, nvars, top), gens
+    assert artinian >= 10
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+def test_hilbert_numerator_of_the_zero_and_unit_ideals(nvars):
+    """k[x] has series 1/(1 - t)^n, the zero ring 0; x_1..x_n and any other
+    coprime generators give (1 - t^deg m_1)...(1 - t^deg m_r)."""
+    zero = (0,) * nvars
+    assert monomial.hilbert_numerator([], nvars) == (1,)
+    assert monomial.hilbert_numerator([zero], nvars) == ()
+    assert monomial.hilbert_numerator([zero, (1,) * nvars], nvars) == ()
+    variables = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
+    want = (1,)
+    for _ in range(nvars):
+        want = monomial.shifted_sum(want, want, 1, -1)
+    assert monomial.hilbert_numerator(variables, nvars) == want
+    assert monomial.hilbert_numerator([(2,) + (0,) * (nvars - 1)], nvars) == (1, 0, -1)
+
+
+def test_shifted_sum_trims_trailing_zeros():
+    assert monomial.shifted_sum((1, -1), (1, -1), 0, -1) == ()
+    assert monomial.shifted_sum((1,), (1,), 2, -1) == (1, 0, -1)
+    assert monomial.shifted_sum((1, 0, -1), (1,), 2, 1) == (1,)

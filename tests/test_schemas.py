@@ -21,7 +21,7 @@ from filtra.checkers import ALL_CHECKS
 from filtra.config import (_ANNOTATIONS, _CONFIG_VALID, _LEAVES, _NODES,
                            _REPORT_VALID, ConfigError, config_schema,
                            parse_config, report_schema, schema_predicate)
-from filtra.report import EXIT_CODES, run_job
+from filtra.report import EXIT_CODES, run_job, to_json
 
 from conftest import CORPUS_DIR, GOLDEN_DIR, PKG_ROOT
 
@@ -210,6 +210,23 @@ def test_config_import_loads_no_engine():
             "assert not loaded, loaded")
     subprocess.run([sys.executable, "-S", "-c", code], check=True,
                    cwd=PKG_ROOT, env={"PYTHONPATH": str(PKG_ROOT / "src")})
+
+
+def test_schema_command_loads_no_engine():
+    """``filtra schema config`` prints the schema with ``json.dumps``, so it
+    loads no filtra module beside ``config`` and the command line, nor
+    ``fractions`` or ``hashlib``, and its bytes are those ``report.to_json``
+    writes.  ``-S`` keeps site hooks from importing them first."""
+    code = ("import sys, filtra.cli; "
+            "filtra.cli.main(['schema', 'config']); "
+            "loaded = {m for m in sys.modules if m.startswith('filtra')}; "
+            "assert loaded == {'filtra', 'filtra.config', 'filtra.cli'}, loaded; "
+            "loaded = {'fractions', 'hashlib'} & set(sys.modules); "
+            "assert not loaded, loaded")
+    out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                         capture_output=True, text=True,
+                         cwd=PKG_ROOT, env={"PYTHONPATH": str(PKG_ROOT / "src")})
+    assert out.stdout == to_json(config_schema())
 
 
 def test_a_checks_list_names_the_engine_checks():
