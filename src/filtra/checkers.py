@@ -139,7 +139,7 @@ def evaluate_conditions(data: BoundaryData, power_bound: int) -> dict:
     else:
         c0, w0 = check_d_sequence(ring, red.generators)
         c1, w1 = check_usd_bounded(ring, red.generators, power_bound)
-        c2, w2 = check_colon_in_i1(ring, red, data.filt.i1)
+        c2, w2 = check_colon_in_i1(red, data.filt.i1)
     c3 = ring.has_positive_depth()
     out = {
         "c0_d_sequence": {"holds": c0, "witness": w0},

@@ -216,7 +216,6 @@ def closed_form(lengths: LengthTable, n: int, k: int, plus: bool = False) -> int
     Cohen-Macaulay certificate hold in any ring; every other rule needs the
     certificate, which also makes W = 0.
 
-    - Sums at n = 0: Q^0 + I_k = A, of length 0.
     - Sums past the tail, any d: the flags prove I_{m+1} = Q I_m for
       r <= m <= H - 2, and for every m >= r on powers, so I_k = Q^(k-r) I_r
       lies in Q^(k-r).  Where k - r >= n, and k <= H - 1 unless the tower is
@@ -249,8 +248,6 @@ def closed_form(lengths: LengthTable, n: int, k: int, plus: bool = False) -> int
 
     The cheap tests come first, so that a job no rule serves never builds
     the certificate here."""
-    if plus and n == 0:
-        return 0
     r = lengths.postulation
     if (plus and r is not None and k - r >= n
             and (k <= lengths.horizon - 1 or lengths.filt.kind == ADIC)):
@@ -457,7 +454,7 @@ def check_usd_bounded(ring: LocalRing, elements, power_bound: int) -> tuple:
     return True, None
 
 
-def check_colon_in_i1(ring: LocalRing, red: ReductionSystem, I1: IdealHandle) -> tuple:
+def check_colon_in_i1(red: ReductionSystem, I1: IdealHandle) -> tuple:
     """Each omitted-generator colon lands inside stage one."""
     for i in range(len(red.generators)):
         bad = I1.missing_generator(red.omit_handle(i).colon(red.generators[i]))

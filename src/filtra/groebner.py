@@ -311,24 +311,7 @@ def groebner_basis(gens, ctx: PolyContext, use_criteria: bool = True,
     return GroebnerBasis(ctx, polys, gens)
 
 
-# -- dimension and elimination -------------------------------------------
-
-def lead_ideal_dimension(gb: GroebnerBasis) -> int:
-    """Krull dimension of the quotient by the ideal; -1 for the unit ideal."""
-    nvars = gb.ctx.nvars
-    leads = gb.leads
-    if any(sum(m) == 0 for m in leads):
-        return -1
-    supports = [frozenset(i for i, e in enumerate(m) if e) for m in leads]
-    best = 0
-    for mask in range(1 << nvars):
-        S = frozenset(i for i in range(nvars) if mask >> i & 1)
-        if len(S) <= best:
-            continue
-        if all(not sup <= S for sup in supports):
-            best = len(S)
-    return best
-
+# -- elimination -----------------------------------------------------------
 
 def eliminate(polys, k: int, ctx: PolyContext) -> list:
     """Generators of the elimination ideal dropping the first k variables.

@@ -69,8 +69,7 @@ import itertools
 
 from . import monomial
 from .fields import QQ
-from .groebner import (GroebnerBasis, eliminate, groebner_basis,
-                       lead_ideal_dimension)
+from .groebner import GroebnerBasis, eliminate, groebner_basis
 from .orders import elimination_block, grevlex
 from .poly import Polynomial, PolyContext, add_multiple
 from .parser import parse_polynomial
@@ -146,7 +145,9 @@ class LocalRing:
         self.gb_relations = groebner_basis(rels, ctx=self.ctx)
         if self.gb_relations.is_unit_ideal():
             raise ValueError("relations generate the unit ideal; the ring is zero")
-        self.dimension = lead_ideal_dimension(self.gb_relations)
+        # k[x]/J has the dimension of k[x]/in(J), the pole order at t = 1
+        # of the lead ideal's Hilbert series
+        self.dimension = monomial.dimension(self.gb_relations.leads, self.nvars)
         # c relations with dimension v - c: every minimal prime of J has
         # height at least c, and by Krull's theorem at most c (Matsumura,
         # Commutative Ring Theory, Thm 13.5), so in the regular ring k[x]_m

@@ -15,7 +15,7 @@ exponents clipped at zero, membership is divisibility, and the colength
 of an artinian ideal is a staircase count, which reads any generating
 set: it needs no minimal generators.  The Hilbert series of any monomial
 quotient is read off the numerator that Bigatti's pivot recursion
-computes.
+computes, and its dimension off the pole of that series at t = 1.
 Nothing here builds a polynomial; callers convert at their own boundary.
 
 References: A. M. Bigatti, "Computation of Hilbert-Poincare series",
@@ -25,7 +25,7 @@ Algebra*, chapters 1-3.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import inf
 from operator import add, le, sub
 
@@ -331,6 +331,19 @@ def hilbert_numerator(gens, nvars: int) -> tuple:
     p = tuple(e if j == i else 0 for j in range(nvars))
     return shifted_sum(hilbert_numerator(gens + (p,), nvars),
                         hilbert_numerator(colon(gens, p), nvars), e, 1)
+
+
+def dimension(gens, nvars: int) -> int:
+    """Krull dimension of k[x]/(gens): the order of the pole at t = 1 of
+    its Hilbert series N(t)/(1 - t)^nvars, found by dividing 1 - t out of
+    N while N(1) = 0; -1 for the unit ideal."""
+    numerator = hilbert_numerator(gens, nvars)
+    if not numerator:
+        return -1
+    while not sum(numerator):
+        numerator = tuple(accumulate(numerator))[:-1]  # N / (1 - t)
+        nvars -= 1
+    return nvars
 
 
 def shifted_sum(a: tuple, b: tuple, shift: int, sign: int) -> tuple:

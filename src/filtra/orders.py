@@ -12,7 +12,7 @@ from typing import NamedTuple
 class MonomialOrder(NamedTuple):
     """A multiplicative total order on exponent vectors of a fixed width."""
 
-    kind: str            # "grevlex" | "lex" | "elim:<k>"
+    kind: str            # "grevlex" | "elim:<k>"
     nvars: int
     block: int = 0       # number of leading variables in the elimination block
 
@@ -25,8 +25,6 @@ class MonomialOrder(NamedTuple):
             out = [sum(e)]
             out.extend(-c for c in reversed(e))
             return tuple(out)
-        if self.kind == "lex":
-            return e
         # elimination block order: grevlex on the first k variables dominates,
         # grevlex on the rest breaks ties
         k = self.block
@@ -40,10 +38,6 @@ class MonomialOrder(NamedTuple):
 
 def grevlex(nvars: int) -> MonomialOrder:
     return MonomialOrder("grevlex", nvars)
-
-
-def lex(nvars: int) -> MonomialOrder:
-    return MonomialOrder("lex", nvars)
 
 
 def elimination_block(k: int, nvars: int) -> MonomialOrder:

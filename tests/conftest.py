@@ -1,5 +1,7 @@
 import json
+from contextlib import contextmanager
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -72,6 +74,74 @@ def canonical_key(cfg) -> str:
     return json.dumps(cfg.canonical(), sort_keys=True)
 
 
+# The engine functions whose calls the work counts read, each under the
+# name that ``Census`` counts it by: (module of filtra, attribute path).
+WORK = {
+    "buchberger": ("groebner", "_buchberger_raw"),
+    "spolys": ("groebner", "_spoly_dict"),
+    "bases": ("ideals", "groebner_basis"),
+    "eliminations": ("ideals", "_intersection_in_ambient"),
+    "nilpotency": ("ideals", "_variables_nilpotent"),
+    "colons": ("ideals", "IdealHandle._colon_element"),
+    "intersections": ("ideals", "IdealHandle._intersect"),
+    "subquotients": ("ideals", "LocalRing.subquotient_length"),
+    "rings": ("ideals", "LocalRing.__init__"),
+}
+
+
+class Call(NamedTuple):
+    args: tuple
+    kwargs: dict
+    result: object
+
+
+class Census:
+    """The calls of the ``WORK`` functions made while it counts, each kept
+    in ``calls[name]`` as it returns; ``census[name]`` is their number."""
+
+    def __init__(self):
+        self.calls = {name: [] for name in WORK}
+
+    def __getitem__(self, name: str) -> int:
+        return len(self.calls[name])
+
+    def clear(self):
+        for calls in self.calls.values():
+            calls.clear()
+
+
+def _recorded(calls: list, fn):
+    def wrapper(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        calls.append(Call(args, kwargs, result))
+        return result
+    return wrapper
+
+
+@contextmanager
+def counting_work():
+    """A ``Census`` of every ``WORK`` call made inside the block.  Each
+    function is wrapped where its callers look it up, by module or class
+    attribute, and is restored on exit.  Hypothesis tests and session
+    fixtures use this; other tests take the ``census`` fixture."""
+    import importlib
+    census = Census()
+    with pytest.MonkeyPatch.context() as mp:
+        for name, (module, path) in WORK.items():
+            owner = importlib.import_module(f"filtra.{module}")
+            *cls, attr = path.split(".")
+            for c in cls:
+                owner = getattr(owner, c)
+            mp.setattr(owner, attr, _recorded(census.calls[name], getattr(owner, attr)))
+        yield census
+
+
+@pytest.fixture
+def census():
+    with counting_work() as counted:
+        yield counted
+
+
 def run_captured(cfg, closed_forms=True):
     """Run one job, with ``filtration.closed_form`` giving nothing unless
     ``closed_forms``; return its report, its ring, the bases built from a
@@ -80,39 +150,29 @@ def run_captured(cfg, closed_forms=True):
     None if the job stopped before it, and the
     (filtration, reduction) that run_job certified, or (None, None) if it
     stopped before."""
-    from filtra import filtration, ideals, report
-    rings, certified, seeded, structural_args = [], [], [], [None]
-    make_ring, verify = report.LocalRing, report.verify_admissible
-    build, structural = ideals.groebner_basis, report.evaluate_structural
-
-    def ring(*args, **kwargs):
-        rings.append(make_ring(*args, **kwargs))
-        return rings[-1]
+    from filtra import filtration, report
+    certified, structural_args = [], [None]
+    verify, structural = report.verify_admissible, report.evaluate_structural
 
     def captured(filt, red, horizon):
         certified.append((filt, red))
         return verify(filt, red, horizon)
 
-    def counted(gens, ctx, use_criteria=True, seed=None):
-        out = build(gens, ctx, use_criteria, seed)
-        if seed is not None and seed is not rings[-1].gb_relations:
-            seeded.append(out)
-        return out
-
     def kept(data):
         structural_args[0] = (data, data.ring.torsion_ideal())
         return structural(data)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(report, "LocalRing", ring)
+    with pytest.MonkeyPatch.context() as mp, counting_work() as census:
         mp.setattr(report, "verify_admissible", captured)
-        mp.setattr(ideals, "groebner_basis", counted)
         mp.setattr(report, "evaluate_structural", kept)
         if not closed_forms:
             mp.setattr(filtration, "closed_form", lambda lengths, n, k, plus: None)
         got = report.run_job(cfg)
-    assert len(rings) == 1, got["name"]
-    return (got, rings[0], seeded, structural_args[0],
+    assert census["rings"] == 1, got["name"]
+    ring = census.calls["rings"][0].args[0]
+    seeds = [(c.kwargs.get("seed"), c.result) for c in census.calls["bases"]]
+    seeded = [out for seed, out in seeds if seed is not None and seed is not ring.gb_relations]
+    return (got, ring, seeded, structural_args[0],
             *(certified[-1] if certified else (None, None)))
 
 

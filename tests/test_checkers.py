@@ -577,26 +577,18 @@ def test_quotient_numbers_read_in_a_match_the_quotient_ring():
         assert colon["expected"] == (col + cred.handle).finite_colength()
 
 
-def test_every_job_builds_one_ring(monkeypatch):
+def test_every_job_builds_one_ring(census):
     """Each corpus job and each non-monomial depth-zero job builds a single
     LocalRing; depth-zero jobs built two while the torsion checks built A/W
     as a ring of its own."""
-    built = []
-    init = LocalRing.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(LocalRing, "__init__", counted)
     configs = [load_config(p) for p in sorted(CORPUS_DIR.glob("*.json"))]
     assert len(configs) == 13
     configs += [parse_config(job) for job in NON_MONOMIAL_DEPTH_ZERO]
     for cfg in configs:
-        built.clear()
+        census.clear()
         out = report.run_job(cfg)
         assert out["verdict"] == "verified", cfg.name
-        assert len(built) == 1, cfg.name
+        assert census["rings"] == 1, cfg.name
         if cfg.name.startswith("nm"):
             assert out["ring"]["torsion_length"] == 1
             statuses = {c["name"]: c["status"] for c in out["checks"]}

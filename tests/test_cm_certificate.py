@@ -52,7 +52,7 @@ def full_scans(ring, red, filt, power_bound) -> dict:
     return {
         "c0": check_d_sequence(ring, red.generators),
         "c1": check_usd_bounded(ring, red.generators, power_bound),
-        "c2": check_colon_in_i1(ring, red, filt.i1),
+        "c2": check_colon_in_i1(red, filt.i1),
         "colon_clause": colon_clause(red, filt.get_ideal(2)),
     }
 

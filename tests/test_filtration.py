@@ -309,11 +309,11 @@ def test_usd_bounded_cases():
 
 def test_colon_in_stage_one_cases():
     red = reduction_system(CUSP, ["x"])
-    assert check_colon_in_i1(CUSP, red, CUSP.maximal_ideal())[0]
+    assert check_colon_in_i1(red, CUSP.maximal_ideal())[0]
     red0 = reduction_system(DEPTH0, ["y"])
-    assert check_colon_in_i1(DEPTH0, red0, DEPTH0.maximal_ideal())[0]
+    assert check_colon_in_i1(red0, DEPTH0.maximal_ideal())[0]
     # the annihilator of y is (x), which a filtration starting at (y) misses
-    ok, wit = check_colon_in_i1(DEPTH0, red0, DEPTH0.ideal(["y"]))
+    ok, wit = check_colon_in_i1(red0, DEPTH0.ideal(["y"]))
     assert not ok and wit["witness"] == "x"
 
 

@@ -9,7 +9,6 @@ import itertools
 import json
 import random
 import sys
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,8 +23,8 @@ from filtra.parser import parse_polynomial
 from filtra.poly import Polynomial
 from filtra.report import run_job, to_json
 
-from conftest import (CORPUS_DIR, NON_MONOMIAL_DEPTH_ZERO, PKG_ROOT, run_captured,
-                      torsion_free_quotient)
+from conftest import (CORPUS_DIR, NON_MONOMIAL_DEPTH_ZERO, PKG_ROOT, counting_work,
+                      run_captured, torsion_free_quotient)
 
 PLANE = LocalRing(("x", "y"))
 SPACE = LocalRing(("x", "y", "z"))
@@ -180,18 +179,10 @@ def test_local_membership_through_units():
         I.finite_colength()
 
 
-def test_monomial_job_builds_only_the_relations_basis(monkeypatch):
+def test_monomial_job_builds_only_the_relations_basis(census):
     """Every question a monomial job asks of its monomial handles, equality
     in the Cohen-Macaulay certificate included, is answered on exponent
     vectors: the one Groebner basis built is the relations' basis."""
-    built = []
-    build = ideals.groebner_basis
-
-    def recorded(gens, ctx, use_criteria=True, seed=None):
-        built.append(list(gens))
-        return build(gens, ctx, use_criteria, seed)
-
-    monkeypatch.setattr(ideals, "groebner_basis", recorded)
     report = run_job(parse_config({
         "name": "monomial_adic", "horizon": 6,
         "ring": {"variables": ["x", "y"]},
@@ -199,7 +190,7 @@ def test_monomial_job_builds_only_the_relations_basis(monkeypatch):
         "reduction": {"generators": ["x^3", "y^3"]}}))
     assert report["verdict"] == "verified"
     assert report["ring"]["cm_certificate"]
-    assert built == [[]]
+    assert [list(c.args[0]) for c in census.calls["bases"]] == [[]]
 
 
 def test_a_handle_contains_itself_without_a_scan(monkeypatch):
@@ -306,25 +297,18 @@ def test_a_sum_with_the_zero_ideal_is_the_other_operand(monkeypatch):
     assert zero + zero is zero
 
 
-def test_a_sum_starts_from_a_built_operand_and_a_colon_from_the_relations(monkeypatch):
+def test_a_sum_starts_from_a_built_operand_and_a_colon_from_the_relations(census):
     """A + B starts its basis from A's built basis, else from B's, else from
     the relations'; a colon, by an element or by an ideal, starts from the
     relations' basis."""
     ring = LocalRing(("x", "y"), ["y^3 - x^5"])
-    seeds = []
-    build = ideals.groebner_basis
-
-    def recorded(gens, ctx, use_criteria=True, seed=None):
-        seeds.append(seed)
-        return build(gens, ctx, use_criteria, seed)
 
     def seed_of(handle):
-        start = len(seeds)
+        start = census["bases"]
         handle.gb()
-        assert len(seeds) == start + 1
-        return seeds[start]
+        assert census["bases"] == start + 1
+        return census.calls["bases"][start].kwargs.get("seed")
 
-    monkeypatch.setattr(ideals, "groebner_basis", recorded)
     I, J = ring.ideal(["x^2 + y", "x*y"]), ring.ideal(["y^2 - x"])
     assert seed_of(I + J) is ring.gb_relations
     I.gb()
@@ -338,24 +322,17 @@ def test_a_sum_starts_from_a_built_operand_and_a_colon_from_the_relations(monkey
     assert D is not K and seed_of(D) is ring.gb_relations
 
 
-def test_equal_products_share_one_basis(monkeypatch):
+def test_equal_products_share_one_basis():
     """A product and a handle built separately from its generators are one
     handle, so their bases take one Buchberger run between them."""
-    runs = []
-    raw = groebner._buchberger_raw
-
-    def counted(*args):
-        runs.append(1)
-        return raw(*args)
-
     ring = LocalRing(("x", "y"), ["y^3 - x^5"])
     I, J = ring.ideal(["x + y", "y^2"]), ring.ideal(["x - y^2", "x*y"])
     first = I * J
     second = ring.ideal(list(first.gens))
-    monkeypatch.setattr(groebner, "_buchberger_raw", counted)
-    assert first is second
-    assert first.gb() is second.gb()
-    assert len(runs) == 1
+    with counting_work() as census:
+        assert first is second
+        assert first.gb() is second.gb()
+    assert census["buchberger"] == 1
 
 
 def test_zero_ideal_takes_the_relations_basis(monkeypatch):
@@ -405,7 +382,7 @@ def test_monomial_handles_are_keyed_by_their_exponents(case):
         assert a.missing_generator(b) == scanned_missing_generator(a, b)
 
 
-def test_monomial_job_builds_few_generators(monkeypatch):
+def test_monomial_job_builds_few_generators(census):
     """Noise-free work count on k[x,y,z] with I_1 = (x^2, y^2, z^2, xy) and
     Q = (x^2, y^2, z^2): the handles the ring interns, those whose
     generators were ever built as polynomials, and Buchberger runs.  Only
@@ -415,14 +392,6 @@ def test_monomial_job_builds_few_generators(monkeypatch):
     Cohen-Macaulay certificate by theorem instead of by colons, the job
     interned 24 handles and built 6.  Before l(A/(Q^n + I_k)) was read as
     l(A/Q^n) past the tail, where I_k lies in Q^n, it interned 21."""
-    runs = []
-    raw = groebner._buchberger_raw
-
-    def counted(*args):
-        runs.append(1)
-        return raw(*args)
-
-    monkeypatch.setattr(groebner, "_buchberger_raw", counted)
     got, ring = run_captured(parse_config({
         "name": "monomial_3", "field": "q", "horizon": 6,
         "ring": {"variables": ["x", "y", "z"]},
@@ -431,7 +400,7 @@ def test_monomial_job_builds_few_generators(monkeypatch):
     assert got["verdict"] == "verified"
     handles = ring._handles.values()
     assert all(h.exponents is not None for h in handles)
-    assert (len(handles), sum(h._gens is not None for h in handles), len(runs)) == (16, 3, 0)
+    assert (len(handles), sum(h._gens is not None for h in handles), census["buchberger"]) == (16, 3, 0)
 
 
 def test_rings_with_equal_relations_share_nothing():
@@ -477,7 +446,7 @@ def test_cm_certificates():
 
 
 
-def test_repeated_cm_certificate_is_all_memo_hits(monkeypatch):
+def test_repeated_cm_certificate_is_all_memo_hits():
     """The report and two checks ask for the same certificate.  The ring
     keeps no memo of it: after the first, each repeat reads interned
     handles, memoized colons and kept bases, and computes no colon and no
@@ -489,30 +458,18 @@ def test_repeated_cm_certificate_is_all_memo_hits(monkeypatch):
               ["x - z", "y - w"])]
     firsts = [ring.is_regular_sequence(params) for ring, params in cases]
     assert firsts == [True, False, True, False]
-    count = Counter()
-    colon, raw = IdealHandle._colon_element, groebner._buchberger_raw
-
-    def counted_colon(self, g):
-        count["colon"] += 1
-        return colon(self, g)
-
-    def counted_raw(*args, **kwargs):
-        count["buchberger"] += 1
-        return raw(*args, **kwargs)
-
-    monkeypatch.setattr(IdealHandle, "_colon_element", counted_colon)
-    monkeypatch.setattr(groebner, "_buchberger_raw", counted_raw)
-    for (ring, params), first in zip(cases, firsts):
-        for _ in range(2):
-            assert ring.is_regular_sequence(params) is first
-    assert not count
+    with counting_work() as census:
+        for (ring, params), first in zip(cases, firsts):
+            for _ in range(2):
+                assert ring.is_regular_sequence(params) is first
+    assert not (census["colons"] or census["buchberger"])
 
 @pytest.mark.parametrize("name, colons, intersections", [
     pytest.param("sally_rr_equality.json", 64, 16, id="sally_rr_equality"),
     pytest.param("regular_d3.json", 0, 0, id="regular_d3"),
     pytest.param("two_planes.json", 7, 2, id="two_planes"),
 ])
-def test_computed_colons_and_intersections(monkeypatch, name, colons, intersections):
+def test_computed_colons_and_intersections(census, name, colons, intersections):
     """Noise-free work count: colons by an element and intersections that
     are computed rather than answered from the ring's memo, counted at the
     memo misses ``_colon_element`` and ``_intersect``.  Each computed one
@@ -535,25 +492,12 @@ def test_computed_colons_and_intersections(monkeypatch, name, colons, intersecti
     Hilbert series on two_planes' homogeneous ideals, and computing
     (B : q^e) as colons by q that stop once the chain is constant, took
     two_planes from 24/2."""
-    count = Counter()
-    colon, meet = IdealHandle._colon_element, IdealHandle._intersect
-
-    def counted_colon(self, g):
-        count["colon"] += 1
-        return colon(self, g)
-
-    def counted_meet(self, other):
-        count["intersect"] += 1
-        return meet(self, other)
-
-    monkeypatch.setattr(IdealHandle, "_colon_element", counted_colon)
-    monkeypatch.setattr(IdealHandle, "_intersect", counted_meet)
     report = run_job(load_config(CORPUS_DIR / name))
     assert report["verdict"] == "verified"
-    assert (count["colon"], count["intersect"]) == (colons, intersections)
+    assert (census["colons"], census["intersections"]) == (colons, intersections)
 
 
-def test_curve_job_eliminations_and_buchberger_runs(monkeypatch):
+def test_curve_job_eliminations_and_buchberger_runs(census):
     """Noise-free work count on the plane curve y^3 = x^4 with I_1 = m and
     Q = (x): t-trick eliminations, general Buchberger runs, nilpotency
     loops of the colength certificate, S-polynomials formed and handles
@@ -576,48 +520,18 @@ def test_curve_job_eliminations_and_buchberger_runs(monkeypatch):
     colon and the torsion saturation took 2 eliminations, 3 runs and 5
     S-polynomials; before a single generator was taken as its own basis,
     the relation's basis took 1 run."""
-    count = Counter()
-    ambient, raw = ideals._intersection_in_ambient, groebner._buchberger_raw
-    nilpotent, spoly = ideals._variables_nilpotent, groebner._spoly_dict
-
-    def counted_ambient(*args, **kwargs):
-        count["eliminations"] += 1
-        return ambient(*args, **kwargs)
-
-    def counted_raw(*args, **kwargs):
-        count["buchberger"] += 1
-        return raw(*args, **kwargs)
-
-    def counted_loop(*args):
-        count["loops"] += 1
-        return nilpotent(*args)
-
-    def counted_spoly(*args):
-        count["spolys"] += 1
-        return spoly(*args)
-
-    monkeypatch.setattr(ideals, "_intersection_in_ambient", counted_ambient)
-    monkeypatch.setattr(groebner, "_buchberger_raw", counted_raw)
-    monkeypatch.setattr(ideals, "_variables_nilpotent", counted_loop)
-    monkeypatch.setattr(groebner, "_spoly_dict", counted_spoly)
-    rings = []
-
-    def ring(*args, **kwargs):
-        rings.append(LocalRing(*args, **kwargs))
-        return rings[-1]
-
-    monkeypatch.setattr("filtra.report.LocalRing", ring)
     report = run_job(parse_config({
         "name": "curve_3_4", "field": "q",
         "ring": {"variables": ["x", "y"], "relations": ["y^3 - x^4"]},
         "filtration": {"kind": "adic", "stages": {"1": ["x", "y"]}},
         "reduction": {"generators": ["x"]}}))
     assert report["verdict"] == "verified"
-    assert (count["eliminations"], count["buchberger"], count["loops"],
-            count["spolys"], len(rings[0]._handles)) == (0, 0, 2, 0, 7)
+    ring = census.calls["rings"][0].args[0]
+    assert (census["eliminations"], census["buchberger"], census["nilpotency"],
+            census["spolys"], len(ring._handles)) == (0, 0, 2, 0, 7)
 
 
-def test_depth_zero_job_buchberger_runs(monkeypatch):
+def test_depth_zero_job_buchberger_runs(census):
     """Noise-free work count on k[x, y]/((x + y^2)^2, (x + y^2) y) with
     I_1 = m and Q = (y), whose torsion ideal is (x + y^2): general
     Buchberger runs and S-polynomials formed.  While the torsion checks built A/W as a second ring,
@@ -636,26 +550,13 @@ def test_depth_zero_job_buchberger_runs(monkeypatch):
     tail as Q^n, 82 runs formed 122; before l(A/Q^n I_k) was read off the
     Rees algebra instead of a basis of each Q^n I_k, and each d-sequence
     clause decided as one nonzerodivisor test, 62 runs formed 103."""
-    count = Counter()
-    raw, spoly = groebner._buchberger_raw, groebner._spoly_dict
-
-    def counted_raw(*args, **kwargs):
-        count["buchberger"] += 1
-        return raw(*args, **kwargs)
-
-    def counted_spoly(*args):
-        count["spolys"] += 1
-        return spoly(*args)
-
-    monkeypatch.setattr(groebner, "_buchberger_raw", counted_raw)
-    monkeypatch.setattr(groebner, "_spoly_dict", counted_spoly)
     report = run_job(parse_config(NON_MONOMIAL_DEPTH_ZERO[0]))
     assert report["verdict"] == "verified"
     assert report["ring"]["torsion_length"] == 1
-    assert (count["buchberger"], count["spolys"]) == (32, 67)
+    assert (census["buchberger"], census["spolys"]) == (32, 67)
 
 
-def test_corpus_pass_work(monkeypatch):
+def test_corpus_pass_work(census):
     """Noise-free work count of one pass over the 13 corpus jobs: general
     Buchberger runs, S-polynomials formed and Groebner bases asked for by
     ideal handles.  Before a monomial ideal presented with non-monomial
@@ -673,32 +574,28 @@ def test_corpus_pass_work(monkeypatch):
     it made 39 runs, 484 S-polynomials and 54 bases: the Hilbert series
     test asks for more bases, the basis of X + (q) beside that of X, but
     most of them start from a built basis and run no Buchberger."""
-    count = Counter()
-    raw, spoly, build = groebner._buchberger_raw, groebner._spoly_dict, ideals.groebner_basis
-
-    def counted_raw(*args, **kwargs):
-        count["buchberger"] += 1
-        return raw(*args, **kwargs)
-
-    def counted_spoly(*args):
-        count["spolys"] += 1
-        return spoly(*args)
-
-    def counted_build(*args, **kwargs):
-        count["bases"] += 1
-        return build(*args, **kwargs)
-
-    monkeypatch.setattr(groebner, "_buchberger_raw", counted_raw)
-    monkeypatch.setattr(groebner, "_spoly_dict", counted_spoly)
-    monkeypatch.setattr(ideals, "groebner_basis", counted_build)
     configs = sorted(CORPUS_DIR.glob("*.json"))
     assert len(configs) == 13
     for path in configs:
         run_job(load_config(path))
-    assert (count["buchberger"], count["spolys"], count["bases"]) == (32, 207, 72)
+    assert (census["buchberger"], census["spolys"], census["bases"]) == (32, 207, 72)
 
 
-def test_two_planes_work(monkeypatch):
+def test_the_census_changes_no_report_byte():
+    """The work counts here are read through ``counting_work``.  A census
+    that dropped an argument or a result would change what the engine
+    computes, and so the counts it reads, silently: every corpus job must
+    print the same bytes with it as without it."""
+    for path in sorted(CORPUS_DIR.glob("*.json")):
+        cfg = load_config(path)
+        plain = to_json(run_job(cfg))
+        with counting_work() as census:
+            counted = to_json(run_job(cfg))
+        assert census["rings"] == 1
+        assert counted == plain, path.name
+
+
+def test_two_planes_work(census):
     """Noise-free work count of two_planes, (x, y) meet (z, w) with I_1 = m
     and Q = (x - z, y - w), the corpus job without the Cohen-Macaulay
     certificate in dimension two: general Buchberger runs and S-polynomials
@@ -709,21 +606,8 @@ def test_two_planes_work(monkeypatch):
     n = 2..13, the job made 36 runs and 678 S-polynomials; while each
     l(A/Q^n I_k) came from a basis of Q^n I_k and each clause compared two
     colons, 26 and 411."""
-    count = Counter()
-    raw, spoly = groebner._buchberger_raw, groebner._spoly_dict
-
-    def counted_raw(*args, **kwargs):
-        count["buchberger"] += 1
-        return raw(*args, **kwargs)
-
-    def counted_spoly(*args):
-        count["spolys"] += 1
-        return spoly(*args)
-
-    monkeypatch.setattr(groebner, "_buchberger_raw", counted_raw)
-    monkeypatch.setattr(groebner, "_spoly_dict", counted_spoly)
     assert run_job(load_config(CORPUS_DIR / "two_planes.json"))["verdict"] == "verified"
-    assert (count["buchberger"], count["spolys"]) == (19, 134)
+    assert (census["buchberger"], census["spolys"]) == (19, 134)
 
 
 def test_curves_pass_work(monkeypatch):
@@ -743,45 +627,26 @@ def test_curves_pass_work(monkeypatch):
     spec.loader.exec_module(workloads)
     jobs = workloads.curves_jobs(13)
     assert len(jobs) == 33
-    count = Counter()
-    raw, spoly = groebner._buchberger_raw, groebner._spoly_dict
-    ambient = ideals._intersection_in_ambient
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            count[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(groebner, "_buchberger_raw", counted("buchberger", raw))
-    monkeypatch.setattr(groebner, "_spoly_dict", counted("spolys", spoly))
-    monkeypatch.setattr(ideals, "_intersection_in_ambient", counted("eliminations", ambient))
-    for job in jobs:
-        assert run_job(parse_config(json.loads(job.text)))["verdict"] == "verified"
-    assert (count["buchberger"], count["spolys"], count["eliminations"]) == (0, 0, 0)
+    with counting_work() as census:
+        for job in jobs:
+            assert run_job(parse_config(json.loads(job.text)))["verdict"] == "verified"
+    assert (census["buchberger"], census["spolys"], census["eliminations"]) == (0, 0, 0)
 
 
-def test_low_powers_of_m_on_a_curve_take_no_buchberger_run(monkeypatch):
+def test_low_powers_of_m_on_a_curve_take_no_buchberger_run():
     """On k[x,y]/(y^3 - x^4), m^k + (y^3 - x^4) = m^k + (y^3) for k <= 4,
     since x^4 lies in m^k, so the basis and colength of m^k run no
     Buchberger.  m^5 + (y^3 - x^4) is not a monomial ideal, as neither term
     of the relation lies in m^5, and its basis takes one run."""
-    runs = []
-    raw = groebner._buchberger_raw
-
-    def counted(*args):
-        runs.append(1)
-        return raw(*args)
-
     ring = LocalRing(("x", "y"), ["y^3 - x^4"])
     m = ring.maximal_ideal()
-    monkeypatch.setattr(groebner, "_buchberger_raw", counted)
     colengths = []
-    for k in range(1, 6):
-        I = m.power(k)
-        assert all(g.is_monomial() for g in I.gb().polys) == (k <= 4)
-        colengths.append(I.colength())
-        assert len(runs) == (k == 5)
+    with counting_work() as census:
+        for k in range(1, 6):
+            I = m.power(k)
+            assert all(g.is_monomial() for g in I.gb().polys) == (k <= 4)
+            colengths.append(I.colength())
+            assert census["buchberger"] == (k == 5)
     assert colengths == [1, 3, 6, 9, 12]
 
 
@@ -791,22 +656,14 @@ DEPTH_ZERO_JOBS = ([load_config(CORPUS_DIR / f"{name}.json")
 
 
 @pytest.mark.parametrize("cfg", DEPTH_ZERO_JOBS, ids=lambda cfg: cfg.name)
-def test_torsion_length_is_counted_once_per_job(monkeypatch, cfg):
+def test_torsion_length_is_counted_once_per_job(census, cfg):
     """The report, the c3 condition and the torsion graded pieces all read
     l(W); the ring counts it once, where each reader used to count it
     again (two or three subquotient counts per job)."""
-    runs = []
-    count = LocalRing.subquotient_length
-
-    def counted(self, x, y):
-        runs.append(1)
-        return count(self, x, y)
-
-    monkeypatch.setattr(LocalRing, "subquotient_length", counted)
     report = run_job(cfg)
     assert report["ring"]["depth_positive"] is False
     assert report["ring"]["torsion_length"] > 0
-    assert len(runs) == 1
+    assert census["subquotients"] == 1
 
 
 # -- the t-trick against sympy ----------------------------------------------

@@ -10,10 +10,11 @@ import random
 from operator import le
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from filtra import monomial
 from filtra.fields import PrimeField, QQ
-from filtra.orders import grevlex, lex
+from filtra.orders import elimination_block, grevlex
 from filtra.poly import PolyContext, Polynomial
 
 
@@ -132,8 +133,8 @@ def test_colength_accepts_non_minimal_generators(nvars):
 
 @pytest.mark.parametrize("ctx", [
     PolyContext.get(("x", "y"), QQ, grevlex(2)),
-    PolyContext.get(("x", "y", "z"), PrimeField(101), lex(3)),
-], ids=["QQ-grevlex", "F101-lex"])
+    PolyContext.get(("x", "y", "z"), PrimeField(101), elimination_block(1, 3)),
+], ids=["QQ-grevlex", "F101-elim"])
 def test_polynomial_monomial_equals_general_constructor(ctx):
     rng = random.Random(5400)
     field = ctx.field
@@ -319,6 +320,33 @@ def test_hilbert_numerator_of_the_zero_and_unit_ideals(nvars):
         want = monomial.shifted_sum(want, want, 1, -1)
     assert monomial.hilbert_numerator(variables, nvars) == want
     assert monomial.hilbert_numerator([(2,) + (0,) * (nvars - 1)], nvars) == (1, 0, -1)
+
+
+def brute_dimension(gens, nvars) -> int:
+    """The size of the largest set of variables that holds no generator's
+    support; -1 when a generator is 1."""
+    if any(not any(m) for m in gens):
+        return -1
+    supports = [{i for i, e in enumerate(m) if e} for m in gens]
+    return max(len(S) for k in range(nvars + 1)
+               for S in map(set, itertools.combinations(range(nvars), k))
+               if not any(sup <= S for sup in supports))
+
+
+@st.composite
+def monomial_gens(draw):
+    nvars = draw(st.integers(1, 5))
+    expo = st.tuples(*[st.integers(0, 3)] * nvars)
+    return draw(st.lists(expo, max_size=6)), nvars
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomial_gens())
+def test_dimension_is_the_largest_free_set_of_variables(case):
+    """The pole order of the Hilbert series at t = 1 is the largest number
+    of variables whose monomials all lie outside the ideal."""
+    gens, nvars = case
+    assert monomial.dimension(gens, nvars) == brute_dimension(gens, nvars)
 
 
 def test_shifted_sum_trims_trailing_zeros():
