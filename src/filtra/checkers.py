@@ -485,8 +485,9 @@ _FACTS = {
     "d_at_least_two": lambda data: data.d >= 2,
     "sally_nonvanishing": lambda data: not data.sally.vanishes,
     "torsion_generators": lambda data: [str(g) for g in data.ring.torsion_ideal().gens],
+    # Q lies inside Q + I_2, so equal colengths mean I_2 lies inside Q
     "stage_two_inside_reduction":
-        lambda data: data.red.handle.contains_ideal(data.filt.get_ideal(2)),
+        lambda data: data.lengths.get(1, 2, plus=True) == data.h_red[1],
     # Q lies inside I_1 (verify_admissible), so equal colengths mean equal ideals
     "stage_one_is_reduction": lambda data: data.h_filt[1] == data.h_red[1],
 }

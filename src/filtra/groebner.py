@@ -39,7 +39,7 @@ from .fields import canonical
 # count_box_complement is unused here: perfbench/layers.py traces it by this name
 from .monomial import (count_box_complement, contains, coprime, div, divides, lcm,
                        minimal, mul)
-from .orders import elimination_block
+from .orders import elimination_block, grevlex
 from .poly import ContextMismatch, Polynomial, PolyContext, add_multiple
 
 
@@ -313,15 +313,23 @@ def groebner_basis(gens, ctx: PolyContext, use_criteria: bool = True,
 
 # -- elimination -----------------------------------------------------------
 
-def eliminate(polys, k: int, ctx: PolyContext) -> list:
-    """Generators of the elimination ideal dropping the first k variables.
+def eliminate(polys, k: int, ctx: PolyContext) -> GroebnerBasis:
+    """Reduced basis of the elimination ideal that drops the first k
+    variables, in the ring of the kept ones under grevlex.
 
-    ``ctx`` must be ordered by ``elimination_block(k, ctx.nvars)``, under
-    which the basis elements free of those variables generate the
-    elimination ideal; any other order raises ``ValueError``.  The result
-    lives in ``ctx``, free of those variables.
+    ``ctx`` must be ordered by ``elimination_block(k, ctx.nvars)``; any
+    other order raises ``ValueError``.  That order puts every monomial in
+    the first k variables above every monomial free of them, so the members
+    of the reduced basis whose leads are free of them are free of them
+    altogether, and are the reduced basis of the elimination ideal under
+    the order induced on the rest, grevlex (Cox-Little-O'Shea, Ideals,
+    Varieties, and Algorithms, Ch. 3 sec. 1).  Contexts are interned, so
+    the result's ``ctx`` is the kept ring's own.
     """
     if ctx.order != elimination_block(k, ctx.nvars):
         raise ValueError(f"eliminate needs an elim:{k} order, not {ctx.order.descriptor}")
-    return [g for g in groebner_basis(polys, ctx).polys
-            if not any(any(m[:k]) for m, _ in g.terms)]
+    kept = PolyContext.get(ctx.variables[k:], ctx.field, grevlex(ctx.nvars - k))
+    polys = tuple(Polynomial(kept, {m[k:]: c for m, c in g.terms})
+                  for g in groebner_basis(polys, ctx).polys
+                  if not any(g.lead_monomial()[:k]))
+    return GroebnerBasis(kept, polys, polys)

@@ -293,7 +293,7 @@ class LocalRing:
             return 0
         D = None
         for cand in range(1, SUBQUOTIENT_POWER_BOUND + 1):
-            monos = self.ctx.monomials_of_degree(cand)
+            monos = monomial.of_degree(cand, self.nvars)
             if all(nf(g.shift(u)).is_zero for g in gens for u in monos):
                 D = cand
                 break
@@ -589,14 +589,12 @@ class IdealHandle:
         G = self.gb()
         if G.is_unit_ideal():
             return 0
-        leads = G.leads
-        bounds = monomial.pure_power_bounds(leads, self.ring.nvars)
-        if bounds is None:
-            return None
         # the global quotient has dimension N, and an element of an
         # N-dimensional algebra is nilpotent iff its N-th power is zero
-        N = monomial.count_box_complement(bounds, leads)
-        return N if self._at_origin or _variables_nilpotent(G, bounds, N) else None
+        N = monomial.colength(G.leads, self.ring.nvars)
+        if N is None:
+            return None
+        return N if self._at_origin or _variables_nilpotent(G, N) else None
 
     def finite_colength(self) -> int:
         v = self.colength()
@@ -605,12 +603,13 @@ class IdealHandle:
         return v
 
 
-def _variables_nilpotent(G: GroebnerBasis, bounds, N: int) -> bool:
-    """Whether every variable's N-th power lies in the ideal of G, which has
-    x_i^bounds[i] as a lead and a quotient of dimension N."""
+def _variables_nilpotent(G: GroebnerBasis, N: int) -> bool:
+    """Whether every variable's N-th power lies in the ideal of G, whose
+    quotient has finite dimension N, so that a pure power of each variable
+    is a lead."""
     ctx = G.ctx
     nf = G.normal_form
-    for i, bound in enumerate(bounds):
+    for i, bound in enumerate(monomial.pure_power_bounds(G.leads, ctx.nvars)):
         # r = nf(x_i^e) for e = bound..N, stepped as nf(r * x_i): r
         # differs from x_i^e by a member of the ideal, so r * x_i
         # differs from x_i^(e+1) by one too
@@ -637,21 +636,18 @@ def _fresh_variable(variables, stem: str = "_t") -> str:
     return name
 
 
-def _intersection_in_ambient(ring: LocalRing, left, right) -> list:
-    """Generators of (left) meet (right) in the polynomial ring, each side
-    taken as given: the t-trick eliminates t from t*left + (1-t)*right
-    (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, Ch. 4 sec. 3)."""
+def _intersection_in_ambient(ring: LocalRing, left, right) -> tuple:
+    """The reduced basis of (left) meet (right) in the polynomial ring, each
+    side taken as given, in ``ring.ctx``: the t-trick eliminates t from
+    t*left + (1-t)*right (Cox-Little-O'Shea, Ideals, Varieties, and
+    Algorithms, Ch. 4 sec. 3)."""
     ctx = ring.ctx
     big = PolyContext.get((_fresh_variable(ctx.variables),) + ctx.variables,
                           ctx.field, elimination_block(1, ctx.nvars + 1))
-    neg = ctx.field.neg
     # t*p for p on the left, p - t*p for p on the right
-    gens = [Polynomial(big, {(1,) + m: c for m, c in p.terms}) for p in left]
-    gens += [Polynomial(big, {**{(0,) + m: c for m, c in p.terms},
-                              **{(1,) + m: neg(c) for m, c in p.terms}})
-             for p in right]
-    return [Polynomial(ctx, {m[1:]: c for m, c in p.terms})
-            for p in eliminate(gens, 1, ctx=big)]
+    gens = [_lift(p, big, (1,)) for p in left]
+    gens += [_lift(p, big, (0,)) - _lift(p, big, (1,)) for p in right]
+    return eliminate(gens, 1, ctx=big).polys
 
 
 class AssociatedGraded:
@@ -684,29 +680,25 @@ class AssociatedGraded:
     first asked for.
     """
 
-    __slots__ = ("_params", "_nvars", "_rees", "_kernel", "_q_leads", "_stage_leads",
+    __slots__ = ("_params", "_nvars", "_kernel", "_q_leads", "_stage_leads",
                  "_colengths", "_staircases")
 
     def __init__(self, ring: LocalRing, gens, modulo=()):
-        ctx, field = ring.ctx, ring.field
+        ctx = ring.ctx
         s = len(gens)
         names = []
         for stem in ["_u"] + [f"_T{i}" for i in range(s)]:
             names.append(_fresh_variable(ctx.variables + tuple(names), stem))
-        big = PolyContext.get(tuple(names) + ctx.variables, field,
+        big = PolyContext.get(tuple(names) + ctx.variables, ctx.field,
                               elimination_block(1, 1 + s + ctx.nvars))
-        rees = PolyContext.get(big.variables[1:], field, grevlex(s + ctx.nvars))
 
         no_t = (0,) * s
         rels = [_lift(p, big, (0,) + no_t) for p in ring.gb_relations.polys + tuple(modulo)]
         rels += [Polynomial.variable(big, names[1 + i]) - _lift(q, big, (1,) + no_t)
                  for i, q in enumerate(gens)]
-        kernel = tuple(Polynomial(rees, {m[1:]: c for m, c in p.terms})
-                       for p in eliminate(rels, 1, ctx=big))
-        # the members of a reduced basis free of u are the reduced basis of
-        # the kernel, under the order the elimination order induces on k[T, x]
-        self._kernel = GroebnerBasis(rees, kernel, kernel)
-        self._params, self._nvars, self._rees = s, ctx.nvars, rees
+        # the reduced basis of L in k[T, x], under grevlex
+        self._kernel = eliminate(rels, 1, ctx=big)
+        self._params, self._nvars = s, ctx.nvars
         self._q_leads = self._split_leads(gens)
         self._stage_leads = {}  # the split leads of L + I, by the handle of I
         self._colengths = [0]
@@ -714,7 +706,7 @@ class AssociatedGraded:
 
     def _split_leads(self, gens) -> list:
         """(T-part, x-part) of each lead of the basis of L + (gens)."""
-        s, rees = self._params, self._rees
+        s, rees = self._params, self._kernel.ctx
         polys = self._kernel.polys + tuple(_lift(g, rees, (0,) * s) for g in gens)
         return [(m[:s], m[s:]) for m in
                 groebner_basis(polys, ctx=rees, seed=self._kernel).leads]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .monomial import mul, of_degree
+from .monomial import mul
 from .orders import MonomialOrder
 
 Monomial = tuple  # exponent vector; degree = sum(m)
@@ -91,10 +91,6 @@ class PolyContext:
         m = [0] * self.nvars
         m[i] = e
         return tuple(m)
-
-    def monomials_of_degree(self, d: int) -> list:
-        """All exponent vectors of total degree exactly d."""
-        return of_degree(d, self.nvars)
 
     def __repr__(self):
         return f"PolyContext({self.descriptor})"

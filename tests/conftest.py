@@ -70,6 +70,20 @@ def corpus_and_digest_configs() -> list:
     return configs
 
 
+def graded_by_scan(data, W):
+    """The graded clause as it is defined, at every n: the first n with a
+    generator of (Q^n + W) meet (I_{n+1} + W) outside Q^n I_1 + W, and that
+    generator.  Admissibility puts Q^n I_1 + W inside the meet, so the
+    clause holds exactly when this is None."""
+    filt, Q = data.filt, data.red.handle
+    for n in range(1, data.horizon):
+        meet = (Q.power(n) + W).intersect(filt.get_ideal(n + 1) + W)
+        bad = (Q.power(n) * filt.i1 + W).missing_generator(meet)
+        if bad is not None:
+            return {"n": n, "generator": str(bad)}
+    return None
+
+
 def canonical_key(cfg) -> str:
     return json.dumps(cfg.canonical(), sort_keys=True)
 

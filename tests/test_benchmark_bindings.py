@@ -5,9 +5,9 @@ any other test noticing, so every binding it names is resolved here."""
 import importlib
 import importlib.util
 
-from filtra import groebner
+from filtra import config, groebner, report
 
-from conftest import PKG_ROOT
+from conftest import CORPUS_DIR, PKG_ROOT
 
 LAYERS = PKG_ROOT / "perfbench" / "layers.py"
 
@@ -41,3 +41,16 @@ def test_names_the_benchmark_runner_reads_resolve():
     that deleted them would break every benchmark pass unnoticed."""
     assert callable(groebner.clear_cache)
     assert isinstance(groebner.GroebnerBasis.fingerprint, property)
+
+
+def test_every_traced_boundary_is_called_on_a_corpus_pass():
+    """A boundary that resolves but is no longer called reads zero in every
+    trace, so one corpus pass, each job loaded, run and written as the
+    benchmark does, must call every span at least once."""
+    layers = load_layers()
+    tracer = layers.Tracer()
+    with tracer:
+        for path in sorted(CORPUS_DIR.glob("*.json")):
+            report.to_json(report.run_job(config.load_config(path)))
+    missed = [name for name, (calls, _, _) in tracer.snapshot().items() if not calls]
+    assert missed == []

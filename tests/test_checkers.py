@@ -30,7 +30,7 @@ from filtra.hilbert import SallyFit
 from filtra.ideals import LocalRing
 
 from conftest import (CORPUS_DIR, GOLDEN_DIR, NON_MONOMIAL_DEPTH_ZERO,
-                      torsion_free_quotient)
+                      graded_by_scan, torsion_free_quotient)
 
 
 def pipeline(ring, filt, red_gens, horizon, power_bound=2):
@@ -432,17 +432,6 @@ GRADED_JOBS = [
 ]
 
 
-def graded_clause_by_intersection(data, W):
-    """The graded clause as it is defined: build the meet and compare."""
-    filt, H, Q = data.filt, data.horizon, data.red.handle
-    for n in range(1, H):
-        left = (Q.power(n) + W).intersect(filt.get_ideal(n + 1) + W)
-        right = Q.power(n) * filt.i1 + W
-        if not left.equals_local(right):
-            return {"n": n, "generator": str(right.missing_generator(left))}
-    return None
-
-
 def test_graded_clause_by_lengths_matches_the_intersection(monkeypatch):
     """Over every corpus job that reaches the structural condition and four
     generated ones, the length route decides the graded clause, and names
@@ -453,8 +442,7 @@ def test_graded_clause_by_lengths_matches_the_intersection(monkeypatch):
     def compared(data):
         out = structural(data)
         graded = out["clause_graded"]
-        assert graded["witness"] == graded_clause_by_intersection(
-            data, data.ring.torsion_ideal())
+        assert graded["witness"] == graded_by_scan(data, data.ring.torsion_ideal())
         assert graded["holds"] == (graded["witness"] is None)
         seen[cfg.name] = graded
         return out
@@ -599,20 +587,23 @@ def test_every_job_builds_one_ring(census):
 # -- nested equalities decided by lengths ------------------------------------
 
 def length_decisions(data):
-    """The three nested equalities as the checks decide them, from lengths:
-    I_{n+1} = Q^n I_1 for n < H, I_n = Q^n for n <= H, and I_1 = Q."""
+    """The three nested equalities and one containment as the checks decide
+    them, from lengths: I_{n+1} = Q^n I_1 for n < H, I_n = Q^n for n <= H,
+    I_1 = Q, and I_2 inside Q."""
     return (check_small_stage_two_collapse(data)["details"]["stages_collapse"],
             check_base_reduction_equal(data)["details"]["collapses_to_powers"],
-            _FACTS["stage_one_is_reduction"](data))
+            _FACTS["stage_one_is_reduction"](data),
+            _FACTS["stage_two_inside_reduction"](data))
 
 
 def ideal_scans(data):
-    """The same three equalities by comparing ideals stage by stage."""
+    """The same four by comparing ideals stage by stage."""
     filt, H, Q = data.filt, data.horizon, data.red.handle
     return (all(filt.get_ideal(n + 1).equals_local(Q.power(n) * filt.i1)
                 for n in range(1, H)),
             all(filt.get_ideal(n).equals_local(Q.power(n)) for n in range(1, H + 1)),
-            filt.i1.equals_local(Q))
+            filt.i1.equals_local(Q),
+            Q.contains_ideal(filt.get_ideal(2)))
 
 
 def admissible_data(cfg):
@@ -644,15 +635,17 @@ def test_nested_equalities_by_lengths_match_the_ideal_scans():
         ring = LocalRing(("x", "y"), ["x^2", "x*y"])
         filt, red = Filtration(ring, EXPLICIT, stages), reduction_system(ring, gens)
         cases.append(compute_boundary_data(verify_admissible(filt, red, H)))
-    seen = set()
+    seen, inside = set(), set()
     for data in cases:
         decided = length_decisions(data)
         assert decided == ideal_scans(data), data.ring
-        seen.add(decided)
+        seen.add(decided[:3])
+        inside.add(decided[3])
     # every outcome that admissibility allows: I_1 = Q with and without
     # I_n = Q^n, and a collapse with and without I_1 = Q
     assert {(True, True, True), (True, False, False), (False, False, False),
             (False, False, True)} <= seen
+    assert inside == {True, False}
     sally = admissible_data(load_config(CORPUS_DIR / "sally_nonzero.json"))
     assert any(sally.sally_values[1:])
     assert length_decisions(sally)[0] is False

@@ -32,7 +32,8 @@ from filtra.filtration import (ADIC, EXPLICIT, Filtration, reduction_system,
 from filtra.groebner import groebner_basis
 from filtra.ideals import IdealHandle, LocalRing
 
-from conftest import canonical_key, corpus_and_digest_configs, run_captured
+from conftest import (canonical_key, corpus_and_digest_configs, graded_by_scan,
+                      run_captured)
 
 
 def collapse_by_scan(data, W):
@@ -41,19 +42,6 @@ def collapse_by_scan(data, W):
     filt, Q = data.filt, data.red.handle
     for n in range(1, data.horizon - 1):
         bad = (Q.power(n) * filt.get_ideal(2) + W).missing_generator(filt.get_ideal(n + 2))
-        if bad is not None:
-            return {"n": n, "generator": str(bad)}
-    return None
-
-
-def graded_by_scan(data, W):
-    """The graded clause as it is defined, at every n: the first n with a
-    generator of (Q^n + W) meet (I_{n+1} + W) outside Q^n I_1 + W, and that
-    generator."""
-    filt, Q = data.filt, data.red.handle
-    for n in range(1, data.horizon):
-        meet = (Q.power(n) + W).intersect(filt.get_ideal(n + 1) + W)
-        bad = (Q.power(n) * filt.i1 + W).missing_generator(meet)
         if bad is not None:
             return {"n": n, "generator": str(bad)}
     return None

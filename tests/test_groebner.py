@@ -9,16 +9,17 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from filtra import groebner
-from filtra.config import parse_config
-from filtra.fields import PrimeField, QQ
+from filtra import groebner, ideals
+from filtra.config import load_config, parse_config
+from filtra.fields import PrimeField, QQ, field_from_descriptor
 from filtra.groebner import eliminate, groebner_basis
+from filtra.ideals import LocalRing
 from filtra.monomial import count_box_complement, dimension, divides, mul, pure_power_bounds
 from filtra.orders import elimination_block, grevlex
 from filtra.parser import parse_polynomial
 from filtra.poly import ContextMismatch, PolyContext, Polynomial
 
-from conftest import counting_work
+from conftest import CORPUS_DIR, counting_work
 
 CTX2 = PolyContext.get(("x", "y"), QQ, grevlex(2))
 CTX3 = PolyContext.get(("x", "y", "z"), QQ, grevlex(3))
@@ -512,7 +513,7 @@ def test_eliminate_intersection():
     y = Polynomial.variable(ctxt, "y")
     one = Polynomial.from_int(ctxt, 1)
     out = eliminate([t * x, (one - t) * y], 1, ctx=ctxt)
-    assert [str(p) for p in out] == ["x*y"]
+    assert [str(p) for p in out.polys] == ["x*y"]
 
 
 def test_eliminate_refuses_an_order_that_does_not_eliminate():
@@ -543,8 +544,59 @@ def test_eliminate_semigroup_parametrization():
             Polynomial.variable(ctxt, "y") - t ** 4,
             Polynomial.variable(ctxt, "z") - t ** 5]
     ker = eliminate(gens, 1, ctx=ctxt)
-    got = sorted(str(p) for p in ker)
+    got = sorted(str(p) for p in ker.polys)
     assert got == ["x^2*y - z^2", "x^3 - y*z", "y^2 - x*z"]
+
+
+def assert_kept_ring_basis(out, ctx, k):
+    """``out`` is a reduced basis in the ring of all but the first k
+    variables of ``ctx``, under grevlex."""
+    assert out.ctx.variables == ctx.variables[k:]
+    assert out.ctx.field == ctx.field
+    assert out.ctx.order == grevlex(ctx.nvars - k)
+    assert out.polys == groebner_basis(out.polys, ctx=out.ctx).polys
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([QQ, PrimeField(101)]))
+def test_a_t_trick_elimination_returns_the_reduced_basis_of_the_plane(seed, field):
+    """Eliminating t from t-trick input gives the reduced basis of the
+    plane ring k[x, y], in the context a local ring on x, y holds."""
+    ctx, gens = t_trick_gens(random.Random(seed), field, elimination_block(1, 3))
+    out = eliminate(gens, 1, ctx=ctx)
+    assert_kept_ring_basis(out, ctx, 1)
+    assert out.ctx is LocalRing(("x", "y"), field=field).ctx
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(sorted(CORPUS_DIR.glob("*.json"))))
+def test_corpus_eliminations_return_the_reduced_basis_of_the_kept_ring(path):
+    """On a corpus ring, the eliminations that its torsion ideal W, a t-trick
+    meet and the Rees algebra (A/W)[Q u] run each return the reduced basis
+    of the ring of the kept variables: A's own context for the meet, and
+    k[T, x] for the Rees kernel."""
+    cfg = load_config(path)
+    ring = LocalRing(cfg.variables, cfg.relations,
+                     field=field_from_descriptor(cfg.field_descriptor))
+    gens = ring.ideal(cfg.generators or cfg.stages[1]).gens
+    seen = []
+
+    def recorded(polys, k, ctx):
+        out = eliminate(polys, k, ctx=ctx)
+        seen.append((out, ctx, k))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ideals, "eliminate", recorded)
+        W = ring.torsion_ideal()
+        ideals._intersection_in_ambient(ring, ring.maximal_ideal().gens, gens)
+        meet = seen[-1][0]
+        kernel = ideals.AssociatedGraded(ring, gens, W.gens)._kernel
+    assert meet.ctx is ring.ctx
+    assert seen[-1][0] is kernel
+    assert kernel.ctx.variables[len(gens):] == ring.ctx.variables
+    for out, ctx, k in seen:
+        assert_kept_ring_basis(out, ctx, k)
 
 
 # -- staircases of lead ideals ---------------------------------------------
