@@ -73,6 +73,13 @@ class Filtration:
     def i1(self) -> IdealHandle:
         return self.get_ideal(1)
 
+    @cached_property
+    def m_adic(self) -> bool:
+        """Whether the tower is the powers of m: an adic tower whose stage
+        one has colength 1, so is m, whatever its presentation.  That
+        colength is the one ``verify_admissible`` certified first."""
+        return self.kind == ADIC and self.seed.colength() == 1
+
     def get_ideal(self, n: int) -> IdealHandle:
         if n < 0:
             raise ValueError("filtration index must be nonnegative")
@@ -216,6 +223,20 @@ def closed_form(lengths: LengthTable, n: int, k: int, plus: bool = False) -> int
     Cohen-Macaulay certificate hold in any ring; every other rule needs the
     certificate, which also makes W = 0.
 
+    The two rules for the powers of m, in A's own table (W = 0), are asked
+    first; they read the tangent cone's series h(t)/(1 - t)^d
+    (``LocalRing.maximal_power_colength``).
+    - Stages: l(A/m^k) is the series' running sum.
+    - Sums at k = n + 1, once the tail has proved Q m^r = m^(r+1): with
+      q_i* the class of q_i in m/m^2, gr_m(A)/(q_1*..q_d*) then vanishes
+      past degree r, so the q_i* are d = dim gr_m(A) forms of degree one
+      that generate an ideal of finite colength, a homogeneous system of
+      parameters (Northcott-Rees, Proc. Cambridge Philos. Soc. 50, 1954),
+      and so algebraically independent over k (Bruns-Herzog,
+      Cohen-Macaulay Rings, sec. 1.5).  The image of Q^n in m^n/m^(n+1),
+      spanned by the monomials of degree n in the q_i*, then has dimension
+      C(n+d-1, d-1), and l(A/(Q^n + m^(n+1))) = l(A/m^(n+1)) - C(n+d-1, d-1).
+
     - Sums past the tail, any d: the flags prove I_{m+1} = Q I_m for
       r <= m <= H - 2, and for every m >= r on powers, so I_k = Q^(k-r) I_r
       lies in Q^(k-r).  Where k - r >= n, and k <= H - 1 unless the tower is
@@ -249,6 +270,13 @@ def closed_form(lengths: LengthTable, n: int, k: int, plus: bool = False) -> int
     The cheap tests come first, so that a job no rule serves never builds
     the certificate here."""
     r = lengths.postulation
+    if lengths.modulo is None and lengths.filt.m_adic:
+        ring = lengths.ring
+        if not plus and n == 0:
+            return ring.maximal_power_colength(k)
+        if plus and k == n + 1 and r is not None:
+            d = ring.dimension
+            return ring.maximal_power_colength(k) - binom(n + d - 1, d - 1)
     if (plus and r is not None and k - r >= n
             and (k <= lengths.horizon - 1 or lengths.filt.kind == ADIC)):
         return lengths.get(n, 0)

@@ -1,8 +1,10 @@
 """Ideal arithmetic in Noetherian local rings presented as quotients of
 polynomial rings localized at the origin.
 
-A ring is k[x1..xn]/J with the maximal ideal m = (x1..xn).  Ideal handles
-carry generators reduced modulo a fixed Groebner basis of J.  The
+A ring is k[x1..xn]/J with the maximal ideal m = (x1..xn).  Its dimension
+is the local one, and every l(A/m^n) is a sum, both read once off the
+Hilbert series of the tangent cone gr_m(A) (``_tangent_cone_leads``).
+Ideal handles carry generators reduced modulo a fixed Groebner basis of J.  The
 constructive operations (sum, product, intersection, colon, saturation)
 commute with localization, so a handle is a faithful presentation of its
 localized ideal.  Colengths are certified finite by exhibiting a power of
@@ -66,11 +68,12 @@ costs only memo hits.
 from __future__ import annotations
 
 import itertools
+from math import comb
 
 from . import monomial
 from .fields import QQ
 from .groebner import GroebnerBasis, eliminate, groebner_basis
-from .orders import elimination_block, grevlex
+from .orders import elimination_block, grevlex, lazard
 from .poly import Polynomial, PolyContext, add_multiple
 from .parser import parse_polynomial
 
@@ -145,11 +148,12 @@ class LocalRing:
         self.gb_relations = groebner_basis(rels, ctx=self.ctx)
         if self.gb_relations.is_unit_ideal():
             raise ValueError("relations generate the unit ideal; the ring is zero")
-        # k[x]/J has the dimension of k[x]/in(J), the pole order at t = 1
-        # of the lead ideal's Hilbert series
-        self.dimension = monomial.dimension(self.gb_relations.leads, self.nvars)
-        # c relations with dimension v - c: every minimal prime of J has
-        # height at least c, and by Krull's theorem at most c (Matsumura,
+        # the tangent cone's series h(t)/(1 - t)^d: d is the local dimension
+        # (``maximal_power_colength``)
+        self.h_polynomial, self.dimension = monomial.hilbert_series(
+            _tangent_cone_leads(self.relations, self.gb_relations), self.nvars)
+        # c relations with local dimension v - c: every minimal prime of J_m
+        # has height at least c, and by Krull's theorem at most c (Matsumura,
         # Commutative Ring Theory, Thm 13.5), so in the regular ring k[x]_m
         # the relations are a regular sequence (Thm 17.4) and A is a complete
         # intersection of dimension v - c, so Cohen-Macaulay (Thm 21.3)
@@ -189,6 +193,13 @@ class LocalRing:
 
     def maximal_ideal(self) -> "IdealHandle":
         return self.ideal(list(self.ctx.variables))
+
+    def maximal_power_colength(self, n: int) -> int:
+        """l(A/m^n), summed off the tangent cone's series h(t)/(1 - t)^d: the
+        coefficient of t^(n-1) in h(t)/(1 - t)^(d+1)."""
+        d = self.dimension
+        return sum(c * comb(n - 1 - j + d, d)
+                   for j, c in enumerate(self.h_polynomial[:n]))
 
     def _make(self, polys) -> "IdealHandle":
         """Normalize reduced generators: monic, deduplicated, sorted by lead,
@@ -622,6 +633,30 @@ def _variables_nilpotent(G: GroebnerBasis, N: int) -> bool:
         if not r.is_zero:
             return False
     return True
+
+
+def _tangent_cone_leads(relations, basis: GroebnerBasis) -> tuple:
+    """Exponent vectors that generate a monomial ideal L with the Hilbert
+    function of the tangent cone gr_m(A) = k[x]/in(J), in(J) the ideal of
+    the lowest-degree forms of J.  in(J) is local: a unit u has
+    in(u f) = u(0) in(f), so J and J_m have the same one.
+
+    Homogeneous relations span in(J) = J, and ``basis``, their reduced
+    basis under grevlex, has the leads of J.  Otherwise each relation f of
+    degree D becomes h^D f(x/h), and the reduced basis of those under
+    Lazard's order (``orders.lazard``), h dropped from its leads, is the
+    leads of a standard basis of J_m under the local degree order, whose
+    quotient has the Hilbert-Samuel function of A (Greuel-Pfister, *A
+    Singular Introduction to Commutative Algebra*, secs. 1.7 and 5.5; T.
+    Mora, LNCS 144, 1982).  A single relation is its own basis."""
+    if all(_homogeneous(r) for r in relations):
+        return basis.leads
+    ctx = basis.ctx
+    homogenized = PolyContext.get((_fresh_variable(ctx.variables, "_h"),) + ctx.variables,
+                                  ctx.field, lazard(ctx.nvars + 1))
+    polys = [Polynomial(homogenized, {(r.degree() - sum(m),) + m: c for m, c in r.terms})
+             for r in relations]
+    return tuple(m[1:] for m in groebner_basis(polys, ctx=homogenized).leads)
 
 
 def _homogeneous(p: Polynomial) -> bool:

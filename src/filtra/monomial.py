@@ -333,17 +333,18 @@ def hilbert_numerator(gens, nvars: int) -> tuple:
                         hilbert_numerator(colon(gens, p), nvars), e, 1)
 
 
-def dimension(gens, nvars: int) -> int:
-    """Krull dimension of k[x]/(gens): the order of the pole at t = 1 of
-    its Hilbert series N(t)/(1 - t)^nvars, found by dividing 1 - t out of
-    N while N(1) = 0; -1 for the unit ideal."""
+def hilbert_series(gens, nvars: int) -> tuple:
+    """(h, d) with HS(k[x]/(gens)) = h(t)/(1 - t)^d and h(1) != 0: d is the
+    Krull dimension, the order of the pole at t = 1, found by dividing
+    1 - t out of the numerator while it vanishes at 1, and h is what is
+    left of it.  ((), -1) for the unit ideal."""
     numerator = hilbert_numerator(gens, nvars)
     if not numerator:
-        return -1
+        return (), -1
     while not sum(numerator):
         numerator = tuple(accumulate(numerator))[:-1]  # N / (1 - t)
         nvars -= 1
-    return nvars
+    return numerator, nvars
 
 
 def shifted_sum(a: tuple, b: tuple, shift: int, sign: int) -> tuple:

@@ -12,7 +12,7 @@ from typing import NamedTuple
 class MonomialOrder(NamedTuple):
     """A multiplicative total order on exponent vectors of a fixed width."""
 
-    kind: str            # "grevlex" | "elim:<k>"
+    kind: str            # "grevlex" | "elim:<k>" | "lazard"
     nvars: int
     block: int = 0       # number of leading variables in the elimination block
 
@@ -24,6 +24,12 @@ class MonomialOrder(NamedTuple):
         if self.kind == "grevlex":
             out = [sum(e)]
             out.extend(-c for c in reversed(e))
+            return tuple(out)
+        if self.kind == "lazard":
+            # the first variable is h: total degree, then the higher power of
+            # h, then grevlex on the rest
+            out = [sum(e), e[0]]
+            out.extend(-c for c in reversed(e[1:]))
             return tuple(out)
         # elimination block order: grevlex on the first k variables dominates,
         # grevlex on the rest breaks ties
@@ -45,3 +51,10 @@ def elimination_block(k: int, nvars: int) -> MonomialOrder:
         raise ValueError(f"elimination block size {k} out of range for {nvars} variables")
     return MonomialOrder(f"elim:{k}", nvars, block=k)
 
+
+def lazard(nvars: int) -> MonomialOrder:
+    """The order on k[h, x] of Lazard's method, h the first variable: on
+    homogeneous polynomials it ranks terms by the local degree order of
+    their x-parts, lowest x-degree first, then grevlex (Greuel-Pfister, *A
+    Singular Introduction to Commutative Algebra*, sec. 1.7)."""
+    return MonomialOrder("lazard", nvars)

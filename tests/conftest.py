@@ -100,6 +100,7 @@ WORK = {
     "intersections": ("ideals", "IdealHandle._intersect"),
     "subquotients": ("ideals", "LocalRing.subquotient_length"),
     "rings": ("ideals", "LocalRing.__init__"),
+    "colengths": ("ideals", "IdealHandle._colength_compute"),
 }
 
 

@@ -76,7 +76,9 @@ def test_macaulay_job_work(census):
     Rees algebra, and its d-sequence clauses off Hilbert series.  While
     each l(A/Q^n I_k) came from a basis of Q^n I_k and each clause from two
     colons, the job made 58 runs, 1 329 S-polynomials, 21 eliminations and
-    21 colons."""
+    21 colons; while each l(A/m^k) and each sum l(A/(Q^n + m^(n+1))) came
+    from its own basis instead of the tangent cone's series, 39 runs, 739
+    S-polynomials, 5 eliminations and 5 colons."""
     got = run_job(parse_config({
         "name": "macaulay", "ring": {"variables": list(MACAULAY[0]),
                                      "relations": MACAULAY[1]},
@@ -87,7 +89,7 @@ def test_macaulay_job_work(census):
     assert (got["numbers"]["e_filtration"], got["numbers"]["e_reduction"]) == \
         ([4, 3, -1], [4, -1, 0])
     assert (census["buchberger"], census["spolys"], census["eliminations"],
-            census["colons"]) == (39, 739, 5, 5)
+            census["colons"]) == (17, 154, 5, 5)
 
 
 @pytest.mark.parametrize("field", ["q", "fp:101"])

@@ -188,22 +188,30 @@ def test_violation_exit_code(tmp_path, monkeypatch):
 
 
 def test_nonpositive_multiplicity_is_a_violation(tmp_path):
-    """k[x,y,z]/(xz - x, yz - y) is k[z]_(z) at the origin, but its dimension
-    is read globally as 2, so the fit gives e(I) = e(Q) = (0, -1, 0).  A
-    reduction has e_0(Q) = e_0(I) > 0, so the master inequality fails."""
-    cfg = base_config(ring={"variables": ["x", "y", "z"],
-                            "relations": ["x*z - x", "y*z - y"]},
-                      filtration={"kind": "adic", "stages": {"1": ["x", "y", "z"]}},
-                      reduction={"generators": ["z", "x"]})
+    """k[x,y,z]/(xz - x, yz - y) is k[z]_(z) at the origin, of local
+    dimension 1, which the tangent cone's series reads.  With Q = (z) the
+    job verifies with e(I) = e(Q) = (1, 0); Q = (z, x) has two generators,
+    one too many.  While the dimension was read globally as 2, Q = (z, x)
+    gave e(I) = e(Q) = (0, -1, 0) and ended in a violation of the master
+    inequality, which requires e_0(I) > 0, and Q = (z) ended as invalid
+    input.  No known job reaches e_0 <= 0 now; the master inequality still
+    requires e_0 > 0."""
+    ring = {"variables": ["x", "y", "z"], "relations": ["x*z - x", "y*z - y"]}
+    stages = {"kind": "adic", "stages": {"1": ["x", "y", "z"]}}
     out = tmp_path / "report.json"
+    cfg = base_config(ring=ring, filtration=stages, reduction={"generators": ["z"]})
     code = main(["verify", write_config(tmp_path, cfg), "--report", str(out), "--quiet"])
-    assert code == 2
+    assert code == 0
     report = read_report(out)
-    assert report["verdict"] == "violation"
-    assert report["numbers"]["e_filtration"] == [0, -1, 0]
-    master = next(c for c in report["checks"] if c["name"] == "master_inequality")
-    assert master["status"] == "fail"
-    assert master["details"]["multiplicities_agree"] is True
+    assert report["verdict"] == "verified"
+    assert report["ring"]["dimension"] == 1
+    assert report["numbers"]["e_filtration"] == report["numbers"]["e_reduction"] == [1, 0]
+    cfg = base_config(ring=ring, filtration=stages, reduction={"generators": ["z", "x"]})
+    code = main(["verify", write_config(tmp_path, cfg), "--report", str(out), "--quiet"])
+    assert code == 1
+    report = read_report(out)
+    assert report["verdict"] == "invalid-input"
+    assert report["error"]["witness"] == {"check": "parameter_count"}
 
 
 def test_unstable_fit_is_invalid_input(tmp_path, monkeypatch):

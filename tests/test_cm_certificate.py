@@ -188,12 +188,17 @@ def test_theorems_agree_with_the_generic_routes(runs):
     assert intersections == 84
 
 
-@pytest.mark.parametrize("variables, relations", [
-    (("x", "y", "z"), ["x*z - x", "y*z - y"]),  # 2 relations, dimension 2
-    (("x", "y"), ["y^2 - x^3", "x*y^2 - x^4"]),  # the second is redundant
+@pytest.mark.parametrize("variables, relations, certified", [
+    (("x", "y", "z"), ["x*z - x", "y*z - y"], True),
+    (("x", "y"), ["y^2 - x^3", "x*y^2 - x^4"], False),  # the second is redundant
 ], ids=["plane_and_line", "redundant_relation"])
-def test_rings_the_count_must_not_certify(variables, relations):
-    assert not LocalRing(variables, relations).complete_intersection
+def test_rings_the_count_must_not_certify(variables, relations, certified):
+    """The count reads the local dimension.  plane_and_line is the plane
+    x = y = 0 and the line z = 1 globally, of dimension 2, but at the origin
+    J_m = (x, y), a complete intersection of dimension 1 (Krull's height
+    theorem in k[x]_m), so it is certified now; while the dimension was
+    read globally, its 2 relations in dimension 2 were not."""
+    assert LocalRing(variables, relations).complete_intersection is certified
 
 
 @pytest.mark.parametrize("name", ["depth_zero", "depth_zero_equality", "semigroup_345",

@@ -169,15 +169,17 @@ def runs(without_closed_forms):
 
 def test_inherited_certificates_match_the_full_loop(runs):
     """The comparison ran in the fixture, after each job and its run with no
-    closed forms; here, that it met the 487 and 3 025 certified non-monomial
+    closed forms; here, that it met the 260 and 3 025 certified non-monomial
     handles of those jobs on the two routes.  Before the length table, the
     one route met 3 355; before it held l(A/(Q^n + I_k)), the two met 618
     and 2 595, as the route without closed forms then decided the graded
     clause at fewer n in dimension one; before sums past the tail were read
     as Q^n, 538 and 3 019; before l(A/Q^n I_k) was read off the Rees algebra
     and each d-sequence clause decided as one nonzerodivisor test, whose
-    Hilbert series build X + (q), 503 and 3 019."""
-    assert tuple(map(sum, zip(*(run[2] for run in runs)))) == (487, 3025)
+    Hilbert series build X + (q), 503 and 3 019; before l(A/m^k) and
+    l(A/(Q^n + m^(n+1))) were read off the tangent cone's series, 487 and
+    3 025."""
+    assert tuple(map(sum, zip(*(run[2] for run in runs)))) == (260, 3025)
 
 
 def test_adic_chain_and_tail_match_the_full_scans(runs):
@@ -189,24 +191,28 @@ def test_adic_chain_and_tail_match_the_full_scans(runs):
 
 def test_seeded_bases_match_bases_from_scratch(runs):
     """The rebuild ran in the fixture, after each job and its run with no
-    closed forms; here, that it met the 97 and 805 handles on the two
+    closed forms; here, that it met the 35 and 805 handles on the two
     routes whose basis started from an operand's.  Before the length table,
     when a colon's basis could also start from its dividend's, the one route
     met 763; before it held l(A/(Q^n + I_k)), the two met 171 and 173;
     before sums past the tail were read as Q^n, 123 and 783; before each
     d-sequence clause was decided as one nonzerodivisor test, whose Hilbert
-    series start the basis of X + (q) from that of X, 75 and 783."""
-    assert tuple(map(sum, zip(*(run[3] for run in runs)))) == (97, 805)
+    series start the basis of X + (q) from that of X, 75 and 783; before
+    l(A/m^k) and l(A/(Q^n + m^(n+1))) were read off the tangent cone's
+    series, 97 and 805."""
+    assert tuple(map(sum, zip(*(run[3] for run in runs)))) == (35, 805)
 
 
 def test_sums_filled_by_closed_forms_match_colengths(runs):
     """The comparison ran in the fixture; here, that it met the sums that
-    closed forms filled on those jobs: 403 past the tail on any ring, where
-    I_k lies in Q^n and the sum is Q^n, and 288 more in dimension one
+    closed forms filled on those jobs: 584 l(A/(Q^n + m^(n+1))) off the
+    tangent cone's series on m-adic jobs, 160 past the tail on any ring,
+    where I_k lies in Q^n and the sum is Q^n, and 9 more in dimension one
     under the Cohen-Macaulay certificate, by adding e_0.  The graded clause
     reads each of them, and reports only its verdict, so a wrong sum could
-    hide behind it."""
-    assert sum(run[6] for run in runs) == 691
+    hide behind it.  Before the series rule, the closed forms filled 691:
+    403 past the tail and 288 by adding e_0."""
+    assert sum(run[6] for run in runs) == 753
 
 
 def test_collapse_clause_by_lengths_matches_the_scan(runs):

@@ -44,9 +44,12 @@ def test_towers_share_the_powers_kept_on_the_handle():
 
 def test_stage_index_guards(monkeypatch):
     """A stage past the cap ends the job with the cap as its witness.  The
-    job is in dimension two: the cusp with Q = (x), the job here until the
-    length table, now builds no stage past I_2, as its later lengths are
-    closed forms (``filtration.closed_form``)."""
+    job is in dimension two, with I_1 = Q = (x^2, y), a tower whose lengths
+    the tangent cone's series does not give.  The cusp with Q = (x), the job
+    here until the length table, builds no stage past I_2, as its later
+    lengths are closed forms (``filtration.closed_form``); the m-adic job
+    in k[x,y] with Q = m, the job here until the tangent cone's series,
+    builds none past I_1."""
     monkeypatch.setattr(filtration, "HARD_CAP", 3)
     filt = Filtration(PLANE, ADIC, {1: ["x", "y"]})
     with pytest.raises(ValueError):
@@ -57,8 +60,8 @@ def test_stage_index_guards(monkeypatch):
     report = run_job(parse_config({
         "name": "hard_cap", "horizon": 6,
         "ring": {"variables": ["x", "y"]},
-        "filtration": {"kind": "adic", "stages": {"1": ["x", "y"]}},
-        "reduction": {"generators": ["x", "y"]}}))
+        "filtration": {"kind": "adic", "stages": {"1": ["x^2", "y"]}},
+        "reduction": {"generators": ["x^2", "y"]}}))
     assert report["error"]["type"] == "HorizonExceeded"
     assert report["error"]["witness"] == {"cap": "HARD_CAP", "value": 3}
 

@@ -519,7 +519,9 @@ def test_curve_job_eliminations_and_buchberger_runs(census):
     certified Cohen-Macaulay with zero torsion by theorem, the regularity
     colon and the torsion saturation took 2 eliminations, 3 runs and 5
     S-polynomials; before a single generator was taken as its own basis,
-    the relation's basis took 1 run."""
+    the relation's basis took 1 run; before l(A/m^k) was read off the
+    tangent cone's series and the torsion check skipped I_2 when the
+    torsion is zero, the job interned 7 handles."""
     report = run_job(parse_config({
         "name": "curve_3_4", "field": "q",
         "ring": {"variables": ["x", "y"], "relations": ["y^3 - x^4"]},
@@ -528,7 +530,7 @@ def test_curve_job_eliminations_and_buchberger_runs(census):
     assert report["verdict"] == "verified"
     ring = census.calls["rings"][0].args[0]
     assert (census["eliminations"], census["buchberger"], census["nilpotency"],
-            census["spolys"], len(ring._handles)) == (0, 0, 2, 0, 7)
+            census["spolys"], len(ring._handles)) == (0, 0, 2, 0, 4)
 
 
 def test_depth_zero_job_buchberger_runs(census):
@@ -549,17 +551,19 @@ def test_depth_zero_job_buchberger_runs(census):
     associated graded ring instead of a basis of each, and sums past the
     tail as Q^n, 82 runs formed 122; before l(A/Q^n I_k) was read off the
     Rees algebra instead of a basis of each Q^n I_k, and each d-sequence
-    clause decided as one nonzerodivisor test, 62 runs formed 103."""
+    clause decided as one nonzerodivisor test, 62 runs formed 103; before
+    l(A/m^k) and l(A/(Q^n + m^(n+1))) were read off the tangent cone's
+    series, 32 runs formed 67."""
     report = run_job(parse_config(NON_MONOMIAL_DEPTH_ZERO[0]))
     assert report["verdict"] == "verified"
     assert report["ring"]["torsion_length"] == 1
-    assert (census["buchberger"], census["spolys"]) == (32, 67)
+    assert (census["buchberger"], census["spolys"]) == (21, 41)
 
 
 def test_corpus_pass_work(census):
     """Noise-free work count of one pass over the 13 corpus jobs: general
-    Buchberger runs, S-polynomials formed and Groebner bases asked for by
-    ideal handles.  Before a monomial ideal presented with non-monomial
+    Buchberger runs, S-polynomials formed, Groebner bases asked for by
+    ideal handles and colengths computed.  Before a monomial ideal presented with non-monomial
     generators took its basis from the monomial layer, 85 runs formed 889
     S-polynomials.  Before ``check_d_sequence`` took the colon by q_i q_j as
     two colons, the pass made 63 runs, 851 S-polynomials and 73 bases.
@@ -573,12 +577,16 @@ def test_corpus_pass_work(census):
     algebra and each d-sequence clause decided as one nonzerodivisor test,
     it made 39 runs, 484 S-polynomials and 54 bases: the Hilbert series
     test asks for more bases, the basis of X + (q) beside that of X, but
-    most of them start from a built basis and run no Buchberger."""
+    most of them start from a built basis and run no Buchberger.  Before
+    l(A/m^k) and l(A/(Q^n + m^(n+1))) were read off the tangent cone's
+    series on the m-adic jobs, it made 32 runs, 207 S-polynomials, 72
+    bases and 193 colengths."""
     configs = sorted(CORPUS_DIR.glob("*.json"))
     assert len(configs) == 13
     for path in configs:
         run_job(load_config(path))
-    assert (census["buchberger"], census["spolys"], census["bases"]) == (32, 207, 72)
+    assert (census["buchberger"], census["spolys"], census["bases"],
+            census["colengths"]) == (26, 209, 56, 151)
 
 
 def test_the_census_changes_no_report_byte():
@@ -613,13 +621,15 @@ def test_two_planes_work(census):
 def test_curves_pass_work(monkeypatch):
     """Noise-free work count of one pass over the benchmark's 33 plane
     curves at seed 13 (``perfbench/workloads.py``): general Buchberger runs,
-    S-polynomials and t-trick eliminations.  Each curve is a complete
+    S-polynomials, t-trick eliminations and colengths computed.  Each curve is a complete
     intersection, so its certificate and its zero torsion are theorems, and
     its relation, a single generator, is its own basis: the pass runs no
     Buchberger.  Before the certificate, the pass made 99 runs, 165
     S-polynomials and 66 eliminations, two per job: the regularity colon
     and the torsion saturation; before a single generator was taken as its
-    own basis, 33 runs, one per job for its relation."""
+    own basis, 33 runs, one per job for its relation.  Each curve is m-adic,
+    so its l(A/m^k) and its sums l(A/(Q^n + m^(n+1))) are read off the
+    tangent cone's series; before that, the pass computed 264 colengths."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", PKG_ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
@@ -630,7 +640,8 @@ def test_curves_pass_work(monkeypatch):
     with counting_work() as census:
         for job in jobs:
             assert run_job(parse_config(json.loads(job.text)))["verdict"] == "verified"
-    assert (census["buchberger"], census["spolys"], census["eliminations"]) == (0, 0, 0)
+    assert (census["buchberger"], census["spolys"], census["eliminations"],
+            census["colengths"]) == (0, 0, 0, 84)
 
 
 def test_low_powers_of_m_on_a_curve_take_no_buchberger_run():

@@ -346,7 +346,22 @@ def test_dimension_is_the_largest_free_set_of_variables(case):
     """The pole order of the Hilbert series at t = 1 is the largest number
     of variables whose monomials all lie outside the ideal."""
     gens, nvars = case
-    assert monomial.dimension(gens, nvars) == brute_dimension(gens, nvars)
+    assert monomial.hilbert_series(gens, nvars)[1] == brute_dimension(gens, nvars)
+
+
+@settings(max_examples=100, deadline=None)
+@given(monomial_gens())
+def test_hilbert_series_divides_the_numerator(case):
+    """h(t) (1 - t)^(nvars - d) is the numerator, and h(1) is not zero."""
+    gens, nvars = case
+    h, d = monomial.hilbert_series(gens, nvars)
+    if d < 0:
+        assert h == () == monomial.hilbert_numerator(gens, nvars)
+        return
+    assert sum(h)
+    for _ in range(nvars - d):
+        h = monomial.shifted_sum(h, h, 1, -1)
+    assert h == monomial.hilbert_numerator(gens, nvars)
 
 
 def test_shifted_sum_trims_trailing_zeros():

@@ -1,13 +1,13 @@
 """Monomial order properties: totality, multiplicativity, elimination."""
 from hypothesis import given, strategies as st
 
-from filtra.orders import elimination_block, grevlex
+from filtra.orders import elimination_block, grevlex, lazard
 
 import pytest
 
 NV = 3
 mono = st.tuples(*[st.integers(min_value=0, max_value=9)] * NV)
-ORDERS = [grevlex(NV), elimination_block(1, NV), elimination_block(2, NV)]
+ORDERS = [grevlex(NV), elimination_block(1, NV), elimination_block(2, NV), lazard(NV)]
 
 
 def test_known_grevlex_comparisons():
@@ -18,6 +18,16 @@ def test_known_grevlex_comparisons():
     assert o.key((1, 0, 1)) < o.key((0, 2, 0))
     assert o.key((2, 0, 0)) > o.key((1, 1, 0))
     assert o.key((1, 1, 0)) > o.key((1, 0, 1))
+
+
+def test_known_lazard_comparisons():
+    """h is the first variable: total degree first, then the higher power of
+    h, so the lower degree in the rest, then grevlex on the rest."""
+    o = lazard(3)
+    assert o.key((0, 2, 0)) < o.key((0, 1, 2))
+    assert o.key((1, 1, 0)) > o.key((0, 2, 0))  # h y beats y^2
+    assert o.key((3, 0, 0)) > o.key((2, 1, 0)) > o.key((1, 1, 1))
+    assert o.key((1, 2, 0)) > o.key((1, 1, 1)) > o.key((1, 0, 2))
 
 
 def test_descriptor_round_trip():
