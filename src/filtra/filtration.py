@@ -219,9 +219,9 @@ class LengthTable:
 
 def closed_form(lengths: LengthTable, n: int, k: int, plus: bool = False) -> int | None:
     """The entry (n, k, plus) of ``lengths`` by a theorem, or None where none
-    applies.  The rules for sums past the tail and both rules without the
-    Cohen-Macaulay certificate hold in any ring; every other rule needs the
-    certificate, which also makes W = 0.
+    applies.  The rules for sums and products past the tail and both rules
+    without the Cohen-Macaulay certificate hold in any ring; every other
+    rule needs the certificate, which also makes W = 0.
 
     The two rules for the powers of m, in A's own table (W = 0), are asked
     first; they read the tangent cone's series h(t)/(1 - t)^d
@@ -241,6 +241,12 @@ def closed_form(lengths: LengthTable, n: int, k: int, plus: bool = False) -> int
       r <= m <= H - 2, and for every m >= r on powers, so I_k = Q^(k-r) I_r
       lies in Q^(k-r).  Where k - r >= n, and k <= H - 1 unless the tower is
       powers, Q^n + I_k is Q^n, and the entry is l(A/Q^n).
+    - Products past the tail, any d: for n, k >= 1 with k >= r, and
+      n + k <= H - 1 unless the tower is powers, the same flags give
+      Q I_m = I_{m+1} for k <= m <= n + k - 1, so Q^n I_k = I_{n+k} and the
+      entry is l(A/I_{n+k}).  A table modulo W reads its own stage entry, as
+      C = A/W records A's flags; on m-adic tables with W = 0 that entry is
+      the tangent cone's series.
     - Q side, any d, with the certificate: q_1..q_d is a regular sequence,
       so gr_Q(A) is the polynomial ring (A/Q)[X_1..X_d] (Matsumura,
       Commutative Ring Theory, Thm 16.2) and l(A/Q^n) = l(A/Q) C(n+d-1, d).
@@ -280,6 +286,9 @@ def closed_form(lengths: LengthTable, n: int, k: int, plus: bool = False) -> int
     if (plus and r is not None and k - r >= n
             and (k <= lengths.horizon - 1 or lengths.filt.kind == ADIC)):
         return lengths.get(n, 0)
+    if (not plus and n >= 1 and k >= 1 and r is not None and k >= r
+            and (n + k <= lengths.horizon - 1 or lengths.filt.kind == ADIC)):
+        return lengths.get(0, n + k)
     d = lengths.ring.dimension
     if plus:
         if (d != 1 or r is None or k - 1 < r

@@ -136,6 +136,10 @@ class _Parser:
                     raise PolySyntaxError("exponent must be a non-negative integer literal", eoff)
                 if eval_ > EXPONENT_LIMIT:
                     raise ExponentOverflow(eval_, eoff)
+                if len(p.terms) == 1 and p.terms[0][1] == self.ctx.field.one:
+                    # a monomial's power: its exponents times e, no product
+                    p = Polynomial.monomial(self.ctx, tuple(a * eval_ for a in p.terms[0][0]))
+                    continue
                 base, p = p, Polynomial.from_int(self.ctx, 1)
                 while eval_:  # by squaring, each product checked
                     if eval_ & 1:

@@ -101,6 +101,7 @@ WORK = {
     "subquotients": ("ideals", "LocalRing.subquotient_length"),
     "rings": ("ideals", "LocalRing.__init__"),
     "colengths": ("ideals", "IdealHandle._colength_compute"),
+    "products": ("ideals", "IdealHandle._mul"),
 }
 
 

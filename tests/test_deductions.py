@@ -11,8 +11,9 @@ Cohen-Macaulay certificate the length table fills entries by closed forms,
 in dimension one also the l(A/(Q^n + I_k)) that the graded clause reads
 past the tail, and ``check_adic_collapse`` scans its containment from the collapse clause's
 first failure.  On any ring a sum Q^n + I_k with I_k inside Q^n past the
-tail is read as l(A/Q^n), and each sum a closed form fills is checked
-against its colength.  Here every job runs a second time with ``closed_form``
+tail is read as l(A/Q^n), and a product Q^n I_k past the tail as
+l(A/I_{n+k}); each sum and product a closed form fills is checked against
+its colength.  Here every job runs a second time with ``closed_form``
 giving nothing, so that every entry is a colength, and both reports must
 be byte-identical; on both runs every interned handle's colength is
 recomputed by the full loop on a fresh handle, and every basis started from
@@ -116,14 +117,15 @@ def check_clause_scans(got, data, W) -> tuple:
     return collapse, graded
 
 
-def check_filled_sums(sums) -> int:
-    """Assert each l(A/(Q^n + I_k)), n >= 1, that ``closed_form`` filled
-    equals the colength of ``lengths.ideal(n, k, plus=True)`` on a fresh
-    handle; return how many there were."""
-    for lengths, n, k, value in sums:
-        fresh = IdealHandle(lengths.ring, lengths.ideal(n, k, plus=True).gens)
-        assert fresh.colength() == value, (n, k, lengths.modulo)
-    return len(sums)
+def check_filled(entries) -> tuple:
+    """Assert each entry (lengths, n, k, plus, value) that ``closed_form``
+    filled equals the colength of ``lengths.ideal(n, k, plus)`` on a fresh
+    handle; return how many sums and how many other entries there were."""
+    for lengths, n, k, plus, value in entries:
+        fresh = IdealHandle(lengths.ring, lengths.ideal(n, k, plus).gens)
+        assert fresh.colength() == value, (n, k, plus, lengths.modulo)
+    sums = sum(plus for *_, plus, _ in entries)
+    return sums, len(entries) - sums
 
 
 def assert_job_deductions(cfg, full=None) -> tuple:
@@ -132,14 +134,15 @@ def assert_job_deductions(cfg, full=None) -> tuple:
     the adic scans' r or None, flagged non-monomial handles and handles with
     a seeded basis on each route as ((fast, full), (fast, full)), the
     collapse and graded witnesses by the scans, False where the job stopped
-    before them or, for graded, where d != 1, and the number of sums
-    l(A/(Q^n + I_k)), n >= 1, that closed forms filled)."""
-    sums, closed = [], filtration.closed_form
+    before them or, for graded, where d != 1, and the numbers of sums
+    l(A/(Q^n + I_k)), n >= 1, and of products l(A/Q^n I_k), n, k >= 1,
+    that closed forms filled)."""
+    entries, closed = [], filtration.closed_form
 
     def recorded(lengths, n, k, plus):
         got = closed(lengths, n, k, plus)
-        if got is not None and plus and n >= 1:
-            sums.append((lengths, n, k, got))
+        if got is not None and n >= 1 and (plus or k >= 1):
+            entries.append((lengths, n, k, plus, got))
         return got
 
     with pytest.MonkeyPatch.context() as mp:
@@ -155,7 +158,7 @@ def assert_job_deductions(cfg, full=None) -> tuple:
     collapse, graded = False, False
     if args is not None:
         collapse, graded = check_clause_scans(got, *args)
-    filled = check_filled_sums(sums)
+    filled = check_filled(entries)
     return got, r, flagged, rebuilt, collapse, graded, filled
 
 
@@ -212,7 +215,17 @@ def test_sums_filled_by_closed_forms_match_colengths(runs):
     reads each of them, and reports only its verdict, so a wrong sum could
     hide behind it.  Before the series rule, the closed forms filled 691:
     403 past the tail and 288 by adding e_0."""
-    assert sum(run[6] for run in runs) == 753
+    assert sum(run[6][0] for run in runs) == 753
+
+
+def test_products_filled_by_closed_forms_match_colengths(runs):
+    """The comparison ran in the fixture; here, that it met the products
+    l(A/Q^n I_k), n, k >= 1, that closed forms filled on those jobs: read
+    past the tail as the stage l(A/I_{n+k}), 905 of them; in dimension one
+    under the Cohen-Macaulay certificate, by adding n e_0, 485; and off the
+    Rees algebra without the certificate, 12.  The Sally values and the
+    collapse clause read them."""
+    assert sum(run[6][1] for run in runs) == 1402
 
 
 def test_collapse_clause_by_lengths_matches_the_scan(runs):
@@ -252,6 +265,39 @@ def test_an_explicit_tower_scans_its_whole_tail():
     lengths = verify_admissible(filt, reduction_system(ring, ["x", "y"]), 5)
     assert lengths.flags == (True, True, False, True)
     assert lengths.postulation == 3
+
+
+def test_products_past_the_tail_stop_below_the_horizon():
+    """In k[x,y], I_n = m^n for n < H = 6 and I_6 = m^6 + (x^5), with
+    Q = m: every flag holds, so r = 0, but I_6 is not Q I_5.  Each entry
+    that ``closed_form`` fills, asked for every n, k <= H + 1, equals the
+    colength of its ideal on a fresh handle.  Q^n I_k = I_{n+k} only up to
+    n + k = H - 1: at (5, 1), a rule that reached n + k = H would read
+    l(A/I_6) = 20 in place of l(A/m^6) = 21."""
+    H = 6
+    ring = LocalRing(("x", "y"))
+    stages = {n: [f"x^{i}*y^{n - i}" for i in range(n + 1)] for n in range(1, H)}
+    stages[H] = [f"x^{i}*y^{H - i}" for i in range(H + 1)] + [f"x^{H - 1}"]
+    lengths = verify_admissible(Filtration(ring, EXPLICIT, stages),
+                                reduction_system(ring, ["x", "y"]), H)
+    assert lengths.postulation == 0
+    filled, closed = [], filtration.closed_form
+
+    def recorded(lengths, n, k, plus):
+        got = closed(lengths, n, k, plus)
+        if got is not None:
+            filled.append((lengths, n, k, plus, got))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(filtration, "closed_form", recorded)
+        for n in range(H + 2):
+            for k in range(H + 2):
+                lengths.get(n, k)
+                lengths.get(n, k, plus=True)
+    check_filled(filled)
+    assert any(n + k == H - 1 and n and k and not plus for _, n, k, plus, _ in filled)
+    assert (lengths.get(5, 1), lengths.get(0, H)) == (21, 20)
 
 
 def assert_drawn_job(obj) -> int:

@@ -385,13 +385,15 @@ def test_monomial_handles_are_keyed_by_their_exponents(case):
 def test_monomial_job_builds_few_generators(census):
     """Noise-free work count on k[x,y,z] with I_1 = (x^2, y^2, z^2, xy) and
     Q = (x^2, y^2, z^2): the handles the ring interns, those whose
-    generators were ever built as polynomials, and Buchberger runs.  Only
-    handles made from parsed or printed generators hold polynomials; when
-    every handle was built from its polynomials, all 24 held them.  Before
-    a polynomial ring, a complete intersection with no relation, took its
-    Cohen-Macaulay certificate by theorem instead of by colons, the job
-    interned 24 handles and built 6.  Before l(A/(Q^n + I_k)) was read as
-    l(A/Q^n) past the tail, where I_k lies in Q^n, it interned 21."""
+    generators were ever built as polynomials, Buchberger runs and ideal
+    products.  Only handles made from parsed or printed generators hold
+    polynomials; when every handle was built from its polynomials, all 24
+    held them.  Before a polynomial ring, a complete intersection with no
+    relation, took its Cohen-Macaulay certificate by theorem instead of by
+    colons, the job interned 24 handles and built 6.  Before l(A/(Q^n + I_k))
+    was read as l(A/Q^n) past the tail, where I_k lies in Q^n, it interned
+    21.  Before l(A/Q^n I_k) was read as l(A/I_{n+k}) past the tail, it
+    interned 16 and formed 21 products."""
     got, ring = run_captured(parse_config({
         "name": "monomial_3", "field": "q", "horizon": 6,
         "ring": {"variables": ["x", "y", "z"]},
@@ -400,7 +402,8 @@ def test_monomial_job_builds_few_generators(census):
     assert got["verdict"] == "verified"
     handles = ring._handles.values()
     assert all(h.exponents is not None for h in handles)
-    assert (len(handles), sum(h._gens is not None for h in handles), census["buchberger"]) == (16, 3, 0)
+    assert (len(handles), sum(h._gens is not None for h in handles), census["buchberger"],
+            census["products"]) == (12, 3, 0, 9)
 
 
 def test_rings_with_equal_relations_share_nothing():
@@ -563,9 +566,9 @@ def test_depth_zero_job_buchberger_runs(census):
 def test_corpus_pass_work(census):
     """Noise-free work count of one pass over the 13 corpus jobs: general
     Buchberger runs, S-polynomials formed, Groebner bases asked for by
-    ideal handles and colengths computed.  Before a monomial ideal presented with non-monomial
-    generators took its basis from the monomial layer, 85 runs formed 889
-    S-polynomials.  Before ``check_d_sequence`` took the colon by q_i q_j as
+    ideal handles, colengths computed and ideal products formed.  Before a
+    monomial ideal presented with non-monomial generators took its basis
+    from the monomial layer, 85 runs formed 889 S-polynomials.  Before ``check_d_sequence`` took the colon by q_i q_j as
     two colons, the pass made 63 runs, 851 S-polynomials and 73 bases.
     Before complete intersections were certified Cohen-Macaulay with zero
     torsion by theorem, and rings of dimension one by their torsion ideal,
@@ -580,13 +583,15 @@ def test_corpus_pass_work(census):
     most of them start from a built basis and run no Buchberger.  Before
     l(A/m^k) and l(A/(Q^n + m^(n+1))) were read off the tangent cone's
     series on the m-adic jobs, it made 32 runs, 207 S-polynomials, 72
-    bases and 193 colengths."""
+    bases and 193 colengths.  Before l(A/Q^n I_k) was read as l(A/I_{n+k})
+    past the tail, it made 26 runs, 209 S-polynomials, 56 bases, 151
+    colengths and 289 products."""
     configs = sorted(CORPUS_DIR.glob("*.json"))
     assert len(configs) == 13
     for path in configs:
         run_job(load_config(path))
     assert (census["buchberger"], census["spolys"], census["bases"],
-            census["colengths"]) == (26, 209, 56, 151)
+            census["colengths"], census["products"]) == (25, 205, 55, 132, 211)
 
 
 def test_the_census_changes_no_report_byte():
@@ -613,9 +618,20 @@ def test_two_planes_work(census):
     Hilbert series.  While each l(A/Q^n) came from a basis of J + Q^n,
     n = 2..13, the job made 36 runs and 678 S-polynomials; while each
     l(A/Q^n I_k) came from a basis of Q^n I_k and each clause compared two
-    colons, 26 and 411."""
+    colons, 26 and 411; before l(A/Q^n I_k) was read as l(A/I_{n+k}) past
+    the tail, 19 and 134."""
     assert run_job(load_config(CORPUS_DIR / "two_planes.json"))["verdict"] == "verified"
-    assert (census["buchberger"], census["spolys"]) == (19, 134)
+    assert (census["buchberger"], census["spolys"]) == (18, 130)
+
+
+def perfbench_workloads(monkeypatch):
+    """The benchmark's ``perfbench/workloads.py``, loaded as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PKG_ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks it up
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def test_curves_pass_work(monkeypatch):
@@ -630,18 +646,28 @@ def test_curves_pass_work(monkeypatch):
     own basis, 33 runs, one per job for its relation.  Each curve is m-adic,
     so its l(A/m^k) and its sums l(A/(Q^n + m^(n+1))) are read off the
     tangent cone's series; before that, the pass computed 264 colengths."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", PKG_ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks it up
-    spec.loader.exec_module(workloads)
-    jobs = workloads.curves_jobs(13)
+    jobs = perfbench_workloads(monkeypatch).curves_jobs(13)
     assert len(jobs) == 33
     with counting_work() as census:
         for job in jobs:
             assert run_job(parse_config(json.loads(job.text)))["verdict"] == "verified"
     assert (census["buchberger"], census["spolys"], census["eliminations"],
             census["colengths"]) == (0, 0, 0, 84)
+
+
+def test_monomial_adic_pass_work(monkeypatch):
+    """Noise-free work count of one pass over the benchmark's 34 monomial
+    towers at seed 13 (``perfbench/workloads.py``): Buchberger runs,
+    colengths computed and ideal products formed.  Every ideal is
+    monomial, so the pass runs no Buchberger.  Past the tail's r, Q^n I_k
+    is the stage I_{n+k}, whose length the table holds; before that
+    product was read as the stage, the pass formed 702 products."""
+    jobs = perfbench_workloads(monkeypatch).monomial_adic_jobs(13)
+    assert len(jobs) == 34
+    with counting_work() as census:
+        for job in jobs:
+            run_job(parse_config(json.loads(job.text)))
+    assert (census["buchberger"], census["colengths"], census["products"]) == (0, 500, 486)
 
 
 def test_low_powers_of_m_on_a_curve_take_no_buchberger_run():

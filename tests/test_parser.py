@@ -99,6 +99,36 @@ def test_exponent_edge():
     assert p("x^1") == Polynomial.variable(CTX, "x")
 
 
+CTX101 = PolyContext.get(("x", "y", "z"), PrimeField(101), grevlex(3))
+
+
+@pytest.mark.parametrize("ctx", [CTX, CTX101], ids=["q", "fp101"])
+@pytest.mark.parametrize("text, product", [
+    ("x^0", "1"), ("x^2^3", "x*x*x*x*x*x"), ("(x*y^2)^3", "x*y*y*x*y*y*x*y*y"),
+    ("(2*x)^3", "2*x*2*x*2*x"), ("(-x)^3", "-x*x*x")])
+def test_one_term_powers(ctx, text, product):
+    """A one-term power parses to the product it stands for; with
+    coefficient one it is built as its exponents times e, otherwise by
+    squaring."""
+    assert parse_polynomial(text, ctx).terms == parse_polynomial(product, ctx).terms
+
+
+@given(st.sampled_from([CTX, CTX101]), st.sampled_from([1, -1, 2, 102]),
+       st.tuples(*[st.integers(0, 3)] * 3), st.integers(0, 9), st.booleans())
+@settings(max_examples=60)
+def test_one_term_power_matches_its_product(ctx, c, exps, e, powers):
+    """(c x^a y^b z^c)^e, its base written with powers or with repeated
+    factors, parses to the same terms as e copies of the base multiplied
+    out with no power at all.  102 is one in fp:101."""
+    factors = ["x"] * exps[0] + ["y"] * exps[1] + ["z"] * exps[2]
+    if powers:
+        factors = [f"{v}^{a}" for v, a in zip("xyz", exps) if a]
+    base = "*".join([str(c)] + factors)
+    product = "*".join([f"({base})"] * e) or "1"
+    assert (parse_polynomial(f"({base})^{e}", ctx).terms
+            == parse_polynomial(product, ctx).terms)
+
+
 small = st.integers(min_value=-4, max_value=4)
 mono = st.tuples(*[st.integers(min_value=0, max_value=3)] * 3)
 

@@ -7,7 +7,9 @@ homogeneous basis, so its local dimension d and every l(A/m^k)
 m-adic job off it, once the tail has proved Q a reduction of m.  Here each
 is compared with the colength of a basis of its ideal: l(A/m^k) for
 k <= K_TOP on every ring, and the sums for n <= N_TOP on every m-adic job
-whose admissibility was certified.  The rings are the corpus rings, the
+whose admissibility was certified; and on the verified ones, the report's
+fitted e_i(m) and postulation index are compared with the series' own.
+The rings are the corpus rings, the
 m-adic corpus and digest jobs, Macaulay's ring, k[x,y,z]/(xz - x, yz - y),
 the node, and drawn rings whose relations are of mixed degree, some with
 linear terms, over the rationals and over fp:101.
@@ -79,6 +81,24 @@ def test_certified_m_adic_jobs(without_closed_forms):
         lengths = verify_admissible(filt, red, cfg.horizon)
         assert_sums_match(lengths)
         assert_series_matches(ring)
+        met += 1
+    assert met == 56
+
+
+def test_fitted_numbers_are_the_series_numbers(without_closed_forms):
+    """On every verified corpus and digest job with I_1 = m, the report's
+    fitted e_i(m) are the series' sum_j C(j, i) h_j, and its postulation
+    index is max(0, deg h - d + 1), where l(A/m^n) becomes polynomial."""
+    met = 0
+    for cfg in corpus_and_digest_configs():
+        got, ring, _, _, filt, _ = without_closed_forms[canonical_key(cfg)]
+        if got["verdict"] != "verified" or not filt.m_adic:
+            continue
+        h, d = ring.h_polynomial, ring.dimension
+        numbers = got["numbers"]
+        assert numbers["e_filtration"] == [sum(binom(j, i) * c for j, c in enumerate(h))
+                                           for i in range(d + 1)], cfg.name
+        assert numbers["postulation_filtration"] == max(0, len(h) - d), cfg.name
         met += 1
     assert met == 56
 
