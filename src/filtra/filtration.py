@@ -12,9 +12,10 @@ The Ratliff-Rush stage n is the first C(n+k, k) = I^{n+k} : I^k equal to
 its predecessor C(n+k-1, k-1) as k grows (Ratliff-Rush, Indiana Univ. Math.
 J. 27, 1978; Heinzer-Lantz-Shah, Comm. Algebra 20, 1992).  C(m, k) is built
 as I^m followed by k colons by I, since (A : BC) = ((A : B) : C)
-(Atiyah-Macdonald, Ex. 1.12).  So every colon divides by the few generators
-of I instead of the many of I^k, and the ring's memo of colons answers the
-ones that an earlier k or stage already asked for.
+(Atiyah-Macdonald, Ex. 1.12).  So every colon divides by I instead of the
+larger I^k, a monomial I in one call of the monomial layer and any other by
+its few generators, and the ring's memo of colons answers the ones that an
+earlier k or stage already asked for.
 """
 from __future__ import annotations
 

@@ -19,9 +19,10 @@ Containment is membership of every generator, and equality is containment
 both ways.
 
 When the relations and the generators are all monomials, containment of a
-monomial ideal, products, intersections, colons by a monomial and colengths
-are computed on exponent vectors by the monomial layer (``monomial.py``)
-instead.
+monomial ideal, products, intersections, colons by a monomial or by a
+monomial ideal and colengths are computed on exponent vectors by the
+monomial layer (``monomial.py``) instead: a colon by a monomial ideal is one
+call there, not a meet of colons by its generators.
 Every other intersection and colon by an element is one t-trick elimination,
 ``_intersection_in_ambient``, which meets its two sides as given.  Whether
 an element is a nonzerodivisor modulo an ideal is read off two Hilbert
@@ -54,12 +55,12 @@ monomials too, multiplied, met, divided and scanned for a generator of one
 outside the other there.  Their generators are built as polynomials only
 where they are read: where they are printed, or where a Groebner basis or
 another general route needs them.  The ring memoizes its products, its
-colons by an element and its intersections, keyed by the presentation of
-the inputs: the input handles, each of which stands for its presentation,
-and the terms of the reduced divisor; it keeps its nonzerodivisor tests by
-the same keys.  The key is not the reduced basis,
-because the route taken (monomial layer or elimination) and so the printed
-generators of the result depend on the presentation.
+colons by an element or by a monomial ideal and its intersections, keyed
+by the presentation of the inputs: the input handles, each of which stands
+for its presentation, and the terms of a reduced element divisor; it keeps
+its nonzerodivisor tests by the same keys.  The key is not the reduced
+basis, because the route taken (monomial layer or elimination) and so the
+printed generators of the result depend on the presentation.
 Ratliff-Rush closures ask for the same colons stage after stage, a job asks
 for the same products check after check, and the memo answers the repeats.
 No other layer memoizes them, so a repeated Cohen-Macaulay certificate
@@ -412,7 +413,7 @@ class IdealHandle:
             return None
         mine, theirs = self.monomials, other.exponents
         if mine is not None and theirs is not None:
-            m = next((m for m in theirs if not monomial.contains(mine, m)), None)
+            m = monomial.first_outside(mine, theirs)
             return None if m is None else Polynomial.monomial(self.ring.ctx, m)
         return next((g for g in other.gens if not self.contains_element(g)), None)
 
@@ -532,10 +533,20 @@ class IdealHandle:
             ring, list(self.gens) + rels, list(other.gens) + rels))
 
     def colon(self, divisor) -> "IdealHandle":
-        """(self : divisor) for a single element or a finitely generated ideal,
-        the meet of the colons by its generators, which stops at a zero meet."""
+        """(self : divisor) for a single element or a finitely generated ideal.
+        Between monomial handles it is one call of the monomial layer, once
+        per pair for the life of the ring; by any other ideal it is the meet
+        of the colons by its generators, which stops at a zero meet."""
         ring = self.ring
         if isinstance(divisor, IdealHandle):
+            if self.monomials is not None and divisor.exponents is not None:
+                if divisor.is_unit:
+                    return self
+                if divisor.is_zero:
+                    return ring.unit_ideal()
+                out = ring._memo(("colon_ideal", self, divisor), self._colon_ideal, divisor)
+                out._at_origin |= self._at_origin
+                return out
             acc = ring.unit_ideal()
             for g in divisor.gens:
                 acc = acc.intersect(self.colon(g))
@@ -551,12 +562,17 @@ class IdealHandle:
         out._at_origin |= self._at_origin  # the colon contains the dividend
         return out
 
+    def _colon_ideal(self, divisor: "IdealHandle") -> "IdealHandle":
+        """(self : divisor) for monomial handles, the divisor neither zero nor
+        the unit ideal."""
+        return self.ring._from_monomials(monomial.colon(self.monomials, divisor.exponents))
+
     def _colon_element(self, g: Polynomial) -> "IdealHandle":
         """(self : g) for g reduced modulo the relations, nonzero, in m."""
         ring = self.ring
         mine = self.monomials
         if mine is not None and g.is_monomial():
-            return ring._from_monomials(monomial.colon(mine, g.lead_monomial()))
+            return ring._from_monomials(monomial.colon(mine, (g.lead_monomial(),)))
         # the right side is (g) alone, not (g) + J, so that every element
         # of the meet is a true multiple of g
         inter = _intersection_in_ambient(

@@ -10,10 +10,13 @@ one integer, so that a product's sums are integer additions and sorting
 the integers puts every divisor before its multiples; the minimal ones
 are then kept in one pass over the sorted integers, and only they are
 unpacked.  An intersection in two variables merges the two staircases;
-in more it takes pairwise lcms.  The colon by a monomial subtracts
-exponents clipped at zero, membership is divisibility, and the colength
-of an artinian ideal is a staircase count, which reads any generating
-set: it needs no minimal generators.  The Hilbert series of any monomial
+in more it takes pairwise lcms.  A colon by an ideal in two variables is
+one sweep over the dividend's staircase shifted by each divisor vector; in
+more it meets the colons by single vectors, each the lcms with that vector
+divided by it.  Membership is divisibility, found for many vectors at once
+by bisecting into a staircase in two variables, and the colength of an
+artinian ideal is a staircase count, which reads any generating set: it
+needs no minimal generators.  The Hilbert series of any monomial
 quotient is read off the numerator that Bigatti's pivot recursion
 computes, and its dimension off the pole of that series at t = 1.
 Nothing here builds a polynomial; callers convert at their own boundary.
@@ -25,6 +28,7 @@ Algebra*, chapters 1-3.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
+from functools import reduce
 from itertools import accumulate, combinations
 from math import inf
 from operator import add, le, sub
@@ -69,6 +73,27 @@ def of_degree(d: int, nvars: int) -> list:
 def contains(gens, m: tuple) -> bool:
     """Membership of the monomial m in the ideal generated by gens."""
     return any(all(map(le, g, m)) for g in gens)
+
+
+def first_outside(gens, ms):
+    """The first of the vectors ms, in their order, outside the ideal that
+    gens generates, or None.  In two variables the staircase of gens, its
+    breakpoints by ascending x-exponent, is built once and each vector is one
+    bisect into it: x^i y^j lies in the ideal exactly when the breakpoint at
+    the largest x-exponent at most i has y-exponent at most j."""
+    if not gens or len(gens[0]) != 2:
+        return next((m for m in ms if not contains(gens, m)), None)
+    xs, ys, low = [], [], inf
+    for i, j in sorted(gens):
+        if j < low:
+            xs.append(i)
+            ys.append(j)
+            low = j
+    for m in ms:
+        k = bisect_right(xs, m[0])
+        if not k or ys[k - 1] > m[1]:
+            return m
+    return None
 
 
 # Below this many vectors, testing each against the kept ones costs less than
@@ -218,9 +243,37 @@ def intersect(a, b) -> tuple:
     return tuple(out)
 
 
-def colon(a, m: tuple) -> tuple:
-    """(a : m) for a single monomial m."""
-    return minimal([tuple(x - y if x > y else 0 for x, y in zip(u, m)) for u in a])
+def colon(a, b) -> tuple:
+    """Minimal generators of (a : b), the ideal a generates divided by the one
+    a nonempty collection b generates.
+
+    In two variables x^i y^j lies in (a : b) exactly when j is at least
+    max over v in b of f_a(i + v_0) - v_1, clipped at zero, f_a the least
+    y-exponent over a's generators with x-exponent at most i.  Each term
+    steps down only at a shifted breakpoint x_k - v_0, clipped at zero, so
+    one sweep over those, sorted, emits a generator wherever the maximum
+    steps down.  In more variables (a : v) is generated by the
+    lcm(u, v) / v over u in a, and (a : b) is the meet of those."""
+    if not a:
+        return ()
+    if len(a[0]) != 2:
+        return reduce(intersect, [minimal([div(lcm(u, v), v) for u in a]) for v in b])
+    steps = sorted((i - v0 if i > v0 else 0, j - v1 if j > v1 else 0, k)
+                   for i, j in a for k, (v0, v1) in enumerate(b))
+    out, f, low = [], [inf] * len(b), inf
+    for i, j, k in steps:
+        if j < f[k]:
+            f[k] = j
+            h = max(f)
+            if h < low:
+                low = h
+                if out and out[-1][0] == i:
+                    out[-1] = (i, h)  # a lower step at the same i
+                else:
+                    out.append((i, h))
+                if not h:
+                    break
+    return tuple(out)
 
 
 def count_box_complement(bounds, leads) -> int:
@@ -330,7 +383,7 @@ def hilbert_numerator(gens, nvars: int) -> tuple:
     e = exps[len(exps) // 2]
     p = tuple(e if j == i else 0 for j in range(nvars))
     return shifted_sum(hilbert_numerator(gens + (p,), nvars),
-                        hilbert_numerator(colon(gens, p), nvars), e, 1)
+                        hilbert_numerator(colon(gens, (p,)), nvars), e, 1)
 
 
 def hilbert_series(gens, nvars: int) -> tuple:

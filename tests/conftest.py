@@ -97,6 +97,7 @@ WORK = {
     "eliminations": ("ideals", "_intersection_in_ambient"),
     "nilpotency": ("ideals", "_variables_nilpotent"),
     "colons": ("ideals", "IdealHandle._colon_element"),
+    "ideal_colons": ("ideals", "IdealHandle._colon_ideal"),
     "intersections": ("ideals", "IdealHandle._intersect"),
     "subquotients": ("ideals", "LocalRing.subquotient_length"),
     "rings": ("ideals", "LocalRing.__init__"),

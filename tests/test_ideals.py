@@ -13,7 +13,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from filtra import groebner, ideals
+from filtra import groebner, ideals, monomial
 from filtra.config import load_config, parse_config
 from filtra.fields import QQ, PrimeField
 from filtra.ideals import (IdealHandle, LocalRing, NotFiniteLength, NotMPrimary,
@@ -201,6 +201,7 @@ def test_a_handle_contains_itself_without_a_scan(monkeypatch):
 
     I = PLANE.ideal(["x^4", "x^3*y", "x*y^3", "y^4"]).power(3)
     monkeypatch.setattr(ideals.monomial, "contains", refuse)
+    monkeypatch.setattr(ideals.monomial, "first_outside", refuse)
     monkeypatch.setattr(IdealHandle, "contains_element", refuse)
     assert I.contains_ideal(I)
     assert I.equals_local(I)
@@ -382,6 +383,77 @@ def test_monomial_handles_are_keyed_by_their_exponents(case):
         assert a.missing_generator(b) == scanned_missing_generator(a, b)
 
 
+def monomial_text(m) -> str:
+    return "*".join(f"{v}^{e}" for v, e in zip("xyz", m) if e) or "1"
+
+
+@st.composite
+def monomial_colon_case(draw):
+    """A ring k[x,y] or k[x,y,z] with 0-2 monomial relations, a monomial
+    ideal of it, possibly zero and rarely artinian, and the generators of a
+    monomial divisor: possibly none, possibly 1, possibly some that the
+    relations kill."""
+    nvars = draw(st.sampled_from((2, 2, 3)))
+    expo = st.tuples(*[st.integers(0, 4 if nvars == 2 else 2)] * nvars)
+    relations = draw(st.lists(expo.filter(any), max_size=2))
+    ring = LocalRing(("x", "y", "z")[:nvars], [monomial_text(m) for m in relations])
+    dividend = draw(st.lists(expo, max_size=5))
+    divisor = draw(st.lists(expo, max_size=4))
+    if relations and draw(st.booleans()):
+        killed = draw(st.sampled_from(relations))
+        divisor.append(tuple(e + draw(st.integers(0, 1)) for e in killed))
+    if draw(st.integers(0, 5)) == 0:
+        divisor.append((0,) * nvars)
+    return ring, dividend, divisor
+
+
+def colon_by_meet(I, D):
+    """(I : D) as the meet of the colons by D's generators."""
+    acc = I.ring.unit_ideal()
+    for g in D.gens:
+        acc = acc.intersect(I.colon(g))
+        if acc.is_zero:
+            break
+    return acc
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomial_colon_case())
+def test_a_colon_by_a_monomial_ideal_is_the_meet_of_its_generators_colons(case):
+    """The monomial layer's colon by an ideal gives the handle that the meet
+    of the colons by the divisor's generators gives: by the unit ideal the
+    dividend itself, by the zero ideal the unit ideal."""
+    ring, dividend, divisor = case
+    I = ring.ideal([Polynomial.monomial(ring.ctx, m) for m in dividend])
+    D = ring.ideal([Polynomial.monomial(ring.ctx, m) for m in divisor])
+    assert I.monomials is not None and D.exponents is not None
+    got = I.colon(D)
+    want = colon_by_meet(I, D)
+    assert got.exponents == want.exponents
+    assert got is want
+    assert I.colon(D) is got
+    if D.is_unit:
+        assert got is I
+    if D.is_zero:
+        assert got is ring.unit_ideal()
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomial_colon_case())
+def test_missing_generator_between_monomial_handles_is_the_membership_scan(case):
+    """Between monomial handles the first generator of the other ideal
+    outside this one, relation monomials counted as inside, is the one the
+    divisibility scan over this ideal's generators and relations finds: in
+    two variables ``missing_generator`` bisects into a staircase instead."""
+    ring, first, second = case
+    I = ring.ideal([Polynomial.monomial(ring.ctx, m) for m in first])
+    J = ring.ideal([Polynomial.monomial(ring.ctx, m) for m in second + first[:1]])
+    for a, b in itertools.permutations((I, J, I.colon(J), I * J), 2):
+        want = next((m for m in b.exponents if not monomial.contains(a.monomials, m)), None)
+        got = a.missing_generator(b)
+        assert got == (None if want is None else Polynomial.monomial(ring.ctx, want))
+
+
 def test_monomial_job_builds_few_generators(census):
     """Noise-free work count on k[x,y,z] with I_1 = (x^2, y^2, z^2, xy) and
     Q = (x^2, y^2, z^2): the handles the ring interns, those whose
@@ -465,18 +537,22 @@ def test_repeated_cm_certificate_is_all_memo_hits():
         for (ring, params), first in zip(cases, firsts):
             for _ in range(2):
                 assert ring.is_regular_sequence(params) is first
-    assert not (census["colons"] or census["buchberger"])
+    assert not (census["colons"] or census["ideal_colons"] or census["buchberger"])
 
-@pytest.mark.parametrize("name, colons, intersections", [
-    pytest.param("sally_rr_equality.json", 64, 16, id="sally_rr_equality"),
-    pytest.param("regular_d3.json", 0, 0, id="regular_d3"),
-    pytest.param("two_planes.json", 7, 2, id="two_planes"),
+@pytest.mark.parametrize("name, colons, intersections, ideal_colons", [
+    pytest.param("sally_rr_equality.json", 0, 0, 16, id="sally_rr_equality"),
+    pytest.param("regular_d3.json", 0, 0, 0, id="regular_d3"),
+    pytest.param("two_planes.json", 4, 0, 1, id="two_planes"),
+    pytest.param("depth_zero.json", 2, 0, 2, id="depth_zero"),
+    pytest.param("depth_zero_equality.json", 2, 0, 2, id="depth_zero_equality"),
 ])
-def test_computed_colons_and_intersections(census, name, colons, intersections):
-    """Noise-free work count: colons by an element and intersections that
-    are computed rather than answered from the ring's memo, counted at the
-    memo misses ``_colon_element`` and ``_intersect``.  Each computed one
-    reaches the monomial layer or the t-trick elimination, once.
+def test_computed_colons_and_intersections(census, name, colons, intersections,
+                                           ideal_colons):
+    """Noise-free work count: colons by an element, intersections and
+    colons of a monomial ideal by a monomial ideal that are computed rather
+    than answered from the ring's memo, counted at the memo misses
+    ``_colon_element``, ``_intersect`` and ``_colon_ideal``.  Each computed
+    one reaches the monomial layer or the t-trick elimination, once.
     Without the memo, and with closures dividing by the generators of I^k
     instead of I, these jobs compute 258/188, 601/15 and 68/12.  Deciding
     the graded clause by lengths, and membership in a certified m-primary
@@ -494,10 +570,16 @@ def test_computed_colons_and_intersections(census, name, colons, intersections):
     and 4/0.  Deciding each d-sequence clause as a nonzerodivisor test, by
     Hilbert series on two_planes' homogeneous ideals, and computing
     (B : q^e) as colons by q that stop once the chain is constant, took
-    two_planes from 24/2."""
+    two_planes from 24/2.  Taking a colon of a monomial ideal by a monomial
+    ideal as one call of the monomial layer, where each Ratliff-Rush
+    closure step and the torsion saturation (0 : m) over monomial relations
+    had been a meet of colons by the divisor's generators, took the jobs
+    from 64/16 (sally_rr_equality), 7/2 (two_planes) and 4/1 (depth_zero,
+    depth_zero_equality), with no such call."""
     report = run_job(load_config(CORPUS_DIR / name))
     assert report["verdict"] == "verified"
-    assert (census["colons"], census["intersections"]) == (colons, intersections)
+    assert (census["colons"], census["intersections"], census["ideal_colons"]) == (
+        colons, intersections, ideal_colons)
 
 
 def test_curve_job_eliminations_and_buchberger_runs(census):

@@ -103,7 +103,7 @@ def test_ideal_operations_accept_non_minimal_generators(nvars):
         m = tuple(rng.randint(0, 3) for _ in range(nvars))
         prod = monomial.product(a, b)
         meet = monomial.intersect(a, b)
-        quot = monomial.colon(a, m)
+        quot = monomial.colon(a, (m,))
         for out in (prod, meet, quot):
             assert set(out) == brute_minimal(out)
         sums = [tuple(x + y for x, y in zip(u, v)) for u in a for v in b]
@@ -266,6 +266,64 @@ def test_minimal_paths_agree(nvars, monkeypatch):
     for gens, pairwise, packed in zip(inputs, got[10 ** 9], got[0]):
         assert sorted(pairwise) == sorted(packed), gens
         assert set(pairwise) == brute_minimal(gens)
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_colon_by_an_ideal_is_membership_of_every_product(nvars):
+    """x^p lies in (a : b) exactly when x^p x^v lies in a for every v in b,
+    on untidy a and b, with and without a pure power of every variable, a
+    divisor inside a and the unit divisor among the draws; the output is
+    minimal."""
+    rng = random.Random(9700 + nvars)
+    side = 10 - 2 * nvars
+    for trial in range(120):
+        a = untidy_gens(rng, nvars, top=4, count=(1, 6))
+        if trial % 3 == 0:
+            a = with_pure_powers(rng, nvars, a, top=4)
+        b = untidy_gens(rng, nvars, top=3, count=(1, 4))
+        if trial % 5 == 0:
+            b.append(rng.choice(a))
+        if trial % 7 == 0:
+            b.append((0,) * nvars)
+        got = monomial.colon(a, b)
+        assert set(got) == brute_minimal(got), (a, b)
+        for p in box((side,) * nvars):
+            want = all(member(a, tuple(x + y for x, y in zip(p, v))) for v in b)
+            assert member(got, p) == want, (a, b, p)
+    assert monomial.colon([], [(1,) * nvars]) == ()
+    assert monomial.colon([(1,) * nvars], [(0,) * nvars]) == ((1,) * nvars,)
+    assert monomial.colon([(1,) * nvars], [(2,) * nvars]) == ((0,) * nvars,)
+
+
+def test_two_variable_colon_of_a_hundred_generators():
+    """The staircase sweep against the meet of the single colons, on
+    staircases of a hundred steps divided by up to five monomials."""
+    rng = random.Random(9800)
+    for _ in range(20):
+        a = staircase(rng, rng.randint(100, 120), 400)
+        b = [(rng.randint(0, 60), rng.randint(0, 60)) for _ in range(rng.randint(1, 5))]
+        meet = None
+        for v in b:
+            single = monomial.colon(a, (v,))
+            assert set(single) == brute_minimal(
+                [tuple(max(x - y, 0) for x, y in zip(u, v)) for u in a])
+            meet = single if meet is None else monomial.intersect(meet, single)
+        assert sorted(monomial.colon(a, b)) == sorted(meet), b
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_first_outside_is_the_first_nonmember(nvars):
+    """``first_outside`` returns the first vector, in the order given, that
+    no generator divides, as the membership scan does."""
+    rng = random.Random(9600 + nvars)
+    for _ in range(200):
+        gens = untidy_gens(rng, nvars, top=4)
+        ms = [tuple(rng.randint(0, 6) for _ in range(nvars))
+              for _ in range(rng.randint(0, 8))]
+        want = next((m for m in ms if not member(gens, m)), None)
+        assert monomial.first_outside(gens, ms) == want, (gens, ms)
+    assert monomial.first_outside([], [(1,) * nvars]) == (1,) * nvars
+    assert monomial.first_outside([(0,) * nvars], [(3,) * nvars]) is None
 
 
 def series_by_degree(gens, nvars, top) -> list:
