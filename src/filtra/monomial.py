@@ -11,12 +11,11 @@ the integers puts every divisor before its multiples; the minimal ones
 are then kept in one pass over the sorted integers, and only they are
 unpacked.  An intersection in two variables merges the two staircases;
 in more it takes pairwise lcms.  A colon by an ideal in two variables is
-one sweep over the dividend's staircase shifted by each divisor vector; in
-more it meets the colons by single vectors, each the lcms with that vector
-divided by it.  Membership is divisibility, found for many vectors at once
-by bisecting into a staircase in two variables, and the colength of an
-artinian ideal is a staircase count, which reads any generating set: it
-needs no minimal generators.  The Hilbert series of any monomial
+the same sweep over the dividend's staircase shifted by each divisor
+vector; in more it meets the colons by single vectors, each the lcms with
+that vector divided by it.  Membership is divisibility, and the colength
+of an artinian ideal is a staircase count, which reads any generating set:
+it needs no minimal generators.  The Hilbert series of any monomial
 quotient is read off the numerator that Bigatti's pivot recursion
 computes, and its dimension off the pole of that series at t = 1.
 Nothing here builds a polynomial; callers convert at their own boundary.
@@ -73,27 +72,6 @@ def of_degree(d: int, nvars: int) -> list:
 def contains(gens, m: tuple) -> bool:
     """Membership of the monomial m in the ideal generated by gens."""
     return any(all(map(le, g, m)) for g in gens)
-
-
-def first_outside(gens, ms):
-    """The first of the vectors ms, in their order, outside the ideal that
-    gens generates, or None.  In two variables the staircase of gens, its
-    breakpoints by ascending x-exponent, is built once and each vector is one
-    bisect into it: x^i y^j lies in the ideal exactly when the breakpoint at
-    the largest x-exponent at most i has y-exponent at most j."""
-    if not gens or len(gens[0]) != 2:
-        return next((m for m in ms if not contains(gens, m)), None)
-    xs, ys, low = [], [], inf
-    for i, j in sorted(gens):
-        if j < low:
-            xs.append(i)
-            ys.append(j)
-            low = j
-    for m in ms:
-        k = bisect_right(xs, m[0])
-        if not k or ys[k - 1] > m[1]:
-            return m
-    return None
 
 
 # Below this many vectors, testing each against the kept ones costs less than
@@ -229,8 +207,17 @@ def intersect(a, b) -> tuple:
         return ()
     if len(a[0]) != 2:
         return minimal([tuple(map(max, u, v)) for u in a for v in b])
-    out, f, low = [], [inf, inf], inf
-    for i, j, side in sorted([(*u, 0) for u in a] + [(*v, 1) for v in b]):
+    return _staircase_max(sorted([(*u, 0) for u in a] + [(*v, 1) for v in b]), 2)
+
+
+def _staircase_max(steps, sides: int) -> tuple:
+    """Minimal generators, in two variables, of the meet of ``sides``
+    staircase ideals given as their breakpoints (i, j, side) sorted by i:
+    x^i y^j lies in it exactly when j is at least the maximum over the sides
+    of each one's least step at x-exponent at most i, so one pass emits a
+    generator wherever that maximum steps down, and stops at zero."""
+    out, f, low = [], [inf] * sides, inf
+    for i, j, side in steps:
         if j < f[side]:
             f[side] = j
             h = max(f)
@@ -240,6 +227,8 @@ def intersect(a, b) -> tuple:
                     out[-1] = (i, h)  # a lower step at the same i
                 else:
                     out.append((i, h))
+                if not h:
+                    break
     return tuple(out)
 
 
@@ -260,20 +249,7 @@ def colon(a, b) -> tuple:
         return reduce(intersect, [minimal([div(lcm(u, v), v) for u in a]) for v in b])
     steps = sorted((i - v0 if i > v0 else 0, j - v1 if j > v1 else 0, k)
                    for i, j in a for k, (v0, v1) in enumerate(b))
-    out, f, low = [], [inf] * len(b), inf
-    for i, j, k in steps:
-        if j < f[k]:
-            f[k] = j
-            h = max(f)
-            if h < low:
-                low = h
-                if out and out[-1][0] == i:
-                    out[-1] = (i, h)  # a lower step at the same i
-                else:
-                    out.append((i, h))
-                if not h:
-                    break
-    return tuple(out)
+    return _staircase_max(steps, len(b))
 
 
 def count_box_complement(bounds, leads) -> int:
