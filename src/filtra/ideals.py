@@ -413,7 +413,7 @@ class IdealHandle:
             return None
         mine, theirs = self.monomials, other.exponents
         if mine is not None and theirs is not None:
-            m = next((m for m in theirs if not monomial.contains(mine, m)), None)
+            m = monomial.first_outside(mine, theirs)
             return None if m is None else Polynomial.monomial(self.ring.ctx, m)
         return next((g for g in other.gens if not self.contains_element(g)), None)
 

@@ -13,11 +13,13 @@ unpacked.  An intersection in two variables merges the two staircases;
 in more it takes pairwise lcms.  A colon by an ideal in two variables is
 the same sweep over the dividend's staircase shifted by each divisor
 vector; in more it meets the colons by single vectors, each the lcms with
-that vector divided by it.  Membership is divisibility, and the colength
-of an artinian ideal is a staircase count, which reads any generating set:
-it needs no minimal generators.  The Hilbert series of any monomial
-quotient is read off the numerator that Bigatti's pivot recursion
-computes, and its dimension off the pole of that series at t = 1.
+that vector divided by it.  Membership is divisibility, found for many
+vectors at once by bisecting into a staircase in two variables, and the
+colength of an artinian ideal is a staircase count, which reads any
+generating set: it needs no minimal generators.  The Hilbert series of
+any monomial quotient is read off the numerator that Bigatti's pivot
+recursion computes, and its dimension off the pole of that series at
+t = 1.
 Nothing here builds a polynomial; callers convert at their own boundary.
 
 References: A. M. Bigatti, "Computation of Hilbert-Poincare series",
@@ -72,6 +74,27 @@ def of_degree(d: int, nvars: int) -> list:
 def contains(gens, m: tuple) -> bool:
     """Membership of the monomial m in the ideal generated by gens."""
     return any(all(map(le, g, m)) for g in gens)
+
+
+def first_outside(gens, ms):
+    """The first of the vectors ms, in their order, outside the ideal that
+    gens generates, or None.  In two variables the staircase of gens, its
+    breakpoints by ascending x-exponent, is built once and each vector is one
+    bisect into it: x^i y^j lies in the ideal exactly when the breakpoint at
+    the largest x-exponent at most i has y-exponent at most j."""
+    if not gens or len(gens[0]) != 2:
+        return next((m for m in ms if not contains(gens, m)), None)
+    xs, ys, low = [], [], inf
+    for i, j in sorted(gens):
+        if j < low:
+            xs.append(i)
+            ys.append(j)
+            low = j
+    for m in ms:
+        k = bisect_right(xs, m[0])
+        if not k or ys[k - 1] > m[1]:
+            return m
+    return None
 
 
 # Below this many vectors, testing each against the kept ones costs less than

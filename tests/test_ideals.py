@@ -13,7 +13,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from filtra import groebner, ideals
+from filtra import groebner, ideals, monomial
 from filtra.config import load_config, parse_config
 from filtra.fields import QQ, PrimeField
 from filtra.ideals import (IdealHandle, LocalRing, NotFiniteLength, NotMPrimary,
@@ -201,6 +201,7 @@ def test_a_handle_contains_itself_without_a_scan(monkeypatch):
 
     I = PLANE.ideal(["x^4", "x^3*y", "x*y^3", "y^4"]).power(3)
     monkeypatch.setattr(ideals.monomial, "contains", refuse)
+    monkeypatch.setattr(ideals.monomial, "first_outside", refuse)
     monkeypatch.setattr(IdealHandle, "contains_element", refuse)
     assert I.contains_ideal(I)
     assert I.equals_local(I)
@@ -435,6 +436,22 @@ def test_a_colon_by_a_monomial_ideal_is_the_meet_of_its_generators_colons(case):
         assert got is I
     if D.is_zero:
         assert got is ring.unit_ideal()
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomial_colon_case())
+def test_missing_generator_between_monomial_handles_is_the_membership_scan(case):
+    """Between monomial handles the first generator of the other ideal
+    outside this one, relation monomials counted as inside, is the one the
+    divisibility scan over this ideal's generators and relations finds: in
+    two variables ``missing_generator`` bisects into a staircase instead."""
+    ring, first, second = case
+    I = ring.ideal([Polynomial.monomial(ring.ctx, m) for m in first])
+    J = ring.ideal([Polynomial.monomial(ring.ctx, m) for m in second + first[:1]])
+    for a, b in itertools.permutations((I, J, I.colon(J), I * J), 2):
+        want = next((m for m in b.exponents if not monomial.contains(a.monomials, m)), None)
+        got = a.missing_generator(b)
+        assert got == (None if want is None else Polynomial.monomial(ring.ctx, want))
 
 
 def test_monomial_job_builds_few_generators(census):

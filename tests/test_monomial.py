@@ -311,6 +311,21 @@ def test_two_variable_colon_of_a_hundred_generators():
         assert sorted(monomial.colon(a, b)) == sorted(meet), b
 
 
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_first_outside_is_the_first_nonmember(nvars):
+    """``first_outside`` returns the first vector, in the order given, that
+    no generator divides, as the membership scan does."""
+    rng = random.Random(9600 + nvars)
+    for _ in range(200):
+        gens = untidy_gens(rng, nvars, top=4)
+        ms = [tuple(rng.randint(0, 6) for _ in range(nvars))
+              for _ in range(rng.randint(0, 8))]
+        want = next((m for m in ms if not member(gens, m)), None)
+        assert monomial.first_outside(gens, ms) == want, (gens, ms)
+    assert monomial.first_outside([], [(1,) * nvars]) == (1,) * nvars
+    assert monomial.first_outside([(0,) * nvars], [(3,) * nvars]) is None
+
+
 def series_by_degree(gens, nvars, top) -> list:
     """dim_k of k[x]/(gens) in each degree up to ``top``, monomial by
     monomial."""
