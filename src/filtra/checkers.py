@@ -130,15 +130,17 @@ def evaluate_conditions(data: BoundaryData, power_bound: int) -> dict:
     sequence is a d-sequence (Huneke, Adv. Math. 46, 1982).  So c0 holds, c1
     holds for every exponent, and each (q_j : j != i) : q_i is (q_j : j != i),
     inside Q and so inside I_1: no colon needs computing.  Without the
-    certificate, each clause of c0 and c1 is one nonzerodivisor test
-    (``filtration.check_d_sequence``)."""
+    certificate, each clause of c0 is one nonzerodivisor test
+    (``filtration.check_d_sequence``), and c1 holds where Q is standard, read
+    off e_0(Q) and two colengths, or else is scanned the same way
+    (``filtration.check_usd_bounded``)."""
     ring, red = data.ring, data.red
     if data.cohen_macaulay:
         c0 = c1 = c2 = True
         w0 = w1 = w2 = None
     else:
         c0, w0 = check_d_sequence(ring, red.generators)
-        c1, w1 = check_usd_bounded(ring, red.generators, power_bound)
+        c1, w1 = check_usd_bounded(ring, red.generators, power_bound, data.e_red(0))
         c2, w2 = check_colon_in_i1(red, data.filt.i1)
     c3 = ring.has_positive_depth()
     out = {

@@ -105,7 +105,8 @@ class Filtration:
             cur = self.seed.power(n + k)
             for _ in range(k):
                 cur = cur.colon(self.seed)
-            if prev is not None and cur.equals_local(prev):
+            # prev lies in cur: x I^(k-1) in I^(n+k-1) gives x I^k in I^(n+k)
+            if prev is not None and prev.contains_ideal(cur):
                 return prev
             prev = cur
         raise RatliffRushNotStabilized(
@@ -476,11 +477,17 @@ def _colon_power(base: IdealHandle, q, e: int) -> IdealHandle:
     return cur
 
 
-def check_usd_bounded(ring: LocalRing, elements, power_bound: int) -> tuple:
+def check_usd_bounded(ring: LocalRing, elements, power_bound: int,
+                      multiplicity: int | None = None) -> tuple:
     """Every permutation with every exponent vector up to the bound is a
     d-sequence; this is the finitely tested surrogate for the unconditioned
-    statement, and the bound is part of the reported claim."""
+    statement, and the bound is part of the reported claim.  Given
+    ``multiplicity`` = e_0(Q) of a system of parameters, the standard
+    criterion (``_is_standard``) is tried first; the scan runs only where
+    it fails, so a failure keeps its witness."""
     elements = [ring.gb_relations.normal_form(_as_poly(ring, g)) for g in elements]
+    if multiplicity is not None and _is_standard(ring, elements, multiplicity):
+        return True, None
     d = len(elements)
     for perm in itertools.permutations(range(d)):
         for exps in itertools.product(range(1, power_bound + 1), repeat=d):
@@ -490,6 +497,17 @@ def check_usd_bounded(ring: LocalRing, elements, power_bound: int) -> tuple:
                 wit.update({"permutation": [p + 1 for p in perm], "exponents": list(exps)})
                 return False, wit
     return True, None
+
+
+def _is_standard(ring: LocalRing, elements, e0: int) -> bool:
+    """Whether the system of parameters q_1..q_d, e_0(Q) = e0, is standard:
+    I(Q) = I(Q^[2]), I(X) = l(A/X) - e_0(X), Q^[2] = (q_1^2..q_d^2) and
+    e_0(Q^[2]) = 2^d e0 (Trung, Nagoya Math. J. 102, 1986).  A standard
+    system is a u.s.d.-sequence (Trung, ibid.; Goto-Yamagishi, 1986): every
+    permutation with every exponent vector is a d-sequence."""
+    d = len(elements)
+    lengths = [ring.ideal([g ** e for g in elements]).finite_colength() for e in (1, 2)]
+    return lengths[1] - lengths[0] == (2 ** d - 1) * e0
 
 
 def check_colon_in_i1(red: ReductionSystem, I1: IdealHandle) -> tuple:

@@ -172,7 +172,7 @@ def runs(without_closed_forms):
 
 def test_inherited_certificates_match_the_full_loop(runs):
     """The comparison ran in the fixture, after each job and its run with no
-    closed forms; here, that it met the 260 and 3 025 certified non-monomial
+    closed forms; here, that it met the 263 and 3 023 certified non-monomial
     handles of those jobs on the two routes.  Before the length table, the
     one route met 3 355; before it held l(A/(Q^n + I_k)), the two met 618
     and 2 595, as the route without closed forms then decided the graded
@@ -181,8 +181,9 @@ def test_inherited_certificates_match_the_full_loop(runs):
     and each d-sequence clause decided as one nonzerodivisor test, whose
     Hilbert series build X + (q), 503 and 3 019; before l(A/m^k) and
     l(A/(Q^n + m^(n+1))) were read off the tangent cone's series, 487 and
-    3 025."""
-    assert tuple(map(sum, zip(*(run[2] for run in runs)))) == (260, 3025)
+    3 025; before c1 was read off the standard criterion instead of the
+    u.s.d. scan, 260 and 3 025."""
+    assert tuple(map(sum, zip(*(run[2] for run in runs)))) == (263, 3023)
 
 
 def test_adic_chain_and_tail_match_the_full_scans(runs):
@@ -194,7 +195,7 @@ def test_adic_chain_and_tail_match_the_full_scans(runs):
 
 def test_seeded_bases_match_bases_from_scratch(runs):
     """The rebuild ran in the fixture, after each job and its run with no
-    closed forms; here, that it met the 35 and 805 handles on the two
+    closed forms; here, that it met the 20 and 790 handles on the two
     routes whose basis started from an operand's.  Before the length table,
     when a colon's basis could also start from its dividend's, the one route
     met 763; before it held l(A/(Q^n + I_k)), the two met 171 and 173;
@@ -202,8 +203,9 @@ def test_seeded_bases_match_bases_from_scratch(runs):
     d-sequence clause was decided as one nonzerodivisor test, whose Hilbert
     series start the basis of X + (q) from that of X, 75 and 783; before
     l(A/m^k) and l(A/(Q^n + m^(n+1))) were read off the tangent cone's
-    series, 97 and 805."""
-    assert tuple(map(sum, zip(*(run[3] for run in runs)))) == (35, 805)
+    series, 97 and 805; before c1 was read off the standard criterion
+    instead of the u.s.d. scan, 35 and 805."""
+    assert tuple(map(sum, zip(*(run[3] for run in runs)))) == (20, 790)
 
 
 def test_sums_filled_by_closed_forms_match_colengths(runs):
