@@ -105,7 +105,7 @@ class Filtration:
             cur = self.seed.power(n + k)
             for _ in range(k):
                 cur = cur.colon(self.seed)
-            # prev lies in cur: x I^(k-1) in I^(n+k-1) gives x I^k in I^(n+k)
+            # prev lies in cur, as x I^(k-1) in I^(n+k-1) gives x I^k in I^(n+k)
             if prev is not None and prev.contains_ideal(cur):
                 return prev
             prev = cur
@@ -505,9 +505,9 @@ def _is_standard(ring: LocalRing, elements, e0: int) -> bool:
     e_0(Q^[2]) = 2^d e0 (Trung, Nagoya Math. J. 102, 1986).  A standard
     system is a u.s.d.-sequence (Trung, ibid.; Goto-Yamagishi, 1986): every
     permutation with every exponent vector is a d-sequence."""
-    d = len(elements)
-    lengths = [ring.ideal([g ** e for g in elements]).finite_colength() for e in (1, 2)]
-    return lengths[1] - lengths[0] == (2 ** d - 1) * e0
+    squares = ring.ideal([g * g for g in elements])
+    Q = ring.ideal(elements)
+    return squares.finite_colength() - Q.finite_colength() == (2 ** len(elements) - 1) * e0
 
 
 def check_colon_in_i1(red: ReductionSystem, I1: IdealHandle) -> tuple:

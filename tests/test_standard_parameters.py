@@ -9,7 +9,7 @@ must equal the scan's, witness included, on every job without the
 Cohen-Macaulay certificate, on hand-checked rings and on drawn rings.
 """
 import pytest
-from hypothesis import event, example, given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from filtra.filtration import _is_standard, check_d_sequence, check_usd_bounded
 from filtra.hilbert import fit_hilbert_samuel
@@ -96,8 +96,9 @@ def small_rings(draw):
     """k[x,y,z] or k[x,y,z,w] modulo n - 1 to n + 1 relations, each a product
     of two linear forms (a union of linear spaces) or, in k[x,y,z], also a
     monomial or binomial m - c m' of degree at most 3, of mixed degree where
-    m' is of another degree.  Binomials stay out of k[x,y,z,w], where one
-    colon by an inhomogeneous element can run for minutes (ROADMAP item 10)."""
+    m' is of another degree.  Binomials stay out of k[x,y,z,w], where the
+    elimination of one colon by an inhomogeneous element can run for
+    minutes."""
     variables = VARS[:draw(st.integers(3, 4))]
     n = len(variables)
     linear = st.lists(st.integers(-1, 1), min_size=n, max_size=n)
@@ -121,7 +122,6 @@ def _linear(variables, coeffs) -> str:
 
 @settings(max_examples=100, deadline=None)
 @given(small_rings(), st.data())
-@example((VARS, ["x*z", "x*w", "y*z", "y*w"]), None)
 def test_drawn_rings(spec, data):
     """A drawn ring of dimension one or two and drawn linear parameters,
     with a square term where drawn: the answer given e_0(Q) is the scan's."""
@@ -134,13 +134,9 @@ def test_drawn_rings(spec, data):
     if d not in (1, 2):
         event(f"dimension {d}")
         return
-    n = len(variables)
-    if data is None:
-        gens = ["x - z", "y - w"]
-    else:
-        row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
-        gens = [_linear(variables, data.draw(row)) + f" + ({data.draw(st.integers(-1, 1))})*x^2"
-                for _ in range(d)]
+    row = st.lists(st.integers(-2, 2), min_size=len(variables), max_size=len(variables))
+    gens = [f"{_linear(variables, data.draw(row))} + ({data.draw(st.integers(-1, 1))})*x^2"
+            for _ in range(d)]
     if ring.ideal(gens).colength() is None:
         event("not a system of parameters")
         return  # not a system of parameters
