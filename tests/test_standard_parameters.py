@@ -120,7 +120,7 @@ def _linear(variables, coeffs) -> str:
     return " + ".join(f"({c})*{v}" for v, c in zip(variables, coeffs) if c) or variables[0]
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(small_rings(), st.data())
 def test_drawn_rings(spec, data):
     """A drawn ring of dimension one or two and drawn linear parameters,
