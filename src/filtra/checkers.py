@@ -173,10 +173,12 @@ def evaluate_structural(data: BoundaryData) -> dict:
     a = Q^n + W and b = I_{n+1} + W, all m-primary, the exact sequence
     0 -> A/(a meet b) -> A/a + A/b -> A/(a + b) -> 0 gives
     l(A/(a meet b)) = l(A/a) + l(A/b) - l(A/(a + b)), and the clause holds
-    iff that equals l(A/(Q^n I_1 + W)).  All four are table entries, so in
-    dimension one under the Cohen-Macaulay certificate those past the tail
-    are closed forms.  Only a failing n builds the meet, for its witness:
-    the first of its generators outside the right side.
+    iff that equals l(A/(Q^n I_1 + W)).  All four are table entries
+    (``filtration.closed_form``); the sum is read off the tangent cone's
+    series on A's m-adic table, as l(A/Q^n) where the tail puts I_{n+1}
+    inside Q^n, and is a colength elsewhere.  Only a failing n builds the
+    meet, for its witness: the first of its generators outside the right
+    side.
     """
     filt, red, H = data.filt, data.red, data.horizon
     lengths = data.lengths.quotient

@@ -223,7 +223,9 @@ def closed_form(lengths: LengthTable, n: int, k: int, plus: bool = False) -> int
     """The entry (n, k, plus) of ``lengths`` by a theorem, or None where none
     applies.  The rules for sums and products past the tail and both rules
     without the Cohen-Macaulay certificate hold in any ring; every other
-    rule needs the certificate, which also makes W = 0.
+    rule needs the certificate, which also makes W = 0.  A stage l(A/I_k)
+    off the powers of m, and a sum l(A/(Q^n + I_k)) that neither the series
+    nor the tail gives, are left to their colengths.
 
     The two rules for the powers of m, in A's own table (W = 0), are asked
     first; they read the tangent cone's series h(t)/(1 - t)^d
@@ -267,13 +269,6 @@ def closed_form(lengths: LengthTable, n: int, k: int, plus: bool = False) -> int
       one-dimensional Cohen-Macaulay module with e(x; X) = e(x; A) = l(A/xA),
       as A/X has finite length, so l(X/x^n X) = n l(A/xA) (Matsumura, Sec. 14
       and Thm 17.11).  Hence l(A/Q^n I_k) = l(A/I_k) + n e_0, e_0 = l(A/Q).
-    - d = 1 and powers: past the tail's r, I_{m+1} = Q I_m for every m, so
-      I_k = Q^(k-r-1) I_{r+1} and l(A/I_k) = l(A/I_{r+1}) + (k-r-1) e_0 for
-      k > r + 1.
-    - d = 1, sums: where the tail proved I_k = Q I_{k-1}, at r <= k - 1 and,
-      unless the tower is powers, k - 1 <= H - 2, Q^n + I_k is
-      x (Q^(n-1) + I_{k-1}) for n >= 1, so by the same argument
-      l(A/(Q^n + I_k)) = l(A/(Q^(n-1) + I_{k-1})) + e_0.
 
     The cheap tests come first, so that a job no rule serves never builds
     the certificate here."""
@@ -291,24 +286,13 @@ def closed_form(lengths: LengthTable, n: int, k: int, plus: bool = False) -> int
     if (not plus and n >= 1 and k >= 1 and r is not None and k >= r
             and (n + k <= lengths.horizon - 1 or lengths.filt.kind == ADIC)):
         return lengths.get(0, n + k)
+    if plus or n == 0 or n + k < 2:
+        return None
     d = lengths.ring.dimension
-    if plus:
-        if (d != 1 or r is None or k - 1 < r
-                or (k - 1 > lengths.horizon - 2 and lengths.filt.kind != ADIC)
-                or not lengths.cohen_macaulay):
-            return None
-        return lengths.get(n - 1, k - 1, plus=True) + lengths.get(1, 0)
     if k == 0:
-        if n < 2:
-            return None
         if lengths.cohen_macaulay:
             return lengths.get(1, 0) * binom(n + d - 1, d)
         return None if _monomial_reduction(lengths) else lengths.graded.power_colength(n)
-    if n == 0:
-        if (d != 1 or lengths.filt.kind != ADIC or r is None or k <= r + 1
-                or not lengths.cohen_macaulay):
-            return None
-        return lengths.get(0, r + 1) + (k - r - 1) * lengths.get(1, 0)
     if d == 1 and lengths.cohen_macaulay:
         return lengths.get(0, k) + n * lengths.get(1, 0)
     stage = lengths.filt.get_ideal(k)

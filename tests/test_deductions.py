@@ -8,10 +8,9 @@ I^{n+2} = Q I^{n+1}.  A sum contains its operands, so its basis starts
 from a built one of theirs.  Admissibility puts Q^n I_2 + W inside
 I_{n+2} + W, so the collapse clause compares their colengths.  Under the
 Cohen-Macaulay certificate the length table fills entries by closed forms,
-in dimension one also the l(A/(Q^n + I_k)) that the graded clause reads
-past the tail, and ``check_adic_collapse`` scans its containment from the collapse clause's
-first failure.  On any ring a sum Q^n + I_k with I_k inside Q^n past the
-tail is read as l(A/Q^n), and a product Q^n I_k past the tail as
+and ``check_adic_collapse`` scans its containment from the collapse
+clause's first failure.  On any ring a sum Q^n + I_k with I_k inside Q^n
+past the tail is read as l(A/Q^n), and a product Q^n I_k past the tail as
 l(A/I_{n+k}); each sum and product a closed form fills is checked against
 its colength.  Here every job runs a second time with ``closed_form``
 giving nothing, so that every entry is a colength, and both reports must
@@ -172,7 +171,7 @@ def runs(without_closed_forms):
 
 def test_inherited_certificates_match_the_full_loop(runs):
     """The comparison ran in the fixture, after each job and its run with no
-    closed forms; here, that it met the 263 and 3 023 certified non-monomial
+    closed forms; here, that it met the 272 and 3 023 certified non-monomial
     handles of those jobs on the two routes.  Before the length table, the
     one route met 3 355; before it held l(A/(Q^n + I_k)), the two met 618
     and 2 595, as the route without closed forms then decided the graded
@@ -182,8 +181,10 @@ def test_inherited_certificates_match_the_full_loop(runs):
     Hilbert series build X + (q), 503 and 3 019; before l(A/m^k) and
     l(A/(Q^n + m^(n+1))) were read off the tangent cone's series, 487 and
     3 025; before c1 was read off the standard criterion instead of the
-    u.s.d. scan, 260 and 3 025."""
-    assert tuple(map(sum, zip(*(run[2] for run in runs)))) == (263, 3023)
+    u.s.d. scan, 260 and 3 025; before the sums in dimension one under the
+    Cohen-Macaulay certificate were left to their colengths, 263 and
+    3 023."""
+    assert tuple(map(sum, zip(*(run[2] for run in runs)))) == (272, 3023)
 
 
 def test_adic_chain_and_tail_match_the_full_scans(runs):
@@ -195,7 +196,7 @@ def test_adic_chain_and_tail_match_the_full_scans(runs):
 
 def test_seeded_bases_match_bases_from_scratch(runs):
     """The rebuild ran in the fixture, after each job and its run with no
-    closed forms; here, that it met the 20 and 790 handles on the two
+    closed forms; here, that it met the 29 and 790 handles on the two
     routes whose basis started from an operand's.  Before the length table,
     when a colon's basis could also start from its dividend's, the one route
     met 763; before it held l(A/(Q^n + I_k)), the two met 171 and 173;
@@ -204,20 +205,23 @@ def test_seeded_bases_match_bases_from_scratch(runs):
     series start the basis of X + (q) from that of X, 75 and 783; before
     l(A/m^k) and l(A/(Q^n + m^(n+1))) were read off the tangent cone's
     series, 97 and 805; before c1 was read off the standard criterion
-    instead of the u.s.d. scan, 35 and 805."""
-    assert tuple(map(sum, zip(*(run[3] for run in runs)))) == (20, 790)
+    instead of the u.s.d. scan, 35 and 805; before the sums in dimension
+    one under the Cohen-Macaulay certificate were left to their colengths,
+    20 and 790."""
+    assert tuple(map(sum, zip(*(run[3] for run in runs)))) == (29, 790)
 
 
 def test_sums_filled_by_closed_forms_match_colengths(runs):
     """The comparison ran in the fixture; here, that it met the sums that
     closed forms filled on those jobs: 584 l(A/(Q^n + m^(n+1))) off the
-    tangent cone's series on m-adic jobs, 160 past the tail on any ring,
-    where I_k lies in Q^n and the sum is Q^n, and 9 more in dimension one
-    under the Cohen-Macaulay certificate, by adding e_0.  The graded clause
+    tangent cone's series on m-adic jobs, and 160 past the tail on any
+    ring, where I_k lies in Q^n and the sum is Q^n.  The graded clause
     reads each of them, and reports only its verdict, so a wrong sum could
     hide behind it.  Before the series rule, the closed forms filled 691:
-    403 past the tail and 288 by adding e_0."""
-    assert sum(run[6][0] for run in runs) == 753
+    403 past the tail and 288 by adding e_0; before the sums in dimension
+    one under the Cohen-Macaulay certificate were left to their colengths,
+    753."""
+    assert sum(run[6][0] for run in runs) == 744
 
 
 def test_products_filled_by_closed_forms_match_colengths(runs):
@@ -362,8 +366,11 @@ def test_closed_forms_match_colengths_on_drawn_curves(a, step, c, field, stage_o
     """On y^a - x^b (+ c x^(b-1) y), with a stage one from STAGE_ONES as a
     tower of powers or as an explicit tower that lists I_1^2, every length
     table entry that ``closed_form`` fills, l(A/(Q^n + I_k)) included,
-    equals the colength of a fresh handle, and the collapse clause, the graded clause and the containment
-    of ``check_adic_collapse``, scanned at every n, agree with the report."""
+    equals the colength of a fresh handle, and the collapse clause, the
+    graded clause and the containment of ``check_adic_collapse``, scanned at
+    every n, agree with the report.  Only the tangent cone's series fills a
+    stage l(A/I_k), so only on an m-adic table, and off it a sum is filled
+    only past the tail, as l(A/Q^n)."""
     b = a + step
     f = f"y^{a} - x^{b}" + ("" if c is None else f" + {c}*x^{b - 1}*y")
     gens, q = stage_one
@@ -390,4 +397,9 @@ def test_closed_forms_match_colengths_on_drawn_curves(a, step, c, field, stage_o
     for lengths, n, k, plus, value in filled:
         fresh = IdealHandle(ring, lengths.ideal(n, k, plus).gens)
         assert fresh.colength() == value, (n, k, plus)
+        m_adic = lengths.modulo is None and lengths.filt.m_adic
+        if n == 0 and not plus:
+            assert m_adic, (k, stage_one, explicit)
+        if plus and not m_adic:
+            assert value == lengths.get(n, 0), (n, k, stage_one, explicit)
     check_clause_scans(got, *args)

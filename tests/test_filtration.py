@@ -96,6 +96,38 @@ def test_ratliff_rush_of_stable_ideal_is_identity():
         assert rr.get_ideal(n).equals_local(m.power(n))
 
 
+def test_ratliff_rush_closure_stops_at_the_first_repeat():
+    """I = (x^5, x^4 y, x y^4, y^5): C(2, 1) = I^2 : I is I + (x^3 y^3), of
+    colength 17, and C(3, 2) = C(4, 3) = m^5, so the closure of I is m^5, of
+    colength 15, seen at k = 2 and repeated first at k = 3.  C(2, 1) always
+    lies in C(3, 2), so a rule that stopped on that containment would keep
+    I + (x^3 y^3).  The closure lies between I and its integral closure,
+    whose exponents are those of the Newton polygon conv(exponents of I) +
+    R_{>=0}^2 (Swanson-Huneke, Integral Closure of Ideals, Rings, and
+    Modules, sec. 1.4): every exponent of I lies on i + j = 5, with (5, 0)
+    and (0, 5) among them, so the polygon is i + j >= 5 and the integral
+    closure is m^5.  The job with Q = (x^5, y^5) verifies on that stage
+    one."""
+    gens = ["x^5", "x^4*y", "x*y^4", "y^5"]
+    I = PLANE.ideal(gens)
+    m5 = PLANE.maximal_ideal().power(5)
+    assert {i + j for i, j in I.exponents} == {5} and {(5, 0), (0, 5)} <= set(I.exponents)
+    c21 = I.power(2).colon(I)
+    assert c21.equals_local(I + PLANE.ideal(["x^3*y^3"])) and c21.colength() == 17
+    assert I.power(3).colon(I).colon(I).equals_local(m5)
+    assert I.power(4).colon(I).colon(I).colon(I).equals_local(m5)
+    closure = Filtration(PLANE, RATLIFF_RUSH, {1: gens}).get_ideal(1)
+    assert closure.equals_local(m5) and closure.colength() == 15
+    report = run_job(parse_config({
+        "name": "ratliff_rush_at_k3",
+        "ring": {"variables": ["x", "y"]},
+        "filtration": {"kind": "ratliff_rush", "stages": {"1": gens}},
+        "reduction": {"generators": ["x^5", "y^5"]}}))
+    assert report["verdict"] == "verified"
+    assert report["filtration"]["stage_one"] == [
+        "y^5", "x*y^4", "x^2*y^3", "x^3*y^2", "x^4*y", "x^5"]
+
+
 def _mono(e) -> str:
     return "*".join(f"{v}^{k}" for v, k in zip("xy", e) if k)
 
