@@ -21,8 +21,8 @@ both ways.
 When the relations and the generators are all monomials, containment of a
 monomial ideal, products, intersections, colons by a monomial or by a
 monomial ideal and colengths are computed on exponent vectors by the
-monomial layer (``monomial.py``) instead: a colon by a monomial ideal is one
-call there, not a meet of colons by its generators.
+monomial layer (``monomial.py``) instead: a colon by a monomial, or by a
+monomial ideal, is one call there, not a meet of colons by its generators.
 Every other intersection and colon by an element is one t-trick elimination,
 ``_intersection_in_ambient``, which meets its two sides as given.  Whether
 an element is a nonzerodivisor modulo an ideal is read off two Hilbert
@@ -534,9 +534,10 @@ class IdealHandle:
 
     def colon(self, divisor) -> "IdealHandle":
         """(self : divisor) for a single element or a finitely generated ideal.
-        Between monomial handles it is one call of the monomial layer, once
-        per pair for the life of the ring; by any other ideal it is the meet
-        of the colons by its generators, which stops at a zero meet."""
+        Between monomial handles, a monomial read as the ideal it generates,
+        it is one call of the monomial layer, once per pair for the life of
+        the ring; by any other ideal it is the meet of the colons by its
+        generators, which stops at a zero meet."""
         ring = self.ring
         if isinstance(divisor, IdealHandle):
             if self.monomials is not None and divisor.exponents is not None:
@@ -558,6 +559,8 @@ class IdealHandle:
             return ring.unit_ideal()
         if g.constant_term() != ring.field.zero:
             return self  # dividing by a local unit changes nothing
+        if self.monomials is not None and g.is_monomial():
+            return self.colon(ring._from_monomials((g.lead_monomial(),)))
         out = ring._memo(("colon", self, g.terms), self._colon_element, g)
         out._at_origin |= self._at_origin  # the colon contains the dividend
         return out
@@ -568,11 +571,9 @@ class IdealHandle:
         return self.ring._from_monomials(monomial.colon(self.monomials, divisor.exponents))
 
     def _colon_element(self, g: Polynomial) -> "IdealHandle":
-        """(self : g) for g reduced modulo the relations, nonzero, in m."""
+        """(self : g) by the t-trick, for g reduced modulo the relations,
+        nonzero and in m, where self and g are not both monomial."""
         ring = self.ring
-        mine = self.monomials
-        if mine is not None and g.is_monomial():
-            return ring._from_monomials(monomial.colon(mine, (g.lead_monomial(),)))
         # the right side is (g) alone, not (g) + J, so that every element
         # of the meet is a true multiple of g
         inter = _intersection_in_ambient(

@@ -16,10 +16,11 @@ vector; in more it meets the colons by single vectors, each the lcms with
 that vector divided by it.  Membership is divisibility, found for many
 vectors at once by bisecting into a staircase in two variables, and the
 colength of an artinian ideal is a staircase count, which reads any
-generating set: it needs no minimal generators.  The Hilbert series of
-any monomial quotient is read off the numerator that Bigatti's pivot
-recursion computes, and its dimension off the pole of that series at
-t = 1.
+generating set: it needs no minimal generators.  In two variables that
+count is one sweep, which also counts a box outside a set of leads.  The
+Hilbert series of any monomial quotient is read off the numerator that
+Bigatti's pivot recursion computes, and its dimension off the pole of that
+series at t = 1.
 Nothing here builds a polynomial; callers convert at their own boundary.
 
 References: A. M. Bigatti, "Computation of Hilbert-Poincare series",
@@ -279,30 +280,22 @@ def count_box_complement(bounds, leads) -> int:
     """Monomials below the bounds divisible by no lead, without enumeration.
 
     The leads may be any vectors: unsorted, repeated, non-minimal or outside
-    the box.  Sorted by first exponent, they split the box into slabs on
+    the box.  In two variables the box [0, b0) x [0, b1) outside the leads
+    is the staircase of the leads and x^b0, y^b1, which ``colength`` counts.
+    In more, the leads sorted by first exponent split the box into slabs on
     which the set of active leads is fixed; each slab is counted from the
     raw projections of the active leads, so runtime scales with the number
     of leads rather than the box.  The active projections are kept sorted,
-    so a slab's own sort is one linear pass.  In two variables a slab's
-    count is the least second exponent seen so far, kept in one sweep.
+    so a slab's own sort is one linear pass.
     """
     if not bounds:
         return 0 if leads else 1
     b0 = bounds[0]
     if b0 <= 0:
         return 0
-    if len(bounds) == 1:
-        return min([b0] + [l[0] for l in leads])
-    total, lo = 0, 0
     if len(bounds) == 2:
-        width = max(bounds[1], 0)
-        for a, b in sorted(leads):
-            if a >= b0:
-                break
-            if b < width:
-                total += (a - lo) * width
-                lo, width = a, b
-        return total + (b0 - lo) * width
+        return colength(tuple(leads) + ((b0, 0), (0, max(bounds[1], 0))), 2)
+    total, lo = 0, 0
     rest, active = bounds[1:], []
     for l in sorted(leads):
         a = l[0]
@@ -333,7 +326,8 @@ def colength(gens, nvars: int) -> int | None:
 
     In two variables one sweep over the generators sorted by x-exponent
     reads both pure powers and the count: the first generator must be a
-    power of y, and the count closes at the first power of x."""
+    power of y, and the count closes at the first power of x.  It is the
+    one two-variable count; ``count_box_complement`` hands its boxes here."""
     if nvars == 2:
         total = lo = 0
         low = None

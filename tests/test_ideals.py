@@ -23,8 +23,10 @@ from filtra.parser import parse_polynomial
 from filtra.poly import Polynomial
 from filtra.report import run_job, to_json
 
-from conftest import (CORPUS_DIR, NON_MONOMIAL_DEPTH_ZERO, PKG_ROOT, counting_work,
-                      run_captured, torsion_free_quotient)
+from conftest import (CORPUS_DIR, NON_MONOMIAL_DEPTH_ZERO, PKG_ROOT, canonical_key,
+                      corpus_and_digest_configs, counting_work, run_captured,
+                      torsion_free_quotient)
+from test_nonzerodivisor import fresh_ring
 
 PLANE = LocalRing(("x", "y"))
 SPACE = LocalRing(("x", "y", "z"))
@@ -230,6 +232,23 @@ def test_torsion_depth_zero():
     assert [str(g) for g in W.gens] == ["x"]
     assert DEPTH0.torsion_length() == 1
     assert not DEPTH0.has_positive_depth()
+
+
+def test_torsion_is_the_saturation_by_the_reduction(without_closed_forms):
+    """(0 : Q^oo) = (0 : m^oo) for an m-primary Q, since a power of m lies in
+    Q: on every corpus and digest job, Q the reduction its report names, the
+    one the search found where it searched.  Each ring is fresh, not the
+    job's, so that no memo of the job answers either saturation."""
+    checked = 0
+    for cfg in corpus_and_digest_configs():
+        report = without_closed_forms[canonical_key(cfg)][0]
+        ring = fresh_ring(cfg)
+        Q = ring.ideal(report["reduction"]["generators"])
+        if Q.colength() is None:
+            continue  # not m-primary
+        assert ring.zero_ideal().saturate(Q).equals_local(ring.torsion_ideal()), cfg.name
+        checked += 1
+    assert checked == 103
 
 
 def test_saturation_cap_is_an_input_error(monkeypatch):
@@ -543,14 +562,15 @@ def test_repeated_cm_certificate_is_all_memo_hits():
     pytest.param("sally_rr_equality.json", 0, 0, 16, id="sally_rr_equality"),
     pytest.param("regular_d3.json", 0, 0, 0, id="regular_d3"),
     pytest.param("two_planes.json", 2, 0, 1, id="two_planes"),
-    pytest.param("depth_zero.json", 2, 0, 2, id="depth_zero"),
-    pytest.param("depth_zero_equality.json", 2, 0, 2, id="depth_zero_equality"),
+    pytest.param("depth_zero.json", 0, 0, 4, id="depth_zero"),
+    pytest.param("depth_zero_equality.json", 0, 0, 4, id="depth_zero_equality"),
 ])
 def test_computed_colons_and_intersections(census, name, colons, intersections,
                                            ideal_colons):
-    """Noise-free work count: colons by an element, intersections and
-    colons of a monomial ideal by a monomial ideal that are computed rather
-    than answered from the ring's memo, counted at the memo misses
+    """Noise-free work count: t-trick colons by an element, intersections
+    and colons of a monomial ideal by a monomial or by a monomial ideal that
+    are computed rather than answered from the ring's memo, counted at the
+    memo misses
     ``_colon_element``, ``_intersect`` and ``_colon_ideal``.  Each computed
     one reaches the monomial layer or the t-trick elimination, once.
     Without the memo, and with closures dividing by the generators of I^k
@@ -577,7 +597,9 @@ def test_computed_colons_and_intersections(census, name, colons, intersections,
     from 64/16 (sally_rr_equality), 7/2 (two_planes) and 4/1 (depth_zero,
     depth_zero_equality), with no such call.  Reading c1 off the standard
     criterion instead of the u.s.d. scan took two_planes from 4 colons by
-    an element."""
+    an element.  Dividing a monomial ideal by a monomial as by the ideal it
+    generates moved depth_zero and depth_zero_equality's two colons by an
+    element to colons by a monomial ideal: (2, 0, 2) became (0, 0, 4)."""
     report = run_job(load_config(CORPUS_DIR / name))
     assert report["verdict"] == "verified"
     assert (census["colons"], census["intersections"], census["ideal_colons"]) == (

@@ -7,13 +7,17 @@ Where I(Q) = I(Q^[2]) the system is standard, hence a u.s.d.-sequence, and
 scans.  Here the criterion's verdict is pinned, and the answer with e_0(Q)
 must equal the scan's, witness included, on every job without the
 Cohen-Macaulay certificate, on hand-checked rings and on drawn rings.
+I(Q) itself is pinned as the paper's hypothesis reads it: the same for
+every Q on a Buchsbaum ring, and not on a ring that is not Buchsbaum.
 """
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+from filtra.config import parse_config
 from filtra.filtration import _is_standard, check_d_sequence, check_usd_bounded
 from filtra.hilbert import fit_hilbert_samuel
 from filtra.ideals import AssociatedGraded, LocalRing
+from filtra.report import run_job
 
 from conftest import canonical_key, corpus_and_digest_configs
 from test_nonzerodivisor import _poly, fresh_ring
@@ -145,3 +149,47 @@ def test_drawn_rings(spec, data):
     scan, given_e0 = scan_and_criterion(lambda: LocalRing(variables, relations), gens, e0)
     event(f"d = {d}, cm {ring.complete_intersection}, standard {standard}, c1 {scan[0]}")
     assert given_e0 == scan
+
+
+def _invariant(variables, relations, stage_one, reduction) -> int:
+    """I(Q) = l(A/Q) - e_0(Q), read off the report of the job with I_1 =
+    ``stage_one``, horizon 10 and ``reduction`` as its Q: generators, or a
+    search seed."""
+    red = ({"search": {"seed": reduction}} if isinstance(reduction, int)
+           else {"generators": reduction})
+    report = run_job(parse_config({
+        "name": "buchsbaum", "horizon": 10,
+        "ring": {"variables": list(variables), "relations": relations},
+        "filtration": {"kind": "adic", "stages": {"1": stage_one}},
+        "reduction": red}))
+    numbers = report["numbers"]
+    return numbers["lengths_reduction"][1] - numbers["e_reduction"][0]
+
+
+TWO_PLANES = (("x", "y", "z", "w"), ["x*z", "x*w", "y*z", "y*w"])
+
+
+@pytest.mark.parametrize("variables, relations, reductions", [
+    pytest.param(*TWO_PLANES, [["x - z", "y - w"], ["x + z", "y + w"],
+                               ["x - 2*z", "y + 3*w"], ["x + y - z", "y + z - w"],
+                               ["x + y + z", "w - y"], 1, 2, 3], id="two_planes"),
+    # (x - z, y - w) is not m-primary here
+    pytest.param(*MACAULAY, [["x", "w"], ["x - 2*z", "y + 3*w"],
+                             ["x + y - z", "y + z - w"], ["x + y + z", "w - y"],
+                             1, 2, 3], id="macaulay"),
+])
+def test_buchsbaum_rings_have_one_invariant(variables, relations, reductions):
+    """A is Buchsbaum exactly when I(Q) = l(A/Q) - e_0(Q) is the same for
+    every parameter ideal Q (Stueckrad-Vogel, *Buchsbaum Rings and
+    Applications*, 1986), the paper's hypothesis.  Two Buchsbaum rings that
+    are not Cohen-Macaulay, with I_1 = m and Q given or searched: I(Q) = 1
+    for every Q."""
+    assert [_invariant(variables, relations, list(variables), q)
+            for q in reductions] == [1] * len(reductions)
+
+
+def test_a_ring_that_is_not_buchsbaum_has_more_than_one_invariant():
+    """k[x,y]/(x^2, xy^2) has an embedded point, and I(Q) moves with Q:
+    1, 2 and 2 for Q = (y), (y^2), (y^3), each a reduction of (x, Q)."""
+    assert [_invariant(("x", "y"), ["x^2", "x*y^2"], ["x", q], [q])
+            for q in ("y", "y^2", "y^3")] == [1, 2, 2]
