@@ -205,13 +205,10 @@ def evaluate_structural(data: BoundaryData) -> dict:
     # (see ``evaluate_conditions``)
     colon = {"holds": True, "witness": None}
     if not data.cohen_macaulay:
-        i2q = data.lengths.ideal(1, 2, plus=True)
-        for i in range(len(red.generators)):
-            bad = i2q.missing_generator(red.omit_handle(i).colon(red.generators[i]))
-            if bad is not None:
-                colon = {"holds": False,
-                         "witness": {"i": i + 1, "generator": str(bad)}}
-                break
+        holds, bad = check_colon_in_i1(red, data.lengths.ideal(1, 2, plus=True))
+        if not holds:
+            colon = {"holds": False,
+                     "witness": {"i": bad["i"], "generator": bad["witness"]}}
 
     holds = collapse["holds"] and graded["holds"] and colon["holds"]
     return {"holds": holds, "clause_collapse": collapse,

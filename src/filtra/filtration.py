@@ -494,10 +494,11 @@ def _is_standard(ring: LocalRing, elements, e0: int) -> bool:
     return squares.finite_colength() - Q.finite_colength() == (2 ** len(elements) - 1) * e0
 
 
-def check_colon_in_i1(red: ReductionSystem, I1: IdealHandle) -> tuple:
-    """Each omitted-generator colon lands inside stage one."""
+def check_colon_in_i1(red: ReductionSystem, target: IdealHandle) -> tuple:
+    """Each omitted-generator colon lands inside the target: I_1 for c2,
+    I_2 + Q for the structural colon clause."""
     for i in range(len(red.generators)):
-        bad = I1.missing_generator(red.omit_handle(i).colon(red.generators[i]))
+        bad = target.missing_generator(red.omit_handle(i).colon(red.generators[i]))
         if bad is not None:
             return False, {"i": i + 1, "witness": str(bad)}
     return True, None

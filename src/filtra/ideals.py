@@ -91,19 +91,10 @@ class NotMPrimary(ValueError):
     """A finite colength was required but could not be certified."""
 
 
-class NotNested(ValueError):
-    """Subquotient length asked for ideals that are not nested."""
-
-
-class NotFiniteLength(CapReached, ValueError):
-    """A subquotient is not killed by any tested power of the maximal ideal."""
-
-
 class SaturationNotStabilized(CapReached, RuntimeError):
     """The colon chain of a saturation did not repeat within its cap."""
 
 
-SUBQUOTIENT_POWER_BOUND = 40
 _SATURATION_CAP = 100
 
 
@@ -285,39 +276,19 @@ class LocalRing:
     # -- subquotient length -------------------------------------------
 
     def subquotient_length(self, x: "IdealHandle", y: "IdealHandle") -> int:
-        """Length of x/y for nested ideals, as a difference of staircase counts.
-
-        Requires a power m^D multiplying x into y; the quotient is then
-        torsion, so its global dimension equals the local length.  Standard
-        monomials form a basis of a quotient by an ideal, so for y inside
-        x + y the dimension of (x + y)/y is the number of monomials in
-        lead(x + y) outside lead(y).  Each of them lies below degree D plus
-        the largest lead degree of x + y, because m^D (x + y) lies in y, so
-        both complements are counted in that box.
-        """
-        if not x.contains_ideal(y):
-            raise NotNested("subquotient requires the second ideal inside the first")
-        gb_y = y.gb()
-        nf = gb_y.normal_form
-        gens = [nf(g) for g in x.gens]
-        gens = [g for g in gens if not g.is_zero]
-        if not gens:
+        """Length of (x + y)/y, which must be supported at the origin alone,
+        as W/0 is: ``saturate`` builds the global J : m^oo.  So its local
+        length is its dimension, and standard monomials are a basis: it is
+        the number of monomials of lead(x + y) outside lead(y).  A sum that
+        is y itself, as on every torsion-free ring, counts nothing."""
+        upper = x + y
+        if upper is y:
             return 0
-        D = None
-        for cand in range(1, SUBQUOTIENT_POWER_BOUND + 1):
-            monos = monomial.of_degree(cand, self.nvars)
-            if all(nf(g.shift(u)).is_zero for g in gens for u in monos):
-                D = cand
-                break
-        if D is None:
-            raise NotFiniteLength(
-                f"no power of m up to SUBQUOTIENT_POWER_BOUND={SUBQUOTIENT_POWER_BOUND} "
-                "multiplies the first ideal into the second",
-                "SUBQUOTIENT_POWER_BOUND", SUBQUOTIENT_POWER_BOUND)
-        leads = (x + y).gb().leads
-        box = (D + max(map(sum, leads)),) * self.nvars
-        return (monomial.count_box_complement(box, gb_y.leads)
-                - monomial.count_box_complement(box, leads))
+        count = monomial.count_between(y.gb().leads, upper.gb().leads, self.nvars)
+        if count is None:
+            raise RuntimeError("a subquotient is not finite, though it is "
+                               "supported at the origin alone")
+        return count
 
 
 class IdealHandle:

@@ -20,7 +20,8 @@ generating set: it needs no minimal generators.  In two variables that
 count is one sweep, which also counts a box outside a set of leads.  The
 Hilbert series of any monomial quotient is read off the numerator that
 Bigatti's pivot recursion computes, and its dimension off the pole of that
-series at t = 1.
+series at t = 1; the number of monomials between two nested ideals is the
+difference of their quotients' series, read at t = 1 once the pole cancels.
 Nothing here builds a polynomial; callers convert at their own boundary.
 
 References: A. M. Bigatti, "Computation of Hilbert-Poincare series",
@@ -294,7 +295,7 @@ def count_box_complement(bounds, leads) -> int:
     if b0 <= 0:
         return 0
     if len(bounds) == 2:
-        return colength(tuple(leads) + ((b0, 0), (0, max(bounds[1], 0))), 2)
+        return colength(tuple(leads) + ((b0, 0), (0, bounds[1])), 2)
     total, lo = 0, 0
     rest, active = bounds[1:], []
     for l in sorted(leads):
@@ -388,9 +389,28 @@ def hilbert_series(gens, nvars: int) -> tuple:
     if not numerator:
         return (), -1
     while not sum(numerator):
-        numerator = tuple(accumulate(numerator))[:-1]  # N / (1 - t)
+        numerator = _over_one_minus_t(numerator)
         nvars -= 1
     return numerator, nvars
+
+
+def count_between(inner, outer, nvars: int) -> int | None:
+    """Monomials of the ideal ``outer`` outside the smaller ``inner``, or
+    None when infinitely many.  Their series is that of S/inner less that
+    of S/outer, (N_inner(t) - N_outer(t))/(1 - t)^nvars: finite exactly
+    when the pole cancels, and then its value at t = 1."""
+    difference = shifted_sum(hilbert_numerator(inner, nvars),
+                             hilbert_numerator(outer, nvars), 0, -1)
+    for _ in range(nvars):
+        if sum(difference):
+            return None
+        difference = _over_one_minus_t(difference)
+    return sum(difference)
+
+
+def _over_one_minus_t(p: tuple) -> tuple:
+    """p(t)/(1 - t) for p(1) = 0: the partial sums of p but the last, p(1)."""
+    return tuple(accumulate(p))[:-1]
 
 
 def shifted_sum(a: tuple, b: tuple, shift: int, sign: int) -> tuple:

@@ -14,7 +14,7 @@ from .fields import field_from_descriptor
 from .filtration import (ADIC, Filtration, NotAdmissible, SearchExhausted,
                          find_reduction, reduction_system, verify_admissible)
 from .hilbert import HorizonTooSmall, NoPolynomialTail
-from .ideals import CapReached, LocalRing, NotMPrimary, NotNested
+from .ideals import CapReached, LocalRing, NotMPrimary
 from .parser import PolySyntaxError
 
 VERDICT_OK = "verified"
@@ -28,8 +28,8 @@ EXIT_INVALID = EXIT_CODES[VERDICT_INVALID]   # also the CLI's usage errors
 # anything here means the input (not the mathematics) is at fault;
 # CapReached covers every hard cap
 _INPUT_ERRORS = (ConfigError, NotAdmissible, HorizonTooSmall, NoPolynomialTail,
-                 CapReached, SearchExhausted, NotMPrimary, NotNested,
-                 PolySyntaxError, ValueError)
+                 CapReached, SearchExhausted, NotMPrimary, PolySyntaxError,
+                 ValueError)
 
 
 def _strict_warnings(filt: Filtration, red, horizon: int) -> list:

@@ -1,6 +1,9 @@
 """Command line behavior: exit codes, determinism, schemas, corpus sweeps."""
+import ast
 import concurrent.futures
+import importlib
 import json
+import pkgutil
 import re
 import subprocess
 import sys
@@ -8,8 +11,10 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import filtra
 import filtra.checkers as checkers
 import filtra.filtration as filtration
+import filtra.ideals as ideals
 import filtra.parser as parser
 from filtra.cli import main
 from filtra.config import ConfigError, config_schema, parse_config, validate_report
@@ -568,6 +573,47 @@ def test_readme_config_table_matches_schema():
     assert literals
     for value in literals:
         assert parse_config(base_config(field=value)).field_descriptor == value
+
+
+def _cap_names() -> dict:
+    """Each subclass of ``CapReached`` in filtra, by name, with the cap
+    names its raise sites pass as the witness: the string literal next to
+    the constant of that name, as in ``raise X(msg, "HARD_CAP", HARD_CAP)``."""
+    for info in pkgutil.iter_modules(filtra.__path__):
+        importlib.import_module(f"filtra.{info.name}")
+    classes, todo = {}, [ideals.CapReached]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub.__module__.startswith("filtra."):
+                classes[sub.__name__] = set()
+                todo.append(sub)
+    for path in (PKG_ROOT / "src" / "filtra").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in classes):
+                args = node.args
+                classes[node.func.id] |= {
+                    a.value for a, b in zip(args, args[1:])
+                    if isinstance(a, ast.Constant) and isinstance(b, ast.Name)
+                    and a.value == b.id}
+    return classes
+
+
+def test_readme_exit_code_row_names_every_cap():
+    """The exit-code row names each hard cap's error class and constant,
+    and counts the caps, so a cap added or deleted without the README
+    fails here."""
+    text = (PKG_ROOT / "README.md").read_text()
+    row = next(line for line in text.splitlines() if line.startswith("| 1 |"))
+    caps = _cap_names()
+    assert caps
+    for name, constants in caps.items():
+        assert len(constants) == 1, name
+        assert f"`{name}`" in row, name
+        assert f"`{constants.pop()}`" in row, name
+    words = ["one", "two", "three", "four", "five", "six", "seven", "eight"]
+    count = re.search(r"one of the (\w+) caps", row).group(1)
+    assert words.index(count) + 1 == len(caps)
 
 
 # -- strict mode -----------------------------------------------------------

@@ -7,7 +7,7 @@ outside the box, zero bounds, one to four variables.
 """
 import itertools
 import random
-from operator import le
+from operator import add, le
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -378,6 +378,57 @@ def test_hilbert_numerator_of_the_zero_and_unit_ideals(nvars):
         want = monomial.shifted_sum(want, want, 1, -1)
     assert monomial.hilbert_numerator(variables, nvars) == want
     assert monomial.hilbert_numerator([(2,) + (0,) * (nvars - 1)], nvars) == (1, 0, -1)
+
+
+@st.composite
+def nested_monomial_ideals(draw):
+    """(inner, outer, bounds, kind) with inner inside outer.  For "finite",
+    inner is outer times the pure powers x_i^p_i, with some of outer's own
+    generators: a monomial g v of outer outside it has every v_i < p_i, so
+    it lies below the bounds max g_i + p_i.  "infinite" drops one pure
+    power, so g x_i^k lies outside for every k.  "equal" adds only
+    multiples of outer's generators."""
+    nvars = draw(st.integers(2, 4))
+    top = 3 if nvars < 4 else 2
+    expo = st.tuples(*[st.integers(0, top)] * nvars)
+    outer = draw(st.lists(expo, min_size=1, max_size=4))
+    kind = draw(st.sampled_from(("finite", "infinite", "equal")))
+    powers = list(draw(st.tuples(*[st.integers(1, top)] * nvars)))
+    if kind == "infinite":
+        powers[draw(st.integers(0, nvars - 1))] = None
+    pure = [tuple(p if j == i else 0 for j in range(nvars))
+            for i, p in enumerate(powers) if p is not None]
+    if kind == "equal":
+        pure = [draw(expo)]
+    inner = [tuple(map(add, g, u)) for g in outer for u in pure]
+    if kind != "infinite":
+        inner += draw(st.lists(st.sampled_from(outer), max_size=2))
+    if kind == "equal":
+        inner += outer
+    bounds = [max(g[i] for g in outer) + (p or 1) for i, p in enumerate(powers)]
+    return inner, outer, bounds, kind
+
+
+@settings(max_examples=80, deadline=None)
+@given(nested_monomial_ideals())
+def test_count_between_is_the_monomials_of_outer_outside_inner(case):
+    """The count read off two Hilbert numerators against the monomials of
+    a box, member by member: equal in the box that holds them all, None
+    where a larger box holds more."""
+    inner, outer, bounds, kind = case
+
+    def between(bounds):
+        return sum(1 for m in box(bounds) if member(outer, m) and not member(inner, m))
+
+    got = monomial.count_between(inner, outer, len(bounds))
+    larger = between([b + 1 for b in bounds])
+    if kind == "infinite":
+        assert got is None, case
+        assert larger > between(bounds)
+    else:
+        assert got == between(bounds) == larger, case
+        if kind == "equal":
+            assert got == 0
 
 
 def brute_dimension(gens, nvars) -> int:
