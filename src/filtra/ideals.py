@@ -276,18 +276,25 @@ class LocalRing:
     # -- subquotient length -------------------------------------------
 
     def subquotient_length(self, x: "IdealHandle", y: "IdealHandle") -> int:
-        """Length of (x + y)/y, which must be supported at the origin alone,
-        as W/0 is: ``saturate`` builds the global J : m^oo.  So its local
-        length is its dimension, and standard monomials are a basis: it is
-        the number of monomials of lead(x + y) outside lead(y).  A sum that
-        is y itself, as on every torsion-free ring, counts nothing."""
+        """Length of (x + y)/y, where that module is supported at the origin
+        alone: then its local length is its dimension, and standard monomials
+        are a basis, so it is the number N of monomials of lead(x + y)
+        outside lead(y).  It is so supported exactly when every variable acts
+        nilpotently on it, so, being N-dimensional, when each x_i^N kills
+        each generator of x.  W/0 need not pass: ``_make`` takes an element
+        that is a unit only locally for one, so a saturation can keep part of
+        the ring away from the origin, as (0 : m^oo) = (x) in
+        k[x, y]/(x^2 - x, xy).  A sum that is y itself, as on every
+        torsion-free ring, counts nothing."""
         upper = x + y
         if upper is y:
             return 0
         count = monomial.count_between(y.gb().leads, upper.gb().leads, self.nvars)
-        if count is None:
-            raise RuntimeError("a subquotient is not finite, though it is "
-                               "supported at the origin alone")
+        nf = y.gb().normal_form
+        if count is None or any(not nf(g.shift(self.ctx.var_mono(i, count))).is_zero
+                                for g in x.gens for i in range(self.nvars)):
+            raise NotMPrimary(f"{upper!r}/{y!r} is not supported at the origin "
+                              "alone, so its length is not certified")
         return count
 
 

@@ -87,12 +87,40 @@ def test_subquotient_lengths():
     assert PLANE.subquotient_length(m, m) == 0
 
 
+OFF_ORIGIN_TORSION = [
+    # in the local ring x = 0, so A = k[y]_(y) and l(W) = 0, but the
+    # saturation keeps (x), whose one monomial x lives at (1, 0)
+    (("x", "y"), ["x^2 - x", "x*y"]),
+    # W = (z) has local length 1, but its global span also holds x z
+    (("x", "y", "z"), ["x^2 - x", "y*z", "z^2"]),
+    # W is the unit ideal, and k[x, y]/(x^2 - x, xy - y) holds the line x = 1
+    (("x", "y"), ["x^2 - x", "x*y - y"]),
+]
+
+
 def test_subquotient_refusals():
-    """(x)/0 in k[x, y] is supported on the whole line x = 0, against the
-    method's precondition: its monomials are infinitely many, and the count
-    refuses instead of answering."""
-    with pytest.raises(RuntimeError, match="not finite"):
+    """(x)/0 in k[x, y] is supported on the whole line x = 0, not at the
+    origin alone: its monomials are infinitely many, and the count refuses
+    instead of answering."""
+    with pytest.raises(NotMPrimary, match="not supported at the origin alone"):
         PLANE.subquotient_length(PLANE.ideal(["x"]), PLANE.zero_ideal())
+
+
+@pytest.mark.parametrize("names, relations", OFF_ORIGIN_TORSION,
+                         ids=["point_off_origin", "span_off_origin", "line_off_origin"])
+def test_torsion_off_the_origin_is_invalid_input(names, relations):
+    """Where the saturation W keeps part of the ring away from the origin,
+    W's monomials count more than l(W) (or infinitely many), so its length
+    is refused: the job ends as invalid input, with the count's own error
+    rather than a later admissibility one."""
+    with pytest.raises(NotMPrimary, match="not supported at the origin alone"):
+        LocalRing(names, relations).torsion_length()
+    got = run_job(parse_config({
+        "name": "job", "ring": {"variables": list(names), "relations": relations},
+        "filtration": {"kind": "adic", "stages": {"1": list(names)}},
+        "reduction": {"generators": ["y"]}, "horizon": 8}))
+    assert (got["verdict"], got["exit_code"], got["error"]["type"]) == (
+        "invalid-input", 1, "NotMPrimary")
 
 
 def test_subquotient_length_counts_the_sum_when_nesting_is_only_local():
