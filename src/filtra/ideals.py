@@ -9,14 +9,12 @@ constructive operations (sum, product, intersection, colon, saturation)
 commute with localization, so a handle is a faithful presentation of its
 localized ideal.  Colengths are certified finite by exhibiting a power of
 each variable inside the ideal, which pins the support to the origin and
-makes the global standard-monomial count equal the local length.  With no
-search, A + B is certified when A or B is, AB and A meet B when both are, and
-A : g when A is: V(AB) = V(A meet B) = V(A) u V(B), and A lies in A : g.
-Such a certified m-primary ideal is contracted from the localization (Atiyah-
-Macdonald, Prop. 4.8), so membership in it is a zero normal form.  For any
-other ideal membership is decided locally through a colon ideal.
-Containment is membership of every generator, and equality is containment
-both ways.
+makes the global standard-monomial count equal the local length
+(``_variables_nilpotent``).  Such a certified m-primary ideal is contracted
+from the localization (Atiyah-Macdonald, Prop. 4.8), so membership in it is
+a zero normal form.  For any other ideal membership is decided locally
+through a colon ideal.  Containment is membership of every generator, and
+equality is containment both ways.
 
 When the relations and the generators are all monomials, containment of a
 monomial ideal, products, intersections, colons by a monomial or by a
@@ -276,12 +274,11 @@ class LocalRing:
     # -- subquotient length -------------------------------------------
 
     def subquotient_length(self, x: "IdealHandle", y: "IdealHandle") -> int:
-        """Length of (x + y)/y, where that module is supported at the origin
-        alone: then its local length is its dimension, and standard monomials
-        are a basis, so it is the number N of monomials of lead(x + y)
-        outside lead(y).  It is so supported exactly when every variable acts
-        nilpotently on it, so, being N-dimensional, when each x_i^N kills
-        each generator of x.  W/0 need not pass: ``_make`` takes an element
+        """Length of (x + y)/y: standard monomials are a basis, so its
+        dimension is the number N of monomials of lead(x + y) outside
+        lead(y), and that is its local length once ``_variables_nilpotent``
+        certifies, from the generators of x, that the module is supported
+        at the origin alone.  W/0 need not pass: ``_make`` takes an element
         that is a unit only locally for one, so a saturation can keep part of
         the ring away from the origin, as (0 : m^oo) = (x) in
         k[x, y]/(x^2 - x, xy).  A sum that is y itself, as on every
@@ -290,9 +287,7 @@ class LocalRing:
         if upper is y:
             return 0
         count = monomial.count_between(y.gb().leads, upper.gb().leads, self.nvars)
-        nf = y.gb().normal_form
-        if count is None or any(not nf(g.shift(self.ctx.var_mono(i, count))).is_zero
-                                for g in x.gens for i in range(self.nvars)):
+        if count is None or not _variables_nilpotent(y.gb(), x.gens, count):
             raise NotMPrimary(f"{upper!r}/{y!r} is not supported at the origin "
                               "alone, so its length is not certified")
         return count
@@ -302,7 +297,7 @@ class IdealHandle:
     """An ideal of a local ring, presented by reduced generators."""
 
     __slots__ = ("ring", "_gens", "exponents", "monomials", "_gb", "_operands",
-                 "_colength", "_colength_known", "_powers", "_at_origin")
+                 "_colength", "_colength_known", "_powers")
 
     def __init__(self, ring: LocalRing, gens: tuple | None, exponents: tuple | None = None):
         """From normalized generators, from the exponent vectors of monomial
@@ -323,8 +318,6 @@ class IdealHandle:
         self._colength = None
         self._colength_known = False
         self._powers = None  # [unit, self, self^2, ...] as far as asked
-        # k[x]/(gens + J) is known to be supported at the origin alone
-        self._at_origin = False
 
     def __repr__(self):
         return f"IdealHandle({', '.join(str(g) for g in self.gens) or '0'})"
@@ -454,14 +447,11 @@ class IdealHandle:
             out = ring._from_monomials(dict.fromkeys(self.exponents + other.exponents))
         else:
             out = ring._make(list(self.gens) + list(other.gens))
-        out._at_origin |= self._at_origin or other._at_origin  # V(A+B) = V(A) & V(B)
         out._operands = (self, other)
         return out
 
     def __mul__(self, other: "IdealHandle") -> "IdealHandle":
-        out = self.ring._memo(("mul", self, other), self._mul, other)
-        out._at_origin |= self._at_origin and other._at_origin  # V(AB) = V(A) | V(B)
-        return out
+        return self.ring._memo(("mul", self, other), self._mul, other)
 
     def _mul(self, other: "IdealHandle") -> "IdealHandle":
         ring = self.ring
@@ -497,9 +487,7 @@ class IdealHandle:
             return self
         if self.is_zero or other.is_zero:
             return ring.zero_ideal()
-        out = ring._memo(("intersect", self, other), self._intersect, other)
-        out._at_origin |= self._at_origin and other._at_origin
-        return out
+        return ring._memo(("intersect", self, other), self._intersect, other)
 
     def _intersect(self, other: "IdealHandle") -> "IdealHandle":
         ring = self.ring
@@ -523,9 +511,7 @@ class IdealHandle:
                     return self
                 if divisor.is_zero:
                     return ring.unit_ideal()
-                out = ring._memo(("colon_ideal", self, divisor), self._colon_ideal, divisor)
-                out._at_origin |= self._at_origin
-                return out
+                return ring._memo(("colon_ideal", self, divisor), self._colon_ideal, divisor)
             acc = ring.unit_ideal()
             for g in divisor.gens:
                 acc = acc.intersect(self.colon(g))
@@ -539,9 +525,7 @@ class IdealHandle:
             return self  # dividing by a local unit changes nothing
         if self.monomials is not None and g.is_monomial():
             return self.colon(ring._from_monomials((g.lead_monomial(),)))
-        out = ring._memo(("colon", self, g.terms), self._colon_element, g)
-        out._at_origin |= self._at_origin  # the colon contains the dividend
-        return out
+        return ring._memo(("colon", self, g.terms), self._colon_element, g)
 
     def _colon_ideal(self, divisor: "IdealHandle") -> "IdealHandle":
         """(self : divisor) for monomial handles, the divisor neither zero nor
@@ -578,13 +562,11 @@ class IdealHandle:
         """Length of the quotient ring by this ideal; None when not finite.
 
         Finiteness is certified by finding a power of every variable inside
-        the ideal, or inherited, so the answer is the honest local length.
+        the ideal, so the answer is the honest local length.
         """
         if self._colength_known:
             return self._colength
         value = self._colength_compute()
-        # every value of this global route proves the support is the origin
-        self._at_origin = value is not None
         self._colength = value
         self._colength_known = True
         return value
@@ -595,12 +577,11 @@ class IdealHandle:
         G = self.gb()
         if G.is_unit_ideal():
             return 0
-        # the global quotient has dimension N, and an element of an
-        # N-dimensional algebra is nilpotent iff its N-th power is zero
         N = monomial.colength(G.leads, self.ring.nvars)
         if N is None:
             return None
-        return N if self._at_origin or _variables_nilpotent(G, N) else None
+        one = Polynomial.constant(G.ctx, G.ctx.field.one)
+        return N if _variables_nilpotent(G, (one,), N) else None
 
     def finite_colength(self) -> int:
         v = self.colength()
@@ -609,25 +590,16 @@ class IdealHandle:
         return v
 
 
-def _variables_nilpotent(G: GroebnerBasis, N: int) -> bool:
-    """Whether every variable's N-th power lies in the ideal of G, whose
-    quotient has finite dimension N, so that a pure power of each variable
-    is a lead."""
+def _variables_nilpotent(G: GroebnerBasis, gens, N: int) -> bool:
+    """Whether x_i^N g lies in the ideal of G for every variable x_i and
+    every g in ``gens``: one normal form each.  On a module of finite
+    dimension N, such as k[x]/(G) for gens = (1,) or (gens + G)/G, each x_i
+    acts nilpotently exactly when x_i^N kills it, and then the module is
+    supported at the origin alone, so its dimension is its local length."""
     ctx = G.ctx
     nf = G.normal_form
-    for i, bound in enumerate(monomial.pure_power_bounds(G.leads, ctx.nvars)):
-        # r = nf(x_i^e) for e = bound..N, stepped as nf(r * x_i): r
-        # differs from x_i^e by a member of the ideal, so r * x_i
-        # differs from x_i^(e+1) by one too
-        step = ctx.var_mono(i, 1)
-        r = nf(Polynomial.monomial(ctx, ctx.var_mono(i, bound)))
-        for _ in range(N - bound):
-            if r.is_zero:
-                break
-            r = nf(r.shift(step))
-        if not r.is_zero:
-            return False
-    return True
+    return all(nf(g.shift(ctx.var_mono(i, N))).is_zero
+               for i in range(ctx.nvars) for g in gens)
 
 
 def _tangent_cone_leads(relations, basis: GroebnerBasis) -> tuple:

@@ -1,26 +1,22 @@
 """Facts deduced from how the ideals were built, against the work they skip.
 
-A handle built by sum, product, meet or colon from handles whose global
-quotient is supported at the origin inherits that certificate, and its
-colength skips the nilpotency loop.  For powers of I_1 the chain
-I^{n+1} in I^n holds by construction, and once I^{n+1} = Q I^n, also
-I^{n+2} = Q I^{n+1}.  A sum contains its operands, so its basis starts
-from a built one of theirs.  Admissibility puts Q^n I_2 + W inside
-I_{n+2} + W, so the collapse clause compares their colengths.  Under the
-Cohen-Macaulay certificate the length table fills entries by closed forms,
-and ``check_adic_collapse`` scans its containment from the collapse
-clause's first failure.  On any ring a sum Q^n + I_k with I_k inside Q^n
-past the tail is read as l(A/Q^n), and a product Q^n I_k past the tail as
-l(A/I_{n+k}); each sum and product a closed form fills is checked against
-its colength.  Here every job runs a second time with ``closed_form``
-giving nothing, so that every entry is a colength, and both reports must
-be byte-identical; on both runs every interned handle's colength is
-recomputed by the full loop on a fresh handle, and every basis started from
-another one is rebuilt from the relations and the generators; the collapse
-clause is scanned generator by generator; in dimension one the graded
-clause is decided at every n by building the meet, and the containment of
-``check_adic_collapse`` is scanned at every n; and the full chain and tail
-scans run on every adic job.
+For powers of I_1 the chain I^{n+1} in I^n holds by construction, and once
+I^{n+1} = Q I^n, also I^{n+2} = Q I^{n+1}.  A sum contains its operands,
+so its basis starts from a built one of theirs.  Admissibility puts
+Q^n I_2 + W inside I_{n+2} + W, so the collapse clause compares their
+colengths.  Under the Cohen-Macaulay certificate the length table fills
+entries by closed forms, and ``check_adic_collapse`` scans its containment
+from the collapse clause's first failure.  On any ring a sum Q^n + I_k
+with I_k inside Q^n past the tail is read as l(A/Q^n), and a product
+Q^n I_k past the tail as l(A/I_{n+k}); each sum and product a closed form
+fills is checked against its colength.  Here every job runs a second time
+with ``closed_form`` giving nothing, so that every entry is a colength,
+and both reports must be byte-identical; on both runs every basis started
+from another one is rebuilt from the relations and the generators; the
+collapse clause is scanned generator by generator; in dimension one the
+graded clause is decided at every n by building the meet, and the
+containment of ``check_adic_collapse`` is scanned at every n; and the full
+chain and tail scans run on every adic job.
 """
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -73,15 +69,6 @@ def check_adic_scans(got, filt, red) -> int:
     return got["admissibility"]["reduction_postulation"]
 
 
-def check_certificates(ring) -> int:
-    """Assert every interned handle's colength equals the full loop's on a
-    fresh handle; return how many non-monomial handles carry the flag."""
-    flagged = sum(h._at_origin and h.monomials is None for h in ring._handles.values())
-    for handle in list(ring._handles.values()):
-        assert IdealHandle(ring, handle.gens).colength() == handle.colength(), handle
-    return flagged
-
-
 def check_seeded_bases(ring, seeded) -> int:
     """Assert every basis built from another handle's basis equals the one
     built from the relations and the generators; return how many handles
@@ -130,12 +117,11 @@ def check_filled(entries) -> tuple:
 def assert_job_deductions(cfg, full=None) -> tuple:
     """Run the job, and unless ``full`` holds that run already, run it with
     no closed forms; assert the deductions on both runs.  Return (report,
-    the adic scans' r or None, flagged non-monomial handles and handles with
-    a seeded basis on each route as ((fast, full), (fast, full)), the
-    collapse and graded witnesses by the scans, False where the job stopped
-    before them or, for graded, where d != 1, and the numbers of sums
-    l(A/(Q^n + I_k)), n >= 1, and of products l(A/Q^n I_k), n, k >= 1,
-    that closed forms filled)."""
+    the adic scans' r or None, handles with a seeded basis on each route as
+    (fast, full), the collapse and graded witnesses by the scans, False
+    where the job stopped before them or, for graded, where d != 1, and the
+    numbers of sums l(A/(Q^n + I_k)), n >= 1, and of products l(A/Q^n I_k),
+    n, k >= 1, that closed forms filled)."""
     entries, closed = [], filtration.closed_form
 
     def recorded(lengths, n, k, plus):
@@ -149,7 +135,6 @@ def assert_job_deductions(cfg, full=None) -> tuple:
         got, ring, seeded, args, filt, red = run_captured(cfg)
     full, full_ring, full_seeded = (full or run_captured(cfg, closed_forms=False))[:3]
     assert report.to_json(full) == report.to_json(got), got["name"]
-    flagged = (check_certificates(ring), check_certificates(full_ring))
     rebuilt = (check_seeded_bases(ring, seeded), check_seeded_bases(full_ring, full_seeded))
     r = None
     if filt is not None and filt.kind == ADIC:
@@ -158,7 +143,7 @@ def assert_job_deductions(cfg, full=None) -> tuple:
     if args is not None:
         collapse, graded = check_clause_scans(got, *args)
     filled = check_filled(entries)
-    return got, r, flagged, rebuilt, collapse, graded, filled
+    return got, r, rebuilt, collapse, graded, filled
 
 
 @pytest.fixture(scope="module")
@@ -167,24 +152,6 @@ def runs(without_closed_forms):
     ``golden/report_digests.json``."""
     return [assert_job_deductions(cfg, without_closed_forms[canonical_key(cfg)])
             for cfg in corpus_and_digest_configs()]
-
-
-def test_inherited_certificates_match_the_full_loop(runs):
-    """The comparison ran in the fixture, after each job and its run with no
-    closed forms; here, that it met the 272 and 3 023 certified non-monomial
-    handles of those jobs on the two routes.  Before the length table, the
-    one route met 3 355; before it held l(A/(Q^n + I_k)), the two met 618
-    and 2 595, as the route without closed forms then decided the graded
-    clause at fewer n in dimension one; before sums past the tail were read
-    as Q^n, 538 and 3 019; before l(A/Q^n I_k) was read off the Rees algebra
-    and each d-sequence clause decided as one nonzerodivisor test, whose
-    Hilbert series build X + (q), 503 and 3 019; before l(A/m^k) and
-    l(A/(Q^n + m^(n+1))) were read off the tangent cone's series, 487 and
-    3 025; before c1 was read off the standard criterion instead of the
-    u.s.d. scan, 260 and 3 025; before the sums in dimension one under the
-    Cohen-Macaulay certificate were left to their colengths, 263 and
-    3 023."""
-    assert tuple(map(sum, zip(*(run[2] for run in runs)))) == (272, 3023)
 
 
 def test_adic_chain_and_tail_match_the_full_scans(runs):
@@ -208,7 +175,7 @@ def test_seeded_bases_match_bases_from_scratch(runs):
     instead of the u.s.d. scan, 35 and 805; before the sums in dimension
     one under the Cohen-Macaulay certificate were left to their colengths,
     20 and 790."""
-    assert tuple(map(sum, zip(*(run[3] for run in runs)))) == (29, 790)
+    assert tuple(map(sum, zip(*(run[2] for run in runs)))) == (29, 790)
 
 
 def test_sums_filled_by_closed_forms_match_colengths(runs):
@@ -221,7 +188,7 @@ def test_sums_filled_by_closed_forms_match_colengths(runs):
     403 past the tail and 288 by adding e_0; before the sums in dimension
     one under the Cohen-Macaulay certificate were left to their colengths,
     753."""
-    assert sum(run[6][0] for run in runs) == 744
+    assert sum(run[5][0] for run in runs) == 744
 
 
 def test_products_filled_by_closed_forms_match_colengths(runs):
@@ -231,13 +198,13 @@ def test_products_filled_by_closed_forms_match_colengths(runs):
     under the Cohen-Macaulay certificate, by adding n e_0, 485; and off the
     Rees algebra without the certificate, 12.  The Sally values and the
     collapse clause read them."""
-    assert sum(run[6][1] for run in runs) == 1402
+    assert sum(run[5][1] for run in runs) == 1402
 
 
 def test_collapse_clause_by_lengths_matches_the_scan(runs):
     """The comparison ran in the fixture; here, that it met all 103 jobs,
     30 of them with a failing clause."""
-    reached = [run[4] for run in runs if run[4] is not False]
+    reached = [run[3] for run in runs if run[3] is not False]
     assert (len(reached), sum(w is not None for w in reached)) == (103, 30)
 
 
@@ -245,20 +212,30 @@ def test_graded_clause_at_every_n_matches_the_report(runs):
     """The comparison ran in the fixture; here, that it met the 55 jobs in
     dimension one, none of them with a failing clause (the drawn curves
     below meet failing ones)."""
-    reached = [run[5] for run in runs if run[5] is not False]
+    reached = [run[4] for run in runs if run[4] is not False]
     assert (len(reached), sum(w is not None for w in reached)) == (55, 0)
 
 
-def test_a_product_with_a_second_point_keeps_no_certificate():
-    """(x^2 - x, y^2) has a second point at x = 1, so a product with m or a
-    meet with m^2 does not inherit their certificate, while a sum does."""
+def test_products_meets_and_colons_certify_their_own_colengths(census):
+    """(x^2 - x, y^2) has a second point at x = 1, so its product with m,
+    its meet with m^2 and its colon by y have no certified colength, nor
+    has the colon by y of its product with c = (x^3 + y^2, xy), while its
+    sum with m has.  Colons of ideals supported at the origin alone are
+    certified: (c : x) = (y, x^3), by the t-trick, and (m^3 : m) = m^2."""
     ring = LocalRing(("x", "y"))
     m = ring.maximal_ideal()
     bad = ring.ideal(["x^2 - x", "y^2"])
-    assert m.colength() == 1 and bad.colength() is None
+    c = ring.ideal(["x^3 + y^2", "x*y"])
+    assert m.colength() == 1 and bad.colength() is None and c.colength() == 5
     assert (bad * m).colength() is None
     assert bad.intersect(m.power(2)).colength() is None
     assert (bad + m).colength() == 1
+    by_x = c.colon("x")
+    assert census["colons"] == 1
+    assert by_x is ring.ideal(["y", "x^3"]) and by_x.colength() == 3
+    assert m.power(3).colon(m).colength() == 3
+    assert bad.colon("y").colength() is None
+    assert (c * bad).colon("y").colength() is None
 
 
 def test_an_explicit_tower_scans_its_whole_tail():

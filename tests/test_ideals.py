@@ -178,13 +178,89 @@ def test_subquotient_length_is_a_colength_difference(case):
 def test_colength_certificate_runs_to_the_quotient_dimension():
     """(a^2 - b, b^2 - c, ..., g^2) in n variables is m-primary of colength
     2^n, but a is nilpotent only at its 2^n-th power, so the certificate must
-    step as far as the dimension of the quotient.  (x^2 - x, y^2) has a
+    take powers as high as the dimension of the quotient.  (x^2 - x, y^2) has a
     second point, so x is never nilpotent and nothing is certified."""
     for n in (7, 8):
         names = "abcdefgh"[:n]
         gens = [f"{u}^2 - {v}" for u, v in zip(names, names[1:])] + [f"{names[-1]}^2"]
         assert LocalRing(tuple(names)).ideal(gens).colength() == 2 ** n
     assert PLANE.ideal(["x^2 - x", "y^2"]).colength() is None
+
+
+def stepped_nilpotency(G, N) -> bool:
+    """The reference certificate: nf(x_i^e) stepped from x_i's pure-power
+    lead up to e = N as nf(r * x_i), each r differing from x_i^e by a member
+    of the ideal."""
+    ctx = G.ctx
+    nf = G.normal_form
+    for i, bound in enumerate(monomial.pure_power_bounds(G.leads, ctx.nvars)):
+        step = ctx.var_mono(i, 1)
+        r = nf(Polynomial.monomial(ctx, ctx.var_mono(i, bound)))
+        for _ in range(N - bound):
+            if r.is_zero:
+                break
+            r = nf(r.shift(step))
+        if not r.is_zero:
+            return False
+    return True
+
+
+@st.composite
+def triangular_ideal(draw):
+    """A non-monomial ideal of k[x, y] or k[x, y, z] with a finite global
+    count: x^a - c u, u a monomial in the later variables of degree below
+    a, then y, y^2 or y^2 - c' z in three variables, then a pure power of
+    the last variable, so the origin is its only zero; plus at most one
+    generator whose every term has the last variable.  With
+    ``second_point`` the first generator is multiplied by x - 1, so every
+    generator vanishes at (1, 0, ..).  Returns (ring, generators,
+    second_point)."""
+    ring = draw(st.sampled_from((PLANE, SPACE)))
+    n, top = ring.nvars, (4 if ring.nvars == 2 else 3)
+    coeff = st.sampled_from((1, 2, -3))
+
+    def poly(text):
+        return parse_polynomial(text, ring.ctx)
+
+    later = ring.ctx.variables[1:]
+    a = draw(st.integers(2, top))
+    degree_u = draw(st.integers(1, a - 1))
+    u = "*".join(f"{v}^{e}" for v, e in zip(later, draw(st.sampled_from(
+        list(monomial.of_degree(degree_u, n - 1))))) if e)
+    gens = [poly(f"x^{a} - {draw(coeff)}*{u}")]
+    if n == 3:
+        b = draw(st.integers(1, 2))
+        tail = f" - {draw(coeff)}*z" if b == 2 and draw(st.booleans()) else ""
+        gens.append(poly(f"y^{b}{tail}"))
+    gens.append(poly(f"{later[-1]}^{draw(st.integers(2, 4))}"))
+    if draw(st.booleans()):
+        term = st.tuples(*[st.integers(0, 2)] * (n - 1), st.integers(1, 2))
+        gens.append(Polynomial(ring.ctx, {e: ring.field.from_int(draw(coeff))
+                                          for e in draw(st.lists(term, min_size=1,
+                                                                 max_size=3))}))
+    second_point = draw(st.booleans())
+    if second_point:
+        gens[0] = gens[0] * poly("x - 1")
+    return ring, gens, second_point
+
+
+@settings(max_examples=60, deadline=None)
+@given(triangular_ideal())
+def test_one_normal_form_per_variable_matches_the_stepped_certificate(case):
+    """x_i^N in the ideal, one normal form each, agrees with the stepped
+    loop and with m^N inside the ideal, N the global count: both hold
+    exactly when the origin is the only zero, so never with a second
+    point."""
+    ring, gens, second_point = case
+    G = groebner.groebner_basis(gens, ctx=ring.ctx)
+    N = monomial.colength(G.leads, ring.nvars)
+    assert N is not None
+    one = Polynomial.constant(ring.ctx, ring.field.one)
+    got = ideals._variables_nilpotent(G, (one,), N)
+    assert got == stepped_nilpotency(G, N)
+    assert got == all(G.normal_form(Polynomial.monomial(ring.ctx, e)).is_zero
+                      for e in monomial.of_degree(N, ring.nvars))
+    assert got is not second_point
 
 
 def test_non_primary_refusal():
@@ -738,7 +814,8 @@ def test_depth_zero_job_buchberger_runs(census):
 def test_corpus_pass_work(census):
     """Noise-free work count of one pass over the 13 corpus jobs: general
     Buchberger runs, S-polynomials formed, Groebner bases asked for by
-    ideal handles, colengths computed and ideal products formed.  Before a
+    ideal handles, colengths computed, ideal products formed and
+    nilpotency checks.  Before a
     monomial ideal presented with non-monomial generators took its basis
     from the monomial layer, 85 runs formed 889 S-polynomials.  Before ``check_d_sequence`` took the colon by q_i q_j as
     two colons, the pass made 63 runs, 851 S-polynomials and 73 bases.
@@ -759,13 +836,17 @@ def test_corpus_pass_work(census):
     past the tail, it made 26 runs, 209 S-polynomials, 56 bases, 151
     colengths and 289 products.  Before c1 was read off the standard
     criterion instead of the u.s.d. scan on two_planes, it made 25 runs,
-    205 S-polynomials, 55 bases and 132 colengths."""
+    205 S-polynomials, 55 bases and 132 colengths.  The nilpotency checks
+    are the 15 colengths of non-monomial ideals and the torsion lengths of
+    the 2 depth-zero jobs; while sums, products, meets and colons inherited
+    the colength certificate, it made 13."""
     configs = sorted(CORPUS_DIR.glob("*.json"))
     assert len(configs) == 13
     for path in configs:
         run_job(load_config(path))
     assert (census["buchberger"], census["spolys"], census["bases"],
-            census["colengths"], census["products"]) == (17, 144, 46, 133, 211)
+            census["colengths"], census["products"], census["nilpotency"]) == (
+                17, 144, 46, 133, 211, 17)
 
 
 def test_the_census_changes_no_report_byte():
